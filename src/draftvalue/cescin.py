@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Optional, Sequence
 
-from .core_model import CssCategory, DraftClass, PlayerRecord
+from .core_model import CssCategory, DraftClass
 
 FACTOR_CATEGORIES = (
     CssCategory.NA_SKATER,
@@ -129,8 +129,3 @@ def css_ordering(dc: DraftClass, factors: CategoryFactors) -> CssOrdering:
         cescin_values=tuple(values),
         css_ranks=tuple(ranks),
     )
-
-
-def css_rank_of(dc: DraftClass, ordering: CssOrdering, record: PlayerRecord) -> int:
-    """Integrated rank of one record of the class."""
-    return ordering.css_ranks[dc.records.index(record)]

@@ -1,8 +1,8 @@
 """Command-line entry point.
 
 Subcommands: ingest-check, synth, cescin, audit, curves, surplus, teams,
-chart, run. Exit codes: 0 success, 1 usage error, 2 data error, 3 numeric
-failure. ``DRAFTVAL_OUT`` sets the default output directory.
+chart, run. Exit codes: 0 success, 1 usage or config-file error, 2 data error,
+3 numeric failure. ``DRAFTVAL_OUT`` sets the default output directory.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from typing import Optional, Sequence
 from .config import RunConfig, load_config
 from .core_model import Metric
 from .io import DataError, load_draft_csv, write_draft_csv
-from .pipeline import PipelineError, run_pipeline
+from .pipeline import STAGES, PipelineError, run_pipeline
 from .reference_chart import reference_chart
 from .synth import SynthConfig, generate_synthetic_draft
 
@@ -85,7 +85,10 @@ def _build_parser() -> _Parser:
 def _run_config(args) -> RunConfig:
     cfg = RunConfig()
     if getattr(args, "config", None):
-        cfg = load_config(args.config, cfg)
+        try:
+            cfg = load_config(args.config, cfg)
+        except ValueError as exc:
+            raise _UsageError(f"config {args.config}: {exc}") from exc
     if getattr(args, "metric", "all") != "all":
         cfg = dataclasses.replace(cfg, metrics=(Metric(args.metric),))
     if getattr(args, "by_position", False):
@@ -93,27 +96,10 @@ def _run_config(args) -> RunConfig:
     return cfg
 
 
-# artifact keys each partial subcommand is expected to produce
-_SUBCOMMAND_KEYS = {
-    "cescin": ("cescin",),
-    "audit": ("audit", "audit_csv"),
-    "curves": tuple(),
-    "surplus": ("gains",),
-    "teams": ("teams", "team_tests"),
-    "chart": ("chart",),
-}
-
-
 def main(argv: Optional[Sequence[str]] = None) -> int:
     logging.basicConfig(level=logging.INFO, format="%(levelname)s %(message)s")
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
-    except _UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-
-    try:
+        args = _build_parser().parse_args(argv)
         if args.command == "reference-chart":
             for sel, value in reference_chart().rows():
                 print(f"{sel},{value}")
@@ -132,7 +118,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
 
         cfg = _run_config(args)
         if args.command == "run" and args.seed is not None:
-            classes = generate_synthetic_draft(SynthConfig(seed=args.seed))
+            classes = generate_synthetic_draft(SynthConfig(seed=args.seed), cfg.imputation)
         else:
             classes = load_draft_csv(args.data, cfg.imputation)
 
@@ -141,16 +127,13 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                 print(f"year {dc.year}: {len(dc)} records")
             return EXIT_OK
 
-        artifacts = run_pipeline(classes, cfg, args.out)
-        if args.command == "run":
-            keys = sorted(artifacts)
-        else:
-            keys = [k for k in _SUBCOMMAND_KEYS[args.command] if k in artifacts]
-            if args.command == "curves":
-                keys = [k for k in artifacts if k.startswith("curve_")]
-        for key in keys:
-            print(artifacts[key])
+        stages = STAGES if args.command == "run" else (args.command,)
+        for path in run_pipeline(classes, cfg, args.out, stages):
+            print(path)
         return EXIT_OK
+    except _UsageError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
     except DataError as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return EXIT_DATA

@@ -54,8 +54,6 @@ def parse_config_text(text: str, base: Optional[RunConfig] = None) -> RunConfig:
         key, value = (part.strip() for part in line.split("=", 1))
         if key == "loess.span":
             loess = replace(loess, span=float(value))
-        elif key == "loess.degree":
-            loess = replace(loess, degree=int(value))
         elif key.startswith("cescin.") and key[7:] in _FACTOR_KEYS:
             factors[key[7:]] = float(value)
         elif key == "audit.band_edge":

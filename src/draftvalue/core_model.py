@@ -170,8 +170,8 @@ def normalize_record(
 class DraftClass:
     """All records for one draft year, sorted by selection.
 
-    At most 210 selections; a single missing slot is tolerated (one historical
-    pick was invalidated).
+    At most 210 selections; any number of slots may be missing (one historical
+    pick was invalidated), and the loader logs the missing ones.
     """
 
     year: int

@@ -91,8 +91,8 @@ def load_draft_csv(
 ) -> list[DraftClass]:
     """Read, validate and normalize a draft CSV into one class per year.
 
-    Rows with a selection past the top 210 are dropped with a warning; a
-    single missing slot within a year is accepted and logged.
+    Rows with a selection past the top 210 are dropped with a warning; any
+    number of missing slots within a year are accepted and logged.
     """
     path = Path(path)
     with path.open(newline="", encoding="utf-8") as fh:

@@ -69,7 +69,7 @@ def tricube(u: np.ndarray) -> np.ndarray:
     return (1.0 - u**3) ** 3
 
 
-def loess_fit(x, y, grid, span: float = 0.5, degree: int = 1, w=None) -> SmoothCurve:
+def loess_fit(x, y, grid, span: float = 0.5, w=None) -> SmoothCurve:
     """Local-linear smoother with tricube neighborhood weights.
 
     At each grid point the q = ceil(span*n) nearest data points by distance
@@ -78,17 +78,15 @@ def loess_fit(x, y, grid, span: float = 0.5, degree: int = 1, w=None) -> SmoothC
     neighbor shares one x (degenerate design) the local weighted mean is
     used instead. No robustness iterations.
     """
-    if degree != 1:
-        raise ValueError("only degree 1 (local linear) is supported")
     if not (0.0 < span <= 1.0):
         raise ValueError("span must be in (0, 1]")
     x, y, w = _as_weighted(x, y, w)
     n = len(x)
-    if len(np.unique(x)) < degree + 2:
+    if len(np.unique(x)) < 3:
         raise ValueError("need at least 3 distinct x values")
     q = int(math.ceil(span * n))
-    if q < degree + 1:
-        raise ValueError(f"span*n = {span * n:.2f} gives fewer than {degree + 1} local points")
+    if q < 2:
+        raise ValueError(f"span*n = {span * n:.2f} gives fewer than 2 local points")
     grid = np.asarray(grid, dtype=float)
     fitted = np.empty_like(grid)
     for j, x0 in enumerate(grid):

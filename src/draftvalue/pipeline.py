@@ -1,21 +1,28 @@
 """End-to-end orchestration: scouting ordering, audit, expectation curves,
-surplus estimation, dollar conversion, value chart and team analysis, with
-all artifacts written to an output directory."""
+surplus estimation, dollar conversion, value chart and team analysis.
+
+:class:`Analysis` computes each stage on first use, together with the
+stages it reads; :func:`run_pipeline` writes the artifacts of the stages it
+is given, so a partial run computes only what it writes.
+"""
 
 from __future__ import annotations
 
 import csv
+import dataclasses
 import json
 import logging
+from functools import cached_property, wraps
 from pathlib import Path
 from typing import Mapping, Optional, Sequence, Union
 
 from .cescin import CategoryFactors, CssOrdering, estimate_category_factors, css_ordering
 from .config import RunConfig
 from .core_model import DraftClass, Metric, PositionGroup
-from .draft_audit import Ordering, audit
+from .draft_audit import AuditReport, Ordering, audit
 from .numerics import SmoothCurve
 from .team_analysis import (
+    TeamGain,
     normality_check,
     outlier_teams,
     split_half_correlation,
@@ -24,6 +31,7 @@ from .team_analysis import (
 from .valuation import (
     DifferentialPoint,
     GainEstimate,
+    ValueChart,
     differential_points,
     draft_value_chart,
     expected_curve,
@@ -84,166 +92,98 @@ def surplus_for_metric(
     return points, diff_curve, gain_estimate(diff_curve, deltas, metric, config.dollars)
 
 
-def _write_curve_csv(path: Path, curve: SmoothCurve) -> None:
-    with path.open("w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["x", "fitted"])
-        for x, v in zip(curve.grid, curve.values):
-            writer.writerow([f"{x:g}", f"{v:.6f}"])
+def _stage(compute):
+    """A stage result computed on first access; a failure is reported as a
+    ``PipelineError`` of the stage that failed, even when a later stage
+    asked for the result."""
+
+    @wraps(compute)
+    def wrapper(self):
+        try:
+            return compute(self)
+        except PipelineError:
+            raise
+        except Exception as exc:
+            raise PipelineError(compute.__name__, exc) from exc
+
+    return cached_property(wrapper)
 
 
-def run_pipeline(
-    classes: Sequence[DraftClass],
-    config: RunConfig,
-    out_dir: Union[str, Path],
-) -> dict[str, Path]:
-    """Run every analysis stage and write artifacts; returns artifact paths."""
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    (out / "curves").mkdir(exist_ok=True)
-    artifacts: dict[str, Path] = {}
+class Analysis:
+    """The six stage results of one run over ``classes``."""
 
-    def stage(name):
-        def wrap(fn):
-            try:
-                return fn()
-            except Exception as exc:
-                raise PipelineError(name, exc) from exc
-        return wrap
+    def __init__(self, classes: Sequence[DraftClass], config: RunConfig):
+        if not classes:
+            raise PipelineError("ingest", ValueError("no draft classes supplied"))
+        self.classes = classes
+        self.config = config
 
-    if not classes:
-        raise PipelineError("ingest", ValueError("no draft classes supplied"))
+    @_stage
+    def cescin(self) -> tuple[CategoryFactors, dict[int, CssOrdering]]:
+        return build_orderings(self.classes, self.config)
 
-    factors, orderings = stage("cescin")(lambda: build_orderings(classes, config))
-    path = out / "cescin.json"
-    path.write_text(
-        json.dumps(
-            {
-                "factors": {
-                    "na_skater": factors.na_skater,
-                    "na_goalie": factors.na_goalie,
-                    "eu_skater": factors.eu_skater,
-                    "eu_goalie": factors.eu_goalie,
-                },
-                "years": sorted(orderings),
-            },
-            indent=2,
-        )
-    )
-    artifacts["cescin"] = path
+    @property
+    def orderings(self) -> dict[int, CssOrdering]:
+        return self.cescin[1]
 
-    report = stage("audit")(
-        lambda: audit(classes, orderings, config.metrics, band_edge=config.band_edge)
-    )
-    path = out / "audit.json"
-    path.write_text(
-        json.dumps(
-            {
-                "half_sd": {m.value: v for m, v in report.half_sd.items()},
-                "cells": report.rows(),
-            },
-            indent=2,
-        )
-    )
-    artifacts["audit"] = path
-    path = out / "audit.csv"
-    with path.open("w", newline="", encoding="utf-8") as fh:
-        writer = csv.DictWriter(
-            fh,
-            fieldnames=["metric", "ordering", "rounds", "picks", "optimal_pct", "nearly_optimal_pct"],
-        )
-        writer.writeheader()
-        writer.writerows(report.rows())
-    artifacts["audit_csv"] = path
+    @_stage
+    def audit(self) -> AuditReport:
+        cfg = self.config
+        return audit(self.classes, self.orderings, cfg.metrics, band_edge=cfg.band_edge)
 
-    curves: dict[tuple[Ordering, Metric], SmoothCurve] = {}
+    @_stage
+    def curves(self) -> dict[Ordering, dict[Metric, SmoothCurve]]:
+        """Expected-performance curve per ordering and metric."""
+        return {
+            o: {
+                m: expected_curve(self.classes, self.orderings, o, m, self.config.loess)
+                for m in self.config.metrics
+            }
+            for o in Ordering
+        }
 
-    def fit_curves():
-        for ordering in Ordering:
-            for metric in config.metrics:
-                curves[(ordering, metric)] = expected_curve(
-                    classes, orderings, ordering, metric, config.loess
-                )
-    stage("curves")(fit_curves)
-    for (ordering, metric), curve in curves.items():
-        path = out / "curves" / f"expected_{metric.value}_{ordering.value}.csv"
-        _write_curve_csv(path, curve)
-        artifacts[f"curve_{metric.value}_{ordering.value}"] = path
-
-    css_expected = {m: curves[(Ordering.CSS, m)] for m in config.metrics}
-    gains = {}
-
-    def fit_surplus():
-        groups: list[Optional[PositionGroup]] = [None]
-        if config.by_position:
-            groups += list(PositionGroup)
-        for group in groups:
+    @_stage
+    def surplus(self) -> dict[str, tuple[Optional[SmoothCurve], GainEstimate]]:
+        """Differential curve (None when no rank differs) and gain per metric,
+        keyed ``<metric>`` and, when stratified, ``<metric>_<group>``."""
+        cfg = self.config
+        out = {}
+        for group in [None, *PositionGroup] if cfg.by_position else [None]:
             expected = (
-                css_expected
+                self.curves[Ordering.CSS]
                 if group is None
-                else css_curves(classes, orderings, config, group)
+                else css_curves(self.classes, self.orderings, cfg, group)
             )
-            for metric in config.metrics:
-                points, diff_curve, estimate = surplus_for_metric(
-                    classes, orderings, expected[metric], metric, config, group
+            for metric in cfg.metrics:
+                _, diff_curve, estimate = surplus_for_metric(
+                    self.classes, self.orderings, expected[metric], metric, cfg, group
                 )
                 key = metric.value if group is None else f"{metric.value}_{group.value.lower()}"
-                gains[key] = estimate
-                if diff_curve is not None:
-                    cpath = out / "curves" / f"differential_{key}.csv"
-                    _write_curve_csv(cpath, diff_curve)
-                    artifacts[f"differential_{key}"] = cpath
-    stage("surplus")(fit_surplus)
-    path = out / "gains.json"
-    path.write_text(
-        json.dumps(
-            {
-                key: {
-                    "metric": est.metric.value,
-                    "per_pick": est.per_pick,
-                    "per_draft": est.per_draft,
-                    "dollars": est.dollars,
-                }
-                for key, est in gains.items()
-            },
-            indent=2,
-        )
-    )
-    artifacts["gains"] = path
+                out[key] = (diff_curve, estimate)
+        return out
 
-    chart = stage("chart")(lambda: draft_value_chart(classes, config.loess))
-    path = out / "chart.csv"
-    with path.open("w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["selection", "value"])
-        writer.writerows(chart.rows())
-    artifacts["chart"] = path
+    @_stage
+    def chart(self) -> ValueChart:
+        return draft_value_chart(self.classes, self.config.loess)
 
-    def run_teams():
-        gains_by_team = team_gains(classes, orderings, css_expected)
-        path = out / "teams.csv"
-        with path.open("w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["team", "picks"] + [f"mean_gain_{m.value}" for m in config.metrics])
-            for g in gains_by_team:
-                writer.writerow(
-                    [g.team, g.picks] + [f"{g.mean_gain[m]:.4f}" for m in config.metrics]
-                )
-        artifacts["teams"] = path
-
+    @_stage
+    def teams(self) -> tuple[list[TeamGain], dict]:
+        """Per-team mean gains and the tests over them."""
+        cfg, expected = self.config, self.curves[Ordering.CSS]
+        gains = team_gains(self.classes, self.orderings, expected)
         tests: dict = {"normality": {}, "split_half": {}, "outliers": {}}
-        for metric in config.metrics:
+        for metric in cfg.metrics:
             try:
-                res = normality_check(gains_by_team, metric)
+                res = normality_check(gains, metric)
                 tests["normality"][metric.value] = {"W": res.statistic, "p": res.p_value}
             except ValueError as exc:
                 tests["normality"][metric.value] = {"error": str(exc)}
-            tests["outliers"][metric.value] = outlier_teams(gains_by_team, metric)
-        years = {dc.year for dc in classes}
-        if years & set(config.split_early) and years & set(config.split_late):
+            tests["outliers"][metric.value] = outlier_teams(gains, metric)
+        years = {dc.year for dc in self.classes}
+        if years & set(cfg.split_early) and years & set(cfg.split_late):
             try:
                 split = split_half_correlation(
-                    classes, orderings, css_expected, config.split_early, config.split_late
+                    self.classes, self.orderings, expected, cfg.split_early, cfg.split_late
                 )
                 tests["split_half"] = {
                     m.value: {"r": res.statistic, "p": res.p_value} for m, res in split.items()
@@ -252,9 +192,99 @@ def run_pipeline(
                 tests["split_half"] = {"error": str(exc)}
         else:
             logger.info("split-half skipped: data years do not cover both halves")
-        tpath = out / "team_tests.json"
-        tpath.write_text(json.dumps(tests, indent=2))
-        artifacts["team_tests"] = tpath
-    stage("teams")(run_teams)
+        return gains, tests
 
-    return artifacts
+
+def _write_json(path: Path, obj) -> Path:
+    path.write_text(json.dumps(obj, indent=2))
+    return path
+
+
+def _write_csv(path: Path, header: Sequence[str], rows) -> Path:
+    with path.open("w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(rows)
+    return path
+
+
+def _write_curve(path: Path, curve: SmoothCurve) -> Path:
+    path.parent.mkdir(exist_ok=True)
+    rows = ([f"{x:g}", f"{v:.6f}"] for x, v in zip(curve.grid, curve.values))
+    return _write_csv(path, ["x", "fitted"], rows)
+
+
+def _write_cescin(a: Analysis, out: Path) -> list[Path]:
+    factors, orderings = a.cescin
+    cescin = {"factors": dataclasses.asdict(factors), "years": sorted(orderings)}
+    return [_write_json(out / "cescin.json", cescin)]
+
+
+def _write_audit(a: Analysis, out: Path) -> list[Path]:
+    rows = a.audit.rows()
+    half_sd = {m.value: v for m, v in a.audit.half_sd.items()}
+    return [
+        _write_json(out / "audit.json", {"half_sd": half_sd, "cells": rows}),
+        _write_csv(out / "audit.csv", list(rows[0]), (r.values() for r in rows)),
+    ]
+
+
+def _write_curves(a: Analysis, out: Path) -> list[Path]:
+    return [
+        _write_curve(out / "curves" / f"expected_{m.value}_{o.value}.csv", curve)
+        for o, by_metric in a.curves.items()
+        for m, curve in by_metric.items()
+    ]
+
+
+def _write_surplus(a: Analysis, out: Path) -> list[Path]:
+    paths = [
+        _write_curve(out / "curves" / f"differential_{key}.csv", curve)
+        for key, (curve, _) in a.surplus.items()
+        if curve is not None
+    ]
+    gains = {
+        key: {**dataclasses.asdict(est), "metric": est.metric.value}
+        for key, (_, est) in a.surplus.items()
+    }
+    return paths + [_write_json(out / "gains.json", gains)]
+
+
+def _write_chart(a: Analysis, out: Path) -> list[Path]:
+    return [_write_csv(out / "chart.csv", ["selection", "value"], a.chart.rows())]
+
+
+def _write_teams(a: Analysis, out: Path) -> list[Path]:
+    gains, tests = a.teams
+    metrics = a.config.metrics
+    header = ["team", "picks"] + [f"mean_gain_{m.value}" for m in metrics]
+    rows = ([g.team, g.picks] + [f"{g.mean_gain[m]:.4f}" for m in metrics] for g in gains)
+    return [
+        _write_csv(out / "teams.csv", header, rows),
+        _write_json(out / "team_tests.json", tests),
+    ]
+
+
+_WRITERS = {
+    "cescin": _write_cescin,
+    "audit": _write_audit,
+    "curves": _write_curves,
+    "surplus": _write_surplus,
+    "chart": _write_chart,
+    "teams": _write_teams,
+}
+STAGES = tuple(_WRITERS)
+
+
+def run_pipeline(
+    classes: Sequence[DraftClass],
+    config: RunConfig,
+    out_dir: Union[str, Path],
+    stages: Sequence[str] = STAGES,
+) -> list[Path]:
+    """Write the artifacts of ``stages``, computing them and the stages they
+    read; returns the paths written."""
+    analysis = Analysis(classes, config)
+    out = Path(out_dir)
+    out.mkdir(parents=True, exist_ok=True)
+    return [path for stage in stages for path in _WRITERS[stage](analysis, out)]

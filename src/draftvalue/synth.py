@@ -80,8 +80,11 @@ def _played_probabilities(n: int, rate: float) -> np.ndarray:
     return 1.0 / (1.0 + np.exp((t - (lo + hi) / 2.0) / s))
 
 
-def generate_synthetic_draft(config: SynthConfig) -> list[DraftClass]:
-    """Deterministic synthetic drafts; identical config gives identical output."""
+def generate_synthetic_draft(
+    config: SynthConfig, imputation: ImputationConfig = ImputationConfig()
+) -> list[DraftClass]:
+    """Deterministic synthetic drafts; identical config gives identical output.
+    ``imputation`` fills the outcomes of players who never played."""
     rng = np.random.default_rng(config.seed)
     classes = []
     n = config.picks_per_year
@@ -145,7 +148,7 @@ def generate_synthetic_draft(config: SynthConfig) -> list[DraftClass]:
                 toi7=float(toi[i]) if gp[i] > 0 else 0.0,
                 gvt7=float(gvt[i]) if gp[i] > 0 else None,
             )
-            records.append(normalize_record(raw, ImputationConfig()))
+            records.append(normalize_record(raw, imputation))
         records.sort(key=lambda r: r.selection)
         classes.append(DraftClass(year=year, records=tuple(records)))
     return classes

@@ -92,39 +92,3 @@ def outlier_teams(gains: Sequence[TeamGain], metric: Metric, z: float = 3.0) -> 
     if sd == 0:
         return []
     return [g.team for g, v in zip(gains, values) if abs(v - mu) > z * sd]
-
-
-def permutation_spread_test(
-    classes: Sequence[DraftClass],
-    css_orderings: Mapping[int, CssOrdering],
-    css_curves: Mapping[Metric, SmoothCurve],
-    metric: Metric,
-    n_permutations: int = 500,
-    seed: int = 0,
-) -> TestResult:
-    """Optional diagnostic: shuffle players over teams keeping pick counts
-    fixed and compare the observed spread of team means against the shuffled
-    distribution. The statistic is the cross-team standard deviation; the
-    p-value is the fraction of shuffles with at least that spread.
-    """
-    rng = np.random.default_rng(seed)
-    teams, diffs = [], []
-    for dc in classes:
-        css = css_orderings[dc.year]
-        for i, r in enumerate(dc.records):
-            teams.append(r.team)
-            diffs.append(metric_differential(r, css_curves[metric], css.css_ranks[i], metric))
-    teams = np.array(teams)
-    diffs = np.array(diffs)
-
-    def spread(assignment):
-        out = []
-        for t in np.unique(teams):
-            out.append(diffs[assignment == t].mean())
-        return np.std(out, ddof=1)
-
-    observed = spread(teams)
-    hits = 0
-    for _ in range(n_permutations):
-        hits += spread(rng.permutation(teams)) >= observed
-    return TestResult(statistic=float(observed), p_value=(hits + 1) / (n_permutations + 1))

@@ -21,7 +21,6 @@ SELECTION_GRID = np.arange(1, 211, dtype=float)
 @dataclass(frozen=True)
 class LoessConfig:
     span: float = 0.5
-    degree: int = 1
 
 
 @dataclass(frozen=True)
@@ -115,7 +114,7 @@ def expected_curve(
     """Smoothed expected metric at each of the 210 draft ranks, pooling
     (rank, outcome) pairs across years under the chosen ordering."""
     ranks, values = _rank_metric_pairs(classes, css_orderings, ordering, metric, group)
-    return loess_fit(ranks, values, grid=SELECTION_GRID, span=loess.span, degree=loess.degree)
+    return loess_fit(ranks, values, grid=SELECTION_GRID, span=loess.span)
 
 
 def rank_differential(selection: int, css_rank: int) -> int:
@@ -167,7 +166,7 @@ def fit_differential_curve(
     if dr.min() >= 0 or dr.max() <= 0:
         raise ValueError("differential points must span negative and positive delta_rank")
     grid = np.arange(math.floor(dr.min()), math.ceil(dr.max()) + 1, dtype=float)
-    return loess_fit(dr, dm, grid=grid, span=loess.span, degree=loess.degree)
+    return loess_fit(dr, dm, grid=grid, span=loess.span)
 
 
 def average_gain(curve: SmoothCurve, delta_ranks: Iterable[int]) -> float:
@@ -226,8 +225,7 @@ def draft_value_chart(
             sels.append(r.selection)
             toi.append(r.toi7)
     smoothed = loess_fit(
-        np.array(sels, dtype=float), np.array(toi, dtype=float),
-        grid=SELECTION_GRID, span=loess.span, degree=loess.degree,
+        np.array(sels, dtype=float), np.array(toi, dtype=float), grid=SELECTION_GRID, span=loess.span
     )
     mono = antitonic_fit(SELECTION_GRID, smoothed.values)
     # smoothing can undershoot below zero in the tail; expected minutes are

@@ -214,3 +214,24 @@ class TestCli:
         monkeypatch.chdir(tmp_path)
         assert main(["synth", "--seed", "5", "--years", "1"]) == 0
         assert (tmp_path / "envout" / "synthetic.csv").exists()
+
+    @pytest.mark.parametrize("line", ["loess.span = abc", "metrics = foo", "bogus.key = 1"])
+    def test_bad_config_exit_code(self, tmp_path, capsys, line):
+        out = tmp_path / "s"
+        main(["synth", "--seed", "1", "--years", "1", "--out", str(out)])
+        config = tmp_path / "bad.cfg"
+        config.write_text(line + "\n", encoding="utf-8")
+        argv = ["cescin", str(out / "synthetic.csv"), "--config", str(config), "--out", str(out)]
+        assert main(argv) == 1
+        assert "config" in capsys.readouterr().err
+
+    def test_seeded_run_honours_imputation_config(self, tmp_path):
+        config = tmp_path / "impute.cfg"
+        config.write_text("impute.never_played_gvt = -90\n", encoding="utf-8")
+        curves = []
+        for name, extra in (("default", []), ("imputed", ["--config", str(config)])):
+            out = tmp_path / name
+            argv = ["run", "unused.csv", "--seed", "0", "--metric", "gvt", "--out", str(out), *extra]
+            assert main(argv) == 0
+            curves.append((out / "curves" / "expected_gvt_css.csv").read_text())
+        assert curves[0] != curves[1]

@@ -108,8 +108,6 @@ class TestLoess:
         x, y = np.arange(10.0), np.arange(10.0)
         with pytest.raises(ValueError):
             loess_fit(x, y, grid=[1.0], span=0.0)
-        with pytest.raises(ValueError):
-            loess_fit(x, y, grid=[1.0], degree=2)
 
 
 class TestAntitonic:

@@ -1,0 +1,124 @@
+"""Stage graph of the pipeline: each subcommand computes only the stages its
+artifacts read, a failure names the stage that failed, and every subcommand
+reproduces the stored reference artifacts of the benchmark."""
+
+import importlib.util
+from pathlib import Path
+
+import pytest
+
+from draftvalue import pipeline
+from draftvalue.cli import main
+from draftvalue.config import RunConfig
+from draftvalue.io import write_draft_csv
+from draftvalue.synth import SynthConfig, generate_synthetic_draft
+
+ROOT = Path(__file__).resolve().parent.parent
+REFERENCE = ROOT / "bench" / "reference" / "paper5"
+
+
+def _load_gate():
+    spec = importlib.util.spec_from_file_location("bench_gate", ROOT / "bench" / "gate.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+gate = _load_gate()
+
+# stage functions the pipeline calls, and the subcommands that must call each
+STAGE_FUNCTIONS = {
+    "build_orderings": {"cescin", "audit", "curves", "surplus", "teams"},
+    "audit": {"audit"},
+    "expected_curve": {"curves", "surplus", "teams"},
+    "surplus_for_metric": {"surplus"},
+    "draft_value_chart": {"chart"},
+    "team_gains": {"teams"},
+}
+DIFFERENTIAL_CURVES = tuple(f"curves/differential_{m}.csv" for m in gate.METRICS)
+
+
+def written(out: Path) -> set[str]:
+    return {p.relative_to(out).as_posix() for p in out.rglob("*") if p.is_file()}
+
+
+def own_outputs(command: str) -> set[str]:
+    extra = DIFFERENTIAL_CURVES if command == "surplus" else ()
+    return set(gate.SUBCOMMAND_OUTPUTS[command]) | set(extra)
+
+
+@pytest.fixture(scope="module")
+def one_year_csv(tmp_path_factory):
+    path = tmp_path_factory.mktemp("one_year") / "draft.csv"
+    write_draft_csv(generate_synthetic_draft(SynthConfig(seed=2, years=1)), path)
+    return path
+
+
+@pytest.fixture(scope="module")
+def paper5_csv(tmp_path_factory):
+    # the input of the benchmark's paper5 workload at its default seed
+    path = tmp_path_factory.mktemp("paper5") / "input.csv"
+    write_draft_csv(generate_synthetic_draft(SynthConfig(seed=0, years=5)), path)
+    return path
+
+
+@pytest.mark.parametrize("command", ["cescin", "audit", "curves", "surplus", "chart", "teams", "run"])
+def test_subcommand_calls_only_the_stages_it_reads(command, one_year_csv, tmp_path, monkeypatch):
+    called = set()
+    for name in STAGE_FUNCTIONS:
+        def record(*args, _name=name, _fn=getattr(pipeline, name), **kwargs):
+            called.add(_name)
+            return _fn(*args, **kwargs)
+        monkeypatch.setattr(pipeline, name, record)
+    assert main([command, str(one_year_csv), "--out", str(tmp_path)]) == 0
+    want = set(STAGE_FUNCTIONS) if command == "run" else {
+        name for name, commands in STAGE_FUNCTIONS.items() if command in commands
+    }
+    assert called == want
+
+
+def _boom(*args, **kwargs):
+    raise ValueError("boom")
+
+
+@pytest.mark.parametrize("command", ["chart", "cescin"])
+def test_failing_stages_do_not_touch_other_subcommands(command, one_year_csv, tmp_path, monkeypatch):
+    monkeypatch.setattr(pipeline, "audit", _boom)
+    monkeypatch.setattr(pipeline, "team_gains", _boom)
+    assert main([command, str(one_year_csv), "--out", str(tmp_path)]) == 0
+    assert written(tmp_path) == own_outputs(command)
+
+
+@pytest.mark.parametrize("command, stage", [("audit", "audit"), ("teams", "teams"), ("run", "audit")])
+def test_failure_names_the_failing_stage(command, stage, one_year_csv, tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(pipeline, "audit", _boom)
+    monkeypatch.setattr(pipeline, "team_gains", _boom)
+    assert main([command, str(one_year_csv), "--out", str(tmp_path)]) == 3
+    assert f"stage {stage}: boom" in capsys.readouterr().err
+
+
+def test_failure_in_a_dependency_names_the_dependency(tmp_path, monkeypatch):
+    monkeypatch.setattr(pipeline, "build_orderings", _boom)
+    classes = generate_synthetic_draft(SynthConfig(seed=2, years=1))
+    with pytest.raises(pipeline.PipelineError) as info:
+        pipeline.run_pipeline(classes, RunConfig(), tmp_path, ("surplus",))
+    assert info.value.stage == "cescin"
+
+
+def test_run_matches_reference(paper5_csv, tmp_path, capsys):
+    assert main(["run", str(paper5_csv), "--out", str(tmp_path)]) == 0
+    files = gate.run_outputs(by_position=False)
+    assert written(tmp_path) == set(files)
+    printed = {Path(line).relative_to(tmp_path).as_posix() for line in capsys.readouterr().out.split()}
+    assert printed == set(files)
+    assert gate.compare_reference(tmp_path, files, REFERENCE) == []
+
+
+@pytest.mark.parametrize("command", sorted(gate.SUBCOMMAND_OUTPUTS))
+def test_subcommand_matches_reference(command, paper5_csv, tmp_path, capsys):
+    assert main([command, str(paper5_csv), "--out", str(tmp_path)]) == 0
+    files = sorted(own_outputs(command))
+    assert sorted(written(tmp_path)) == files
+    printed = sorted(Path(line).relative_to(tmp_path).as_posix() for line in capsys.readouterr().out.split())
+    assert printed == files
+    assert gate.compare_reference(tmp_path, files, REFERENCE) == []

@@ -10,7 +10,6 @@ from draftvalue.team_analysis import (
     TeamGain,
     normality_check,
     outlier_teams,
-    permutation_spread_test,
     split_half_correlation,
     team_gains,
 )
@@ -163,12 +162,3 @@ class TestDiagnostics:
         values = [0.0, 0.1, -0.1, 0.05, -0.05, 0.02, -0.02, 0.08, -0.08, 50.0]
         gains = [TeamGain(f"T{i}", 1, {Metric.GP: v}) for i, v in enumerate(values)]
         assert outlier_teams(gains, Metric.GP, z=2.0) == ["T9"]
-
-    def test_permutation_spread_no_signal(self, rng):
-        dc = random_class(rng, n=40, teams=4)
-        orderings = {dc.year: css_ordering(dc, UNIT)}
-        res = permutation_spread_test(
-            [dc], orderings, flat_curves(100.0), Metric.GP, n_permutations=100, seed=0
-        )
-        # labels carry no information, so the spread should not be extreme
-        assert res.p_value > 0.01
