@@ -22,12 +22,13 @@ _, orderings = build_orderings(classes, RunConfig())
 # a small hand inspection: first ten picks of the first class, by games played
 dc = classes[0]
 half_sd = half_sd_thresholds(classes, [Metric.GP])[Metric.GP]
-flags = replay_flags(dc, Ordering.TEAM, Metric.GP, half_sd=half_sd)
+optimal, nearly_optimal = replay_flags(dc, Ordering.TEAM, Metric.GP, half_sd=half_sd)
 print(f"first ten picks of {dc.year}, games-played metric "
       f"(half-SD threshold {half_sd:.1f}):")
-for f in flags[:10]:
-    tag = "optimal" if f.optimal else ("nearly" if f.nearly_optimal else "-")
-    print(f"  pick {f.pick_number:>3} (selection {f.selection:>3}): {tag}")
+# the team ordering replays the picks in selection order
+for i in range(10):
+    tag = "optimal" if optimal[i] else ("nearly" if nearly_optimal[i] else "-")
+    print(f"  pick {i + 1:>3} (selection {dc.columns.selection[i]:>3}): {tag}")
 
 # the full table: metric x ordering x round band
 report = audit(classes, orderings)

@@ -47,4 +47,4 @@ for metric, res in split.items():
     print(f"  {metric.value:>4}: r = {res.statistic:+.3f}, p = {res.p_value:.3f}")
 
 flagged = outlier_teams(gains, Metric.TOI)
-print(f"\nteams beyond three SDs: {[g.team for g in flagged] or 'none'}")
+print(f"\nteams beyond three SDs: {flagged or 'none'}")

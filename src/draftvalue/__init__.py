@@ -5,7 +5,6 @@ units and dollars, team-level checks, and a monotone draft value pick chart."""
 from .cescin import (
     CategoryFactors,
     CssOrdering,
-    cescin_value,
     css_ordering,
     estimate_category_factors,
 )
@@ -13,6 +12,7 @@ from .config import RunConfig, load_config, parse_config_text
 from .core_model import (
     CssCategory,
     DraftClass,
+    DraftColumns,
     ImputationConfig,
     Metric,
     PlayerRecord,
@@ -24,7 +24,7 @@ from .core_model import (
     position_group,
     summarize_metric,
 )
-from .draft_audit import AuditReport, Ordering, PickFlag, audit, replay_flags
+from .draft_audit import AuditReport, Ordering, audit, replay_flags
 from .io import DataError, load_draft_csv, write_draft_csv
 from .numerics import (
     SmoothCurve,
@@ -39,18 +39,16 @@ from .reference_chart import reference_chart
 from .synth import SynthConfig, generate_synthetic_draft
 from .team_analysis import TeamGain, normality_check, split_half_correlation, team_gains
 from .valuation import (
-    DifferentialPoint,
     DollarConstants,
     GainEstimate,
     LoessConfig,
     ValueChart,
     average_gain,
+    differential_points,
     draft_value_chart,
     expected_curve,
     fit_differential_curve,
     gain_estimate,
-    metric_differential,
-    rank_differential,
     to_dollars,
 )
 

@@ -10,9 +10,11 @@ are appended past every listed player's value.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Optional, Sequence
+from typing import Iterable, Mapping, Optional
 
-from .core_model import CssCategory, DraftClass
+import numpy as np
+
+from .core_model import CATEGORIES, CssCategory, DraftClass
 
 FACTOR_CATEGORIES = (
     CssCategory.NA_SKATER,
@@ -20,6 +22,7 @@ FACTOR_CATEGORIES = (
     CssCategory.EU_SKATER,
     CssCategory.EU_GOALIE,
 )
+UNRANKED = CATEGORIES.index(CssCategory.UNRANKED)
 
 
 @dataclass(frozen=True)
@@ -40,17 +43,17 @@ class CategoryFactors:
         return getattr(self, category.value.lower())
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CssOrdering:
     """Integrated scouting values and ranks for one draft class.
 
-    Arrays are aligned with ``DraftClass.records``; ``css_ranks`` is a
-    permutation of 1..N.
+    Read-only arrays aligned with the rows of ``DraftClass.columns``;
+    ``css_ranks`` is a permutation of 1..N.
     """
 
     year: int
-    cescin_values: tuple[float, ...]
-    css_ranks: tuple[int, ...]
+    cescin_values: np.ndarray
+    css_ranks: np.ndarray
 
 
 def estimate_category_factors(
@@ -64,68 +67,47 @@ def estimate_category_factors(
     estimation for that category.
     """
     overrides = dict(overrides or {})
-    pairs: dict[CssCategory, list[tuple[int, int]]] = {c: [] for c in FACTOR_CATEGORIES}
-    for dc in classes:
-        for r in dc.records:
-            if r.css_category in pairs:
-                pairs[r.css_category].append((r.css_category_rank, r.selection))
+    cols = [dc.columns for dc in classes]
+    category = np.concatenate([c.category for c in cols])
+    rank = np.concatenate([c.category_rank for c in cols])
+    selection = np.concatenate([c.selection for c in cols])
     factors = {}
     for cat in FACTOR_CATEGORIES:
         key = cat.value.lower()
         if key in overrides:
             factors[key] = float(overrides[key])
             continue
-        obs = pairs[cat]
-        if not obs:
+        listed = category == CATEGORIES.index(cat)
+        n = np.count_nonzero(listed)
+        if n == 0:
             # category absent from the data; its factor is never applied
             factors[key] = 1.0
             continue
-        if len(obs) < 2:
-            raise ValueError(
-                f"category {cat.value}: need >= 2 ranked drafted players, got {len(obs)}"
-            )
-        num = sum(rank * sel for rank, sel in obs)
-        den = sum(rank * rank for rank, _ in obs)
-        factors[key] = num / den
+        if n < 2:
+            raise ValueError(f"category {cat.value}: need >= 2 ranked drafted players, got {n}")
+        r, s = rank[listed], selection[listed]
+        factors[key] = int(r @ s) / int(r @ r)
     return CategoryFactors(**factors)
-
-
-def cescin_value(category_rank: int, factor: float) -> float:
-    """Integrated scouting value of one listed player."""
-    if category_rank < 1:
-        raise ValueError("category_rank must be >= 1")
-    if factor <= 0:
-        raise ValueError("factor must be positive")
-    return category_rank * factor
 
 
 def css_ordering(dc: DraftClass, factors: CategoryFactors) -> CssOrdering:
     """Assign integrated values and an overall rank to every player in a class.
 
+    A listed player's value is his category rank times the category factor.
     Unlisted players get values above every listed player's, spaced by 1 in
     order of actual selection, so their relative order follows the draft.
     Ties in value break toward the earlier actual selection.
     """
     if len(dc) == 0:
         raise ValueError("empty draft class")
-    values: list[Optional[float]] = []
-    for r in dc.records:
-        if r.css_category is CssCategory.UNRANKED:
-            values.append(None)
-        else:
-            values.append(cescin_value(r.css_category_rank, factors.for_category(r.css_category)))
-    base = max((v for v in values if v is not None), default=0.0)
-    k = 0
-    for i, v in enumerate(values):
-        if v is None:
-            k += 1
-            values[i] = base + k
-    order = sorted(range(len(values)), key=lambda i: (values[i], dc.records[i].selection))
-    ranks = [0] * len(values)
-    for rank, i in enumerate(order, start=1):
-        ranks[i] = rank
-    return CssOrdering(
-        year=dc.year,
-        cescin_values=tuple(values),
-        css_ranks=tuple(ranks),
-    )
+    c = dc.columns
+    factor = np.array([factors.for_category(k) if k in FACTOR_CATEGORIES else 0.0 for k in CATEGORIES])
+    values = c.category_rank * factor[c.category]
+    unlisted = c.category == UNRANKED
+    base = values[~unlisted].max(initial=0.0)
+    values[unlisted] = base + np.arange(1, np.count_nonzero(unlisted) + 1)
+    ranks = np.empty(len(dc), dtype=np.int64)
+    ranks[np.lexsort((c.selection, values))] = np.arange(1, len(dc) + 1)
+    values.flags.writeable = False
+    ranks.flags.writeable = False
+    return CssOrdering(year=dc.year, cescin_values=values, css_ranks=ranks)

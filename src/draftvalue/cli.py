@@ -68,7 +68,8 @@ def _build_parser() -> _Parser:
     common(sub.add_parser("chart", help="monotone draft value pick chart"))
 
     p = sub.add_parser("run", help="full pipeline")
-    common(p)
+    common(p, data=False)
+    p.add_argument("data", nargs="?", help="draft CSV file (not needed with --seed)")
     p.add_argument("--seed", type=int, help="ignore the data file and use synthetic data")
 
     p = sub.add_parser("synth", help="write a synthetic draft CSV")
@@ -87,13 +88,21 @@ def _run_config(args) -> RunConfig:
     if getattr(args, "config", None):
         try:
             cfg = load_config(args.config, cfg)
-        except ValueError as exc:
+        except (OSError, ValueError) as exc:
             raise _UsageError(f"config {args.config}: {exc}") from exc
     if getattr(args, "metric", "all") != "all":
         cfg = dataclasses.replace(cfg, metrics=(Metric(args.metric),))
     if getattr(args, "by_position", False):
         cfg = dataclasses.replace(cfg, by_position=True)
     return cfg
+
+
+def _out_dir(path: Path) -> Path:
+    try:
+        path.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise _UsageError(f"--out {path}: {exc.strerror}") from exc
+    return path
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
@@ -110,8 +119,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                 seed=args.seed, years=args.years, picks_per_year=args.picks, teams=args.teams
             )
             classes = generate_synthetic_draft(config)
-            args.out.mkdir(parents=True, exist_ok=True)
-            path = args.out / "synthetic.csv"
+            path = _out_dir(args.out) / "synthetic.csv"
             write_draft_csv(classes, path)
             print(path)
             return EXIT_OK
@@ -119,6 +127,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         cfg = _run_config(args)
         if args.command == "run" and args.seed is not None:
             classes = generate_synthetic_draft(SynthConfig(seed=args.seed), cfg.imputation)
+        elif args.data is None:
+            raise _UsageError("run needs a data file or --seed")
         else:
             classes = load_draft_csv(args.data, cfg.imputation)
 
@@ -128,7 +138,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             return EXIT_OK
 
         stages = STAGES if args.command == "run" else (args.command,)
-        for path in run_pipeline(classes, cfg, args.out, stages):
+        for path in run_pipeline(classes, cfg, _out_dir(args.out), stages):
             print(path)
         return EXIT_OK
     except _UsageError as exc:
@@ -142,9 +152,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         if isinstance(exc.cause, DataError) or exc.stage == "ingest":
             return EXIT_DATA
         return EXIT_NUMERIC
-    except FileNotFoundError as exc:
-        print(f"data error: {exc}", file=sys.stderr)
-        return EXIT_DATA
     except (ValueError, ArithmeticError) as exc:
         print(f"numeric error: {exc}", file=sys.stderr)
         return EXIT_NUMERIC

@@ -6,11 +6,12 @@ comment. Unknown keys are rejected so typos fail loudly.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Optional, Union
 
-from .core_model import ImputationConfig, Metric
+from .core_model import MAX_SELECTION, ImputationConfig, Metric
 from .valuation import DollarConstants, LoessConfig
 
 
@@ -33,6 +34,14 @@ class RunConfig:
     split_late: tuple[int, ...] = (2001, 2002)
     metrics: tuple[Metric, ...] = tuple(Metric)
     by_position: bool = False
+
+    def __post_init__(self):
+        if not 1 <= self.band_edge < MAX_SELECTION:
+            raise ValueError(f"band_edge must be in [1, {MAX_SELECTION - 1}], got {self.band_edge}")
+        if not self.metrics:
+            raise ValueError("metrics must name at least one metric")
+        if not all(0 < f < math.inf for f in self.factors.values()):
+            raise ValueError("cescin factors must be positive and finite")
 
 
 _FACTOR_KEYS = {"na_skater", "na_goalie", "eu_skater", "eu_goalie"}

@@ -1,11 +1,14 @@
 """Domain types for drafted players: positions, scouting categories, seven-year
-outcome metrics, record normalization and descriptive summaries."""
+outcome metrics, record normalization, the per-year column view the
+analysis stages read, and descriptive summaries."""
 
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass, replace
-from typing import Iterable, Optional, Sequence
+from functools import cached_property
+from typing import Iterable, Mapping, Optional, Sequence
 
 import numpy as np
 
@@ -72,6 +75,12 @@ class ImputationConfig:
     never_played_gvt: float = -30.0
     goalie_minutes_per_game: float = 20.0
 
+    def __post_init__(self):
+        if not math.isfinite(self.never_played_gvt):
+            raise ValueError("never_played_gvt must be finite")
+        if not 0.0 <= self.goalie_minutes_per_game < math.inf:
+            raise ValueError("goalie_minutes_per_game must be finite and >= 0")
+
 
 DEFAULT_IMPUTATION = ImputationConfig()
 
@@ -101,13 +110,6 @@ class PlayerRecord:
     def played(self) -> bool:
         return self.gp7 > 0
 
-    def metric(self, metric: Metric) -> float:
-        if metric is Metric.TOI:
-            return float(self.toi7)
-        if metric is Metric.GP:
-            return float(self.gp7)
-        return float(self.gvt7)
-
 
 def position_group(p: Position) -> PositionGroup:
     """Map a fine position to its group; C/L/R/F are all forwards."""
@@ -124,6 +126,10 @@ def validate_record(r: PlayerRecord) -> None:
         raise RecordError("selection", f"must be >= 1, got {r.selection}")
     if r.gp7 < 0:
         raise RecordError("gp7", f"must be >= 0, got {r.gp7}")
+    for name in ("toi7", "gvt7"):
+        value = getattr(r, name)
+        if value is not None and not math.isfinite(value):
+            raise RecordError(name, f"must be finite, got {value}")
     if r.toi7 is not None and r.toi7 < 0:
         raise RecordError("toi7", f"must be >= 0, got {r.toi7}")
     if (r.css_category_rank is None) != (r.css_category is CssCategory.UNRANKED):
@@ -166,12 +172,56 @@ def normalize_record(
     return out
 
 
+POSITIONS = tuple(Position)
+GROUPS = tuple(PositionGroup)
+CATEGORIES = tuple(CssCategory)
+
+
+def _frozen(values, dtype) -> np.ndarray:
+    out = np.array(values, dtype=dtype)
+    out.flags.writeable = False
+    return out
+
+
+@dataclass(frozen=True, eq=False)
+class DraftColumns:
+    """Read-only numpy columns of one draft class, aligned with its records.
+
+    ``position``, ``group`` and ``category`` are indices into ``POSITIONS``,
+    ``GROUPS`` and ``CATEGORIES``; ``category_rank`` is 0 for unranked
+    players; ``metrics`` holds one float column per outcome metric.
+    """
+
+    selection: np.ndarray
+    position: np.ndarray
+    group: np.ndarray
+    team: np.ndarray
+    category: np.ndarray
+    category_rank: np.ndarray
+    metrics: Mapping[Metric, np.ndarray]
+
+    @classmethod
+    def from_records(cls, records: Sequence[PlayerRecord]) -> "DraftColumns":
+        return cls(
+            selection=_frozen([r.selection for r in records], np.int64),
+            position=_frozen([POSITIONS.index(r.position) for r in records], np.int8),
+            group=_frozen([GROUPS.index(position_group(r.position)) for r in records], np.int8),
+            team=_frozen([r.team for r in records], str),
+            category=_frozen([CATEGORIES.index(r.css_category) for r in records], np.int8),
+            category_rank=_frozen([r.css_category_rank or 0 for r in records], np.int64),
+            metrics={
+                m: _frozen([getattr(r, f"{m.value}7") for r in records], float) for m in Metric
+            },
+        )
+
+
 @dataclass(frozen=True)
 class DraftClass:
     """All records for one draft year, sorted by selection.
 
     At most 210 selections; any number of slots may be missing (one historical
-    pick was invalidated), and the loader logs the missing ones.
+    pick was invalidated), and the loader logs the missing ones. The analysis
+    stages read ``columns``, built once from ``records`` on first use.
     """
 
     year: int
@@ -190,6 +240,10 @@ class DraftClass:
     def __len__(self) -> int:
         return len(self.records)
 
+    @cached_property
+    def columns(self) -> DraftColumns:
+        return DraftColumns.from_records(self.records)
+
 
 @dataclass(frozen=True)
 class SummaryStats:
@@ -204,9 +258,7 @@ class SummaryStats:
 
 def pooled_metric(classes: Iterable[DraftClass], metric: Metric) -> np.ndarray:
     """All post-imputation values of one metric across the supplied classes."""
-    return np.array(
-        [r.metric(metric) for dc in classes for r in dc.records], dtype=float
-    )
+    return np.concatenate([np.empty(0)] + [dc.columns.metrics[metric] for dc in classes])
 
 
 def summarize_metric(classes: Sequence[DraftClass], metric: Metric) -> SummaryStats:

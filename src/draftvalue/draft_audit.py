@@ -20,27 +20,6 @@ class Ordering(enum.Enum):
 
 
 @dataclass(frozen=True)
-class PickFlag:
-    """Audit outcome of one pick in a replay.
-
-    ``pick_number`` is the 1-based position within the replay ordering;
-    ``selection`` is the player's actual draft slot.
-    """
-
-    pick_number: int
-    selection: int
-    optimal: bool
-    nearly_optimal: bool
-
-    def __post_init__(self):
-        if self.optimal and not self.nearly_optimal:
-            raise ValueError("optimal pick must also be nearly optimal")
-
-
-ROUND_BANDS = ("all", "1-3", "4-7")
-
-
-@dataclass(frozen=True)
 class AuditCell:
     picks: int
     optimal_pct: float
@@ -73,14 +52,13 @@ class AuditReport:
         return out
 
 
-def replay_order(dc: DraftClass, ordering: Ordering, css: Optional[CssOrdering]) -> list[int]:
+def replay_order(dc: DraftClass, ordering: Ordering, css: Optional[CssOrdering]) -> np.ndarray:
     """Record indices in the order picks are replayed."""
-    idx = list(range(len(dc.records)))
     if ordering is Ordering.TEAM:
-        return idx
+        return np.arange(len(dc))
     if css is None:
         raise ValueError("CSS replay requires a CssOrdering")
-    return sorted(idx, key=lambda i: css.css_ranks[i])
+    return np.argsort(css.css_ranks)
 
 
 def replay_flags(
@@ -89,35 +67,29 @@ def replay_flags(
     metric: Metric,
     half_sd: float,
     css: Optional[CssOrdering] = None,
-) -> list[PickFlag]:
+) -> tuple[np.ndarray, np.ndarray]:
     """Walk the draft in the given ordering, flagging each pick against the
     best same-position player still available (the picked player included).
 
-    Ties at the maximum count as optimal.
+    Returns boolean ``optimal`` and ``nearly_optimal`` arrays in replay
+    order. The best player still available at a position is the reverse
+    running maximum over that position's picks. Ties at the maximum count as
+    optimal.
     """
-    if half_sd <= 0:
+    if not half_sd > 0:
         raise ValueError("half_sd must be positive")
     order = replay_order(dc, ordering, css)
-    remaining = set(order)
-    flags = []
-    for pick_number, i in enumerate(order, start=1):
-        picked = dc.records[i]
-        best = max(
-            dc.records[j].metric(metric)
-            for j in remaining
-            if dc.records[j].position is picked.position
-        )
-        value = picked.metric(metric)
-        flags.append(
-            PickFlag(
-                pick_number=pick_number,
-                selection=picked.selection,
-                optimal=value >= best,
-                nearly_optimal=value >= best - half_sd,
-            )
-        )
-        remaining.remove(i)
-    return flags
+    value = dc.columns.metrics[metric][order]
+    position = dc.columns.position[order]
+    best = np.empty_like(value)
+    for code in np.unique(position):
+        at = np.flatnonzero(position == code)
+        best[at] = np.maximum.accumulate(value[at][::-1])[::-1]
+    optimal = value >= best
+    nearly_optimal = value >= best - half_sd
+    if np.any(optimal & ~nearly_optimal):
+        raise ValueError("optimal pick must also be nearly optimal")
+    return optimal, nearly_optimal
 
 
 def half_sd_thresholds(classes: Sequence[DraftClass], metrics: Iterable[Metric]) -> dict[Metric, float]:
@@ -129,6 +101,10 @@ def half_sd_thresholds(classes: Sequence[DraftClass], metrics: Iterable[Metric])
             raise ValueError("need at least 2 records")
         out[metric] = float(np.std(values, ddof=1)) / 2.0
     return out
+
+
+def _percent(flags: np.ndarray, n: int) -> float:
+    return 100.0 * int(np.count_nonzero(flags)) / n if n else 0.0
 
 
 def audit(
@@ -145,24 +121,24 @@ def audit(
     """
     if half_sd is None:
         half_sd = half_sd_thresholds(classes, metrics)
+    pick_number = np.concatenate([np.arange(1, len(dc) + 1) for dc in classes])
+    bands = {"all": pick_number > 0, "1-3": pick_number <= band_edge, "4-7": pick_number > band_edge}
     cells = {}
     for metric in metrics:
         for ordering in Ordering:
-            flags: list[PickFlag] = []
-            for dc in classes:
-                css = css_orderings.get(dc.year) if ordering is Ordering.CSS else None
-                flags.extend(replay_flags(dc, ordering, metric, half_sd[metric], css))
-            for band in ROUND_BANDS:
-                if band == "1-3":
-                    sel = [f for f in flags if f.pick_number <= band_edge]
-                elif band == "4-7":
-                    sel = [f for f in flags if f.pick_number > band_edge]
-                else:
-                    sel = flags
-                n = len(sel)
+            flags = [
+                replay_flags(
+                    dc, ordering, metric, half_sd[metric],
+                    css_orderings.get(dc.year) if ordering is Ordering.CSS else None,
+                )
+                for dc in classes
+            ]
+            optimal, nearly_optimal = (np.concatenate(f) for f in zip(*flags))
+            for band, picked in bands.items():
+                n = int(np.count_nonzero(picked))
                 cells[(metric, ordering, band)] = AuditCell(
                     picks=n,
-                    optimal_pct=100.0 * sum(f.optimal for f in sel) / n if n else 0.0,
-                    nearly_optimal_pct=100.0 * sum(f.nearly_optimal for f in sel) / n if n else 0.0,
+                    optimal_pct=_percent(optimal & picked, n),
+                    nearly_optimal_pct=_percent(nearly_optimal & picked, n),
                 )
     return AuditReport(cells=cells, half_sd=dict(half_sd))

@@ -48,11 +48,15 @@ def _parse_row(row: dict, line: int) -> PlayerRecord:
     def bad(field, msg):
         return DataError(f"line {line}: {field}: {msg}")
 
+    if None in row or None in row.values():
+        raise DataError(f"line {line}: expected {len(CSV_COLUMNS)} fields")
     try:
         year = int(row["year"])
         selection = int(row["selection"])
         gp7 = int(row["gp7"])
-    except (KeyError, ValueError) as exc:
+        rank_raw = row["css_category_rank"].strip()
+        rank = int(rank_raw) if rank_raw else None
+    except ValueError as exc:
         raise DataError(f"line {line}: unparseable integer field ({exc})") from exc
     try:
         position = Position(row["position"].strip().upper())
@@ -62,10 +66,8 @@ def _parse_row(row: dict, line: int) -> PlayerRecord:
         category = CssCategory(row["css_category"].strip().upper())
     except ValueError:
         raise bad("css_category", f"unknown category {row['css_category']!r}") from None
-    rank_raw = row.get("css_category_rank", "").strip()
-    rank = int(rank_raw) if rank_raw else None
-    toi_raw = row.get("toi7", "").strip()
-    gvt_raw = row.get("gvt7", "").strip()
+    toi_raw = row["toi7"].strip()
+    gvt_raw = row["gvt7"].strip()
     try:
         toi7 = float(toi_raw) if toi_raw else None
         gvt7 = float(gvt_raw) if gvt_raw else None
@@ -95,33 +97,38 @@ def load_draft_csv(
     number of missing slots within a year are accepted and logged.
     """
     path = Path(path)
-    with path.open(newline="", encoding="utf-8") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames is None:
-            raise DataError(f"{path}: empty file, missing header")
-        if tuple(reader.fieldnames) != CSV_COLUMNS:
-            raise DataError(
-                f"{path}: bad header {reader.fieldnames}, expected {list(CSV_COLUMNS)}"
-            )
-        by_year: dict[int, dict[int, PlayerRecord]] = {}
-        for line, row in enumerate(reader, start=2):
-            raw = _parse_row(row, line)
-            if raw.selection > MAX_SELECTION:
-                logger.warning(
-                    "line %d: dropping selection %d past the top %d",
-                    line, raw.selection, MAX_SELECTION,
-                )
-                continue
-            try:
-                record = normalize_record(raw, imputation)
-            except RecordError as exc:
-                raise DataError(f"line {line}: {exc}") from exc
-            slots = by_year.setdefault(record.year, {})
-            if record.selection in slots:
+    try:
+        with path.open(newline="", encoding="utf-8") as fh:
+            reader = csv.DictReader(fh)
+            if reader.fieldnames is None:
+                raise DataError(f"{path}: empty file, missing header")
+            if tuple(reader.fieldnames) != CSV_COLUMNS:
                 raise DataError(
-                    f"line {line}: duplicate selection {record.selection} in year {record.year}"
+                    f"{path}: bad header {reader.fieldnames}, expected {list(CSV_COLUMNS)}"
                 )
-            slots[record.selection] = record
+            by_year: dict[int, dict[int, PlayerRecord]] = {}
+            for line, row in enumerate(reader, start=2):
+                raw = _parse_row(row, line)
+                if raw.selection > MAX_SELECTION:
+                    logger.warning(
+                        "line %d: dropping selection %d past the top %d",
+                        line, raw.selection, MAX_SELECTION,
+                    )
+                    continue
+                try:
+                    record = normalize_record(raw, imputation)
+                except RecordError as exc:
+                    raise DataError(f"line {line}: {exc}") from exc
+                slots = by_year.setdefault(record.year, {})
+                if record.selection in slots:
+                    raise DataError(
+                        f"line {line}: duplicate selection {record.selection} in year {record.year}"
+                    )
+                slots[record.selection] = record
+    except UnicodeDecodeError as exc:
+        raise DataError(f"{path}: not UTF-8 text (byte {exc.start})") from exc
+    except OSError as exc:
+        raise DataError(f"{path}: {exc.strerror}") from exc
     if not by_year:
         raise DataError(f"{path}: no data rows")
     classes = []

@@ -29,7 +29,6 @@ from .team_analysis import (
     team_gains,
 )
 from .valuation import (
-    DifferentialPoint,
     GainEstimate,
     ValueChart,
     differential_points,
@@ -77,19 +76,17 @@ def surplus_for_metric(
     metric: Metric,
     config: RunConfig,
     group: Optional[PositionGroup] = None,
-) -> tuple[list[DifferentialPoint], Optional[SmoothCurve], GainEstimate]:
-    """Differential points, the fitted surplus curve, and the gain estimate.
+) -> tuple[Optional[SmoothCurve], GainEstimate]:
+    """The fitted surplus curve and the gain estimate.
 
     When the team and scouting orderings coincide (all rank differentials
     zero) no curve can be fitted and the gain is exactly zero.
     """
-    points = differential_points(classes, orderings, curve, metric, group)
-    deltas = [p.delta_rank for p in points]
-    if all(d == 0 for d in deltas):
-        zero = GainEstimate(metric=metric, per_pick=0.0, per_draft=0.0, dollars=0.0)
-        return points, None, zero
-    diff_curve = fit_differential_curve(points, config.loess)
-    return points, diff_curve, gain_estimate(diff_curve, deltas, metric, config.dollars)
+    delta_rank, delta_metric = differential_points(classes, orderings, curve, metric, group)
+    if not delta_rank.any():
+        return None, GainEstimate(metric=metric, per_pick=0.0, per_draft=0.0, dollars=0.0)
+    diff_curve = fit_differential_curve(delta_rank, delta_metric, config.loess)
+    return diff_curve, gain_estimate(diff_curve, delta_rank, metric, config.dollars)
 
 
 def _stage(compute):
@@ -155,11 +152,10 @@ class Analysis:
                 else css_curves(self.classes, self.orderings, cfg, group)
             )
             for metric in cfg.metrics:
-                _, diff_curve, estimate = surplus_for_metric(
+                key = metric.value if group is None else f"{metric.value}_{group.value.lower()}"
+                out[key] = surplus_for_metric(
                     self.classes, self.orderings, expected[metric], metric, cfg, group
                 )
-                key = metric.value if group is None else f"{metric.value}_{group.value.lower()}"
-                out[key] = (diff_curve, estimate)
         return out
 
     @_stage

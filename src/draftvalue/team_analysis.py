@@ -11,7 +11,7 @@ import numpy as np
 from .cescin import CssOrdering
 from .core_model import DraftClass, Metric
 from .numerics import SmoothCurve, TestResult, pearson, shapiro_wilk
-from .valuation import metric_differential
+from .valuation import differential_points
 
 
 @dataclass(frozen=True)
@@ -33,25 +33,19 @@ def team_gains(
     per pick. Averaging, rather than totals, keeps teams with fewer drafts
     comparable to the rest of the league.
     """
-    sums: dict[str, dict[Metric, float]] = {}
-    counts: dict[str, int] = {}
-    for dc in classes:
-        if years is not None and dc.year not in years:
-            continue
-        css = css_orderings[dc.year]
-        for i, r in enumerate(dc.records):
-            rank = css.css_ranks[i]
-            counts[r.team] = counts.get(r.team, 0) + 1
-            per_metric = sums.setdefault(r.team, {m: 0.0 for m in css_curves})
-            for metric, curve in css_curves.items():
-                per_metric[metric] += metric_differential(r, curve, rank, metric)
+    chosen = [dc for dc in classes if years is None or dc.year in years]
+    if not chosen:
+        return []
+    teams, team_of = np.unique(np.concatenate([dc.columns.team for dc in chosen]), return_inverse=True)
+    picks = np.bincount(team_of)
+    # bincount adds each team's surpluses in pick order, year by year
+    means = {
+        m: np.bincount(team_of, weights=differential_points(chosen, css_orderings, curve, m)[1]) / picks
+        for m, curve in css_curves.items()
+    }
     return [
-        TeamGain(
-            team=team,
-            picks=counts[team],
-            mean_gain={m: s / counts[team] for m, s in sums[team].items()},
-        )
-        for team in sorted(counts)
+        TeamGain(str(team), int(picks[k]), {m: float(v[k]) for m, v in means.items()})
+        for k, team in enumerate(teams)
     ]
 
 

@@ -11,7 +11,7 @@ from typing import Iterable, Mapping, Optional, Sequence
 import numpy as np
 
 from .cescin import CssOrdering
-from .core_model import DraftClass, Metric, PlayerRecord, PositionGroup, position_group
+from .core_model import GROUPS, DraftClass, Metric, PositionGroup
 from .draft_audit import Ordering
 from .numerics import SmoothCurve, antitonic_fit, loess_fit
 
@@ -22,14 +22,9 @@ SELECTION_GRID = np.arange(1, 211, dtype=float)
 class LoessConfig:
     span: float = 0.5
 
-
-@dataclass(frozen=True)
-class DifferentialPoint:
-    """One player's rank differential (selection minus integrated rank) and
-    outcome surplus over the scouting expectation at his rank."""
-
-    delta_rank: int
-    delta_metric: float
+    def __post_init__(self):
+        if not 0.0 < self.span <= 1.0:
+            raise ValueError(f"loess span must be in (0, 1], got {self.span}")
 
 
 @dataclass(frozen=True)
@@ -42,8 +37,9 @@ class DollarConstants:
     picks_per_season: int = 7
 
     def __post_init__(self):
-        if min(self.salary_per_game, self.dollars_per_goal, self.minutes_per_game, self.picks_per_season) <= 0:
-            raise ValueError("dollar constants must be positive")
+        values = (self.salary_per_game, self.dollars_per_goal, self.minutes_per_game, self.picks_per_season)
+        if not all(0 < v < math.inf for v in values):
+            raise ValueError("dollar constants must be positive and finite")
 
 
 @dataclass(frozen=True)
@@ -80,6 +76,17 @@ class ValueChart:
         return [(i + 1, v) for i, v in enumerate(self.values)]
 
 
+def _pool(
+    classes: Sequence[DraftClass], columns: Iterable[np.ndarray], group: Optional[PositionGroup] = None
+) -> np.ndarray:
+    """Concatenate one column per class, year by year in record order,
+    keeping only the rows of ``group`` when one is given."""
+    if group is not None:
+        code = GROUPS.index(group)
+        columns = (col[dc.columns.group == code] for dc, col in zip(classes, columns))
+    return np.concatenate(list(columns))
+
+
 def _rank_metric_pairs(
     classes: Sequence[DraftClass],
     css_orderings: Mapping[int, CssOrdering],
@@ -87,20 +94,12 @@ def _rank_metric_pairs(
     metric: Metric,
     group: Optional[PositionGroup] = None,
 ) -> tuple[np.ndarray, np.ndarray]:
-    ranks, values = [], []
-    for dc in classes:
-        css = css_orderings.get(dc.year)
-        for i, r in enumerate(dc.records):
-            if group is not None and position_group(r.position) is not group:
-                continue
-            if ordering is Ordering.TEAM:
-                ranks.append(r.selection)
-            else:
-                if css is None:
-                    raise ValueError(f"no CSS ordering for year {dc.year}")
-                ranks.append(css.css_ranks[i])
-            values.append(r.metric(metric))
-    return np.array(ranks, dtype=float), np.array(values, dtype=float)
+    ranks = [
+        dc.columns.selection if ordering is Ordering.TEAM else css_orderings[dc.year].css_ranks
+        for dc in classes
+    ]
+    values = [dc.columns.metrics[metric] for dc in classes]
+    return _pool(classes, ranks, group).astype(float), _pool(classes, values, group)
 
 
 def expected_curve(
@@ -117,59 +116,38 @@ def expected_curve(
     return loess_fit(ranks, values, grid=SELECTION_GRID, span=loess.span)
 
 
-def rank_differential(selection: int, css_rank: int) -> int:
-    """Actual slot minus integrated scouting rank; negative means the team
-    reached ahead of the scouting consensus."""
-    if selection < 1 or css_rank < 1:
-        raise ValueError("ranks are 1-based")
-    return selection - css_rank
-
-
-def metric_differential(record: PlayerRecord, css_curve: SmoothCurve, css_rank: int, metric: Metric) -> float:
-    """Realized outcome minus the expectation at the player's scouting rank."""
-    return record.metric(metric) - css_curve(css_rank)
-
-
 def differential_points(
     classes: Sequence[DraftClass],
     css_orderings: Mapping[int, CssOrdering],
     css_curve: SmoothCurve,
     metric: Metric,
     group: Optional[PositionGroup] = None,
-) -> list[DifferentialPoint]:
-    """Per-player (delta rank, delta metric) pairs across all classes."""
-    out = []
-    for dc in classes:
-        css = css_orderings[dc.year]
-        for i, r in enumerate(dc.records):
-            if group is not None and position_group(r.position) is not group:
-                continue
-            rank = css.css_ranks[i]
-            out.append(
-                DifferentialPoint(
-                    delta_rank=rank_differential(r.selection, rank),
-                    delta_metric=metric_differential(r, css_curve, rank, metric),
-                )
-            )
-    return out
+) -> tuple[np.ndarray, np.ndarray]:
+    """Per-player rank differential (actual slot minus integrated scouting
+    rank; negative means the team reached ahead of the scouting consensus)
+    and metric differential (realized outcome minus the expectation at the
+    player's scouting rank), pooled across all classes."""
+    ranks = _pool(classes, [css_orderings[dc.year].css_ranks for dc in classes], group)
+    selections = _pool(classes, [dc.columns.selection for dc in classes], group)
+    values = _pool(classes, [dc.columns.metrics[metric] for dc in classes], group)
+    return selections - ranks, values - css_curve(ranks)
 
 
 def fit_differential_curve(
-    points: Sequence[DifferentialPoint], loess: LoessConfig = LoessConfig()
+    delta_rank: np.ndarray, delta_metric: np.ndarray, loess: LoessConfig = LoessConfig()
 ) -> SmoothCurve:
     """Smooth the outcome surplus as a function of rank differential over the
     observed differential range."""
-    if len(points) < 10:
+    if len(delta_rank) < 10:
         raise ValueError("need at least 10 differential points")
-    dr = np.array([p.delta_rank for p in points], dtype=float)
-    dm = np.array([p.delta_metric for p in points], dtype=float)
+    dr = np.asarray(delta_rank, dtype=float)
     if dr.min() >= 0 or dr.max() <= 0:
         raise ValueError("differential points must span negative and positive delta_rank")
     grid = np.arange(math.floor(dr.min()), math.ceil(dr.max()) + 1, dtype=float)
-    return loess_fit(dr, dm, grid=grid, span=loess.span)
+    return loess_fit(dr, delta_metric, grid=grid, span=loess.span)
 
 
-def average_gain(curve: SmoothCurve, delta_ranks: Iterable[int]) -> float:
+def average_gain(curve: SmoothCurve, delta_ranks: Sequence[int]) -> float:
     """Average metric surplus per pick implied by the differential curve.
 
     Evaluates the curve at each pick's own differential; picks with zero
@@ -177,13 +155,12 @@ def average_gain(curve: SmoothCurve, delta_ranks: Iterable[int]) -> float:
     negatively-sloped curve (teams successfully deviating from the scouting
     order) yields a positive gain.
     """
-    delta_ranks = list(delta_ranks)
-    n = len(delta_ranks)
-    if n == 0:
+    d = np.asarray(delta_ranks)
+    if d.size == 0:
         raise ValueError("no selections")
-    neg = sum(curve(d) for d in delta_ranks if d < 0)
-    pos = sum(curve(d) for d in delta_ranks if d > 0)
-    return (neg - pos) / n
+    gain = curve(d)
+    # running totals in pick order, independent of numpy's pairwise summation
+    return (sum(gain[d < 0].tolist()) - sum(gain[d > 0].tolist())) / d.size
 
 
 def to_dollars(gain_per_draft: float, metric: Metric, constants: DollarConstants = DollarConstants()) -> float:
@@ -200,7 +177,7 @@ def to_dollars(gain_per_draft: float, metric: Metric, constants: DollarConstants
 
 def gain_estimate(
     curve: SmoothCurve,
-    delta_ranks: Iterable[int],
+    delta_ranks: Sequence[int],
     metric: Metric,
     constants: DollarConstants = DollarConstants(),
 ) -> GainEstimate:
@@ -219,14 +196,9 @@ def draft_value_chart(
 ) -> ValueChart:
     """Build the pick chart: smooth TOI against selection, force the curve
     non-increasing, then scale to 1000 at pick 1 with half-up rounding."""
-    sels, toi = [], []
-    for dc in classes:
-        for r in dc.records:
-            sels.append(r.selection)
-            toi.append(r.toi7)
-    smoothed = loess_fit(
-        np.array(sels, dtype=float), np.array(toi, dtype=float), grid=SELECTION_GRID, span=loess.span
-    )
+    sels = _pool(classes, [dc.columns.selection for dc in classes]).astype(float)
+    toi = _pool(classes, [dc.columns.metrics[Metric.TOI] for dc in classes])
+    smoothed = loess_fit(sels, toi, grid=SELECTION_GRID, span=loess.span)
     mono = antitonic_fit(SELECTION_GRID, smoothed.values)
     # smoothing can undershoot below zero in the tail; expected minutes are
     # non-negative, so floor the curve before scaling

@@ -5,11 +5,10 @@ from hypothesis import strategies as st
 
 from draftvalue.cescin import (
     CategoryFactors,
-    cescin_value,
     css_ordering,
     estimate_category_factors,
 )
-from draftvalue.core_model import CssCategory, Position
+from draftvalue.core_model import CssCategory, Position, RecordError
 
 from conftest import make_class, make_record
 
@@ -66,13 +65,16 @@ class TestEstimateFactors:
 class TestCescinValue:
     @pytest.mark.parametrize("rank,factor,expected", [(10, 2.0, 20.0), (1, 1.0, 1.0), (22, 1.35, 29.7)])
     def test_values(self, rank, factor, expected):
-        assert cescin_value(rank, factor) == pytest.approx(expected)
+        factors = CategoryFactors(na_skater=1.0, na_goalie=1.0, eu_skater=factor, eu_goalie=1.0)
+        dc = make_class([make_record(css_category=CssCategory.EU_SKATER, css_category_rank=rank)])
+        assert css_ordering(dc, factors).cescin_values[0] == pytest.approx(expected)
 
     def test_invalid_inputs(self):
+        # a value is rank x factor only for ranks >= 1 and positive factors
+        with pytest.raises(RecordError):
+            make_record(css_category_rank=0)
         with pytest.raises(ValueError):
-            cescin_value(0, 1.0)
-        with pytest.raises(ValueError):
-            cescin_value(1, 0.0)
+            CategoryFactors(na_skater=1.0, na_goalie=1.0, eu_skater=0.0, eu_goalie=1.0)
 
 
 class TestCssOrdering:
@@ -83,7 +85,7 @@ class TestCssOrdering:
             make_record(selection=3, css_category=CssCategory.UNRANKED, css_category_rank=None),
         ]
         out = css_ordering(make_class(records), UNIT_FACTORS)
-        assert out.css_ranks == (2, 1, 3)
+        assert out.css_ranks.tolist() == [2, 1, 3]
         assert out.cescin_values[2] == 5.0  # max ranked value + 1
 
     def test_all_unranked_follow_selection_order(self):
@@ -92,7 +94,7 @@ class TestCssOrdering:
             for s in (1, 2, 3, 4)
         ]
         out = css_ordering(make_class(records), UNIT_FACTORS)
-        assert out.css_ranks == (1, 2, 3, 4)
+        assert out.css_ranks.tolist() == [1, 2, 3, 4]
 
     def test_tie_broken_by_earlier_selection(self):
         factors = CategoryFactors(na_skater=1.0, na_goalie=3.0, eu_skater=1.0, eu_goalie=1.0)

@@ -5,10 +5,10 @@ from draftvalue.cescin import CategoryFactors, css_ordering
 from draftvalue.core_model import Metric, Position
 from draftvalue.draft_audit import (
     Ordering,
-    PickFlag,
     audit,
     half_sd_thresholds,
     replay_flags,
+    replay_order,
 )
 
 from conftest import make_class, make_record, random_class
@@ -31,46 +31,45 @@ def class_with_gp(gps, position=Position.C):
     return make_class(records)
 
 
+def record_metric(r, metric):
+    return float({Metric.TOI: r.toi7, Metric.GP: r.gp7, Metric.GVT: r.gvt7}[metric])
+
+
 def brute_force_flags(dc, order_indices, metric, half_sd):
-    """Independent re-derivation of the replay flags."""
-    flags = []
+    """Independent re-derivation of the replay flags from the records:
+    (optimal, nearly optimal) lists in replay order."""
+    optimal, nearly_optimal = [], []
     taken = []
-    for pick_number, i in enumerate(order_indices, start=1):
+    for i in order_indices:
         picked = dc.records[i]
         available = [
             r
             for j, r in enumerate(dc.records)
             if j not in taken and r.position is picked.position
         ]
-        best = max(r.metric(metric) for r in available)
-        flags.append(
-            PickFlag(
-                pick_number=pick_number,
-                selection=picked.selection,
-                optimal=picked.metric(metric) >= best,
-                nearly_optimal=picked.metric(metric) >= best - half_sd,
-            )
-        )
+        best = max(record_metric(r, metric) for r in available)
+        optimal.append(record_metric(picked, metric) >= best)
+        nearly_optimal.append(record_metric(picked, metric) >= best - half_sd)
         taken.append(i)
-    return flags
+    return optimal, nearly_optimal
 
 
 class TestReplayFlags:
     def test_hand_replay(self):
         dc = class_with_gp([100, 200, 50])
-        flags = replay_flags(dc, Ordering.TEAM, Metric.GP, half_sd=107.5)
-        assert [f.optimal for f in flags] == [False, True, True]
-        assert [f.nearly_optimal for f in flags] == [True, True, True]
+        optimal, nearly_optimal = replay_flags(dc, Ordering.TEAM, Metric.GP, half_sd=107.5)
+        assert optimal.tolist() == [False, True, True]
+        assert nearly_optimal.tolist() == [True, True, True]
 
     def test_last_at_position_is_optimal(self):
         dc = class_with_gp([10, 300, 5])
-        flags = replay_flags(dc, Ordering.TEAM, Metric.GP, half_sd=1.0)
-        assert flags[-1].optimal
+        optimal, _ = replay_flags(dc, Ordering.TEAM, Metric.GP, half_sd=1.0)
+        assert optimal[-1]
 
     def test_all_equal_metric_all_optimal(self):
         dc = class_with_gp([50, 50, 50, 50])
-        flags = replay_flags(dc, Ordering.TEAM, Metric.GP, half_sd=1.0)
-        assert all(f.optimal for f in flags)
+        optimal, _ = replay_flags(dc, Ordering.TEAM, Metric.GP, half_sd=1.0)
+        assert optimal.all()
 
     def test_positions_partition_availability(self):
         records = [
@@ -82,9 +81,9 @@ class TestReplayFlags:
                         toi7=40.0, gvt7=0.5),
         ]
         dc = make_class(records)
-        flags = replay_flags(dc, Ordering.TEAM, Metric.GP, half_sd=1.0)
+        optimal, _ = replay_flags(dc, Ordering.TEAM, Metric.GP, half_sd=1.0)
         # the defenseman's 500 games never compete with the centers
-        assert [f.optimal for f in flags] == [True, True, True]
+        assert optimal.tolist() == [True, True, True]
 
     def test_css_ordering_replay(self):
         # css ranks reverse the draft order
@@ -95,9 +94,9 @@ class TestReplayFlags:
         ]
         dc = make_class(records)
         ordering = css_ordering(dc, UNIT)
-        flags = replay_flags(dc, Ordering.CSS, Metric.GP, half_sd=1.0, css=ordering)
-        assert [f.selection for f in flags] == [3, 2, 1]
-        assert [f.optimal for f in flags] == [True, True, True]
+        optimal, _ = replay_flags(dc, Ordering.CSS, Metric.GP, half_sd=1.0, css=ordering)
+        assert dc.columns.selection[replay_order(dc, Ordering.CSS, ordering)].tolist() == [3, 2, 1]
+        assert optimal.tolist() == [True, True, True]
 
     def test_css_requires_ordering(self):
         dc = class_with_gp([1, 2])
@@ -105,8 +104,6 @@ class TestReplayFlags:
             replay_flags(dc, Ordering.CSS, Metric.GP, half_sd=1.0)
 
     def test_matches_brute_force(self, rng):
-        from draftvalue.draft_audit import replay_order
-
         for _ in range(100):
             dc = random_class(rng, n=int(rng.integers(3, 31)))
             ordering = css_ordering(dc, UNIT)
@@ -116,31 +113,35 @@ class TestReplayFlags:
                 css = ordering if kind is Ordering.CSS else None
                 mine = replay_flags(dc, kind, metric, half_sd, css=css)
                 oracle = brute_force_flags(dc, replay_order(dc, kind, css), metric, half_sd)
-                assert mine == oracle
+                assert tuple(flags.tolist() for flags in mine) == oracle
 
     def test_half_sd_monotonicity(self, rng):
         dc = random_class(rng, n=25)
-        low = replay_flags(dc, Ordering.TEAM, Metric.TOI, half_sd=10.0)
-        high = replay_flags(dc, Ordering.TEAM, Metric.TOI, half_sd=500.0)
-        for a, b in zip(low, high):
-            assert (not a.nearly_optimal) or b.nearly_optimal
+        _, low = replay_flags(dc, Ordering.TEAM, Metric.TOI, half_sd=10.0)
+        _, high = replay_flags(dc, Ordering.TEAM, Metric.TOI, half_sd=500.0)
+        assert not np.any(low & ~high)
 
     def test_optimal_flags_invariant_under_increasing_transform(self, rng):
         gps = [int(g) for g in rng.integers(0, 300, 12)]
         base = class_with_gp(gps)
         # toi = 15*gp is a strictly increasing transform of gp
         transformed = class_with_gp(gps)
-        flags_gp = replay_flags(base, Ordering.TEAM, Metric.GP, half_sd=1.0)
-        flags_toi = replay_flags(transformed, Ordering.TEAM, Metric.TOI, half_sd=1.0)
-        assert [f.optimal for f in flags_gp] == [f.optimal for f in flags_toi]
+        optimal_gp, _ = replay_flags(base, Ordering.TEAM, Metric.GP, half_sd=1.0)
+        optimal_toi, _ = replay_flags(transformed, Ordering.TEAM, Metric.TOI, half_sd=1.0)
+        assert optimal_gp.tolist() == optimal_toi.tolist()
 
     def test_invalid_half_sd(self):
-        with pytest.raises(ValueError):
-            replay_flags(class_with_gp([1, 2]), Ordering.TEAM, Metric.GP, half_sd=0.0)
+        for half_sd in (0.0, -1.0, float("nan")):
+            with pytest.raises(ValueError):
+                replay_flags(class_with_gp([1, 2]), Ordering.TEAM, Metric.GP, half_sd=half_sd)
 
-    def test_optimal_implies_nearly(self):
-        with pytest.raises(ValueError):
-            PickFlag(pick_number=1, selection=1, optimal=True, nearly_optimal=False)
+    def test_optimal_implies_nearly(self, rng):
+        for _ in range(20):
+            dc = random_class(rng, n=int(rng.integers(3, 31)))
+            for metric in Metric:
+                half_sd = float(rng.uniform(0.5, 50.0))
+                optimal, nearly_optimal = replay_flags(dc, Ordering.TEAM, metric, half_sd)
+                assert not np.any(optimal & ~nearly_optimal)
 
 
 class TestAudit:

@@ -215,15 +215,69 @@ class TestCli:
         assert main(["synth", "--seed", "5", "--years", "1"]) == 0
         assert (tmp_path / "envout" / "synthetic.csv").exists()
 
-    @pytest.mark.parametrize("line", ["loess.span = abc", "metrics = foo", "bogus.key = 1"])
+    @pytest.mark.parametrize(
+        "line",
+        [
+            "loess.span = abc",
+            "metrics = foo",
+            "bogus.key = 1",
+            "loess.span = 5",
+            "audit.band_edge = -5",
+            "impute.never_played_gvt = nan",
+            "impute.goalie_minutes_per_game = -1",
+            "metrics = ,",
+            "cescin.na_skater = 0",
+            "dollars.salary_per_game = nan",
+            None,  # no config file at the given path
+        ],
+    )
     def test_bad_config_exit_code(self, tmp_path, capsys, line):
         out = tmp_path / "s"
         main(["synth", "--seed", "1", "--years", "1", "--out", str(out)])
         config = tmp_path / "bad.cfg"
-        config.write_text(line + "\n", encoding="utf-8")
+        if line is not None:
+            config.write_text(line + "\n", encoding="utf-8")
         argv = ["cescin", str(out / "synthetic.csv"), "--config", str(config), "--out", str(out)]
         assert main(argv) == 1
         assert "config" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "content",
+        [
+            HEADER + "\n1998,1,T01,Alpha,C,NA_SKATER,1,100,nan,5.0\n",
+            HEADER + "\n1998,1,T01,Alpha,C,NA_SKATER,1,100,1500.0,inf\n",
+            HEADER + "\n1998,1,T01,Alpha,C,NA_SKATER,3.5,100,1500.0,5.0\n",
+            HEADER + "\n1998,1,T01,Alpha,C\n",
+            (HEADER + "\n1998,1,T01,Alpha,C,NA_SKATER,1,100,1500.0,5.0\n").encode() + b"\xff\xfe\n",
+            None,  # a directory
+        ],
+        ids=["nan", "inf", "fractional-rank", "short-row", "not-utf8", "directory"],
+    )
+    def test_bad_input_exit_code(self, tmp_path, capsys, content):
+        path = tmp_path / "draft.csv"
+        if content is None:
+            path.mkdir()
+        elif isinstance(content, bytes):
+            path.write_bytes(content)
+        else:
+            path.write_text(content, encoding="utf-8")
+        assert main(["run", str(path), "--out", str(tmp_path / "o")]) == 2
+        assert capsys.readouterr().err.startswith("data error:")
+
+    def test_run_seed_needs_no_data(self, tmp_path, capsys):
+        out = tmp_path / "o"
+        assert main(["run", "--seed", "0", "--metric", "gp", "--out", str(out)]) == 0
+        assert (out / "chart.csv").is_file()
+        assert main(["run", "--out", str(out)]) == 1
+        assert capsys.readouterr().err.startswith("error:")
+
+    def test_out_names_a_file(self, tmp_path, capsys):
+        taken = tmp_path / "taken"
+        taken.write_text("", encoding="utf-8")
+        assert main(["run", "--seed", "0", "--out", str(taken)]) == 1
+        assert main(["synth", "--out", str(taken / "sub")]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 2 and all(line.startswith("error: --out") for line in err)
 
     def test_seeded_run_honours_imputation_config(self, tmp_path):
         config = tmp_path / "impute.cfg"

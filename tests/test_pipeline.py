@@ -15,6 +15,7 @@ from draftvalue.synth import SynthConfig, generate_synthetic_draft
 
 ROOT = Path(__file__).resolve().parent.parent
 REFERENCE = ROOT / "bench" / "reference" / "paper5"
+STRATIFIED_REFERENCE = ROOT / "bench" / "reference" / "stratified50"
 
 
 def _load_gate():
@@ -122,3 +123,14 @@ def test_subcommand_matches_reference(command, paper5_csv, tmp_path, capsys):
     printed = sorted(Path(line).relative_to(tmp_path).as_posix() for line in capsys.readouterr().out.split())
     assert printed == files
     assert gate.compare_reference(tmp_path, files, REFERENCE) == []
+
+
+def test_by_position_run_matches_reference(tmp_path):
+    # the input of the benchmark's stratified50 workload at its default seed
+    csv_path = tmp_path / "input.csv"
+    write_draft_csv(generate_synthetic_draft(SynthConfig(seed=0, years=50)), csv_path)
+    out = tmp_path / "out"
+    assert main(["run", str(csv_path), "--by-position", "--out", str(out)]) == 0
+    files = gate.run_outputs(by_position=True)
+    assert written(out) == set(files)
+    assert gate.compare_reference(out, files, STRATIFIED_REFERENCE) == []

@@ -88,7 +88,7 @@ class TestOrderingContract:
         )
         curves = css_curves(classes, orderings, rc)
         for metric in Metric:
-            _, curve, est = surplus_for_metric(
+            curve, est = surplus_for_metric(
                 classes, orderings, curves[metric], metric, rc
             )
             assert curve is None

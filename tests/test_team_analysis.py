@@ -13,7 +13,7 @@ from draftvalue.team_analysis import (
     split_half_correlation,
     team_gains,
 )
-from draftvalue.valuation import metric_differential
+from draftvalue.valuation import differential_points
 
 from conftest import make_class, make_record, random_class
 
@@ -55,11 +55,7 @@ class TestTeamGains:
         gains = team_gains(classes, orderings, curves)
         for metric in Metric:
             total_by_team = sum(g.picks * g.mean_gain[metric] for g in gains)
-            total_by_player = sum(
-                metric_differential(r, curves[metric], orderings[dc.year].css_ranks[i], metric)
-                for dc in classes
-                for i, r in enumerate(dc.records)
-            )
+            total_by_player = differential_points(classes, orderings, curves[metric], metric)[1].sum()
             assert total_by_team == pytest.approx(total_by_player, abs=1e-9)
 
     def test_team_labels_permutable(self, rng):

@@ -2,21 +2,19 @@ import numpy as np
 import pytest
 
 from draftvalue.cescin import CategoryFactors, css_ordering
-from draftvalue.core_model import Metric
+from draftvalue.core_model import Metric, RecordError
 from draftvalue.draft_audit import Ordering
 from draftvalue.numerics import SmoothCurve
 from draftvalue.valuation import (
-    DifferentialPoint,
     DollarConstants,
     LoessConfig,
     ValueChart,
     average_gain,
+    differential_points,
     draft_value_chart,
     expected_curve,
     fit_differential_curve,
     gain_estimate,
-    metric_differential,
-    rank_differential,
     to_dollars,
 )
 
@@ -30,68 +28,83 @@ def linear_curve(slope, intercept=0.0, lo=-250, hi=250):
     return SmoothCurve(kind="loess", grid=grid, values=slope * grid + intercept)
 
 
+def differentials(records, curve=None, metric=Metric.GP):
+    """(delta rank, delta metric) of a one-year class ranked by category rank."""
+    dc = make_class(records)
+    return differential_points([dc], {dc.year: css_ordering(dc, UNIT)}, curve or linear_curve(0.0), metric)
+
+
+def moved(n, selection, rank):
+    """n players ranked in selection order, except ``selection`` ranked ``rank``."""
+    order = [s for s in range(1, n + 1) if s != selection]
+    order.insert(rank - 1, selection)
+    return [make_record(selection=s, css_category_rank=order.index(s) + 1) for s in range(1, n + 1)]
+
+
 class TestRankDifferential:
     def test_taken_ahead_of_ranking(self):
-        assert rank_differential(6, 13) == -7
+        assert differentials(moved(13, 6, 13))[0][5] == -7
 
     def test_zero_and_positive(self):
-        assert rank_differential(10, 10) == 0
-        assert rank_differential(100, 40) == 60
+        delta_rank, _ = differentials(moved(100, 100, 40))
+        assert delta_rank[9] == 0
+        assert delta_rank[99] == 60
 
     def test_antisymmetric(self, rng):
         for _ in range(20):
-            a, b = (int(x) for x in rng.integers(1, 211, 2))
-            assert rank_differential(a, b) == -rank_differential(b, a)
+            a, b = (int(x) for x in rng.integers(1, 51, 2))
+            assert differentials(moved(50, a, b))[0][a - 1] == -differentials(moved(50, b, a))[0][b - 1]
 
     def test_one_based(self):
-        with pytest.raises(ValueError):
-            rank_differential(0, 5)
+        with pytest.raises(RecordError):
+            make_record(selection=0)
+        assert differentials(moved(5, 1, 5))[0].tolist() == [-4, 1, 1, 1, 1]
 
 
 class TestMetricDifferential:
     def test_subtraction(self):
         curve = linear_curve(0.0, 600.0)
         r = make_record(toi7=1000.0)
-        assert metric_differential(r, curve, 50, Metric.TOI) == pytest.approx(400.0)
+        assert differentials([r], curve, Metric.TOI)[1][0] == pytest.approx(400.0)
 
     def test_on_curve_is_zero(self):
         curve = linear_curve(0.0, 1500.0)
         r = make_record(toi7=1500.0)
-        assert metric_differential(r, curve, 10, Metric.TOI) == 0.0
+        assert differentials([r], curve, Metric.TOI)[1][0] == 0.0
 
     def test_never_played_below_expectation(self):
         curve = linear_curve(0.0, 300.0)
         r = make_record(gp7=0, toi7=None, gvt7=None)
-        assert metric_differential(r, curve, 80, Metric.GP) == pytest.approx(-300.0)
+        assert differentials([r], curve, Metric.GP)[1][0] == pytest.approx(-300.0)
 
     def test_rank_outside_grid_extrapolates_constant(self):
         curve = SmoothCurve(kind="loess", grid=np.array([1.0, 10.0]), values=np.array([5.0, 2.0]))
-        r = make_record(gp7=10, toi7=100.0, gvt7=0.0)
-        assert metric_differential(r, curve, 500, Metric.GP) == pytest.approx(8.0)
+        records = [
+            make_record(selection=s, css_category_rank=s, gp7=10, toi7=100.0, gvt7=0.0)
+            for s in range(1, 13)
+        ]
+        assert differentials(records, curve, Metric.GP)[1][11] == pytest.approx(8.0)
 
 
 class TestDifferentialCurve:
     def test_all_zero(self, rng):
-        deltas = list(range(-5, 6))
-        points = [DifferentialPoint(d, 0.0) for d in deltas]
-        curve = fit_differential_curve(points)
+        deltas = np.arange(-5, 6)
+        curve = fit_differential_curve(deltas, np.zeros(len(deltas)))
         assert np.allclose(curve.values, 0.0, atol=1e-12)
 
     def test_recovers_line(self, rng):
-        deltas = list(range(-20, 21))
-        points = [DifferentialPoint(d, -3.0 * d) for d in deltas]
-        curve = fit_differential_curve(points, LoessConfig(span=0.5))
+        deltas = np.arange(-20, 21)
+        curve = fit_differential_curve(deltas, -3.0 * deltas, LoessConfig(span=0.5))
         assert np.max(np.abs(curve.values - (-3.0 * curve.grid))) < 1e-6
 
     def test_requires_sign_span(self):
-        points = [DifferentialPoint(d, 1.0) for d in range(1, 20)]
+        deltas = np.arange(1, 20)
         with pytest.raises(ValueError):
-            fit_differential_curve(points)
+            fit_differential_curve(deltas, np.ones(len(deltas)))
 
     def test_requires_enough_points(self):
-        points = [DifferentialPoint(d, 0.0) for d in (-1, 1)]
         with pytest.raises(ValueError):
-            fit_differential_curve(points)
+            fit_differential_curve(np.array([-1, 1]), np.zeros(2))
 
 
 class TestAverageGain:
@@ -203,9 +216,5 @@ class TestExpectedCurve:
 
     def test_sum_delta_rank_zero_when_all_ranked(self):
         dc = toi_class(lambda s: 4200.0 - 20.0 * s, n=50)
-        ordering = css_ordering(dc, UNIT)
-        total = sum(
-            rank_differential(r.selection, ordering.css_ranks[i])
-            for i, r in enumerate(dc.records)
-        )
-        assert total == 0
+        delta_rank, _ = differentials(dc.records, metric=Metric.TOI)
+        assert delta_rank.sum() == 0
