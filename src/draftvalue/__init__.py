@@ -41,7 +41,6 @@ from .team_analysis import TeamGain, normality_check, split_half_correlation, te
 from .valuation import (
     DollarConstants,
     GainEstimate,
-    LoessConfig,
     ValueChart,
     average_gain,
     differential_points,

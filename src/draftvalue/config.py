@@ -12,7 +12,7 @@ from pathlib import Path
 from typing import Optional, Union
 
 from .core_model import MAX_SELECTION, ImputationConfig, Metric
-from .valuation import DollarConstants, LoessConfig
+from .valuation import DollarConstants
 
 
 def _year_range(text: str) -> tuple[int, ...]:
@@ -25,7 +25,7 @@ def _year_range(text: str) -> tuple[int, ...]:
 
 @dataclass(frozen=True)
 class RunConfig:
-    loess: LoessConfig = LoessConfig()
+    loess_span: float = 0.5
     factors: dict[str, float] = field(default_factory=dict)  # cescin overrides
     band_edge: int = 90
     dollars: DollarConstants = DollarConstants()
@@ -36,6 +36,10 @@ class RunConfig:
     by_position: bool = False
 
     def __post_init__(self):
+        if not 0.0 < self.loess_span <= 1.0:
+            raise ValueError(f"loess span must be in (0, 1], got {self.loess_span}")
+        if not (self.split_early and self.split_late):
+            raise ValueError("split.early and split.late must each name at least one year")
         if not 1 <= self.band_edge < MAX_SELECTION:
             raise ValueError(f"band_edge must be in [1, {MAX_SELECTION - 1}], got {self.band_edge}")
         if not self.metrics:
@@ -49,7 +53,6 @@ _FACTOR_KEYS = {"na_skater", "na_goalie", "eu_skater", "eu_goalie"}
 
 def parse_config_text(text: str, base: Optional[RunConfig] = None) -> RunConfig:
     cfg = base or RunConfig()
-    loess = cfg.loess
     dollars = cfg.dollars
     imputation = cfg.imputation
     factors = dict(cfg.factors)
@@ -62,7 +65,7 @@ def parse_config_text(text: str, base: Optional[RunConfig] = None) -> RunConfig:
             raise ValueError(f"config line {lineno}: expected 'key = value'")
         key, value = (part.strip() for part in line.split("=", 1))
         if key == "loess.span":
-            loess = replace(loess, span=float(value))
+            updates["loess_span"] = float(value)
         elif key.startswith("cescin.") and key[7:] in _FACTOR_KEYS:
             factors[key[7:]] = float(value)
         elif key == "audit.band_edge":
@@ -91,9 +94,7 @@ def parse_config_text(text: str, base: Optional[RunConfig] = None) -> RunConfig:
             updates["by_position"] = value.lower() in ("1", "true", "yes")
         else:
             raise ValueError(f"config line {lineno}: unknown key {key!r}")
-    return replace(
-        cfg, loess=loess, dollars=dollars, imputation=imputation, factors=factors, **updates
-    )
+    return replace(cfg, dollars=dollars, imputation=imputation, factors=factors, **updates)
 
 
 def load_config(path: Union[str, Path], base: Optional[RunConfig] = None) -> RunConfig:

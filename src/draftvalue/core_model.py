@@ -82,9 +82,6 @@ class ImputationConfig:
             raise ValueError("goalie_minutes_per_game must be finite and >= 0")
 
 
-DEFAULT_IMPUTATION = ImputationConfig()
-
-
 @dataclass(frozen=True)
 class PlayerRecord:
     """One drafted player with identity, draft slot, scouting rank and
@@ -105,10 +102,6 @@ class PlayerRecord:
     gp7: int
     toi7: Optional[float]
     gvt7: Optional[float]
-
-    @property
-    def played(self) -> bool:
-        return self.gp7 > 0
 
 
 def position_group(p: Position) -> PositionGroup:
@@ -147,7 +140,7 @@ def validate_record(r: PlayerRecord) -> None:
 
 
 def normalize_record(
-    raw: PlayerRecord, config: ImputationConfig = DEFAULT_IMPUTATION
+    raw: PlayerRecord, config: ImputationConfig = ImputationConfig()
 ) -> PlayerRecord:
     """Apply the imputation rules and return a fully-populated record.
 

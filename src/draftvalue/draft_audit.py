@@ -112,15 +112,13 @@ def audit(
     css_orderings: Mapping[int, CssOrdering],
     metrics: Sequence[Metric] = tuple(Metric),
     band_edge: int = 90,
-    half_sd: Optional[Mapping[Metric, float]] = None,
 ) -> AuditReport:
     """Aggregate replay flags over all years into per-cell percentages.
 
     Round bands split at ``band_edge`` picks into the replay (the default 90
     is three 30-pick rounds).
     """
-    if half_sd is None:
-        half_sd = half_sd_thresholds(classes, metrics)
+    half_sd = half_sd_thresholds(classes, metrics)
     pick_number = np.concatenate([np.arange(1, len(dc) + 1) for dc in classes])
     bands = {"all": pick_number > 0, "1-3": pick_number <= band_edge, "4-7": pick_number > band_edge}
     cells = {}
@@ -141,4 +139,4 @@ def audit(
                     optimal_pct=_percent(optimal & picked, n),
                     nearly_optimal_pct=_percent(nearly_optimal & picked, n),
                 )
-    return AuditReport(cells=cells, half_sd=dict(half_sd))
+    return AuditReport(cells=cells, half_sd=half_sd)

@@ -14,7 +14,6 @@ from typing import Iterable, Optional, Sequence, Union
 
 from .core_model import (
     CssCategory,
-    DEFAULT_IMPUTATION,
     DraftClass,
     ImputationConfig,
     MAX_SELECTION,
@@ -89,7 +88,7 @@ def _parse_row(row: dict, line: int) -> PlayerRecord:
 
 def load_draft_csv(
     path: Union[str, Path],
-    imputation: ImputationConfig = DEFAULT_IMPUTATION,
+    imputation: ImputationConfig = ImputationConfig(),
 ) -> list[DraftClass]:
     """Read, validate and normalize a draft CSV into one class per year.
 

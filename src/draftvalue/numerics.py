@@ -52,10 +52,7 @@ class SmoothCurve:
 def _as_weighted(x, y, w):
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
-    if w is None:
-        w = np.ones_like(x)
-    else:
-        w = np.asarray(w, dtype=float)
+    w = np.ones_like(x) if w is None else np.asarray(w, dtype=float)
     if not (x.shape == y.shape == w.shape):
         raise ValueError("x, y, w must have equal shapes")
     if np.any(w <= 0):
@@ -69,20 +66,23 @@ def tricube(u: np.ndarray) -> np.ndarray:
     return (1.0 - u**3) ** 3
 
 
-def loess_fit(x, y, grid, span: float = 0.5, w=None) -> SmoothCurve:
+def loess_fit(x, y, grid, span: float = 0.5) -> SmoothCurve:
     """Local-linear smoother with tricube neighborhood weights.
 
-    At each grid point the q = ceil(span*n) nearest data points by distance
-    get tricube weights scaled by the distance to the q-th nearest, and a
-    weighted degree-1 polynomial is fit and evaluated there. If every
-    neighbor shares one x (degenerate design) the local weighted mean is
-    used instead. No robustness iterations.
+    Tied x collapse first to one point with its row count and mean y. At
+    each grid point, dmax is the distance to the q-th nearest row,
+    q = ceil(span*n); each distinct x gets weight tricube(d/dmax) times its
+    count, and a weighted degree-1 polynomial is fit and evaluated there.
+    The weight is zero at dmax, so the fit does not depend on row order.
+    When the q nearest rows all lie at distance dmax, they get equal weights
+    instead; if every weighted point shares one x (degenerate design) the
+    local mean is used. No robustness iterations.
     """
     if not (0.0 < span <= 1.0):
         raise ValueError("span must be in (0, 1]")
-    x, y, w = _as_weighted(x, y, w)
-    n = len(x)
-    if len(np.unique(x)) < 3:
+    x, y, count = _aggregate_ties(*_as_weighted(x, y, None))
+    n = int(count.sum())
+    if len(x) < 3:
         raise ValueError("need at least 3 distinct x values")
     q = int(math.ceil(span * n))
     if q < 2:
@@ -90,63 +90,39 @@ def loess_fit(x, y, grid, span: float = 0.5, w=None) -> SmoothCurve:
     grid = np.asarray(grid, dtype=float)
     fitted = np.empty_like(grid)
     for j, x0 in enumerate(grid):
-        d = np.abs(x - x0)
-        if q < n:
-            local = np.argpartition(d, q - 1)[:q]
-        else:
-            local = np.arange(n)
-        dmax = d[local].max()
-        if dmax == 0.0:
-            kw = np.ones(len(local))
-        else:
-            kw = tricube(d[local] / dmax)
-        lw = kw * w[local]
-        keep = lw > 0
-        lw = lw[keep]
-        xl = x[local][keep]
-        yl = y[local][keep]
-        fitted[j] = _local_linear(xl, yl, lw, x0)
+        xc = x - x0
+        d = np.abs(xc)
+        nearest = np.argsort(d)
+        dmax = d[nearest[np.searchsorted(np.cumsum(count[nearest]), q)]]
+        kw = tricube(d / dmax) if dmax > d.min() else (d == dmax)
+        fitted[j] = _local_linear(xc, y, kw * count)
     if not np.all(np.isfinite(fitted)):
         raise ValueError("non-finite fitted value")
     return SmoothCurve(kind="loess", grid=grid, values=fitted)
 
 
-def _local_linear(xl, yl, lw, x0):
-    """Weighted least-squares line through the local points, evaluated at x0.
-
-    Centering at x0 makes the intercept the fitted value and keeps the solve
-    well conditioned at the grid boundaries.
+def _local_linear(xc, y, lw):
+    """Weighted least-squares line through points at offsets ``xc`` from
+    the evaluation point, evaluated there. Centering makes the intercept the
+    fitted value and keeps the solve well conditioned at the grid boundaries.
     """
     sw = lw.sum()
-    mean = float(np.dot(lw, yl) / sw)
-    xc = xl - x0
+    t0 = np.dot(lw, y)
     s1 = np.dot(lw, xc)
     s2 = np.dot(lw, xc * xc)
-    t0 = np.dot(lw, yl)
-    t1 = np.dot(lw, xc * yl)
-    denom = sw * s2 - s1 * s1
+    t1 = np.dot(lw, xc * y)
     spread = s2 / sw - (s1 / sw) ** 2
     if spread <= 1e-12 * max(1.0, np.max(np.abs(xc)) ** 2):
-        return mean
-    return float((s2 * t0 - s1 * t1) / denom)
+        return float(t0 / sw)
+    return float((s2 * t0 - s1 * t1) / (sw * s2 - s1 * s1))
 
 
 def _aggregate_ties(x, y, w):
     """Collapse duplicate x to a single point with summed weight and
     weighted-mean y; returns arrays sorted by x."""
-    order = np.argsort(x, kind="stable")
-    x, y, w = x[order], y[order], w[order]
-    ux, start = np.unique(x, return_index=True)
-    if len(ux) == len(x):
-        return x, y, w
-    bounds = np.append(start, len(x))
-    ay = np.empty(len(ux))
-    aw = np.empty(len(ux))
-    for i in range(len(ux)):
-        sl = slice(bounds[i], bounds[i + 1])
-        aw[i] = w[sl].sum()
-        ay[i] = np.dot(w[sl], y[sl]) / aw[i]
-    return ux, ay, aw
+    ux, inverse = np.unique(x, return_inverse=True)
+    sw = np.bincount(inverse, weights=w)
+    return ux, np.bincount(inverse, weights=w * y) / sw, sw
 
 
 def pava_nondecreasing(y: np.ndarray, w: np.ndarray) -> np.ndarray:

@@ -64,7 +64,7 @@ def css_curves(
     group: Optional[PositionGroup] = None,
 ) -> dict[Metric, SmoothCurve]:
     return {
-        m: expected_curve(classes, orderings, Ordering.CSS, m, config.loess, group)
+        m: expected_curve(classes, orderings, Ordering.CSS, m, config.loess_span, group)
         for m in config.metrics
     }
 
@@ -85,7 +85,7 @@ def surplus_for_metric(
     delta_rank, delta_metric = differential_points(classes, orderings, curve, metric, group)
     if not delta_rank.any():
         return None, GainEstimate(metric=metric, per_pick=0.0, per_draft=0.0, dollars=0.0)
-    diff_curve = fit_differential_curve(delta_rank, delta_metric, config.loess)
+    diff_curve = fit_differential_curve(delta_rank, delta_metric, config.loess_span)
     return diff_curve, gain_estimate(diff_curve, delta_rank, metric, config.dollars)
 
 
@@ -133,7 +133,7 @@ class Analysis:
         """Expected-performance curve per ordering and metric."""
         return {
             o: {
-                m: expected_curve(self.classes, self.orderings, o, m, self.config.loess)
+                m: expected_curve(self.classes, self.orderings, o, m, self.config.loess_span)
                 for m in self.config.metrics
             }
             for o in Ordering
@@ -160,7 +160,7 @@ class Analysis:
 
     @_stage
     def chart(self) -> ValueChart:
-        return draft_value_chart(self.classes, self.config.loess)
+        return draft_value_chart(self.classes, self.config.loess_span)
 
     @_stage
     def teams(self) -> tuple[list[TeamGain], dict]:

@@ -19,15 +19,6 @@ SELECTION_GRID = np.arange(1, 211, dtype=float)
 
 
 @dataclass(frozen=True)
-class LoessConfig:
-    span: float = 0.5
-
-    def __post_init__(self):
-        if not 0.0 < self.span <= 1.0:
-            raise ValueError(f"loess span must be in (0, 1], got {self.span}")
-
-
-@dataclass(frozen=True)
 class DollarConstants:
     """Published conversion constants between the outcome metrics and dollars."""
 
@@ -107,13 +98,13 @@ def expected_curve(
     css_orderings: Mapping[int, CssOrdering],
     ordering: Ordering,
     metric: Metric,
-    loess: LoessConfig = LoessConfig(),
+    span: float = 0.5,
     group: Optional[PositionGroup] = None,
 ) -> SmoothCurve:
     """Smoothed expected metric at each of the 210 draft ranks, pooling
     (rank, outcome) pairs across years under the chosen ordering."""
     ranks, values = _rank_metric_pairs(classes, css_orderings, ordering, metric, group)
-    return loess_fit(ranks, values, grid=SELECTION_GRID, span=loess.span)
+    return loess_fit(ranks, values, grid=SELECTION_GRID, span=span)
 
 
 def differential_points(
@@ -134,7 +125,7 @@ def differential_points(
 
 
 def fit_differential_curve(
-    delta_rank: np.ndarray, delta_metric: np.ndarray, loess: LoessConfig = LoessConfig()
+    delta_rank: np.ndarray, delta_metric: np.ndarray, span: float = 0.5
 ) -> SmoothCurve:
     """Smooth the outcome surplus as a function of rank differential over the
     observed differential range."""
@@ -144,7 +135,7 @@ def fit_differential_curve(
     if dr.min() >= 0 or dr.max() <= 0:
         raise ValueError("differential points must span negative and positive delta_rank")
     grid = np.arange(math.floor(dr.min()), math.ceil(dr.max()) + 1, dtype=float)
-    return loess_fit(dr, delta_metric, grid=grid, span=loess.span)
+    return loess_fit(dr, delta_metric, grid=grid, span=span)
 
 
 def average_gain(curve: SmoothCurve, delta_ranks: Sequence[int]) -> float:
@@ -191,14 +182,12 @@ def gain_estimate(
     )
 
 
-def draft_value_chart(
-    classes: Sequence[DraftClass], loess: LoessConfig = LoessConfig()
-) -> ValueChart:
+def draft_value_chart(classes: Sequence[DraftClass], span: float = 0.5) -> ValueChart:
     """Build the pick chart: smooth TOI against selection, force the curve
     non-increasing, then scale to 1000 at pick 1 with half-up rounding."""
     sels = _pool(classes, [dc.columns.selection for dc in classes]).astype(float)
     toi = _pool(classes, [dc.columns.metrics[Metric.TOI] for dc in classes])
-    smoothed = loess_fit(sels, toi, grid=SELECTION_GRID, span=loess.span)
+    smoothed = loess_fit(sels, toi, grid=SELECTION_GRID, span=span)
     mono = antitonic_fit(SELECTION_GRID, smoothed.values)
     # smoothing can undershoot below zero in the tail; expected minutes are
     # non-negative, so floor the curve before scaling

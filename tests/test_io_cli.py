@@ -101,7 +101,7 @@ class TestIngest:
 class TestConfigFile:
     def test_defaults(self):
         cfg = parse_config_text("")
-        assert cfg.loess.span == 0.5
+        assert cfg.loess_span == 0.5
         assert cfg.band_edge == 90
         assert cfg.dollars.salary_per_game == 29300.0
 
@@ -118,7 +118,7 @@ class TestConfigFile:
         by_position = true
         """
         cfg = parse_config_text(text)
-        assert cfg.loess.span == 0.4
+        assert cfg.loess_span == 0.4
         assert cfg.factors == {"na_skater": 1.25}
         assert cfg.band_edge == 60
         assert cfg.dollars.salary_per_game == 30000.0
@@ -228,6 +228,8 @@ class TestCli:
             "metrics = ,",
             "cescin.na_skater = 0",
             "dollars.salary_per_game = nan",
+            "split.early = 2000-1990",
+            "split.late = ,",
             None,  # no config file at the given path
         ],
     )

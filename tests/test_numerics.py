@@ -1,8 +1,9 @@
 import itertools
+import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
@@ -108,6 +109,68 @@ class TestLoess:
         x, y = np.arange(10.0), np.arange(10.0)
         with pytest.raises(ValueError):
             loess_fit(x, y, grid=[1.0], span=0.0)
+
+    def test_tied_rows_at_grid_point_all_count(self):
+        # q = 2, but four rows sit at x = 1: the local mean takes all four,
+        # whichever order the rows come in
+        x = [1, 1, 1, 1, 0, 5]
+        y = [0.0, 10.0, 20.0, 30.0, 0.0, 0.0]
+        for perm in itertools.permutations(range(6)):
+            curve = loess_fit([x[i] for i in perm], [y[i] for i in perm], grid=[1.0], span=0.3)
+            assert curve.values[0] == 15.0
+
+    def test_nearest_rows_all_at_one_distance(self):
+        # beyond the data the q = 3 nearest rows all sit at x = 0, where the
+        # tricube weight would be zero: they are averaged instead
+        x = [0, 0, 0, 0, 1, 2]
+        y = [1.0, 2.0, 3.0, 4.0, 9.0, 9.0]
+        assert loess_fit(x, y, grid=[-1.0], span=0.5).values[0] == pytest.approx(2.5)
+
+    @given(
+        st.lists(
+            st.tuples(st.integers(0, 5), st.floats(-100, 100, allow_nan=False)),
+            min_size=6,
+            max_size=40,
+        ),
+        st.floats(0.05, 1.0),
+        st.randoms(use_true_random=False),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_row_order_does_not_matter(self, rows, span, random):
+        x = np.array([r[0] for r in rows], dtype=float)
+        y = np.array([r[1] for r in rows])
+        assume(len(np.unique(x)) >= 3 and math.ceil(span * len(x)) >= 2)
+        perm = list(range(len(x)))
+        random.shuffle(perm)
+        grid = np.arange(-1.0, 6.5, 0.5)
+        base = loess_fit(x, y, grid=grid, span=span).values
+        shuffled = loess_fit(x[perm], y[perm], grid=grid, span=span).values
+        scale = max(1.0, np.max(np.abs(y)))
+        assert np.allclose(shuffled, base, rtol=1e-12, atol=1e-12 * scale)
+
+    def test_ties_match_raw_row_wls_oracle(self, rng):
+        checked = 0
+        for _ in range(20):
+            n = int(rng.integers(15, 80))
+            x = rng.integers(0, int(rng.integers(4, 15)), n).astype(float)
+            y = rng.normal(size=n) * 10 + x
+            span = float(rng.uniform(0.1, 1.0))
+            if len(np.unique(x)) < 3 or math.ceil(span * n) < 2:
+                continue
+            grid = np.arange(x.min() - 1, x.max() + 1.5, 0.5)
+            fitted = loess_fit(x, y, grid=grid, span=span).values
+            q = math.ceil(span * n)
+            for x0, value in zip(grid, fitted):
+                d = np.abs(x - x0)
+                dmax = np.sort(d)[q - 1]
+                if dmax == 0.0:
+                    continue
+                w = tricube(d / dmax)
+                if len(np.unique(x[w > 0])) < 2:
+                    continue
+                assert value == pytest.approx(wls_line_oracle(x, y, w, x0), rel=1e-9, abs=1e-9)
+                checked += 1
+        assert checked > 100
 
 
 class TestAntitonic:

@@ -7,7 +7,6 @@ from draftvalue.draft_audit import Ordering
 from draftvalue.numerics import SmoothCurve
 from draftvalue.valuation import (
     DollarConstants,
-    LoessConfig,
     ValueChart,
     average_gain,
     differential_points,
@@ -94,7 +93,7 @@ class TestDifferentialCurve:
 
     def test_recovers_line(self, rng):
         deltas = np.arange(-20, 21)
-        curve = fit_differential_curve(deltas, -3.0 * deltas, LoessConfig(span=0.5))
+        curve = fit_differential_curve(deltas, -3.0 * deltas, span=0.5)
         assert np.max(np.abs(curve.values - (-3.0 * curve.grid))) < 1e-6
 
     def test_requires_sign_span(self):
