@@ -1,19 +1,22 @@
 """Building a pick value chart and comparing it to the published one.
 
-The chart smooths seven-year minutes played against selection number,
-forces the result to be non-increasing, and rescales so the first
-overall pick is worth 1000 points.  The published chart built from the
-1998-2002 NHL drafts ships with the package for reference.
+The chart takes the expected seven-year minutes by selection number (the
+smoothed curve of minutes played against the team's draft order), forces
+it to be non-increasing, and rescales so the first overall pick is worth
+1000 points.  The published chart built from the 1998-2002 NHL drafts
+ships with the package for reference.
 
 Run with:  python3 demos/04_value_chart.py
 """
 
+from draftvalue.core_model import Metric
+from draftvalue.draft_audit import Ordering
 from draftvalue.reference_chart import reference_chart
 from draftvalue.synth import SynthConfig, generate_synthetic_draft
-from draftvalue.valuation import draft_value_chart
+from draftvalue.valuation import draft_value_chart, expected_curve
 
 classes = generate_synthetic_draft(SynthConfig(seed=11, years=5))
-synthetic = draft_value_chart(classes)
+synthetic = draft_value_chart(expected_curve(classes, {}, Ordering.TEAM, Metric.TOI))
 published = reference_chart()
 
 print("pick value: synthetic data vs the published 1998-2002 chart")

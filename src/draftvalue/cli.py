@@ -1,7 +1,7 @@
 """Command-line entry point.
 
 Subcommands: ingest-check, synth, cescin, audit, curves, surplus, teams,
-chart, run. Exit codes: 0 success, 1 usage or config-file error, 2 data error,
+chart, run. Exit codes: 0 success, 1 usage/config/--out error, 2 data error,
 3 numeric failure. ``DRAFTVAL_OUT`` sets the default output directory.
 """
 
@@ -138,7 +138,13 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             return EXIT_OK
 
         stages = STAGES if args.command == "run" else (args.command,)
-        for path in run_pipeline(classes, cfg, _out_dir(args.out), stages):
+        try:
+            paths = run_pipeline(classes, cfg, _out_dir(args.out), stages)
+        except OSError as exc:  # a stage reports its failures as PipelineError: this is a write
+            raise _UsageError(
+                f"--out {args.out}: cannot write {exc.filename}: {exc.strerror}"
+            ) from exc
+        for path in paths:
             print(path)
         return EXIT_OK
     except _UsageError as exc:
@@ -149,8 +155,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return EXIT_DATA
     except PipelineError as exc:
         print(f"pipeline error: {exc}", file=sys.stderr)
-        if isinstance(exc.cause, DataError) or exc.stage == "ingest":
-            return EXIT_DATA
         return EXIT_NUMERIC
     except (ValueError, ArithmeticError) as exc:
         print(f"numeric error: {exc}", file=sys.stderr)

@@ -11,7 +11,7 @@ from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Optional, Union
 
-from .core_model import MAX_SELECTION, ImputationConfig, Metric
+from .core_model import ImputationConfig, Metric
 from .valuation import DollarConstants
 
 
@@ -27,7 +27,6 @@ def _year_range(text: str) -> tuple[int, ...]:
 class RunConfig:
     loess_span: float = 0.5
     factors: dict[str, float] = field(default_factory=dict)  # cescin overrides
-    band_edge: int = 90
     dollars: DollarConstants = DollarConstants()
     imputation: ImputationConfig = ImputationConfig()
     split_early: tuple[int, ...] = (1998, 1999, 2000)
@@ -40,15 +39,16 @@ class RunConfig:
             raise ValueError(f"loess span must be in (0, 1], got {self.loess_span}")
         if not (self.split_early and self.split_late):
             raise ValueError("split.early and split.late must each name at least one year")
-        if not 1 <= self.band_edge < MAX_SELECTION:
-            raise ValueError(f"band_edge must be in [1, {MAX_SELECTION - 1}], got {self.band_edge}")
         if not self.metrics:
             raise ValueError("metrics must name at least one metric")
+        if len(set(self.metrics)) != len(self.metrics):
+            raise ValueError("metrics must not repeat a metric")
         if not all(0 < f < math.inf for f in self.factors.values()):
             raise ValueError("cescin factors must be positive and finite")
 
 
 _FACTOR_KEYS = {"na_skater", "na_goalie", "eu_skater", "eu_goalie"}
+_BOOLEANS = {"true": True, "yes": True, "1": True, "false": False, "no": False, "0": False}
 
 
 def parse_config_text(text: str, base: Optional[RunConfig] = None) -> RunConfig:
@@ -68,8 +68,6 @@ def parse_config_text(text: str, base: Optional[RunConfig] = None) -> RunConfig:
             updates["loess_span"] = float(value)
         elif key.startswith("cescin.") and key[7:] in _FACTOR_KEYS:
             factors[key[7:]] = float(value)
-        elif key == "audit.band_edge":
-            updates["band_edge"] = int(value)
         elif key == "dollars.salary_per_game":
             dollars = replace(dollars, salary_per_game=float(value))
         elif key == "dollars.dollars_per_goal":
@@ -91,7 +89,9 @@ def parse_config_text(text: str, base: Optional[RunConfig] = None) -> RunConfig:
                 Metric(v.strip().lower()) for v in value.split(",") if v.strip()
             )
         elif key == "by_position":
-            updates["by_position"] = value.lower() in ("1", "true", "yes")
+            if value.lower() not in _BOOLEANS:
+                raise ValueError(f"config line {lineno}: by_position must be true or false")
+            updates["by_position"] = _BOOLEANS[value.lower()]
         else:
             raise ValueError(f"config line {lineno}: unknown key {key!r}")
     return replace(cfg, dollars=dollars, imputation=imputation, factors=factors, **updates)

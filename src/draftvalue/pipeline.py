@@ -2,8 +2,9 @@
 surplus estimation, dollar conversion, value chart and team analysis.
 
 :class:`Analysis` computes each stage on first use, together with the
-stages it reads; :func:`run_pipeline` writes the artifacts of the stages it
-is given, so a partial run computes only what it writes.
+stages and expected curves it reads, each curve fitted once;
+:func:`run_pipeline` writes the artifacts of the stages it is given, so a
+partial run computes only what it writes.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ import csv
 import dataclasses
 import json
 import logging
-from functools import cached_property, wraps
+from functools import cached_property, partial, wraps
 from pathlib import Path
 from typing import Mapping, Optional, Sequence, Union
 
@@ -89,21 +90,25 @@ def surplus_for_metric(
     return diff_curve, gain_estimate(diff_curve, delta_rank, metric, config.dollars)
 
 
-def _stage(compute):
-    """A stage result computed on first access; a failure is reported as a
-    ``PipelineError`` of the stage that failed, even when a later stage
-    asked for the result."""
+def _fails_as(stage: str, compute):
+    """``compute`` with any failure reported as a ``PipelineError`` of
+    ``stage``; a ``PipelineError`` from a stage it reads passes through, so
+    the error names the stage that failed, not the one that asked."""
 
     @wraps(compute)
-    def wrapper(self):
+    def wrapper(*args, **kwargs):
         try:
-            return compute(self)
+            return compute(*args, **kwargs)
         except PipelineError:
             raise
         except Exception as exc:
-            raise PipelineError(compute.__name__, exc) from exc
+            raise PipelineError(stage, exc) from exc
 
-    return cached_property(wrapper)
+    return wrapper
+
+
+def _stage(compute):
+    return cached_property(_fails_as(compute.__name__, compute))
 
 
 class Analysis:
@@ -114,6 +119,7 @@ class Analysis:
             raise PipelineError("ingest", ValueError("no draft classes supplied"))
         self.classes = classes
         self.config = config
+        self._curves: dict[tuple, SmoothCurve] = {}
 
     @_stage
     def cescin(self) -> tuple[CategoryFactors, dict[int, CssOrdering]]:
@@ -123,21 +129,24 @@ class Analysis:
     def orderings(self) -> dict[int, CssOrdering]:
         return self.cescin[1]
 
+    @partial(_fails_as, "curves")
+    def curve(self, ordering: Ordering, metric: Metric, group=None) -> SmoothCurve:
+        """Expected-performance curve of ``group`` (None: all), fitted once."""
+        key = (ordering, metric, group)
+        if key not in self._curves:
+            css = self.orderings if ordering is Ordering.CSS else {}
+            span = self.config.loess_span
+            self._curves[key] = expected_curve(self.classes, css, ordering, metric, span, group)
+        return self._curves[key]
+
     @_stage
     def audit(self) -> AuditReport:
-        cfg = self.config
-        return audit(self.classes, self.orderings, cfg.metrics, band_edge=cfg.band_edge)
+        return audit(self.classes, self.orderings, self.config.metrics)
 
     @_stage
     def curves(self) -> dict[Ordering, dict[Metric, SmoothCurve]]:
         """Expected-performance curve per ordering and metric."""
-        return {
-            o: {
-                m: expected_curve(self.classes, self.orderings, o, m, self.config.loess_span)
-                for m in self.config.metrics
-            }
-            for o in Ordering
-        }
+        return {o: {m: self.curve(o, m) for m in self.config.metrics} for o in Ordering}
 
     @_stage
     def surplus(self) -> dict[str, tuple[Optional[SmoothCurve], GainEstimate]]:
@@ -146,26 +155,23 @@ class Analysis:
         cfg = self.config
         out = {}
         for group in [None, *PositionGroup] if cfg.by_position else [None]:
-            expected = (
-                self.curves[Ordering.CSS]
-                if group is None
-                else css_curves(self.classes, self.orderings, cfg, group)
-            )
             for metric in cfg.metrics:
                 key = metric.value if group is None else f"{metric.value}_{group.value.lower()}"
+                expected = self.curve(Ordering.CSS, metric, group)
                 out[key] = surplus_for_metric(
-                    self.classes, self.orderings, expected[metric], metric, cfg, group
+                    self.classes, self.orderings, expected, metric, cfg, group
                 )
         return out
 
     @_stage
     def chart(self) -> ValueChart:
-        return draft_value_chart(self.classes, self.config.loess_span)
+        return draft_value_chart(self.curve(Ordering.TEAM, Metric.TOI))
 
     @_stage
     def teams(self) -> tuple[list[TeamGain], dict]:
         """Per-team mean gains and the tests over them."""
-        cfg, expected = self.config, self.curves[Ordering.CSS]
+        cfg = self.config
+        expected = {m: self.curve(Ordering.CSS, m) for m in cfg.metrics}
         gains = team_gains(self.classes, self.orderings, expected)
         tests: dict = {"normality": {}, "split_half": {}, "outliers": {}}
         for metric in cfg.metrics:

@@ -78,21 +78,6 @@ def _pool(
     return np.concatenate(list(columns))
 
 
-def _rank_metric_pairs(
-    classes: Sequence[DraftClass],
-    css_orderings: Mapping[int, CssOrdering],
-    ordering: Ordering,
-    metric: Metric,
-    group: Optional[PositionGroup] = None,
-) -> tuple[np.ndarray, np.ndarray]:
-    ranks = [
-        dc.columns.selection if ordering is Ordering.TEAM else css_orderings[dc.year].css_ranks
-        for dc in classes
-    ]
-    values = [dc.columns.metrics[metric] for dc in classes]
-    return _pool(classes, ranks, group).astype(float), _pool(classes, values, group)
-
-
 def expected_curve(
     classes: Sequence[DraftClass],
     css_orderings: Mapping[int, CssOrdering],
@@ -102,9 +87,15 @@ def expected_curve(
     group: Optional[PositionGroup] = None,
 ) -> SmoothCurve:
     """Smoothed expected metric at each of the 210 draft ranks, pooling
-    (rank, outcome) pairs across years under the chosen ordering."""
-    ranks, values = _rank_metric_pairs(classes, css_orderings, ordering, metric, group)
-    return loess_fit(ranks, values, grid=SELECTION_GRID, span=span)
+    (rank, outcome) pairs across years under the chosen ordering; the team
+    ordering reads no ``css_orderings``."""
+    ranks = [
+        dc.columns.selection if ordering is Ordering.TEAM else css_orderings[dc.year].css_ranks
+        for dc in classes
+    ]
+    values = [dc.columns.metrics[metric] for dc in classes]
+    pooled = _pool(classes, ranks, group).astype(float)
+    return loess_fit(pooled, _pool(classes, values, group), grid=SELECTION_GRID, span=span)
 
 
 def differential_points(
@@ -182,13 +173,12 @@ def gain_estimate(
     )
 
 
-def draft_value_chart(classes: Sequence[DraftClass], span: float = 0.5) -> ValueChart:
-    """Build the pick chart: smooth TOI against selection, force the curve
-    non-increasing, then scale to 1000 at pick 1 with half-up rounding."""
-    sels = _pool(classes, [dc.columns.selection for dc in classes]).astype(float)
-    toi = _pool(classes, [dc.columns.metrics[Metric.TOI] for dc in classes])
-    smoothed = loess_fit(sels, toi, grid=SELECTION_GRID, span=span)
-    mono = antitonic_fit(SELECTION_GRID, smoothed.values)
+def draft_value_chart(toi_curve: SmoothCurve) -> ValueChart:
+    """Build the pick chart from the expected TOI curve under the team
+    ordering (``expected_curve(classes, {}, Ordering.TEAM, Metric.TOI)``):
+    force it non-increasing, then scale to 1000 at pick 1 with half-up
+    rounding."""
+    mono = antitonic_fit(SELECTION_GRID, toi_curve(SELECTION_GRID))
     # smoothing can undershoot below zero in the tail; expected minutes are
     # non-negative, so floor the curve before scaling
     levels = np.maximum(mono(SELECTION_GRID), 0.0)

@@ -18,7 +18,7 @@ from draftvalue.pipeline import build_orderings, css_curves, surplus_for_metric
 from draftvalue.reference_chart import reference_chart
 from draftvalue.synth import SynthConfig, generate_synthetic_draft
 from draftvalue.team_analysis import normality_check, split_half_correlation, team_gains
-from draftvalue.valuation import differential_points, draft_value_chart, to_dollars
+from draftvalue.valuation import differential_points, draft_value_chart, expected_curve, to_dollars
 
 from conftest import make_class, make_record, random_class
 from test_draft_audit import brute_force_flags
@@ -171,8 +171,8 @@ def test_09_chart_on_noise_free_decreasing_toi():
         for s in range(1, 211)
     ]
     dc = make_class(records)
-    first = draft_value_chart([dc])
-    second = draft_value_chart([dc])
+    first = draft_value_chart(expected_curve([dc], {}, Ordering.TEAM, Metric.TOI))
+    second = draft_value_chart(expected_curve([dc], {}, Ordering.TEAM, Metric.TOI))
     ok = (
         first.value(1) == 1000
         and all(b <= a for a, b in zip(first.values, first.values[1:]))

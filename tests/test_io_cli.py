@@ -102,7 +102,6 @@ class TestConfigFile:
     def test_defaults(self):
         cfg = parse_config_text("")
         assert cfg.loess_span == 0.5
-        assert cfg.band_edge == 90
         assert cfg.dollars.salary_per_game == 29300.0
 
     def test_overrides(self):
@@ -110,7 +109,6 @@ class TestConfigFile:
         # analysis tweaks
         loess.span = 0.4
         cescin.na_skater = 1.25
-        audit.band_edge = 60
         dollars.salary_per_game = 30000
         split.early = 1998-1999
         split.late = 2000,2002
@@ -120,7 +118,6 @@ class TestConfigFile:
         cfg = parse_config_text(text)
         assert cfg.loess_span == 0.4
         assert cfg.factors == {"na_skater": 1.25}
-        assert cfg.band_edge == 60
         assert cfg.dollars.salary_per_game == 30000.0
         assert cfg.split_early == (1998, 1999)
         assert cfg.split_late == (2000, 2002)
@@ -230,6 +227,8 @@ class TestCli:
             "dollars.salary_per_game = nan",
             "split.early = 2000-1990",
             "split.late = ,",
+            "by_position = on",
+            "metrics = toi, toi",
             None,  # no config file at the given path
         ],
     )
@@ -280,6 +279,19 @@ class TestCli:
         assert main(["synth", "--out", str(taken / "sub")]) == 1
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 2 and all(line.startswith("error: --out") for line in err)
+
+    @pytest.mark.parametrize("command, artifact", [("curves", "curves"), ("chart", "chart.csv")])
+    def test_artifact_cannot_be_written(self, tmp_path, capsys, command, artifact):
+        main(["synth", "--seed", "1", "--years", "1", "--out", str(tmp_path)])
+        out = tmp_path / "o"
+        out.mkdir()
+        if command == "curves":
+            (out / artifact).write_text("", encoding="utf-8")  # a file where a directory goes
+        else:
+            (out / artifact).mkdir()  # a directory where a file goes
+        assert main([command, str(tmp_path / "synthetic.csv"), "--out", str(out)]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: --out")
 
     def test_seeded_run_honours_imputation_config(self, tmp_path):
         config = tmp_path / "impute.cfg"

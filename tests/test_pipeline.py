@@ -3,6 +3,8 @@ artifacts read, a failure names the stage that failed, and every subcommand
 reproduces the stored reference artifacts of the benchmark."""
 
 import importlib.util
+import inspect
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -10,6 +12,8 @@ import pytest
 from draftvalue import pipeline
 from draftvalue.cli import main
 from draftvalue.config import RunConfig
+from draftvalue.core_model import Metric, PositionGroup
+from draftvalue.draft_audit import Ordering
 from draftvalue.io import write_draft_csv
 from draftvalue.synth import SynthConfig, generate_synthetic_draft
 
@@ -31,7 +35,7 @@ gate = _load_gate()
 STAGE_FUNCTIONS = {
     "build_orderings": {"cescin", "audit", "curves", "surplus", "teams"},
     "audit": {"audit"},
-    "expected_curve": {"curves", "surplus", "teams"},
+    "expected_curve": {"curves", "surplus", "chart", "teams"},
     "surplus_for_metric": {"surplus"},
     "draft_value_chart": {"chart"},
     "team_gains": {"teams"},
@@ -96,6 +100,48 @@ def test_failure_names_the_failing_stage(command, stage, one_year_csv, tmp_path,
     monkeypatch.setattr(pipeline, "team_gains", _boom)
     assert main([command, str(one_year_csv), "--out", str(tmp_path)]) == 3
     assert f"stage {stage}: boom" in capsys.readouterr().err
+
+
+GROUPS = (None, *PositionGroup)
+# (ordering, metric, group) of each expected curve a subcommand fits
+CURVES_FITTED = {
+    "cescin": set(),
+    "audit": set(),
+    "curves": {(o, m, None) for o in Ordering for m in Metric},
+    "surplus": {(Ordering.CSS, m, None) for m in Metric},
+    "surplus --by-position": {(Ordering.CSS, m, g) for m in Metric for g in GROUPS},
+    "chart": {(Ordering.TEAM, Metric.TOI, None)},
+    "teams": {(Ordering.CSS, m, None) for m in Metric},
+    "run": {(o, m, None) for o in Ordering for m in Metric},
+    "run --by-position": {(o, m, None) for o in Ordering for m in Metric}
+    | {(Ordering.CSS, m, g) for m in Metric for g in GROUPS},
+}
+
+
+@pytest.mark.parametrize("command", sorted(CURVES_FITTED))
+def test_each_expected_curve_is_fitted_once(command, one_year_csv, tmp_path, monkeypatch):
+    fitted = Counter()
+    fit = pipeline.expected_curve
+    signature = inspect.signature(fit)
+
+    def record(*args, **kwargs):
+        call = signature.bind(*args, **kwargs)
+        call.apply_defaults()
+        fitted[call.arguments["ordering"], call.arguments["metric"], call.arguments["group"]] += 1
+        return fit(*args, **kwargs)
+
+    monkeypatch.setattr(pipeline, "expected_curve", record)
+    name, *flags = command.split()
+    assert main([name, str(one_year_csv), *flags, "--out", str(tmp_path)]) == 0
+    assert set(fitted) == CURVES_FITTED[command]
+    assert set(fitted.values()) <= {1}
+
+
+@pytest.mark.parametrize("command", ["chart", "teams", "surplus"])
+def test_curve_failure_names_the_curves_stage(command, one_year_csv, tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(pipeline, "expected_curve", _boom)
+    assert main([command, str(one_year_csv), "--out", str(tmp_path)]) == 3
+    assert "stage curves: boom" in capsys.readouterr().err
 
 
 def test_failure_in_a_dependency_names_the_dependency(tmp_path, monkeypatch):

@@ -169,18 +169,22 @@ def toi_class(toi_of_selection, n=210):
     return make_class(records)
 
 
+def chart_of(dc):
+    return draft_value_chart(expected_curve([dc], {}, Ordering.TEAM, Metric.TOI))
+
+
 class TestValueChart:
     def test_constant_toi_gives_flat_chart(self):
         dc = toi_class(lambda s: 5000.0)
-        chart = draft_value_chart([dc])
+        chart = chart_of(dc)
         assert set(chart.values) == {1000}
 
     def test_noise_free_decreasing(self):
         dc = toi_class(lambda s: 2110.0 - 10.0 * s)
-        chart = draft_value_chart([dc])
+        chart = chart_of(dc)
         assert chart.value(1) == 1000
         assert all(b < a for a, b in zip(chart.values, chart.values[1:]))
-        again = draft_value_chart([dc])
+        again = chart_of(dc)
         assert again.values == chart.values
 
     def test_invariants_enforced(self):
