@@ -24,7 +24,7 @@ classes = generate_synthetic_draft(config)
 print(f"generated {len(classes)} draft classes, "
       f"{sum(len(dc) for dc in classes)} players total")
 
-never_played = np.mean([r.gp7 == 0 for dc in classes for r in dc.records])
+never_played = np.mean(np.concatenate([dc.columns.metrics[Metric.GP] == 0 for dc in classes]))
 print(f"fraction who never played an NHL game: {never_played:.2f}")
 
 for metric in Metric:

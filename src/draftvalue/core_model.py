@@ -1,5 +1,5 @@
 """Domain types for drafted players: positions, scouting categories, seven-year
-outcome metrics, record normalization, the per-year column view the
+outcome metrics, row validation and imputation, the per-year columns the
 analysis stages read, and descriptive summaries."""
 
 from __future__ import annotations
@@ -8,7 +8,8 @@ import enum
 import math
 from dataclasses import dataclass, replace
 from functools import cached_property
-from typing import Iterable, Mapping, Optional, Sequence
+from collections.abc import Sequence
+from typing import Iterable, Mapping, Optional
 
 import numpy as np
 
@@ -113,129 +114,232 @@ def position_group(p: Position) -> PositionGroup:
     return PositionGroup.F
 
 
-def validate_record(r: PlayerRecord) -> None:
-    """Raise RecordError on a structurally invalid record."""
-    if r.selection < 1:
-        raise RecordError("selection", f"must be >= 1, got {r.selection}")
-    if r.gp7 < 0:
-        raise RecordError("gp7", f"must be >= 0, got {r.gp7}")
-    for name in ("toi7", "gvt7"):
-        value = getattr(r, name)
-        if value is not None and not math.isfinite(value):
-            raise RecordError(name, f"must be finite, got {value}")
-    if r.toi7 is not None and r.toi7 < 0:
-        raise RecordError("toi7", f"must be >= 0, got {r.toi7}")
-    if (r.css_category_rank is None) != (r.css_category is CssCategory.UNRANKED):
-        raise RecordError(
+POSITIONS = tuple(Position)
+GROUPS = tuple(PositionGroup)
+CATEGORIES = tuple(CssCategory)
+
+_GOALIE = POSITIONS.index(Position.G)
+_UNRANKED = CATEGORIES.index(CssCategory.UNRANKED)
+_IS_GOALIE_CATEGORY = np.array([c in GOALIE_CATEGORIES for c in CATEGORIES])
+_IS_SKATER_CATEGORY = np.array([c in SKATER_CATEGORIES for c in CATEGORIES])
+_GROUP_OF_POSITION = np.array([GROUPS.index(position_group(p)) for p in POSITIONS], np.int8)
+
+
+@dataclass(frozen=True, eq=False)
+class RawRows:
+    """Parsed outcome and scouting fields of player rows, before validation
+    and imputation. ``position`` and ``css_category`` index ``POSITIONS``
+    and ``CATEGORIES``; an absent rank reads 0 and an absent ``toi7`` or
+    ``gvt7`` NaN, and the ``has_*`` masks tell absent from given."""
+
+    selection: np.ndarray
+    position: np.ndarray
+    css_category: np.ndarray
+    css_category_rank: np.ndarray
+    has_css_category_rank: np.ndarray
+    gp7: np.ndarray
+    toi7: np.ndarray
+    has_toi7: np.ndarray
+    gvt7: np.ndarray
+    has_gvt7: np.ndarray
+
+
+def first_invalid_row(rows: RawRows) -> Optional[tuple[int, RecordError]]:
+    """The index of the first row that breaks a record rule and the error of
+    the first rule it breaks, or None when every row is valid."""
+    goalie = rows.position == _GOALIE
+    ranked = rows.has_css_category_rank
+    toi7, gvt7 = rows.toi7, rows.gvt7
+    # (field, rows breaking the rule, message, column whose value it quotes)
+    rules = (
+        ("selection", rows.selection < 1, "must be >= 1, got {}", rows.selection),
+        ("gp7", rows.gp7 < 0, "must be >= 0, got {}", rows.gp7),
+        ("toi7", rows.has_toi7 & ~np.isfinite(toi7), "must be finite, got {}", toi7),
+        ("gvt7", rows.has_gvt7 & ~np.isfinite(gvt7), "must be finite, got {}", gvt7),
+        ("toi7", rows.has_toi7 & (toi7 < 0), "must be >= 0, got {}", toi7),
+        (
             "css_category_rank",
+            ranked == (rows.css_category == _UNRANKED),
             "rank must be present exactly when the player is category-ranked",
-        )
-    if r.css_category_rank is not None and r.css_category_rank < 1:
-        raise RecordError("css_category_rank", "must be >= 1")
-    is_goalie = r.position is Position.G
-    if is_goalie and r.css_category in SKATER_CATEGORIES:
-        raise RecordError("css_category", "goalie cannot carry a skater category")
-    if not is_goalie and r.css_category in GOALIE_CATEGORIES:
-        raise RecordError("css_category", "skater cannot carry a goalie category")
+            None,
+        ),
+        ("css_category_rank", ranked & (rows.css_category_rank < 1), "must be >= 1", None),
+        (
+            "css_category",
+            goalie & _IS_SKATER_CATEGORY[rows.css_category],
+            "goalie cannot carry a skater category",
+            None,
+        ),
+        (
+            "css_category",
+            ~goalie & _IS_GOALIE_CATEGORY[rows.css_category],
+            "skater cannot carry a goalie category",
+            None,
+        ),
+        (
+            "toi7",
+            ~rows.has_toi7 & (rows.gp7 != 0) & ~goalie,
+            "missing for a skater with NHL games",
+            None,
+        ),
+        ("gvt7", ~rows.has_gvt7 & (rows.gp7 != 0), "missing for a player with NHL games", None),
+    )
+    broken = np.logical_or.reduce([mask for _, mask, _, _ in rules])
+    if not broken.any():
+        return None
+    i = int(np.argmax(broken))
+    field, _, message, quoted = next(rule for rule in rules if rule[1][i])
+    return i, RecordError(field, message if quoted is None else message.format(quoted[i]))
+
+
+def impute(rows: RawRows, config: ImputationConfig) -> tuple[np.ndarray, np.ndarray]:
+    """The ``toi7`` and ``gvt7`` columns of valid rows after imputation.
+
+    Players with no NHL games get the floor GVT value and zero TOI; goalies
+    get a fixed number of minutes per game appeared.
+    """
+    never_played = rows.gp7 == 0
+    toi7 = np.where(never_played, 0.0, rows.toi7)
+    toi7 = np.where(rows.position == _GOALIE, config.goalie_minutes_per_game * rows.gp7, toi7)
+    return toi7, np.where(never_played, config.never_played_gvt, rows.gvt7)
+
+
+def normalize_rows(rows: RawRows, config: ImputationConfig) -> tuple[np.ndarray, np.ndarray]:
+    """``impute`` after validation; raises the RecordError of the first
+    invalid row."""
+    invalid = first_invalid_row(rows)
+    if invalid is not None:
+        raise invalid[1]
+    return impute(rows, config)
 
 
 def normalize_record(
     raw: PlayerRecord, config: ImputationConfig = ImputationConfig()
 ) -> PlayerRecord:
-    """Apply the imputation rules and return a fully-populated record.
-
-    Players with no NHL games get the floor GVT value and zero TOI; goalies
-    get a fixed number of minutes per game appeared. Idempotent.
-    """
-    validate_record(raw)
-    gp7 = raw.gp7
-    toi7 = raw.toi7
-    gvt7 = raw.gvt7
-    if gp7 == 0:
-        gvt7 = config.never_played_gvt
-        toi7 = 0.0
-    if raw.position is Position.G:
-        toi7 = config.goalie_minutes_per_game * gp7
-    if toi7 is None:
-        raise RecordError("toi7", "missing for a skater with NHL games")
-    if gvt7 is None:
-        raise RecordError("gvt7", "missing for a player with NHL games")
-    out = replace(raw, toi7=float(toi7), gvt7=float(gvt7))
-    validate_record(out)
-    return out
-
-
-POSITIONS = tuple(Position)
-GROUPS = tuple(PositionGroup)
-CATEGORIES = tuple(CssCategory)
-
-
-def _frozen(values, dtype) -> np.ndarray:
-    out = np.array(values, dtype=dtype)
-    out.flags.writeable = False
-    return out
+    """Validate one record and apply the imputation rules (a one-row
+    ``normalize_rows``); returns a fully-populated record. Idempotent."""
+    rows = RawRows(
+        selection=np.array([raw.selection]),
+        position=np.array([POSITIONS.index(raw.position)]),
+        css_category=np.array([CATEGORIES.index(raw.css_category)]),
+        css_category_rank=np.array([raw.css_category_rank or 0]),
+        has_css_category_rank=np.array([raw.css_category_rank is not None]),
+        gp7=np.array([raw.gp7]),
+        toi7=np.array([math.nan if raw.toi7 is None else raw.toi7], dtype=float),
+        has_toi7=np.array([raw.toi7 is not None]),
+        gvt7=np.array([math.nan if raw.gvt7 is None else raw.gvt7], dtype=float),
+        has_gvt7=np.array([raw.gvt7 is not None]),
+    )
+    toi7, gvt7 = normalize_rows(rows, config)
+    return replace(raw, toi7=float(toi7[0]), gvt7=float(gvt7[0]))
 
 
 @dataclass(frozen=True, eq=False)
 class DraftColumns:
-    """Read-only numpy columns of one draft class, aligned with its records.
+    """Read-only numpy columns of one draft class, one row per player.
 
-    ``position``, ``group`` and ``category`` are indices into ``POSITIONS``,
-    ``GROUPS`` and ``CATEGORIES``; ``category_rank`` is 0 for unranked
-    players; ``metrics`` holds one float column per outcome metric.
+    ``position`` and ``category`` are indices into ``POSITIONS`` and
+    ``CATEGORIES``; ``category_rank`` is 0 for unranked players; ``metrics``
+    holds one float column per outcome metric.
     """
 
     selection: np.ndarray
     position: np.ndarray
-    group: np.ndarray
     team: np.ndarray
+    name: np.ndarray
     category: np.ndarray
     category_rank: np.ndarray
     metrics: Mapping[Metric, np.ndarray]
 
+    def __post_init__(self):
+        for column in (
+            self.selection, self.position, self.team, self.name, self.category,
+            self.category_rank, *self.metrics.values(),
+        ):
+            column.flags.writeable = False
+
+    @cached_property
+    def group(self) -> np.ndarray:
+        """Indices into ``GROUPS``."""
+        out = _GROUP_OF_POSITION[self.position]
+        out.flags.writeable = False
+        return out
+
     @classmethod
     def from_records(cls, records: Sequence[PlayerRecord]) -> "DraftColumns":
         return cls(
-            selection=_frozen([r.selection for r in records], np.int64),
-            position=_frozen([POSITIONS.index(r.position) for r in records], np.int8),
-            group=_frozen([GROUPS.index(position_group(r.position)) for r in records], np.int8),
-            team=_frozen([r.team for r in records], str),
-            category=_frozen([CATEGORIES.index(r.css_category) for r in records], np.int8),
-            category_rank=_frozen([r.css_category_rank or 0 for r in records], np.int64),
+            selection=np.array([r.selection for r in records], np.int64),
+            position=np.array([POSITIONS.index(r.position) for r in records], np.int8),
+            team=np.array([r.team for r in records], str),
+            name=np.array([r.name for r in records], str),
+            category=np.array([CATEGORIES.index(r.css_category) for r in records], np.int8),
+            category_rank=np.array([r.css_category_rank or 0 for r in records], np.int64),
             metrics={
-                m: _frozen([getattr(r, f"{m.value}7") for r in records], float) for m in Metric
+                m: np.array([getattr(r, f"{m.value}7") for r in records], float) for m in Metric
             },
         )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DraftClass:
-    """All records for one draft year, sorted by selection.
+    """One draft year's players as columns, sorted by selection.
 
     At most 210 selections; any number of slots may be missing (one historical
-    pick was invalidated), and the loader logs the missing ones. The analysis
-    stages read ``columns``, built once from ``records`` on first use.
+    pick was invalidated), and the loader logs the missing ones. ``records``
+    is a read-only ``PlayerRecord`` view that builds a record only when one
+    is read.
     """
 
     year: int
-    records: tuple[PlayerRecord, ...]
+    columns: DraftColumns
 
     def __post_init__(self):
-        sels = [r.selection for r in self.records]
-        if any(b <= a for a, b in zip(sels, sels[1:])):
+        selection = self.columns.selection
+        if np.any(selection[1:] <= selection[:-1]):
             raise ValueError(f"year {self.year}: selections must be strictly increasing")
-        if len(self.records) > MAX_SELECTION:
+        if len(selection) > MAX_SELECTION:
             raise ValueError(f"year {self.year}: more than {MAX_SELECTION} selections")
-        for r in self.records:
-            if r.year != self.year:
-                raise ValueError(f"record year {r.year} != class year {self.year}")
+
+    @classmethod
+    def from_records(cls, year: int, records: Sequence[PlayerRecord]) -> "DraftClass":
+        for r in records:
+            if r.year != year:
+                raise ValueError(f"record year {r.year} != class year {year}")
+        return cls(year, DraftColumns.from_records(records))
 
     def __len__(self) -> int:
-        return len(self.records)
+        return len(self.columns.selection)
 
-    @cached_property
-    def columns(self) -> DraftColumns:
-        return DraftColumns.from_records(self.records)
+    @property
+    def records(self) -> "RecordView":
+        return RecordView(self)
+
+
+class RecordView(Sequence):
+    """The players of a draft class as ``PlayerRecord`` objects, each built
+    from the columns when it is read."""
+
+    def __init__(self, dc: DraftClass):
+        self._dc = dc
+
+    def __len__(self) -> int:
+        return len(self._dc)
+
+    def __getitem__(self, index: int) -> PlayerRecord:
+        i = range(len(self))[index]
+        c = self._dc.columns
+        return PlayerRecord(
+            year=self._dc.year,
+            selection=int(c.selection[i]),
+            team=str(c.team[i]),
+            name=str(c.name[i]),
+            position=POSITIONS[c.position[i]],
+            css_category=CATEGORIES[c.category[i]],
+            css_category_rank=int(c.category_rank[i]) or None,
+            gp7=int(c.metrics[Metric.GP][i]),
+            toi7=float(c.metrics[Metric.TOI][i]),
+            gvt7=float(c.metrics[Metric.GVT][i]),
+        )
 
 
 @dataclass(frozen=True)

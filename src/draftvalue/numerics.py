@@ -63,7 +63,11 @@ def _as_weighted(x, y, w):
 def tricube(u: np.ndarray) -> np.ndarray:
     """Tricube kernel (1 - u^3)^3 on [0, 1], zero outside."""
     u = np.clip(np.abs(u), 0.0, 1.0)
-    return (1.0 - u**3) ** 3
+    c = 1.0 - u * u * u
+    return c * c * c
+
+
+GRID_CHUNK = 16  # grid points fitted together, as rows of one matrix
 
 
 def loess_fit(x, y, grid, span: float = 0.5) -> SmoothCurve:
@@ -77,6 +81,9 @@ def loess_fit(x, y, grid, span: float = 0.5) -> SmoothCurve:
     When the q nearest rows all lie at distance dmax, they get equal weights
     instead; if every weighted point shares one x (degenerate design) the
     local mean is used. No robustness iterations.
+
+    ``GRID_CHUNK`` grid points are fitted at a time, each one a row of a
+    (grid point x distinct x) matrix; the rows do not interact.
     """
     if not (0.0 < span <= 1.0):
         raise ValueError("span must be in (0, 1]")
@@ -89,32 +96,40 @@ def loess_fit(x, y, grid, span: float = 0.5) -> SmoothCurve:
         raise ValueError(f"span*n = {span * n:.2f} gives fewer than 2 local points")
     grid = np.asarray(grid, dtype=float)
     fitted = np.empty_like(grid)
-    for j, x0 in enumerate(grid):
-        xc = x - x0
-        d = np.abs(xc)
-        nearest = np.argsort(d)
-        dmax = d[nearest[np.searchsorted(np.cumsum(count[nearest]), q)]]
-        kw = tricube(d / dmax) if dmax > d.min() else (d == dmax)
-        fitted[j] = _local_linear(xc, y, kw * count)
+    with np.errstate(divide="ignore", invalid="ignore"):  # np.where drops those entries
+        for start in range(0, len(grid), GRID_CHUNK):
+            rows = slice(start, start + GRID_CHUNK)
+            fitted[rows] = _fit_rows(x, y, count, q, grid[rows])
     if not np.all(np.isfinite(fitted)):
         raise ValueError("non-finite fitted value")
     return SmoothCurve(kind="loess", grid=grid, values=fitted)
 
 
-def _local_linear(xc, y, lw):
-    """Weighted least-squares line through points at offsets ``xc`` from
-    the evaluation point, evaluated there. Centering makes the intercept the
-    fitted value and keeps the solve well conditioned at the grid boundaries.
+def _fit_rows(x, y, count, q, x0):
+    """The local-linear fit at each point of ``x0``, one matrix row per point.
+
+    The weighted least-squares line is centred on the evaluation point, so
+    its intercept is the fitted value and the solve stays well conditioned
+    at the grid boundaries.
     """
-    sw = lw.sum()
-    t0 = np.dot(lw, y)
-    s1 = np.dot(lw, xc)
-    s2 = np.dot(lw, xc * xc)
-    t1 = np.dot(lw, xc * y)
+    rows = np.arange(len(x0))
+    xc = x - x0[:, None]
+    d = np.abs(xc)
+    nearest = np.argsort(d, axis=1, kind="stable")  # a row is two sorted runs
+    # the q-th nearest row lies at the first distinct x whose running count reaches q
+    reach = np.count_nonzero(np.cumsum(count[nearest], axis=1) < q, axis=1)
+    dmax = d[rows, nearest[rows, reach]][:, None]
+    equal = dmax <= d.min(axis=1, keepdims=True)
+    lw = np.where(equal, d == dmax, tricube(d / dmax)) * count
+    lwx = lw * xc
+    sw = lw.sum(axis=1)
+    s1 = lwx.sum(axis=1)
+    s2 = np.einsum("ij,ij->i", lwx, xc)
+    t0 = lw @ y
+    t1 = lwx @ y
     spread = s2 / sw - (s1 / sw) ** 2
-    if spread <= 1e-12 * max(1.0, np.max(np.abs(xc)) ** 2):
-        return float(t0 / sw)
-    return float((s2 * t0 - s1 * t1) / (sw * s2 - s1 * s1))
+    flat = spread <= 1e-12 * np.maximum(1.0, d.max(axis=1) ** 2)
+    return np.where(flat, t0 / sw, (s2 * t0 - s1 * t1) / (sw * s2 - s1 * s1))
 
 
 def _aggregate_ties(x, y, w):

@@ -14,15 +14,22 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core_model import (
+    CATEGORIES,
+    POSITIONS,
     CssCategory,
     DraftClass,
+    DraftColumns,
     ImputationConfig,
-    PlayerRecord,
+    Metric,
     Position,
-    normalize_record,
+    RawRows,
+    normalize_rows,
 )
 
-_FORWARD_POSITIONS = (Position.C, Position.L, Position.R, Position.F)
+_FORWARD_CODES = np.array(
+    [POSITIONS.index(p) for p in (Position.C, Position.L, Position.R, Position.F)]
+)
+_CODE = {c: CATEGORIES.index(c) for c in CssCategory}
 
 
 @dataclass(frozen=True)
@@ -103,22 +110,20 @@ def generate_synthetic_draft(
         goalie = rng.random(n) < config.goalie_rate
         defense = ~goalie & (rng.random(n) < config.defense_rate / max(1e-12, 1.0 - config.goalie_rate))
         european = rng.random(n) < config.eu_rate
-        positions = np.empty(n, dtype=object)
-        positions[goalie] = Position.G
-        positions[defense] = Position.D
-        forward_idx = np.flatnonzero(~goalie & ~defense)
-        for i in forward_idx:
-            positions[i] = _FORWARD_POSITIONS[rng.integers(0, len(_FORWARD_POSITIONS))]
+        position = np.empty(n, dtype=np.int8)
+        position[goalie] = POSITIONS.index(Position.G)
+        position[defense] = POSITIONS.index(Position.D)
+        forward = ~goalie & ~defense
+        position[forward] = _FORWARD_CODES[rng.integers(0, len(_FORWARD_CODES), forward.sum())]
 
-        categories = np.empty(n, dtype=object)
-        for i in range(n):
-            if goalie[i]:
-                categories[i] = CssCategory.EU_GOALIE if european[i] else CssCategory.NA_GOALIE
-            else:
-                categories[i] = CssCategory.EU_SKATER if european[i] else CssCategory.NA_SKATER
-        category_rank = np.empty(n, dtype=int)
-        for cat in set(categories):
-            members = np.flatnonzero(categories == cat)
+        category = np.where(
+            goalie,
+            np.where(european, _CODE[CssCategory.EU_GOALIE], _CODE[CssCategory.NA_GOALIE]),
+            np.where(european, _CODE[CssCategory.EU_SKATER], _CODE[CssCategory.NA_SKATER]),
+        ).astype(np.int8)
+        category_rank = np.empty(n, dtype=np.int64)
+        for code in np.unique(category):
+            members = np.flatnonzero(category == code)
             order = members[np.argsort(css_score[members], kind="stable")]
             category_rank[order] = np.arange(1, len(members) + 1)
 
@@ -133,22 +138,29 @@ def generate_synthetic_draft(
         toi = gp * minutes
         gvt = -20.0 + 134.0 * quality + rng.normal(0.0, 20.0 * config.outcome_noise, n)
 
-        records = []
-        for i in range(n):
-            sel = int(selection_of[i])
-            raw = PlayerRecord(
-                year=year,
-                selection=sel,
-                team=f"T{(sel - 1) % config.teams + 1:02d}",
-                name=f"P{year}_{i + 1:03d}",
-                position=positions[i],
-                css_category=categories[i],
-                css_category_rank=int(category_rank[i]),
-                gp7=int(gp[i]),
-                toi7=float(toi[i]) if gp[i] > 0 else 0.0,
-                gvt7=float(gvt[i]) if gp[i] > 0 else None,
-            )
-            records.append(normalize_record(raw, imputation))
-        records.sort(key=lambda r: r.selection)
-        classes.append(DraftClass(year=year, records=tuple(records)))
+        by_pick = np.argsort(selection_of)
+        selection = selection_of[by_pick]
+        raw = RawRows(
+            selection=selection,
+            position=position[by_pick],
+            css_category=category[by_pick],
+            css_category_rank=category_rank[by_pick],
+            has_css_category_rank=np.ones(n, dtype=bool),
+            gp7=gp[by_pick],
+            toi7=toi[by_pick],
+            has_toi7=np.ones(n, dtype=bool),
+            gvt7=gvt[by_pick],
+            has_gvt7=gp[by_pick] > 0,
+        )
+        toi7, gvt7 = normalize_rows(raw, imputation)
+        columns = DraftColumns(
+            selection=selection,
+            position=raw.position,
+            team=np.array([f"T{(s - 1) % config.teams + 1:02d}" for s in selection.tolist()]),
+            name=np.array([f"P{year}_{i + 1:03d}" for i in by_pick.tolist()]),
+            category=raw.css_category,
+            category_rank=raw.css_category_rank,
+            metrics={Metric.GP: raw.gp7.astype(float), Metric.TOI: toi7, Metric.GVT: gvt7},
+        )
+        classes.append(DraftClass(year, columns))
     return classes

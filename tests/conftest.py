@@ -39,7 +39,7 @@ def make_record(
 
 
 def make_class(records, year=1998):
-    return DraftClass(year=year, records=tuple(sorted(records, key=lambda r: r.selection)))
+    return DraftClass.from_records(year, sorted(records, key=lambda r: r.selection))
 
 
 def random_class(rng, n=20, year=1998, positions=None, teams=4):

@@ -117,7 +117,7 @@ class TestCssOrdering:
         from draftvalue.core_model import DraftClass
 
         with pytest.raises(ValueError):
-            css_ordering(DraftClass(year=1998, records=()), UNIT_FACTORS)
+            css_ordering(DraftClass.from_records(1998, []), UNIT_FACTORS)
 
 
 @st.composite

@@ -111,7 +111,7 @@ class TestDraftClass:
     def test_duplicate_selection_rejected(self):
         records = [make_record(selection=1), make_record(selection=1)]
         with pytest.raises(ValueError):
-            DraftClass(year=1998, records=tuple(records))
+            DraftClass.from_records(1998, records)
 
     def test_missing_slot_tolerated(self):
         records = [make_record(selection=s, css_category_rank=s) for s in (1, 2, 4)]
@@ -120,7 +120,30 @@ class TestDraftClass:
 
     def test_year_mismatch_rejected(self):
         with pytest.raises(ValueError):
-            DraftClass(year=1999, records=(make_record(year=1998),))
+            DraftClass.from_records(1999, [make_record(year=1998)])
+
+    def test_unsorted_selections_rejected(self):
+        records = [make_record(selection=2), make_record(selection=1)]
+        with pytest.raises(ValueError, match="strictly increasing"):
+            DraftClass.from_records(1998, records)
+
+    def test_more_than_210_rejected(self):
+        records = [make_record(selection=s, css_category_rank=s) for s in range(1, 212)]
+        with pytest.raises(ValueError, match="more than 210"):
+            DraftClass.from_records(1998, records)
+
+    def test_records_view_round_trips(self):
+        records = [
+            make_record(selection=1, team="BOS", gp7=0, toi7=None, gvt7=None),
+            make_record(selection=3, css_category=CssCategory.UNRANKED, css_category_rank=None),
+            make_record(selection=7, position=Position.G, css_category=CssCategory.EU_GOALIE),
+        ]
+        view = DraftClass.from_records(1998, records).records
+        assert len(view) == 3
+        assert list(view) == records
+        assert view[-1] == records[-1]
+        with pytest.raises(IndexError):
+            view[3]
 
 
 class TestSummarize:

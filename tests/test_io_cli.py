@@ -1,11 +1,17 @@
+import contextlib
+import io
 import logging
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from draftvalue.cli import main
 from draftvalue.config import parse_config_text
-from draftvalue.core_model import Metric
-from draftvalue.io import CSV_COLUMNS, DataError, load_draft_csv, write_draft_csv
+from draftvalue.core_model import Metric, PlayerRecord
+from draftvalue.io import CHUNK_ROWS, CSV_COLUMNS, DataError, load_draft_csv, write_draft_csv
 from draftvalue.synth import SynthConfig, generate_synthetic_draft
 
 from conftest import make_record
@@ -85,6 +91,71 @@ class TestIngest:
         assert len(classes[0]) == 1
         assert any("211" in m for m in caplog.messages)
 
+    def test_rows_past_210_logged_once(self, tmp_path, caplog):
+        rows = [f"1998,{s},T01,P{s},C,NA_SKATER,{s},10,150.0,0.5" for s in (1, 211, 2, 212, 250)]
+        path = write_csv(tmp_path, rows)
+        with caplog.at_level(logging.WARNING, logger="draftvalue"):
+            classes = load_draft_csv(path)
+        assert [dc.columns.selection.tolist() for dc in classes] == [[1, 2]]
+        assert len(caplog.messages) == 1
+        message = caplog.messages[0]
+        assert "dropped 3 row(s)" in message and "line 3" in message and "211" in message
+
+    @pytest.mark.parametrize("column", [0, 1, 6, 7])  # year, selection, rank, gp7
+    def test_integer_past_int64_names_line(self, tmp_path, column):
+        fields = "1998,2,T02,Bravo,C,NA_SKATER,2,10,150.0,0.5".split(",")
+        fields[column] = "99999999999999999999"
+        path = write_csv(tmp_path, ["1998,1,T01,Alpha,C,NA_SKATER,1,100,1500.0,5.0", ",".join(fields)])
+        with pytest.raises(DataError, match=f"line 3: {CSV_COLUMNS[column]}: integer out of the 64-bit"):
+            load_draft_csv(path)
+
+    @pytest.mark.parametrize(
+        "rows, message",
+        [
+            # the header is line 1: a rule broken at line 2 comes before a
+            # field that cannot be parsed at line 3, and the other way round
+            (["1998,1,T01,A,C,NA_SKATER,1,-5,,", "1998,x,T01,B,C,NA_SKATER,2,10,1.0,1.0"],
+             "line 2: gp7: must be >= 0, got -5"),
+            (["1998,x,T01,B,C,NA_SKATER,2,10,1.0,1.0", "1998,1,T01,A,C,NA_SKATER,1,-5,,"],
+             "line 2: unparseable integer field"),
+            # within a row the fields are checked in column order
+            (["1998,1,T01,A,X,NA_SKATER,1,10,abc,1.0"], "line 2: position: unknown code 'X'"),
+            (["1998,1,T01,A,C,NA_SKATER,1,10,abc,1.0,extra"], "line 2: expected 10 fields"),
+            # a duplicate is reported at its second row, before a later bad row
+            (["1998,1,T01,A,C,NA_SKATER,1,10,1.0,1.0", "1998,1,T01,B,C,NA_SKATER,2,10,1.0,1.0",
+              "1998,2,T01,C,C,NA_SKATER,3,-1,1.0,1.0"],
+             "line 3: duplicate selection 1 in year 1998"),
+            (["1998,1,T01,A,C,NA_SKATER,1,10,1.0,1.0", "1998,2,T01,C,C,NA_SKATER,3,-1,1.0,1.0",
+              "1998,1,T01,B,C,NA_SKATER,2,10,1.0,1.0"],
+             "line 3: gp7"),
+            # a row past pick 210 is not validated, but it must parse
+            (["1998,1,T01,A,C,NA_SKATER,1,10,1.0,1.0", "1998,211,T01,B,C,NA_SKATER,2,-1,,",
+              "1998,212,T01,B,C,NA_SKATER,2,ten,,"],
+             "line 4: unparseable integer field"),
+            # blank lines count
+            (["1998,1,T01,A,C,NA_SKATER,1,10,1.0,1.0", "", "", "1998,2,T01,B,C,NA_SKATER,2,10,,1.0"],
+             "line 5: toi7: missing for a skater with NHL games"),
+        ],
+    )
+    def test_first_bad_row_in_file_order(self, tmp_path, rows, message):
+        with pytest.raises(DataError) as exc:
+            load_draft_csv(write_csv(tmp_path, rows))
+        assert str(exc.value).startswith(message)
+
+    def test_first_bad_row_across_chunks(self, tmp_path):
+        # the duplicate of pick 1 sits in the first chunk, the invalid row in a later one
+        rows = [f"{1900 + i},1,T01,P,C,NA_SKATER,1,10,1.0,1.0" for i in range(3 * CHUNK_ROWS)]
+        rows[5] = rows[0]
+        rows[2 * CHUNK_ROWS] = "2999,1,T01,P,C,NA_SKATER,1,-1,1.0,1.0"
+        with pytest.raises(DataError, match=f"^line 7: duplicate selection 1 in year 1900$"):
+            load_draft_csv(write_csv(tmp_path, rows))
+        rows[5] = "1905,1,T01,P,C,NA_SKATER,1,10,1.0,1.0"
+        with pytest.raises(DataError, match=f"^line {2 * CHUNK_ROWS + 2}: gp7"):
+            load_draft_csv(write_csv(tmp_path, rows))
+        rows[2 * CHUNK_ROWS] = rows[0]
+        with pytest.raises(DataError, match=f"^line {2 * CHUNK_ROWS + 2}: duplicate selection 1"):
+            load_draft_csv(write_csv(tmp_path, rows))
+
     def test_empty_file_errors(self, tmp_path):
         path = write_csv(tmp_path, [])
         with pytest.raises(DataError, match="no data rows"):
@@ -95,7 +166,9 @@ class TestIngest:
         path = tmp_path / "out.csv"
         write_draft_csv(classes, path)
         reread = load_draft_csv(path)
-        assert reread == classes
+        assert [(dc.year, list(dc.records)) for dc in reread] == [
+            (dc.year, list(dc.records)) for dc in classes
+        ]
 
 
 class TestConfigFile:
@@ -249,10 +322,15 @@ class TestCli:
             HEADER + "\n1998,1,T01,Alpha,C,NA_SKATER,1,100,1500.0,inf\n",
             HEADER + "\n1998,1,T01,Alpha,C,NA_SKATER,3.5,100,1500.0,5.0\n",
             HEADER + "\n1998,1,T01,Alpha,C\n",
+            HEADER + "\n1998,1,T01,Alpha,C,NA_SKATER,99999999999999999999,100,1500.0,5.0\n",
+            HEADER + "\n1998,1,T01," + "A" * 200_000 + ",C,NA_SKATER,1,100,1500.0,5.0\n",
             (HEADER + "\n1998,1,T01,Alpha,C,NA_SKATER,1,100,1500.0,5.0\n").encode() + b"\xff\xfe\n",
             None,  # a directory
         ],
-        ids=["nan", "inf", "fractional-rank", "short-row", "not-utf8", "directory"],
+        ids=[
+            "nan", "inf", "fractional-rank", "short-row", "rank-past-int64", "field-too-long",
+            "not-utf8", "directory",
+        ],
     )
     def test_bad_input_exit_code(self, tmp_path, capsys, content):
         path = tmp_path / "draft.csv"
@@ -264,6 +342,24 @@ class TestCli:
             path.write_text(content, encoding="utf-8")
         assert main(["run", str(path), "--out", str(tmp_path / "o")]) == 2
         assert capsys.readouterr().err.startswith("data error:")
+
+    def test_ingest_and_run_build_no_player_record(self, tmp_path, monkeypatch, capsys):
+        path = tmp_path / "draft.csv"
+        write_draft_csv(generate_synthetic_draft(SynthConfig(seed=0)), path)
+        built = []
+        init = PlayerRecord.__init__
+
+        def counting_init(self, *args, **kwargs):
+            built.append(1)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(PlayerRecord, "__init__", counting_init)
+        assert main(["ingest-check", str(path), "--out", str(tmp_path)]) == 0
+        assert main(["run", str(path), "--out", str(tmp_path / "o")]) == 0
+        assert sum(len(dc.records) for dc in load_draft_csv(path)) == 1050
+        assert not built
+        load_draft_csv(path)[0].records[-1]  # the view builds a record when one is read
+        assert built
 
     def test_run_seed_needs_no_data(self, tmp_path, capsys):
         out = tmp_path / "o"
@@ -303,3 +399,57 @@ class TestCli:
             assert main(argv) == 0
             curves.append((out / "curves" / "expected_gvt_css.csv").read_text())
         assert curves[0] != curves[1]
+
+
+# fields a fuzzed row draws from: valid values, out-of-range and past-int64
+# integers, non-finite and malformed numbers, unknown codes and free text
+_FUZZ_FIELD = st.one_of(
+    st.integers(-3, 215).map(str),
+    st.integers(-(2**70), 2**70).map(str),
+    st.floats(allow_nan=True, allow_infinity=True).map(repr),
+    st.sampled_from(["", " ", "C", "g", "D", "X", "NA_SKATER", "eu_goalie", "UNRANKED", "1998"]),
+    st.text(max_size=6),
+)
+_FUZZ_ROW = st.one_of(
+    st.tuples(
+        st.sampled_from(["1998", "1999"]),
+        st.sampled_from(["1", "2", "3", "211"]),  # few slots: duplicates are common
+        st.just("T01"),
+        st.just("Name"),
+        st.sampled_from(["C", "D", "G"]),
+        st.sampled_from(["NA_SKATER", "EU_SKATER", "NA_GOALIE", "UNRANKED"]),
+        st.sampled_from(["", "1", "2"]),
+        st.sampled_from(["0", "1", "50"]),
+        st.sampled_from(["", "100.0"]),
+        st.sampled_from(["", "-3.5"]),
+    ).map(list),
+    st.lists(_FUZZ_FIELD, min_size=9, max_size=11),
+    st.just([]),  # a blank line
+)
+
+
+@given(
+    rows=st.lists(_FUZZ_ROW, max_size=8),
+    mutations=st.lists(st.tuples(st.integers(0, 9), _FUZZ_FIELD), max_size=3),
+    tail=st.binary(max_size=4),
+)
+@settings(max_examples=150, deadline=None)
+def test_fuzzed_csv_exits_0_or_2_without_traceback(rows, mutations, tail):
+    rows = [list(r) for r in rows]
+    for i, (col, value) in enumerate(mutations):
+        if rows and len(rows[i % len(rows)]) > col:
+            rows[i % len(rows)][col] = value
+    body = HEADER + "\n" + "\n".join(",".join(r) for r in rows) + "\n"
+    content = body.encode("utf-8", errors="surrogatepass") + tail
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "draft.csv"
+        path.write_bytes(content)
+        try:
+            load_draft_csv(path)
+        except DataError:
+            pass
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+            code = main(["ingest-check", str(path), "--out", tmp])
+    assert code in (0, 2), err.getvalue()
+    assert "Traceback" not in err.getvalue()

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from draftvalue.numerics import (
+    GRID_CHUNK,
     antitonic_fit,
     loess_fit,
     pearson,
@@ -147,6 +148,23 @@ class TestLoess:
         shuffled = loess_fit(x[perm], y[perm], grid=grid, span=span).values
         scale = max(1.0, np.max(np.abs(y)))
         assert np.allclose(shuffled, base, rtol=1e-12, atol=1e-12 * scale)
+
+    @given(
+        st.lists(st.integers(0, 60), min_size=8, max_size=120),
+        st.floats(0.05, 1.0),
+        st.floats(-3.0, 3.0),
+        st.integers(0, 2**31),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_grid_points_fitted_independently(self, xs, span, offset, seed):
+        x = np.array(xs, dtype=float)
+        assume(len(np.unique(x)) >= 3 and math.ceil(span * len(x)) >= 2)
+        y = np.random.default_rng(seed).normal(size=len(x)) * 50 + x
+        grid = np.linspace(-5.0, 65.0, 2 * GRID_CHUNK + 7) + offset
+        values = loess_fit(x, y, grid=grid, span=span).values
+        alone = [loess_fit(x, y, grid=grid[j : j + 1], span=span).values[0] for j in range(len(grid))]
+        scale = max(1.0, np.max(np.abs(y)))
+        assert np.allclose(values, alone, rtol=1e-12, atol=1e-12 * scale)
 
     def test_ties_match_raw_row_wls_oracle(self, rng):
         checked = 0

@@ -64,9 +64,9 @@ class TestTeamGains:
         curves = flat_curves(50.0)
         base = {g.team: g for g in team_gains([dc], orderings, curves)}
         swap = {"T01": "T02", "T02": "T01", "T03": "T03", "T04": "T04"}
-        renamed = DraftClass(
-            year=dc.year,
-            records=tuple(dataclasses.replace(r, team=swap[r.team]) for r in dc.records),
+        renamed = DraftClass.from_records(
+            dc.year,
+            tuple(dataclasses.replace(r, team=swap[r.team]) for r in dc.records),
         )
         permuted = {g.team: g for g in team_gains([renamed], {dc.year: orderings[dc.year]}, curves)}
         for old, new in swap.items():
@@ -99,9 +99,9 @@ class TestNormalityCheck:
 class TestSplitHalf:
     def _two_identical_years(self, rng):
         dc = random_class(rng, n=24, year=1998, teams=6)
-        clone = DraftClass(
-            year=2001,
-            records=tuple(dataclasses.replace(r, year=2001) for r in dc.records),
+        clone = DraftClass.from_records(
+            2001,
+            tuple(dataclasses.replace(r, year=2001) for r in dc.records),
         )
         classes = [dc, clone]
         orderings = {c.year: css_ordering(c, UNIT) for c in classes}
@@ -119,9 +119,9 @@ class TestSplitHalf:
         classes, orderings = self._two_identical_years(rng)
         # flip the late half around the curve level: gain -> -gain
         late = classes[1]
-        flipped = DraftClass(
-            year=2001,
-            records=tuple(
+        flipped = DraftClass.from_records(
+            2001,
+            tuple(
                 dataclasses.replace(
                     r,
                     gp7=max(0, 2 * 80 - r.gp7),
