@@ -40,40 +40,42 @@ class _Parser(argparse.ArgumentParser):
 def _build_parser() -> _Parser:
     parser = _Parser(prog="draftval", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p, data=True):
-        if data:
+    out = dict(
+        type=Path,
+        default=Path(os.environ.get("DRAFTVAL_OUT", "out")),
+        help="output directory (default $DRAFTVAL_OUT or ./out)",
+    )
+    # help of each data subcommand, and whether it reads --metric and --by-position
+    for name, summary, metric, by_position in (
+        ("ingest-check", "validate a draft CSV", False, False),
+        ("cescin", "integrated scouting ordering and factors", False, False),
+        ("audit", "optimal / nearly-optimal replay percentages", True, False),
+        ("curves", "expected-performance curves per ordering", True, False),
+        ("surplus", "scouting surplus per pick and in dollars", True, True),
+        ("teams", "per-team gains and significance checks", True, False),
+        ("chart", "monotone draft value pick chart", False, False),
+        ("run", "full pipeline", True, True),
+    ):
+        p = sub.add_parser(name, help=summary)
+        if name == "run":
+            p.add_argument("data", nargs="?", help="draft CSV file (not needed with --seed)")
+            p.add_argument("--seed", type=int, help="ignore the data file and use synthetic data")
+        else:
             p.add_argument("data", help="draft CSV file")
         p.add_argument("--config", type=Path, help="flat key/value config file")
-        p.add_argument(
-            "--out",
-            type=Path,
-            default=Path(os.environ.get("DRAFTVAL_OUT", "out")),
-            help="output directory (default $DRAFTVAL_OUT or ./out)",
-        )
-        p.add_argument(
-            "--metric",
-            choices=["toi", "gp", "gvt", "all"],
-            default="all",
-            help="restrict analysis to one metric",
-        )
-        p.add_argument("--by-position", action="store_true", help="stratify by position group")
-
-    common(sub.add_parser("ingest-check", help="validate a draft CSV"))
-    common(sub.add_parser("cescin", help="integrated scouting ordering and factors"))
-    common(sub.add_parser("audit", help="optimal / nearly-optimal replay percentages"))
-    common(sub.add_parser("curves", help="expected-performance curves per ordering"))
-    common(sub.add_parser("surplus", help="scouting surplus per pick and in dollars"))
-    common(sub.add_parser("teams", help="per-team gains and significance checks"))
-    common(sub.add_parser("chart", help="monotone draft value pick chart"))
-
-    p = sub.add_parser("run", help="full pipeline")
-    common(p, data=False)
-    p.add_argument("data", nargs="?", help="draft CSV file (not needed with --seed)")
-    p.add_argument("--seed", type=int, help="ignore the data file and use synthetic data")
+        p.add_argument("--out", **out)
+        if metric:
+            p.add_argument(
+                "--metric",
+                choices=["toi", "gp", "gvt", "all"],
+                default="all",
+                help="restrict analysis to one metric",
+            )
+        if by_position:
+            p.add_argument("--by-position", action="store_true", help="stratify by position group")
 
     p = sub.add_parser("synth", help="write a synthetic draft CSV")
-    common(p, data=False)
+    p.add_argument("--out", **out)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--years", type=int, default=5)
     p.add_argument("--picks", type=int, default=210)
@@ -85,7 +87,7 @@ def _build_parser() -> _Parser:
 
 def _run_config(args) -> RunConfig:
     cfg = RunConfig()
-    if getattr(args, "config", None):
+    if args.config:
         try:
             cfg = load_config(args.config, cfg)
         except (OSError, ValueError) as exc:

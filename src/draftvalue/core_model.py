@@ -5,6 +5,7 @@ analysis stages read, and descriptive summaries."""
 from __future__ import annotations
 
 import enum
+import logging
 import math
 from dataclasses import dataclass, replace
 from functools import cached_property
@@ -12,6 +13,8 @@ from collections.abc import Sequence
 from typing import Iterable, Mapping, Optional
 
 import numpy as np
+
+logger = logging.getLogger("draftvalue")
 
 
 class Position(enum.Enum):
@@ -127,12 +130,15 @@ _GROUP_OF_POSITION = np.array([GROUPS.index(position_group(p)) for p in POSITION
 
 @dataclass(frozen=True, eq=False)
 class RawRows:
-    """Parsed outcome and scouting fields of player rows, before validation
-    and imputation. ``position`` and ``css_category`` index ``POSITIONS``
-    and ``CATEGORIES``; an absent rank reads 0 and an absent ``toi7`` or
+    """Parsed fields of player rows, before validation and imputation.
+    ``position`` and ``css_category`` index ``POSITIONS`` and
+    ``CATEGORIES``; an absent rank reads 0 and an absent ``toi7`` or
     ``gvt7`` NaN, and the ``has_*`` masks tell absent from given."""
 
+    year: np.ndarray
     selection: np.ndarray
+    team: np.ndarray
+    name: np.ndarray
     position: np.ndarray
     css_category: np.ndarray
     css_category_rank: np.ndarray
@@ -204,22 +210,16 @@ def impute(rows: RawRows, config: ImputationConfig) -> tuple[np.ndarray, np.ndar
     return toi7, np.where(never_played, config.never_played_gvt, rows.gvt7)
 
 
-def normalize_rows(rows: RawRows, config: ImputationConfig) -> tuple[np.ndarray, np.ndarray]:
-    """``impute`` after validation; raises the RecordError of the first
-    invalid row."""
-    invalid = first_invalid_row(rows)
-    if invalid is not None:
-        raise invalid[1]
-    return impute(rows, config)
-
-
 def normalize_record(
     raw: PlayerRecord, config: ImputationConfig = ImputationConfig()
 ) -> PlayerRecord:
-    """Validate one record and apply the imputation rules (a one-row
-    ``normalize_rows``); returns a fully-populated record. Idempotent."""
+    """Validate one record and apply the imputation rules; returns a
+    fully-populated record. Idempotent."""
     rows = RawRows(
+        year=np.array([raw.year]),
         selection=np.array([raw.selection]),
+        team=np.array([raw.team]),
+        name=np.array([raw.name]),
         position=np.array([POSITIONS.index(raw.position)]),
         css_category=np.array([CATEGORIES.index(raw.css_category)]),
         css_category_rank=np.array([raw.css_category_rank or 0]),
@@ -230,7 +230,10 @@ def normalize_record(
         gvt7=np.array([math.nan if raw.gvt7 is None else raw.gvt7], dtype=float),
         has_gvt7=np.array([raw.gvt7 is not None]),
     )
-    toi7, gvt7 = normalize_rows(rows, config)
+    invalid = first_invalid_row(rows)
+    if invalid is not None:
+        raise invalid[1]
+    toi7, gvt7 = impute(rows, config)
     return replace(raw, toi7=float(toi7[0]), gvt7=float(gvt7[0]))
 
 
@@ -240,7 +243,7 @@ class DraftColumns:
 
     ``position`` and ``category`` are indices into ``POSITIONS`` and
     ``CATEGORIES``; ``category_rank`` is 0 for unranked players; ``metrics``
-    holds one float column per outcome metric.
+    holds one column per outcome metric: integer games, float TOI and GVT.
     """
 
     selection: np.ndarray
@@ -264,20 +267,6 @@ class DraftColumns:
         out = _GROUP_OF_POSITION[self.position]
         out.flags.writeable = False
         return out
-
-    @classmethod
-    def from_records(cls, records: Sequence[PlayerRecord]) -> "DraftColumns":
-        return cls(
-            selection=np.array([r.selection for r in records], np.int64),
-            position=np.array([POSITIONS.index(r.position) for r in records], np.int8),
-            team=np.array([r.team for r in records], str),
-            name=np.array([r.name for r in records], str),
-            category=np.array([CATEGORIES.index(r.css_category) for r in records], np.int8),
-            category_rank=np.array([r.css_category_rank or 0 for r in records], np.int64),
-            metrics={
-                m: np.array([getattr(r, f"{m.value}7") for r in records], float) for m in Metric
-            },
-        )
 
 
 @dataclass(frozen=True, eq=False)
@@ -305,7 +294,20 @@ class DraftClass:
         for r in records:
             if r.year != year:
                 raise ValueError(f"record year {r.year} != class year {year}")
-        return cls(year, DraftColumns.from_records(records))
+        columns = DraftColumns(
+            selection=np.array([r.selection for r in records], np.int64),
+            position=np.array([POSITIONS.index(r.position) for r in records], np.int8),
+            team=np.array([r.team for r in records], str),
+            name=np.array([r.name for r in records], str),
+            category=np.array([CATEGORIES.index(r.css_category) for r in records], np.int8),
+            category_rank=np.array([r.css_category_rank or 0 for r in records], np.int64),
+            metrics={
+                Metric.GP: np.array([r.gp7 for r in records], np.int64),
+                Metric.TOI: np.array([r.toi7 for r in records], float),
+                Metric.GVT: np.array([r.gvt7 for r in records], float),
+            },
+        )
+        return cls(year, columns)
 
     def __len__(self) -> int:
         return len(self.columns.selection)
@@ -340,6 +342,32 @@ class RecordView(Sequence):
             toi7=float(c.metrics[Metric.TOI][i]),
             gvt7=float(c.metrics[Metric.GVT][i]),
         )
+
+
+def draft_classes(rows: RawRows, imputation: ImputationConfig) -> list[DraftClass]:
+    """Valid rows sorted by year and selection, imputed and split into one
+    class per year whose columns are slices of the columns of ``rows``.
+    Missing selections within a year are logged."""
+    toi7, gvt7 = impute(rows, imputation)
+    year, selection = rows.year, rows.selection
+    bounds = [0, *(np.flatnonzero(np.diff(year)) + 1).tolist(), year.size]
+    classes = []
+    for lo, hi in zip(bounds, bounds[1:]):
+        sels = selection[lo:hi]
+        if sels[-1] - sels[0] >= len(sels):
+            missing = np.setdiff1d(np.arange(sels[0], sels[-1] + 1), sels)
+            logger.info("year %d: missing selection(s) %s", year[lo], missing.tolist())
+        columns = DraftColumns(
+            selection=sels,
+            position=rows.position[lo:hi],
+            team=rows.team[lo:hi],
+            name=rows.name[lo:hi],
+            category=rows.css_category[lo:hi],
+            category_rank=rows.css_category_rank[lo:hi],
+            metrics={Metric.GP: rows.gp7[lo:hi], Metric.TOI: toi7[lo:hi], Metric.GVT: gvt7[lo:hi]},
+        )
+        classes.append(DraftClass(int(year[lo]), columns))
+    return classes
 
 
 @dataclass(frozen=True)

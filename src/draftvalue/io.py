@@ -8,11 +8,10 @@ with empty strings for absent rank/toi7/gvt7.
 from __future__ import annotations
 
 import csv
-import dataclasses
 import logging
-import math
 from functools import partial
-from itertools import compress, islice, repeat
+from itertools import islice, repeat
+from operator import length_hint
 from pathlib import Path
 from typing import Iterable, Sequence, Union
 
@@ -23,12 +22,11 @@ from .core_model import (
     MAX_SELECTION,
     POSITIONS,
     DraftClass,
-    DraftColumns,
     ImputationConfig,
     Metric,
     RawRows,
+    draft_classes,
     first_invalid_row,
-    impute,
 )
 
 logger = logging.getLogger("draftvalue")
@@ -68,13 +66,13 @@ def _unparseable(kind):
     return message
 
 
-# (field, texts -> values, dtype, value when blank (None: required), error
-# message) in the order a row's fields are checked
+# (field, texts -> values, dtype, stand-in text when blank (None: required),
+# error message) in the order a row's fields are checked
 _PARSERS = (
     ("year", partial(map, int), np.int64, None, _unparseable("integer")),
     ("selection", partial(map, int), np.int64, None, _unparseable("integer")),
     ("gp7", partial(map, int), np.int64, None, _unparseable("integer")),
-    ("css_category_rank", partial(map, int), np.int64, 0, _unparseable("integer")),
+    ("css_category_rank", partial(map, int), np.int64, "0", _unparseable("integer")),
     (
         "position",
         _codes(POSITIONS),
@@ -89,8 +87,8 @@ _PARSERS = (
         None,
         lambda field, text, exc: f"css_category: unknown category {text!r}",
     ),
-    ("toi7", partial(map, float), float, math.nan, _unparseable("numeric")),
-    ("gvt7", partial(map, float), float, math.nan, _unparseable("numeric")),
+    ("toi7", partial(map, float), float, "nan", _unparseable("numeric")),
+    ("gvt7", partial(map, float), float, "nan", _unparseable("numeric")),
 )
 
 
@@ -98,30 +96,12 @@ def _convert(texts: Sequence[str], convert, dtype):
     """``convert(texts)`` as an array, cut short at the first text that does
     not convert into ``dtype``; returns the array and that text's index and
     exception, or (array, None, None)."""
+    rest = iter(texts)
     try:
-        return np.fromiter(convert(texts), dtype, len(texts)), None, None
-    except (ValueError, KeyError, OverflowError):
-        pass
-    for i, text in enumerate(texts):
-        try:
-            np.fromiter(convert([text]), dtype, 1)
-        except (ValueError, KeyError, OverflowError) as exc:
-            return np.fromiter(convert(texts[:i]), dtype, i), i, exc
-    raise AssertionError("unreachable: some text failed to convert")
-
-
-def _convert_optional(texts: Sequence[str], convert, dtype, blank):
-    """``_convert`` of the stripped texts that are not blank, with ``blank``
-    in place of the others; also returns the stripped texts and which of
-    them are given."""
-    texts = list(map(str.strip, texts))
-    given = np.fromiter(map(bool, texts), bool, len(texts))
-    values, bad, exc = _convert(list(compress(texts, given)), convert, dtype)
-    if bad is not None:
-        bad = int(np.flatnonzero(given)[bad])
-    out = np.full(len(texts) if bad is None else bad, blank, dtype)
-    out[given[: len(out)]] = values
-    return out, given, texts, bad, exc
+        return np.fromiter(convert(rest), dtype, len(texts)), None, None
+    except (ValueError, KeyError, OverflowError) as exc:
+        bad = len(texts) - length_hint(rest) - 1  # the failing text was the last one taken
+        return np.fromiter(convert(texts[:bad]), dtype, bad), bad, exc
 
 
 def _parse_chunk(rows: list[list[str]], lines: np.ndarray):
@@ -143,12 +123,11 @@ def _parse_chunk(rows: list[list[str]], lines: np.ndarray):
     cols = {}
     for field, convert, dtype, blank, message in _PARSERS:
         column = texts[field][:stop]
-        if blank is None:
-            cols[field], bad, exc = _convert(column, convert, dtype)
-        else:
-            cols[field], cols[f"has_{field}"], column, bad, exc = _convert_optional(
-                column, convert, dtype, blank
-            )
+        if blank is not None:
+            column = list(map(str.strip, column))
+            cols[f"has_{field}"] = np.fromiter(map(bool, column), bool, len(column))
+            column = [text or blank for text in column]
+        cols[field], bad, exc = _convert(column, convert, dtype)
         if bad is not None:
             stop = bad
             error = (int(lines[bad]), message(field, column[bad], exc))
@@ -159,49 +138,31 @@ def _parse_chunk(rows: list[list[str]], lines: np.ndarray):
     return cols, error
 
 
-def _read(path: Path, imputation: ImputationConfig):
-    """Validated, imputed columns of the rows of a draft CSV up to its first
-    bad row, in file order, and that row's error as (line, message) or None.
-    Rows past the top 210 are dropped here."""
+def _read(path: Path):
+    """Parsed columns of the rows of a draft CSV up to its first row that
+    does not parse, in file order, and that row's error as (line, message)
+    or None. A ``csv.Error`` is the error of the row being read."""
     parts, error = [], None
-    dropped, first_dropped = 0, None
     with path.open(newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
-        try:
-            header = next(reader, None)
-            if header is None:
-                raise DataError(f"{path}: empty file, missing header")
-            if tuple(header) != CSV_COLUMNS:
-                raise DataError(f"{path}: bad header {header}, expected {list(CSV_COLUMNS)}")
-            first_line = 2  # the header is line 1, and a blank line counts
-            for rows in iter(lambda: list(islice(reader, CHUNK_ROWS)), []):
-                lines = np.arange(first_line, first_line + len(rows))
-                first_line += len(rows)
-                cols, error = _parse_chunk(rows, lines)
-                past = cols["selection"] > MAX_SELECTION
-                if past.any():
-                    if not dropped:
-                        first_dropped = (cols["line"][past][0], cols["selection"][past][0])
-                    dropped += int(past.sum())
-                    cols = {field: col[~past] for field, col in cols.items()}
-                raw = RawRows(**{f.name: cols[f.name] for f in dataclasses.fields(RawRows)})
-                invalid = first_invalid_row(raw)
-                if invalid is not None:
-                    error = (int(cols["line"][invalid[0]]), str(invalid[1]))
-                cols["toi7"], cols["gvt7"] = impute(raw, imputation)
-                parts.append(cols)
-                if error is not None:
-                    break
-        except csv.Error as exc:
-            raise DataError(f"{path}: line {reader.line_num}: {exc}") from exc
-    if dropped:
-        logger.warning(
-            "dropped %d row(s) with a selection past the top %d, the first at line %d "
-            "(selection %d)",
-            dropped, MAX_SELECTION, *first_dropped,
-        )
-    if not parts:
-        raise DataError(f"{path}: no data rows")
+        header = next(reader, None)
+        if header is None:
+            raise DataError(f"{path}: empty file, missing header")
+        if tuple(header) != CSV_COLUMNS:
+            raise DataError(f"{path}: bad header {header}, expected {list(CSV_COLUMNS)}")
+        first_line = 2  # the header is line 1, and a blank line counts
+        while True:
+            rows = []
+            try:
+                rows.extend(islice(reader, CHUNK_ROWS))  # keeps the rows read before an error
+            except csv.Error as exc:
+                error = (first_line + len(rows), str(exc))
+            cols, row_error = _parse_chunk(rows, np.arange(first_line, first_line + len(rows)))
+            first_line += len(rows)
+            error = row_error or error  # a row that does not parse comes before the csv error
+            parts.append(cols)
+            if error is not None or not rows:
+                break
     # one field at a time, so the chunks of a field are freed as it is joined
     fields = list(parts[0])
     return {field: np.concatenate([part.pop(field) for part in parts]) for field in fields}, error
@@ -220,49 +181,45 @@ def load_draft_csv(
     """
     path = Path(path)
     try:
-        cols, error = _read(path, imputation)
+        cols, error = _read(path)
     except UnicodeDecodeError as exc:
         raise DataError(f"{path}: not UTF-8 text (byte {exc.start})") from exc
     except OSError as exc:
         raise DataError(f"{path}: {exc.strerror}") from exc
+    except csv.Error as exc:  # in the header: the rows catch their own
+        raise DataError(f"{path}: line 1: {exc}") from exc
+    # each column is replaced one at a time, so at most one is held twice
+    past = cols["selection"] > MAX_SELECTION
+    if past.any():
+        first = int(np.argmax(past))
+        logger.warning(
+            "dropped %d row(s) with a selection past the top %d, the first at line %d "
+            "(selection %d)",
+            past.sum(), MAX_SELECTION, cols["line"][first], cols["selection"][first],
+        )
+        for field in cols:
+            cols[field] = cols[field][~past]
+    line = cols.pop("line")
+    invalid = first_invalid_row(RawRows(**cols))
+    if invalid is not None:
+        invalid = (int(line[invalid[0]]), str(invalid[1]))
     order = np.lexsort((cols["selection"], cols["year"]))
+    line = line[order]
     for field in cols:
         cols[field] = cols[field][order]
-    year, selection, line = cols["year"], cols["selection"], cols["line"]
+    year, selection = cols["year"], cols["selection"]
     # a stable sort keeps file order within a slot: each later row is a duplicate
     later = np.flatnonzero((year[1:] == year[:-1]) & (selection[1:] == selection[:-1])) + 1
+    duplicate = None
     if later.size:
         i = later[np.argmin(line[later])]
-        if error is None or line[i] < error[0]:  # on a tie the row's own error came first
-            error = (int(line[i]), f"duplicate selection {selection[i]} in year {year[i]}")
-    if error is not None:
-        raise DataError(f"line {error[0]}: {error[1]}")
+        duplicate = (int(line[i]), f"duplicate selection {selection[i]} in year {year[i]}")
+    errors = [e for e in (invalid, duplicate, error) if e is not None]
+    if errors:  # the least line; on a tie the row's own error came first
+        raise DataError("line %d: %s" % min(errors, key=lambda e: e[0]))
     if not year.size:
         raise DataError(f"{path}: no data rows")
-
-    gp7 = cols["gp7"].astype(float)
-    classes = []
-    bounds = [0, *(np.flatnonzero(np.diff(year)) + 1).tolist(), year.size]
-    for lo, hi in zip(bounds, bounds[1:]):
-        sels = selection[lo:hi]
-        if sels[-1] - sels[0] >= len(sels):
-            missing = np.setdiff1d(np.arange(sels[0], sels[-1] + 1), sels)
-            logger.info("year %d: missing selection(s) %s", year[lo], missing.tolist())
-        columns = DraftColumns(
-            selection=sels,
-            position=cols["position"][lo:hi],
-            team=cols["team"][lo:hi],
-            name=cols["name"][lo:hi],
-            category=cols["css_category"][lo:hi],
-            category_rank=cols["css_category_rank"][lo:hi],
-            metrics={
-                Metric.GP: gp7[lo:hi],
-                Metric.TOI: cols["toi7"][lo:hi],
-                Metric.GVT: cols["gvt7"][lo:hi],
-            },
-        )
-        classes.append(DraftClass(int(year[lo]), columns))
-    return classes
+    return draft_classes(RawRows(**cols), imputation)
 
 
 def write_draft_csv(classes: Iterable[DraftClass], path: Union[str, Path]) -> None:
@@ -282,7 +239,7 @@ def write_draft_csv(classes: Iterable[DraftClass], path: Union[str, Path]) -> No
                     [POSITIONS[p].value for p in c.position.tolist()],
                     [CATEGORIES[k].value for k in c.category.tolist()],
                     [rank or "" for rank in c.category_rank.tolist()],
-                    c.metrics[Metric.GP].astype(np.int64).tolist(),
+                    c.metrics[Metric.GP].tolist(),
                     map(repr, c.metrics[Metric.TOI].tolist()),
                     map(repr, c.metrics[Metric.GVT].tolist()),
                 )

@@ -125,8 +125,9 @@ def _fit_rows(x, y, count, q, x0):
     sw = lw.sum(axis=1)
     s1 = lwx.sum(axis=1)
     s2 = np.einsum("ij,ij->i", lwx, xc)
-    t0 = lw @ y
-    t1 = lwx @ y
+    # einsum, not BLAS gemv: its rounding would depend on the rows in the chunk
+    t0 = np.einsum("ij,j->i", lw, y)
+    t1 = np.einsum("ij,j->i", lwx, y)
     spread = s2 / sw - (s1 / sw) ** 2
     flat = spread <= 1e-12 * np.maximum(1.0, d.max(axis=1) ** 2)
     return np.where(flat, t0 / sw, (s2 * t0 - s1 * t1) / (sw * s2 - s1 * s1))

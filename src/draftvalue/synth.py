@@ -18,12 +18,10 @@ from .core_model import (
     POSITIONS,
     CssCategory,
     DraftClass,
-    DraftColumns,
     ImputationConfig,
-    Metric,
     Position,
     RawRows,
-    normalize_rows,
+    draft_classes,
 )
 
 _FORWARD_CODES = np.array(
@@ -93,7 +91,7 @@ def generate_synthetic_draft(
     """Deterministic synthetic drafts; identical config gives identical output.
     ``imputation`` fills the outcomes of players who never played."""
     rng = np.random.default_rng(config.seed)
-    classes = []
+    parts = []  # the rows of each year in pick order, as RawRows fields
     n = config.picks_per_year
     quality = np.exp(-config.quality_decay * np.arange(n) / n)
     played_p = _played_probabilities(n, config.never_played_rate)
@@ -140,27 +138,19 @@ def generate_synthetic_draft(
 
         by_pick = np.argsort(selection_of)
         selection = selection_of[by_pick]
-        raw = RawRows(
+        parts.append(dict(
+            year=np.full(n, year),
             selection=selection,
+            team=np.array([f"T{(s - 1) % config.teams + 1:02d}" for s in selection.tolist()]),
+            name=np.array([f"P{year}_{i + 1:03d}" for i in by_pick.tolist()]),
             position=position[by_pick],
             css_category=category[by_pick],
             css_category_rank=category_rank[by_pick],
-            has_css_category_rank=np.ones(n, dtype=bool),
             gp7=gp[by_pick],
             toi7=toi[by_pick],
-            has_toi7=np.ones(n, dtype=bool),
             gvt7=gvt[by_pick],
             has_gvt7=gp[by_pick] > 0,
-        )
-        toi7, gvt7 = normalize_rows(raw, imputation)
-        columns = DraftColumns(
-            selection=selection,
-            position=raw.position,
-            team=np.array([f"T{(s - 1) % config.teams + 1:02d}" for s in selection.tolist()]),
-            name=np.array([f"P{year}_{i + 1:03d}" for i in by_pick.tolist()]),
-            category=raw.css_category,
-            category_rank=raw.css_category_rank,
-            metrics={Metric.GP: raw.gp7.astype(float), Metric.TOI: toi7, Metric.GVT: gvt7},
-        )
-        classes.append(DraftClass(year, columns))
-    return classes
+        ))
+    cols = {field: np.concatenate([part[field] for part in parts]) for field in parts[0]}
+    given = np.ones(len(cols["year"]), dtype=bool)
+    return draft_classes(RawRows(**cols, has_css_category_rank=given, has_toi7=given), imputation)

@@ -4,6 +4,7 @@ import logging
 import tempfile
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -135,6 +136,15 @@ class TestIngest:
             # blank lines count
             (["1998,1,T01,A,C,NA_SKATER,1,10,1.0,1.0", "", "", "1998,2,T01,B,C,NA_SKATER,2,10,,1.0"],
              "line 5: toi7: missing for a skater with NHL games"),
+            # a row the csv module rejects is a bad row at its own line
+            (["1998,1,T01,A,C,NA_SKATER,1,-5,,", "1998,2,T01," + "B" * 200_000 + ",C,NA_SKATER,2,10,1.0,1.0"],
+             "line 2: gp7"),
+            (["1998,1,T01,A,C,NA_SKATER,1,10,1.0,1.0", "1998,2,T01," + "B" * 200_000 + ",C,NA_SKATER,2,10,1.0,1.0"],
+             "line 3: field larger than field limit"),
+            # a duplicate pair past pick 210 is dropped, not reported
+            (["1998,1,T01,A,C,NA_SKATER,1,10,1.0,1.0", "1998,211,T01,B,C,NA_SKATER,2,10,1.0,1.0",
+              "1998,211,T01,C,C,NA_SKATER,3,10,1.0,1.0", "1998,2,T01,D,C,NA_SKATER,4,-1,1.0,1.0"],
+             "line 5: gp7"),
         ],
     )
     def test_first_bad_row_in_file_order(self, tmp_path, rows, message):
@@ -156,6 +166,13 @@ class TestIngest:
         with pytest.raises(DataError, match=f"^line {2 * CHUNK_ROWS + 2}: duplicate selection 1"):
             load_draft_csv(write_csv(tmp_path, rows))
 
+    def test_games_past_2_pow_53_kept_exactly(self, tmp_path):
+        path = write_csv(tmp_path, ["1998,1,T01,A,C,NA_SKATER,1,9007199254740993,1.0,1.0"])
+        (dc,) = load_draft_csv(path)
+        assert dc.records[0].gp7 == 9007199254740993
+        write_draft_csv([dc], tmp_path / "out.csv")
+        assert ",9007199254740993," in (tmp_path / "out.csv").read_text(encoding="utf-8")
+
     def test_empty_file_errors(self, tmp_path):
         path = write_csv(tmp_path, [])
         with pytest.raises(DataError, match="no data rows"):
@@ -169,6 +186,30 @@ class TestIngest:
         assert [(dc.year, list(dc.records)) for dc in reread] == [
             (dc.year, list(dc.records)) for dc in classes
         ]
+
+
+_SHUFFLE_CLASSES = generate_synthetic_draft(SynthConfig(seed=7, years=3, picks_per_year=100))
+
+
+@given(order=st.permutations(range(300)), blanks=st.lists(st.integers(0, 300), max_size=6))
+@settings(max_examples=25, deadline=None)
+def test_row_order_and_blank_lines_do_not_change_the_classes(order, blanks):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "draft.csv"
+        write_draft_csv(_SHUFFLE_CLASSES, path)
+        header, *rows = path.read_text(encoding="utf-8").splitlines()
+        rows = [rows[i] for i in order]  # 300 rows span two chunks
+        for at in sorted(blanks, reverse=True):
+            rows.insert(at, "")
+        path.write_text("\n".join([header, *rows]) + "\n", encoding="utf-8")
+        loaded = load_draft_csv(path)
+    assert [dc.year for dc in loaded] == [dc.year for dc in _SHUFFLE_CLASSES]
+    for got, want in zip(loaded, _SHUFFLE_CLASSES):
+        for field in ("selection", "position", "team", "name", "category", "category_rank"):
+            assert np.array_equal(getattr(got.columns, field), getattr(want.columns, field)), field
+        for metric in Metric:
+            assert np.array_equal(got.columns.metrics[metric], want.columns.metrics[metric]), metric
+            assert got.columns.metrics[metric].dtype == want.columns.metrics[metric].dtype
 
 
 class TestConfigFile:
@@ -360,6 +401,26 @@ class TestCli:
         assert not built
         load_draft_csv(path)[0].records[-1]  # the view builds a record when one is read
         assert built
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["synth", "--config", "x.cfg"],
+            ["synth", "--metric", "gp"],
+            ["synth", "--by-position"],
+            *([command, "--metric", "gp"] for command in ("ingest-check", "cescin", "chart")),
+            *([command, "--by-position"]
+              for command in ("ingest-check", "cescin", "audit", "curves", "teams", "chart")),
+        ],
+        ids=" ".join,
+    )
+    def test_flag_the_subcommand_does_not_read_exit_code(self, tmp_path, capsys, argv):
+        main(["synth", "--seed", "1", "--years", "1", "--out", str(tmp_path)])
+        if argv[0] != "synth":
+            argv = [argv[0], str(tmp_path / "synthetic.csv"), *argv[1:]]
+        capsys.readouterr()
+        assert main([*argv, "--out", str(tmp_path / "o")]) == 1
+        assert "unrecognized arguments" in capsys.readouterr().err
 
     def test_run_seed_needs_no_data(self, tmp_path, capsys):
         out = tmp_path / "o"

@@ -1,12 +1,17 @@
 import itertools
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+import draftvalue
 from draftvalue.numerics import (
     GRID_CHUNK,
     antitonic_fit,
@@ -155,6 +160,7 @@ class TestLoess:
         st.floats(-3.0, 3.0),
         st.integers(0, 2**31),
     )
+    @example(xs=[0, 0, 0, 0, 0, 10, 36, 0, 9], span=0.25, offset=-2.0, seed=0)
     @settings(max_examples=60, deadline=None)
     def test_grid_points_fitted_independently(self, xs, span, offset, seed):
         x = np.array(xs, dtype=float)
@@ -325,3 +331,13 @@ class TestPearson:
         scaled = pearson(a * x + b, y)
         assert abs(base.statistic) <= 1.0
         assert scaled.statistic == pytest.approx(base.statistic, abs=1e-9)
+
+
+def test_import_does_not_load_scipy_stats():
+    # scipy.stats is slow and large to import: shapiro_wilk and pearson use scipy.special
+    src = str(Path(draftvalue.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, draftvalue; print('scipy.stats' in sys.modules)"],
+        capture_output=True, text=True, check=True, env={**os.environ, "PYTHONPATH": src},
+    )
+    assert proc.stdout.strip() == "False"
