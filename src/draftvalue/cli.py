@@ -38,13 +38,11 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _build_parser() -> _Parser:
+    """The parser; ``--out`` defaults to None, which ``main`` resolves from
+    ``DRAFTVAL_OUT`` at each call."""
     parser = _Parser(prog="draftval", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
-    out = dict(
-        type=Path,
-        default=Path(os.environ.get("DRAFTVAL_OUT", "out")),
-        help="output directory (default $DRAFTVAL_OUT or ./out)",
-    )
+    out = dict(type=Path, help="output directory (default $DRAFTVAL_OUT or ./out)")
     # help of each data subcommand, and whether it reads --metric and --by-position
     for name, summary, metric, by_position in (
         ("ingest-check", "validate a draft CSV", False, False),
@@ -85,6 +83,9 @@ def _build_parser() -> _Parser:
     return parser
 
 
+_PARSER = _build_parser()  # built once per process: about 2 ms, which main would pay per call
+
+
 def _run_config(args) -> RunConfig:
     cfg = RunConfig()
     if args.config:
@@ -110,7 +111,9 @@ def _out_dir(path: Path) -> Path:
 def main(argv: Optional[Sequence[str]] = None) -> int:
     logging.basicConfig(level=logging.INFO, format="%(levelname)s %(message)s")
     try:
-        args = _build_parser().parse_args(argv)
+        args = _PARSER.parse_args(argv)
+        if "out" in args and args.out is None:
+            args.out = Path(os.environ.get("DRAFTVAL_OUT", "out"))
         if args.command == "reference-chart":
             for sel, value in reference_chart().rows():
                 print(f"{sel},{value}")

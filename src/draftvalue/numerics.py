@@ -61,13 +61,20 @@ def _as_weighted(x, y, w):
 
 
 def tricube(u: np.ndarray) -> np.ndarray:
-    """Tricube kernel (1 - u^3)^3 on [0, 1], zero outside."""
-    u = np.clip(np.abs(u), 0.0, 1.0)
-    c = 1.0 - u * u * u
-    return c * c * c
+    """Tricube kernel (1 - u^3)^3 on [0, 1], zero outside, of an array u.
+
+    Works in two arrays the size of u, without changing u.
+    """
+    u = np.minimum(np.abs(u), 1.0)
+    c = u * u
+    c *= u
+    np.subtract(1.0, c, out=c)
+    np.multiply(c, c, out=u)
+    u *= c
+    return u
 
 
-GRID_CHUNK = 16  # grid points fitted together, as rows of one matrix
+CHUNK_ELEMENTS = 4800  # (grid point x distinct x) entries fitted per numpy call
 
 
 def loess_fit(x, y, grid, span: float = 0.5) -> SmoothCurve:
@@ -82,8 +89,10 @@ def loess_fit(x, y, grid, span: float = 0.5) -> SmoothCurve:
     instead; if every weighted point shares one x (degenerate design) the
     local mean is used. No robustness iterations.
 
-    ``GRID_CHUNK`` grid points are fitted at a time, each one a row of a
-    (grid point x distinct x) matrix; the rows do not interact.
+    The radii of all grid points are found first (``_radii``). Then grid
+    points are fitted a chunk at a time, each one a row of a (grid point x
+    distinct x) matrix of about ``CHUNK_ELEMENTS`` entries; the rows do not
+    interact.
     """
     if not (0.0 < span <= 1.0):
         raise ValueError("span must be in (0, 1]")
@@ -95,42 +104,84 @@ def loess_fit(x, y, grid, span: float = 0.5) -> SmoothCurve:
     if q < 2:
         raise ValueError(f"span*n = {span * n:.2f} gives fewer than 2 local points")
     grid = np.asarray(grid, dtype=float)
+    dmax, dmin, dfar = _radii(x, count, q, grid)
+    equal = dmax <= dmin
+    tol = 1e-12 * np.maximum(1.0, dfar**2)
     fitted = np.empty_like(grid)
-    with np.errstate(divide="ignore", invalid="ignore"):  # np.where drops those entries
-        for start in range(0, len(grid), GRID_CHUNK):
-            rows = slice(start, start + GRID_CHUNK)
-            fitted[rows] = _fit_rows(x, y, count, q, grid[rows])
+    per_chunk = max(1, CHUNK_ELEMENTS // len(x))
+    # a division by zero is replaced: at a zero radius by the equal weights,
+    # in a flat design by the local mean
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for start in range(0, len(grid), per_chunk):
+            rows = slice(start, start + per_chunk)
+            fitted[rows] = _fit_rows(x, y, count, grid[rows], dmax[rows], equal[rows], tol[rows])
     if not np.all(np.isfinite(fitted)):
         raise ValueError("non-finite fitted value")
     return SmoothCurve(kind="loess", grid=grid, values=fitted)
 
 
-def _fit_rows(x, y, count, q, x0):
+def _radii(x, count, q, x0):
+    """For each point of ``x0``: the distance to its q-th nearest row, to its
+    nearest distinct x and to its farthest one.
+
+    ``x`` is sorted and distinct, with ``count`` rows at each value. The rows
+    within any radius form a window of ``x``, so the q-th nearest distance is
+    the least, over window starts a, of the larger end distance of the
+    shortest window from a that holds q rows. As a grows, the distance to
+    the window's left end falls and the one to its right end rises: a
+    bisection finds where they cross, and the answer sits on one side of it.
+    Every distance is the same float |x - x0| the fit computes.
+    """
+    total = np.concatenate(([0.0], np.cumsum(count)))
+    last = int(np.searchsorted(total, total[-1] - q, side="right")) - 1
+    left = x[: last + 1]
+    right = x[np.searchsorted(total, total[: last + 1] + q) - 1]
+    # cross: the first window start whose right end is at least as far as its
+    # left end (past ``last`` if none is; ``window`` clips it back)
+    cross = np.zeros(len(x0), dtype=np.intp)
+    for k in reversed(range((last + 1).bit_length())):
+        at = np.minimum(cross + (1 << k) - 1, last)
+        cross += (right[at] - x0 < x0 - left[at]) << k
+
+    def window(a):
+        a = np.clip(a, 0, last)
+        return np.maximum(np.abs(left[a] - x0), np.abs(right[a] - x0))
+
+    dmax = np.minimum(window(cross - 1), window(cross))
+    near = np.searchsorted(x, x0)
+    dmin = np.minimum(
+        np.abs(x[np.maximum(near - 1, 0)] - x0), np.abs(x[np.minimum(near, len(x) - 1)] - x0)
+    )
+    dfar = np.maximum(np.abs(x[0] - x0), np.abs(x[-1] - x0))
+    return dmax, dmin, dfar
+
+
+def _fit_rows(x, y, count, x0, dmax, equal, tol):
     """The local-linear fit at each point of ``x0``, one matrix row per point.
 
     The weighted least-squares line is centred on the evaluation point, so
     its intercept is the fitted value and the solve stays well conditioned
-    at the grid boundaries.
+    at the grid boundaries. Per point, ``dmax`` is the radius, ``equal``
+    says that the q nearest rows all lie at it, and a weighted spread of x
+    at most ``tol`` takes the local mean.
     """
-    rows = np.arange(len(x0))
+    dmax = dmax[:, None]
     xc = x - x0[:, None]
-    d = np.abs(xc)
-    nearest = np.argsort(d, axis=1, kind="stable")  # a row is two sorted runs
-    # the q-th nearest row lies at the first distinct x whose running count reaches q
-    reach = np.count_nonzero(np.cumsum(count[nearest], axis=1) < q, axis=1)
-    dmax = d[rows, nearest[rows, reach]][:, None]
-    equal = dmax <= d.min(axis=1, keepdims=True)
-    lw = np.where(equal, d == dmax, tricube(d / dmax)) * count
-    lwx = lw * xc
+    lw = np.abs(xc)  # distances, then weights, then weights times xc
+    at_radius = lw == dmax
+    lw /= dmax
+    lw = tricube(lw)
+    np.copyto(lw, at_radius, where=equal[:, None])
+    lw *= count
     sw = lw.sum(axis=1)
-    s1 = lwx.sum(axis=1)
-    s2 = np.einsum("ij,ij->i", lwx, xc)
     # einsum, not BLAS gemv: its rounding would depend on the rows in the chunk
     t0 = np.einsum("ij,j->i", lw, y)
-    t1 = np.einsum("ij,j->i", lwx, y)
+    lw *= xc
+    s1 = lw.sum(axis=1)
+    s2 = np.einsum("ij,ij->i", lw, xc)
+    t1 = np.einsum("ij,j->i", lw, y)
     spread = s2 / sw - (s1 / sw) ** 2
-    flat = spread <= 1e-12 * np.maximum(1.0, d.max(axis=1) ** 2)
-    return np.where(flat, t0 / sw, (s2 * t0 - s1 * t1) / (sw * s2 - s1 * s1))
+    return np.where(spread <= tol, t0 / sw, (s2 * t0 - s1 * t1) / (sw * s2 - s1 * s1))
 
 
 def _aggregate_ties(x, y, w):

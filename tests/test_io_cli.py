@@ -326,6 +326,25 @@ class TestCli:
         assert main(["synth", "--seed", "5", "--years", "1"]) == 0
         assert (tmp_path / "envout" / "synthetic.csv").exists()
 
+    def test_env_default_out_dir_read_at_each_call(self, tmp_path, monkeypatch, capsys):
+        # the parser is built once per process; the default must still follow the environment
+        monkeypatch.chdir(tmp_path)
+        for name in ("first", "second"):
+            monkeypatch.setenv("DRAFTVAL_OUT", str(tmp_path / name))
+            assert main(["synth", "--seed", "5", "--years", "1"]) == 0
+        assert (tmp_path / "first" / "synthetic.csv").is_file()
+        assert (tmp_path / "second" / "synthetic.csv").is_file()
+        monkeypatch.delenv("DRAFTVAL_OUT")
+        assert main(["synth", "--seed", "5", "--years", "1"]) == 0
+        assert (tmp_path / "out" / "synthetic.csv").is_file()
+
+    def test_usage_error_after_a_successful_call(self, tmp_path, capsys):
+        assert main(["synth", "--seed", "5", "--years", "1", "--out", str(tmp_path)]) == 0
+        capsys.readouterr()
+        assert main(["curves", str(tmp_path / "synthetic.csv"), "--metric", "xp"]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error:")
+
     @pytest.mark.parametrize(
         "line",
         [

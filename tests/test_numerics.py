@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -13,13 +14,15 @@ from hypothesis.extra import numpy as hnp
 
 import draftvalue
 from draftvalue.numerics import (
-    GRID_CHUNK,
+    CHUNK_ELEMENTS,
+    _radii,
     antitonic_fit,
     loess_fit,
     pearson,
     shapiro_wilk,
     tricube,
 )
+from draftvalue.valuation import SELECTION_GRID
 
 
 def wls_line_oracle(x, y, w, x0):
@@ -164,13 +167,69 @@ class TestLoess:
     @settings(max_examples=60, deadline=None)
     def test_grid_points_fitted_independently(self, xs, span, offset, seed):
         x = np.array(xs, dtype=float)
-        assume(len(np.unique(x)) >= 3 and math.ceil(span * len(x)) >= 2)
+        distinct = len(np.unique(x))
+        assume(distinct >= 3 and math.ceil(span * len(x)) >= 2)
         y = np.random.default_rng(seed).normal(size=len(x)) * 50 + x
-        grid = np.linspace(-5.0, 65.0, 2 * GRID_CHUNK + 7) + offset
+        per_chunk = CHUNK_ELEMENTS // distinct
+        grid = np.linspace(-5.0, 65.0, 2 * per_chunk + 7) + offset  # three chunks
         values = loess_fit(x, y, grid=grid, span=span).values
-        alone = [loess_fit(x, y, grid=grid[j : j + 1], span=span).values[0] for j in range(len(grid))]
-        scale = max(1.0, np.max(np.abs(y)))
-        assert np.allclose(values, alone, rtol=1e-12, atol=1e-12 * scale)
+        # both sides of each chunk boundary, and points spread over the grid
+        edges = [per_chunk - 1, per_chunk, 2 * per_chunk - 1, 2 * per_chunk]
+        check = np.union1d(edges, np.linspace(0, len(grid) - 1, 50).astype(int))
+        alone = [loess_fit(x, y, grid=grid[j : j + 1], span=span).values[0] for j in check]
+        assert np.array_equal(values[check], alone)
+
+    @given(
+        st.one_of(
+            st.lists(st.integers(-20, 20), min_size=1, max_size=60),
+            st.lists(
+                st.floats(-1e3, 1e3, allow_nan=False, allow_subnormal=False),
+                min_size=1,
+                max_size=60,
+            ),
+            st.lists(st.sampled_from([-2.5, 0.1, 0.3, 7.0]), min_size=1, max_size=60),
+        ),
+        st.floats(0.01, 1.0),
+        st.lists(st.floats(-1.0, 2.0), min_size=1, max_size=30),
+    )
+    @example(xs=[0.0, 0.0, 0.0, 1.0, 1.0, 5.0], span=1.0, at=[-1.0, 0.0, 0.5, 2.0])
+    @example(xs=[3, 3, 3, 3, 4], span=0.4, at=[-1.0, 0.0, 0.5, 1.0, 2.0])
+    @settings(max_examples=300, deadline=None)
+    def test_radii_match_brute_force(self, xs, span, at):
+        x, count = np.unique(np.array(xs, dtype=float), return_counts=True)
+        q = max(1, math.ceil(span * len(xs)))
+        # grid points inside the data, on it, and beyond both ends
+        x0 = np.concatenate([x[0] + np.array(at) * (x[-1] - x[0] + 1.0), x])
+        dmax, dmin, dfar = _radii(x, count.astype(float), q, x0)
+        for j, point in enumerate(x0):
+            d = np.abs(x - point)
+            assert dmax[j] == np.sort(np.repeat(d, count))[q - 1]
+            assert dmin[j] == d.min()
+            assert dfar[j] == d.max()
+
+    @pytest.mark.parametrize(
+        "x, grid, peak_before",
+        [
+            # 210 pooled ranks of five drafts, on the pick grid of the expected curves
+            (np.tile(np.arange(1.0, 211.0), 5), SELECTION_GRID, 201_574),
+            # 419 rank differentials, on the grid of a surplus curve
+            (np.resize(np.arange(-209.0, 210.0), 1050), np.arange(-209.0, 210.0), 398_934),
+        ],
+        ids=["ranks210", "differentials419"],
+    )
+    def test_peak_memory_of_one_fit(self, x, grid, peak_before):
+        # peak_before: the same fit by 16-row chunks that each sorted every
+        # row to find its radius; the chunk size trades this peak against
+        # numpy calls per fit
+        y = np.random.default_rng(0).normal(size=len(x)) * 50 + x
+        loess_fit(x, y, grid=grid)
+        tracemalloc.start()
+        try:
+            loess_fit(x, y, grid=grid)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= peak_before
 
     def test_ties_match_raw_row_wls_oracle(self, rng):
         checked = 0
@@ -285,12 +344,19 @@ class TestShapiroWilk:
     )
     @settings(max_examples=80, deadline=None)
     def test_affine_invariance(self, x, a, b):
-        if np.ptp(x) < 1e-6:  # effectively constant after the shift
-            return
+        # a spread within a few ulps of b does not survive the shift: W of a
+        # different sample is not a failure of the test
+        assume(np.ptp(a * x) > 1e-4 * max(1.0, abs(b)))
         base = shapiro_wilk(x)
         shifted = shapiro_wilk(a * x + b)
         assert shifted.statistic == pytest.approx(base.statistic, abs=1e-9)
         assert 0.0 < base.statistic <= 1.0
+
+    def test_scale_invariance_of_a_tiny_spread(self):
+        x = np.array([1e-5] + [0.0] * 48)
+        assert shapiro_wilk(0.25 * x).statistic == pytest.approx(
+            shapiro_wilk(x).statistic, abs=1e-9
+        )
 
 
 class TestPearson:
