@@ -14,10 +14,9 @@ import numpy as np
 
 from draftvalue.config import RunConfig
 from draftvalue.core_model import Metric, summarize_metric
-from draftvalue.draft_audit import Ordering, audit
-from draftvalue.pipeline import build_orderings, css_curves, surplus_for_metric
+from draftvalue.draft_audit import Ordering
+from draftvalue.pipeline import Analysis, css_curves, surplus_for_metric
 from draftvalue.synth import SynthConfig, generate_synthetic_draft
-from draftvalue.valuation import draft_value_chart, expected_curve
 
 config = SynthConfig(seed=7, years=5, team_noise=8.0, css_noise=35.0)
 classes = generate_synthetic_draft(config)
@@ -33,12 +32,13 @@ for metric in Metric:
           f"max {stats.max:8.1f}")
 
 rc = RunConfig()
-factors, orderings = build_orderings(classes, rc)
+analysis = Analysis(classes, rc)
+factors, orderings = analysis.cescin
 print("\ncategory scaling factors:",
       {k: round(v, 3) for k, v in dataclasses.asdict(factors).items()})
 
 print("\npick-replay audit (percent of picks flagged, all rounds):")
-report = audit(classes, orderings)
+report = analysis.audit
 for metric in Metric:
     for ordering in Ordering:
         cell = report.cell(metric, ordering, "all")
@@ -52,7 +52,7 @@ for metric in Metric:
     print(f"  {metric.value:>4}: gain {est.per_pick:8.3f} per pick  "
           f"{est.per_draft:8.3f} per draft  ~${est.dollars:12,.0f} per pick")
 
-chart = draft_value_chart(expected_curve(classes, orderings, Ordering.TEAM, Metric.TOI))
+chart = analysis.chart
 print("\npick value chart (first pick = 1000):")
 for sel in (1, 2, 10, 30, 90, 150, 210):
     print(f"  pick {sel:>3}: {chart.value(sel):>4}")

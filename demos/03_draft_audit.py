@@ -12,26 +12,25 @@ Run with:  python3 demos/03_draft_audit.py
 
 from draftvalue.config import RunConfig
 from draftvalue.core_model import Metric
-from draftvalue.draft_audit import Ordering, audit, half_sd_thresholds, replay_flags
-from draftvalue.pipeline import build_orderings
+from draftvalue.draft_audit import half_sd_thresholds, replay_flags
+from draftvalue.pipeline import Analysis
 from draftvalue.synth import SynthConfig, generate_synthetic_draft
 
 classes = generate_synthetic_draft(SynthConfig(seed=3, years=5))
-_, orderings = build_orderings(classes, RunConfig())
 
 # a small hand inspection: first ten picks of the first class, by games played
 dc = classes[0]
 half_sd = half_sd_thresholds(classes, [Metric.GP])[Metric.GP]
-optimal, nearly_optimal = replay_flags(dc, Ordering.TEAM, Metric.GP, half_sd=half_sd)
+# the team ordering ranks each player by his actual selection
+optimal, nearly_optimal = replay_flags(dc, dc.columns.selection, Metric.GP, half_sd=half_sd)
 print(f"first ten picks of {dc.year}, games-played metric "
       f"(half-SD threshold {half_sd:.1f}):")
-# the team ordering replays the picks in selection order
 for i in range(10):
     tag = "optimal" if optimal[i] else ("nearly" if nearly_optimal[i] else "-")
     print(f"  pick {i + 1:>3} (selection {dc.columns.selection[i]:>3}): {tag}")
 
 # the full table: metric x ordering x round band
-report = audit(classes, orderings)
+report = Analysis(classes, RunConfig()).audit
 print("\npercent of picks flagged:")
 print(f"{'metric':>6} {'order':>6} {'rounds':>7} {'optimal':>8} {'nearly':>8}")
 for row in report.rows():

@@ -10,13 +10,13 @@ Run with:  python3 demos/04_value_chart.py
 """
 
 from draftvalue.core_model import Metric
-from draftvalue.draft_audit import Ordering
 from draftvalue.reference_chart import reference_chart
 from draftvalue.synth import SynthConfig, generate_synthetic_draft
 from draftvalue.valuation import draft_value_chart, expected_curve
 
 classes = generate_synthetic_draft(SynthConfig(seed=11, years=5))
-synthetic = draft_value_chart(expected_curve(classes, {}, Ordering.TEAM, Metric.TOI))
+selections = {dc.year: dc.columns.selection for dc in classes}  # the team order's ranks
+synthetic = draft_value_chart(expected_curve(classes, selections, Metric.TOI))
 published = reference_chart()
 
 print("pick value: synthetic data vs the published 1998-2002 chart")

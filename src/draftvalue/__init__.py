@@ -2,12 +2,7 @@
 replay audits, nonparametric expectation curves, scouting surplus in metric
 units and dollars, team-level checks, and a monotone draft value pick chart."""
 
-from .cescin import (
-    CategoryFactors,
-    CssOrdering,
-    css_ordering,
-    estimate_category_factors,
-)
+from .cescin import CategoryFactors, css_ordering, estimate_category_factors
 from .config import RunConfig, load_config, parse_config_text
 from .core_model import (
     CssCategory,

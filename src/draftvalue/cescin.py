@@ -43,19 +43,6 @@ class CategoryFactors:
         return getattr(self, category.value.lower())
 
 
-@dataclass(frozen=True, eq=False)
-class CssOrdering:
-    """Integrated scouting values and ranks for one draft class.
-
-    Read-only arrays aligned with the rows of ``DraftClass.columns``;
-    ``css_ranks`` is a permutation of 1..N.
-    """
-
-    year: int
-    cescin_values: np.ndarray
-    css_ranks: np.ndarray
-
-
 def estimate_category_factors(
     classes: Iterable[DraftClass],
     overrides: Optional[Mapping[str, float]] = None,
@@ -90,13 +77,15 @@ def estimate_category_factors(
     return CategoryFactors(**factors)
 
 
-def css_ordering(dc: DraftClass, factors: CategoryFactors) -> CssOrdering:
-    """Assign integrated values and an overall rank to every player in a class.
+def css_ordering(dc: DraftClass, factors: CategoryFactors) -> np.ndarray:
+    """Integrated scouting rank of every player in a class: a read-only
+    permutation of 1..N aligned with the rows of ``DraftClass.columns``.
 
-    A listed player's value is his category rank times the category factor.
-    Unlisted players get values above every listed player's, spaced by 1 in
-    order of actual selection, so their relative order follows the draft.
-    Ties in value break toward the earlier actual selection.
+    Players are ranked by value. A listed player's value is his category
+    rank times the category factor. Unlisted players get values above every
+    listed player's, spaced by 1 in order of actual selection, so their
+    relative order follows the draft. Ties in value break toward the earlier
+    actual selection.
     """
     if len(dc) == 0:
         raise ValueError("empty draft class")
@@ -108,6 +97,5 @@ def css_ordering(dc: DraftClass, factors: CategoryFactors) -> CssOrdering:
     values[unlisted] = base + np.arange(1, np.count_nonzero(unlisted) + 1)
     ranks = np.empty(len(dc), dtype=np.int64)
     ranks[np.lexsort((c.selection, values))] = np.arange(1, len(dc) + 1)
-    values.flags.writeable = False
     ranks.flags.writeable = False
-    return CssOrdering(year=dc.year, cescin_values=values, css_ranks=ranks)
+    return ranks

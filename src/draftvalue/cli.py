@@ -108,6 +108,22 @@ def _out_dir(path: Path) -> Path:
     return path
 
 
+def _synth_config(**fields) -> SynthConfig:
+    try:
+        return SynthConfig(**fields)
+    except ValueError as exc:
+        raise _UsageError(f"synthetic data: {exc}") from exc
+
+
+def _write(out: Path, write, *args):
+    """``write(*args)``; a stage reports its failures as ``PipelineError``,
+    so an ``OSError`` is a write into ``out`` that failed."""
+    try:
+        return write(*args)
+    except OSError as exc:
+        raise _UsageError(f"--out {out}: cannot write {exc.filename}: {exc.strerror}") from exc
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
     logging.basicConfig(level=logging.INFO, format="%(levelname)s %(message)s")
     try:
@@ -120,18 +136,17 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             return EXIT_OK
 
         if args.command == "synth":
-            config = SynthConfig(
+            config = _synth_config(
                 seed=args.seed, years=args.years, picks_per_year=args.picks, teams=args.teams
             )
-            classes = generate_synthetic_draft(config)
             path = _out_dir(args.out) / "synthetic.csv"
-            write_draft_csv(classes, path)
+            _write(args.out, write_draft_csv, generate_synthetic_draft(config), path)
             print(path)
             return EXIT_OK
 
         cfg = _run_config(args)
         if args.command == "run" and args.seed is not None:
-            classes = generate_synthetic_draft(SynthConfig(seed=args.seed), cfg.imputation)
+            classes = generate_synthetic_draft(_synth_config(seed=args.seed), cfg.imputation)
         elif args.data is None:
             raise _UsageError("run needs a data file or --seed")
         else:
@@ -143,12 +158,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             return EXIT_OK
 
         stages = STAGES if args.command == "run" else (args.command,)
-        try:
-            paths = run_pipeline(classes, cfg, _out_dir(args.out), stages)
-        except OSError as exc:  # a stage reports its failures as PipelineError: this is a write
-            raise _UsageError(
-                f"--out {args.out}: cannot write {exc.filename}: {exc.strerror}"
-            ) from exc
+        paths = _write(args.out, run_pipeline, classes, cfg, _out_dir(args.out), stages)
         for path in paths:
             print(path)
         return EXIT_OK

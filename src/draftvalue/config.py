@@ -11,6 +11,7 @@ from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Optional, Union
 
+from .cescin import FACTOR_CATEGORIES
 from .core_model import ImputationConfig, Metric
 from .valuation import DollarConstants
 
@@ -45,9 +46,10 @@ class RunConfig:
             raise ValueError("metrics must not repeat a metric")
         if not all(0 < f < math.inf for f in self.factors.values()):
             raise ValueError("cescin factors must be positive and finite")
+        unknown = set(self.factors) - {c.value.lower() for c in FACTOR_CATEGORIES}
+        if unknown:
+            raise ValueError(f"unknown cescin factor(s) {sorted(unknown)}")
 
-
-_FACTOR_KEYS = {"na_skater", "na_goalie", "eu_skater", "eu_goalie"}
 _BOOLEANS = {"true": True, "yes": True, "1": True, "false": False, "no": False, "0": False}
 
 
@@ -66,7 +68,7 @@ def parse_config_text(text: str, base: Optional[RunConfig] = None) -> RunConfig:
         key, value = (part.strip() for part in line.split("=", 1))
         if key == "loess.span":
             updates["loess_span"] = float(value)
-        elif key.startswith("cescin.") and key[7:] in _FACTOR_KEYS:
+        elif key in {f"cescin.{c.value.lower()}" for c in FACTOR_CATEGORIES}:
             factors[key[7:]] = float(value)
         elif key == "dollars.salary_per_game":
             dollars = replace(dollars, salary_per_game=float(value))

@@ -6,11 +6,10 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Optional, Sequence
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .cescin import CssOrdering
 from .core_model import DraftClass, Metric, pooled_metric
 
 
@@ -52,24 +51,12 @@ class AuditReport:
         return out
 
 
-def replay_order(dc: DraftClass, ordering: Ordering, css: Optional[CssOrdering]) -> np.ndarray:
-    """Record indices in the order picks are replayed."""
-    if ordering is Ordering.TEAM:
-        return np.arange(len(dc))
-    if css is None:
-        raise ValueError("CSS replay requires a CssOrdering")
-    return np.argsort(css.css_ranks)
-
-
 def replay_flags(
-    dc: DraftClass,
-    ordering: Ordering,
-    metric: Metric,
-    half_sd: float,
-    css: Optional[CssOrdering] = None,
+    dc: DraftClass, ranks: np.ndarray, metric: Metric, half_sd: float
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Walk the draft in the given ordering, flagging each pick against the
-    best same-position player still available (the picked player included).
+    """Walk the draft in the order of ``ranks`` (one per row of
+    ``dc.columns``), flagging each pick against the best same-position
+    player still available (the picked player included).
 
     Returns boolean ``optimal`` and ``nearly_optimal`` arrays in replay
     order. The best player still available at a position is the reverse
@@ -78,7 +65,7 @@ def replay_flags(
     """
     if not half_sd > 0:
         raise ValueError("half_sd must be positive")
-    order = replay_order(dc, ordering, css)
+    order = np.argsort(ranks)
     value = dc.columns.metrics[metric][order]
     position = dc.columns.position[order]
     best = np.empty_like(value)
@@ -109,11 +96,12 @@ def _percent(flags: np.ndarray, n: int) -> float:
 
 def audit(
     classes: Sequence[DraftClass],
-    css_orderings: Mapping[int, CssOrdering],
+    ranks: Mapping[Ordering, Mapping[int, np.ndarray]],
     metrics: Sequence[Metric] = tuple(Metric),
     band_edge: int = 90,
 ) -> AuditReport:
-    """Aggregate replay flags over all years into per-cell percentages.
+    """Aggregate replay flags over all years into per-cell percentages, for
+    each ordering in ``ranks`` (its rank array per year).
 
     Round bands split at ``band_edge`` picks into the replay (the default 90
     is three 30-pick rounds).
@@ -123,14 +111,8 @@ def audit(
     bands = {"all": pick_number > 0, "1-3": pick_number <= band_edge, "4-7": pick_number > band_edge}
     cells = {}
     for metric in metrics:
-        for ordering in Ordering:
-            flags = [
-                replay_flags(
-                    dc, ordering, metric, half_sd[metric],
-                    css_orderings.get(dc.year) if ordering is Ordering.CSS else None,
-                )
-                for dc in classes
-            ]
+        for ordering, by_year in ranks.items():
+            flags = [replay_flags(dc, by_year[dc.year], metric, half_sd[metric]) for dc in classes]
             optimal, nearly_optimal = (np.concatenate(f) for f in zip(*flags))
             for band, picked in bands.items():
                 n = int(np.count_nonzero(picked))

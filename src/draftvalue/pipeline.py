@@ -17,7 +17,9 @@ from functools import cached_property, partial, wraps
 from pathlib import Path
 from typing import Mapping, Optional, Sequence, Union
 
-from .cescin import CategoryFactors, CssOrdering, estimate_category_factors, css_ordering
+import numpy as np
+
+from .cescin import CategoryFactors, estimate_category_factors, css_ordering
 from .config import RunConfig
 from .core_model import DraftClass, Metric, PositionGroup
 from .draft_audit import AuditReport, Ordering, audit
@@ -53,26 +55,24 @@ class PipelineError(RuntimeError):
 
 def build_orderings(
     classes: Sequence[DraftClass], config: RunConfig
-) -> tuple[CategoryFactors, dict[int, CssOrdering]]:
+) -> tuple[CategoryFactors, dict[int, np.ndarray]]:
+    """The category factors and each year's integrated scouting ranks."""
     factors = estimate_category_factors(classes, overrides=config.factors)
     return factors, {dc.year: css_ordering(dc, factors) for dc in classes}
 
 
 def css_curves(
     classes: Sequence[DraftClass],
-    orderings: Mapping[int, CssOrdering],
+    css_ranks: Mapping[int, np.ndarray],
     config: RunConfig,
     group: Optional[PositionGroup] = None,
 ) -> dict[Metric, SmoothCurve]:
-    return {
-        m: expected_curve(classes, orderings, Ordering.CSS, m, config.loess_span, group)
-        for m in config.metrics
-    }
+    return {m: expected_curve(classes, css_ranks, m, config.loess_span, group) for m in config.metrics}
 
 
 def surplus_for_metric(
     classes: Sequence[DraftClass],
-    orderings: Mapping[int, CssOrdering],
+    css_ranks: Mapping[int, np.ndarray],
     curve: SmoothCurve,
     metric: Metric,
     config: RunConfig,
@@ -83,7 +83,7 @@ def surplus_for_metric(
     When the team and scouting orderings coincide (all rank differentials
     zero) no curve can be fitted and the gain is exactly zero.
     """
-    delta_rank, delta_metric = differential_points(classes, orderings, curve, metric, group)
+    delta_rank, delta_metric = differential_points(classes, css_ranks, curve, metric, group)
     if not delta_rank.any():
         return None, GainEstimate(metric=metric, per_pick=0.0, per_draft=0.0, dollars=0.0)
     diff_curve = fit_differential_curve(delta_rank, delta_metric, config.loess_span)
@@ -122,11 +122,14 @@ class Analysis:
         self._curves: dict[tuple, SmoothCurve] = {}
 
     @_stage
-    def cescin(self) -> tuple[CategoryFactors, dict[int, CssOrdering]]:
+    def cescin(self) -> tuple[CategoryFactors, dict[int, np.ndarray]]:
         return build_orderings(self.classes, self.config)
 
-    @property
-    def orderings(self) -> dict[int, CssOrdering]:
+    def ranks(self, ordering: Ordering) -> dict[int, np.ndarray]:
+        """Each year's rank array under ``ordering``: the actual selections
+        for the team order, the integrated scouting ranks for CSS."""
+        if ordering is Ordering.TEAM:
+            return {dc.year: dc.columns.selection for dc in self.classes}
         return self.cescin[1]
 
     @partial(_fails_as, "curves")
@@ -134,14 +137,13 @@ class Analysis:
         """Expected-performance curve of ``group`` (None: all), fitted once."""
         key = (ordering, metric, group)
         if key not in self._curves:
-            css = self.orderings if ordering is Ordering.CSS else {}
-            span = self.config.loess_span
-            self._curves[key] = expected_curve(self.classes, css, ordering, metric, span, group)
+            ranks, span = self.ranks(ordering), self.config.loess_span
+            self._curves[key] = expected_curve(self.classes, ranks, metric, span, group)
         return self._curves[key]
 
     @_stage
     def audit(self) -> AuditReport:
-        return audit(self.classes, self.orderings, self.config.metrics)
+        return audit(self.classes, {o: self.ranks(o) for o in Ordering}, self.config.metrics)
 
     @_stage
     def curves(self) -> dict[Ordering, dict[Metric, SmoothCurve]]:
@@ -159,7 +161,7 @@ class Analysis:
                 key = metric.value if group is None else f"{metric.value}_{group.value.lower()}"
                 expected = self.curve(Ordering.CSS, metric, group)
                 out[key] = surplus_for_metric(
-                    self.classes, self.orderings, expected, metric, cfg, group
+                    self.classes, self.ranks(Ordering.CSS), expected, metric, cfg, group
                 )
         return out
 
@@ -172,7 +174,8 @@ class Analysis:
         """Per-team mean gains and the tests over them."""
         cfg = self.config
         expected = {m: self.curve(Ordering.CSS, m) for m in cfg.metrics}
-        gains = team_gains(self.classes, self.orderings, expected)
+        css_ranks = self.ranks(Ordering.CSS)
+        gains = team_gains(self.classes, css_ranks, expected)
         tests: dict = {"normality": {}, "split_half": {}, "outliers": {}}
         for metric in cfg.metrics:
             try:
@@ -185,7 +188,7 @@ class Analysis:
         if years & set(cfg.split_early) and years & set(cfg.split_late):
             try:
                 split = split_half_correlation(
-                    self.classes, self.orderings, expected, cfg.split_early, cfg.split_late
+                    self.classes, css_ranks, expected, cfg.split_early, cfg.split_late
                 )
                 tests["split_half"] = {
                     m.value: {"r": res.statistic, "p": res.p_value} for m, res in split.items()

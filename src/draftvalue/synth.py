@@ -15,6 +15,7 @@ import numpy as np
 
 from .core_model import (
     CATEGORIES,
+    MAX_SELECTION,
     POSITIONS,
     CssCategory,
     DraftClass,
@@ -59,8 +60,14 @@ class SynthConfig:
                 raise ValueError(f"{name} must be in [0, 1]")
         if self.goalie_rate + self.defense_rate > 1.0:
             raise ValueError("goalie_rate + defense_rate must not exceed 1")
-        if self.years < 1 or self.picks_per_year < 2 or self.teams < 1:
-            raise ValueError("years, picks_per_year and teams must be positive")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
+        if self.years < 1 or self.teams < 1:
+            raise ValueError("years and teams must be positive")
+        if not 2 <= self.picks_per_year <= MAX_SELECTION:
+            raise ValueError(
+                f"picks_per_year must be in [2, {MAX_SELECTION}], got {self.picks_per_year}"
+            )
 
 
 def _played_probabilities(n: int, rate: float) -> np.ndarray:

@@ -8,7 +8,6 @@ from typing import Mapping, Optional, Sequence
 
 import numpy as np
 
-from .cescin import CssOrdering
 from .core_model import DraftClass, Metric
 from .numerics import SmoothCurve, TestResult, pearson, shapiro_wilk
 from .valuation import differential_points
@@ -25,7 +24,7 @@ class TeamGain:
 
 def team_gains(
     classes: Sequence[DraftClass],
-    css_orderings: Mapping[int, CssOrdering],
+    css_ranks: Mapping[int, np.ndarray],
     css_curves: Mapping[Metric, SmoothCurve],
     years: Optional[Sequence[int]] = None,
 ) -> list[TeamGain]:
@@ -40,7 +39,7 @@ def team_gains(
     picks = np.bincount(team_of)
     # bincount adds each team's surpluses in pick order, year by year
     means = {
-        m: np.bincount(team_of, weights=differential_points(chosen, css_orderings, curve, m)[1]) / picks
+        m: np.bincount(team_of, weights=differential_points(chosen, css_ranks, curve, m)[1]) / picks
         for m, curve in css_curves.items()
     }
     return [
@@ -58,15 +57,15 @@ def normality_check(gains: Sequence[TeamGain], metric: Metric) -> TestResult:
 
 def split_half_correlation(
     classes: Sequence[DraftClass],
-    css_orderings: Mapping[int, CssOrdering],
+    css_ranks: Mapping[int, np.ndarray],
     css_curves: Mapping[Metric, SmoothCurve],
     early_years: Sequence[int],
     late_years: Sequence[int],
 ) -> dict[Metric, TestResult]:
     """Correlation across teams between mean gains in the early and late
     year halves; teams missing from either half are excluded."""
-    early = {g.team: g for g in team_gains(classes, css_orderings, css_curves, early_years)}
-    late = {g.team: g for g in team_gains(classes, css_orderings, css_curves, late_years)}
+    early = {g.team: g for g in team_gains(classes, css_ranks, css_curves, early_years)}
+    late = {g.team: g for g in team_gains(classes, css_ranks, css_curves, late_years)}
     common = sorted(set(early) & set(late))
     if len(common) < 3:
         raise ValueError("need at least 3 teams with picks in both halves")
@@ -81,6 +80,8 @@ def split_half_correlation(
 def outlier_teams(gains: Sequence[TeamGain], metric: Metric, z: float = 3.0) -> list[str]:
     """Teams whose mean gain sits beyond z standard deviations of the
     cross-team mean; reported, never asserted."""
+    if len(gains) < 2:
+        return []
     values = np.array([g.mean_gain[metric] for g in gains])
     mu, sd = values.mean(), values.std(ddof=1)
     if sd == 0:

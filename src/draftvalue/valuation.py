@@ -10,9 +10,7 @@ from typing import Iterable, Mapping, Optional, Sequence
 
 import numpy as np
 
-from .cescin import CssOrdering
 from .core_model import GROUPS, DraftClass, Metric, PositionGroup
-from .draft_audit import Ordering
 from .numerics import SmoothCurve, antitonic_fit, loess_fit
 
 SELECTION_GRID = np.arange(1, 211, dtype=float)
@@ -80,27 +78,22 @@ def _pool(
 
 def expected_curve(
     classes: Sequence[DraftClass],
-    css_orderings: Mapping[int, CssOrdering],
-    ordering: Ordering,
+    ranks: Mapping[int, np.ndarray],
     metric: Metric,
     span: float = 0.5,
     group: Optional[PositionGroup] = None,
 ) -> SmoothCurve:
     """Smoothed expected metric at each of the 210 draft ranks, pooling
-    (rank, outcome) pairs across years under the chosen ordering; the team
-    ordering reads no ``css_orderings``."""
-    ranks = [
-        dc.columns.selection if ordering is Ordering.TEAM else css_orderings[dc.year].css_ranks
-        for dc in classes
-    ]
-    values = [dc.columns.metrics[metric] for dc in classes]
-    pooled = _pool(classes, ranks, group).astype(float)
-    return loess_fit(pooled, _pool(classes, values, group), grid=SELECTION_GRID, span=span)
+    (rank, outcome) pairs across years under one ordering: ``ranks`` holds
+    its rank array per year."""
+    pooled = _pool(classes, (ranks[dc.year] for dc in classes), group).astype(float)
+    values = _pool(classes, (dc.columns.metrics[metric] for dc in classes), group)
+    return loess_fit(pooled, values, grid=SELECTION_GRID, span=span)
 
 
 def differential_points(
     classes: Sequence[DraftClass],
-    css_orderings: Mapping[int, CssOrdering],
+    css_ranks: Mapping[int, np.ndarray],
     css_curve: SmoothCurve,
     metric: Metric,
     group: Optional[PositionGroup] = None,
@@ -109,9 +102,9 @@ def differential_points(
     rank; negative means the team reached ahead of the scouting consensus)
     and metric differential (realized outcome minus the expectation at the
     player's scouting rank), pooled across all classes."""
-    ranks = _pool(classes, [css_orderings[dc.year].css_ranks for dc in classes], group)
-    selections = _pool(classes, [dc.columns.selection for dc in classes], group)
-    values = _pool(classes, [dc.columns.metrics[metric] for dc in classes], group)
+    ranks = _pool(classes, (css_ranks[dc.year] for dc in classes), group)
+    selections = _pool(classes, (dc.columns.selection for dc in classes), group)
+    values = _pool(classes, (dc.columns.metrics[metric] for dc in classes), group)
     return selections - ranks, values - css_curve(ranks)
 
 
@@ -175,9 +168,8 @@ def gain_estimate(
 
 def draft_value_chart(toi_curve: SmoothCurve) -> ValueChart:
     """Build the pick chart from the expected TOI curve under the team
-    ordering (``expected_curve(classes, {}, Ordering.TEAM, Metric.TOI)``):
-    force it non-increasing, then scale to 1000 at pick 1 with half-up
-    rounding."""
+    ordering (ranked by actual selection): force it non-increasing, then
+    scale to 1000 at pick 1 with half-up rounding."""
     mono = antitonic_fit(SELECTION_GRID, toi_curve(SELECTION_GRID))
     # smoothing can undershoot below zero in the tail; expected minutes are
     # non-negative, so floor the curve before scaling

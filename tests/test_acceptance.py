@@ -11,17 +11,17 @@ import pytest
 from draftvalue.cescin import CategoryFactors, css_ordering
 from draftvalue.config import RunConfig
 from draftvalue.core_model import Metric, summarize_metric
-from draftvalue.draft_audit import Ordering, audit, replay_flags, replay_order
+from draftvalue.draft_audit import Ordering, audit, replay_flags
 from draftvalue.io import load_draft_csv
 from draftvalue.numerics import SmoothCurve, antitonic_fit, loess_fit, shapiro_wilk
-from draftvalue.pipeline import build_orderings, css_curves, surplus_for_metric
+from draftvalue.pipeline import Analysis, build_orderings, css_curves, surplus_for_metric
 from draftvalue.reference_chart import reference_chart
 from draftvalue.synth import SynthConfig, generate_synthetic_draft
 from draftvalue.team_analysis import normality_check, split_half_correlation, team_gains
 from draftvalue.valuation import differential_points, draft_value_chart, expected_curve, to_dollars
 
 from conftest import make_class, make_record, random_class
-from test_draft_audit import brute_force_flags
+from test_draft_audit import both_orderings, brute_force_flags
 from test_numerics import brute_force_antitonic
 
 UNIT = CategoryFactors(na_skater=1.0, na_goalie=1.0, eu_skater=1.0, eu_goalie=1.0)
@@ -93,17 +93,14 @@ def test_05_audit_oracle():
     mismatches = 0
     for _ in range(100):
         dc = random_class(rng, n=int(rng.integers(3, 31)))
-        ordering = css_ordering(dc, UNIT)
         metric = list(Metric)[rng.integers(0, 3)]
         half_sd = float(rng.uniform(1.0, 300.0))
-        for kind in Ordering:
-            css = ordering if kind is Ordering.CSS else None
-            mine = replay_flags(dc, kind, metric, half_sd, css=css)
-            oracle = brute_force_flags(dc, replay_order(dc, kind, css), metric, half_sd)
+        for ranks in (dc.columns.selection, css_ordering(dc, UNIT)):
+            mine = replay_flags(dc, ranks, metric, half_sd)
+            oracle = brute_force_flags(dc, np.argsort(ranks), metric, half_sd)
             mismatches += tuple(flags.tolist() for flags in mine) != oracle
     classes = [random_class(rng, n=30, year=y) for y in (1998, 1999)]
-    orderings = {dc.year: css_ordering(dc, UNIT) for dc in classes}
-    rep = audit(classes, orderings, band_edge=15)
+    rep = audit(classes, both_orderings(classes), band_edge=15)
     cells_ok = all(c.optimal_pct <= c.nearly_optimal_pct for c in rep.cells.values())
     report(5, f"replay flags vs brute force, {mismatches} mismatches", mismatches == 0 and cells_ok)
 
@@ -171,8 +168,9 @@ def test_09_chart_on_noise_free_decreasing_toi():
         for s in range(1, 211)
     ]
     dc = make_class(records)
-    first = draft_value_chart(expected_curve([dc], {}, Ordering.TEAM, Metric.TOI))
-    second = draft_value_chart(expected_curve([dc], {}, Ordering.TEAM, Metric.TOI))
+    selections = {dc.year: dc.columns.selection}
+    first = draft_value_chart(expected_curve([dc], selections, Metric.TOI))
+    second = draft_value_chart(expected_curve([dc], selections, Metric.TOI))
     ok = (
         first.value(1) == 1000
         and all(b <= a for a, b in zip(first.values, first.values[1:]))
@@ -193,8 +191,9 @@ def test_10_historical_reproduction():
     assert abs(gp.mean - 69) <= 1
     assert gp.max == 553
 
-    _, orderings = build_orderings(classes, rc)
-    rep = audit(classes, orderings)
+    analysis = Analysis(classes, rc)
+    orderings = analysis.ranks(Ordering.CSS)
+    rep = analysis.audit
     expected_table = {
         (Metric.TOI, Ordering.CSS): (14, 19),
         (Metric.TOI, Ordering.TEAM): (20, 32),

@@ -65,9 +65,20 @@ class TestEstimateFactors:
 class TestCescinValue:
     @pytest.mark.parametrize("rank,factor,expected", [(10, 2.0, 20.0), (1, 1.0, 1.0), (22, 1.35, 29.7)])
     def test_values(self, rank, factor, expected):
+        # NA skaters of value 1..n (factor 1) bracket the EU skater's value
+        # rank x factor; a tie goes to the earlier selection
         factors = CategoryFactors(na_skater=1.0, na_goalie=1.0, eu_skater=factor, eu_goalie=1.0)
-        dc = make_class([make_record(css_category=CssCategory.EU_SKATER, css_category_rank=rank)])
-        assert css_ordering(dc, factors).cescin_values[0] == pytest.approx(expected)
+        na_values = np.arange(1, int(np.ceil(expected)) + 2)
+        na = [make_record(selection=int(v) + 1, css_category_rank=int(v)) for v in na_values]
+        for eu_selection in (1, len(na_values) + 2):  # before and after every NA skater
+            eu = make_record(
+                selection=eu_selection, css_category=CssCategory.EU_SKATER, css_category_rank=rank
+            )
+            dc = make_class(na + [eu])
+            ranks = css_ordering(dc, factors)
+            ties_lost = np.count_nonzero(na_values == expected) if eu_selection > 1 else 0
+            expected_rank = np.count_nonzero(na_values < expected) + ties_lost + 1
+            assert ranks[dc.columns.selection == eu_selection].tolist() == [expected_rank]
 
     def test_invalid_inputs(self):
         # a value is rank x factor only for ranks >= 1 and positive factors
@@ -85,8 +96,7 @@ class TestCssOrdering:
             make_record(selection=3, css_category=CssCategory.UNRANKED, css_category_rank=None),
         ]
         out = css_ordering(make_class(records), UNIT_FACTORS)
-        assert out.css_ranks.tolist() == [2, 1, 3]
-        assert out.cescin_values[2] == 5.0  # max ranked value + 1
+        assert out.tolist() == [2, 1, 3]
 
     def test_all_unranked_follow_selection_order(self):
         records = [
@@ -94,7 +104,7 @@ class TestCssOrdering:
             for s in (1, 2, 3, 4)
         ]
         out = css_ordering(make_class(records), UNIT_FACTORS)
-        assert out.css_ranks.tolist() == [1, 2, 3, 4]
+        assert out.tolist() == [1, 2, 3, 4]
 
     def test_tie_broken_by_earlier_selection(self):
         factors = CategoryFactors(na_skater=1.0, na_goalie=3.0, eu_skater=1.0, eu_goalie=1.0)
@@ -110,7 +120,7 @@ class TestCssOrdering:
         ]
         dc = make_class(records)
         out = css_ordering(dc, factors)
-        by_sel = {r.selection: out.css_ranks[i] for i, r in enumerate(dc.records)}
+        by_sel = {r.selection: out[i] for i, r in enumerate(dc.records)}
         assert by_sel[5] < by_sel[9]
 
     def test_empty_class_rejected(self):
@@ -147,7 +157,7 @@ def mixed_class(draw):
 def test_rank_is_bijection(dc):
     factors = CategoryFactors(na_skater=1.3, na_goalie=5.0, eu_skater=2.1, eu_goalie=9.0)
     out = css_ordering(dc, factors)
-    assert sorted(out.css_ranks) == list(range(1, len(dc) + 1))
+    assert sorted(out) == list(range(1, len(dc) + 1))
 
 
 @given(mixed_class())
@@ -157,7 +167,7 @@ def test_within_category_order_preserved(dc):
     out = css_ordering(dc, factors)
     for cat in (CssCategory.NA_SKATER, CssCategory.EU_SKATER):
         members = [
-            (r.css_category_rank, out.css_ranks[i])
+            (r.css_category_rank, out[i])
             for i, r in enumerate(dc.records)
             if r.css_category is cat
         ]
@@ -172,7 +182,7 @@ def test_unranked_ordered_by_selection(dc):
     factors = CategoryFactors(na_skater=1.0, na_goalie=1.0, eu_skater=1.0, eu_goalie=1.0)
     out = css_ordering(dc, factors)
     unranked = [
-        (r.selection, out.css_ranks[i])
+        (r.selection, out[i])
         for i, r in enumerate(dc.records)
         if r.css_category is CssCategory.UNRANKED
     ]
@@ -180,18 +190,10 @@ def test_unranked_ordered_by_selection(dc):
     ranks = [rank for _, rank in unranked]
     assert ranks == sorted(ranks)
     ranked_ranks = [
-        out.css_ranks[i]
+        out[i]
         for i, r in enumerate(dc.records)
         if r.css_category is not CssCategory.UNRANKED
     ]
     if ranks and ranked_ranks:
-        # every unranked player sits past every listed player's value
-        values = out.cescin_values
-        max_listed = max(
-            v
-            for v, r in zip(values, dc.records)
-            if r.css_category is not CssCategory.UNRANKED
-        )
-        for v, r in zip(values, dc.records):
-            if r.css_category is CssCategory.UNRANKED:
-                assert v > max_listed
+        # every unranked player sits past every listed player
+        assert min(ranks) > max(ranked_ranks)

@@ -3,17 +3,19 @@ import pytest
 
 from draftvalue.cescin import CategoryFactors, css_ordering
 from draftvalue.core_model import Metric, Position
-from draftvalue.draft_audit import (
-    Ordering,
-    audit,
-    half_sd_thresholds,
-    replay_flags,
-    replay_order,
-)
+from draftvalue.draft_audit import Ordering, audit, half_sd_thresholds, replay_flags
 
 from conftest import make_class, make_record, random_class
 
 UNIT = CategoryFactors(na_skater=1.0, na_goalie=1.0, eu_skater=1.0, eu_goalie=1.0)
+
+
+def both_orderings(classes):
+    """Each ordering's ranks per year: the selections and the CSS ranks."""
+    return {
+        Ordering.TEAM: {dc.year: dc.columns.selection for dc in classes},
+        Ordering.CSS: {dc.year: css_ordering(dc, UNIT) for dc in classes},
+    }
 
 
 def class_with_gp(gps, position=Position.C):
@@ -57,18 +59,18 @@ def brute_force_flags(dc, order_indices, metric, half_sd):
 class TestReplayFlags:
     def test_hand_replay(self):
         dc = class_with_gp([100, 200, 50])
-        optimal, nearly_optimal = replay_flags(dc, Ordering.TEAM, Metric.GP, half_sd=107.5)
+        optimal, nearly_optimal = replay_flags(dc, dc.columns.selection, Metric.GP, half_sd=107.5)
         assert optimal.tolist() == [False, True, True]
         assert nearly_optimal.tolist() == [True, True, True]
 
     def test_last_at_position_is_optimal(self):
         dc = class_with_gp([10, 300, 5])
-        optimal, _ = replay_flags(dc, Ordering.TEAM, Metric.GP, half_sd=1.0)
+        optimal, _ = replay_flags(dc, dc.columns.selection, Metric.GP, half_sd=1.0)
         assert optimal[-1]
 
     def test_all_equal_metric_all_optimal(self):
         dc = class_with_gp([50, 50, 50, 50])
-        optimal, _ = replay_flags(dc, Ordering.TEAM, Metric.GP, half_sd=1.0)
+        optimal, _ = replay_flags(dc, dc.columns.selection, Metric.GP, half_sd=1.0)
         assert optimal.all()
 
     def test_positions_partition_availability(self):
@@ -81,7 +83,7 @@ class TestReplayFlags:
                         toi7=40.0, gvt7=0.5),
         ]
         dc = make_class(records)
-        optimal, _ = replay_flags(dc, Ordering.TEAM, Metric.GP, half_sd=1.0)
+        optimal, _ = replay_flags(dc, dc.columns.selection, Metric.GP, half_sd=1.0)
         # the defenseman's 500 games never compete with the centers
         assert optimal.tolist() == [True, True, True]
 
@@ -93,32 +95,25 @@ class TestReplayFlags:
             for s in (1, 2, 3)
         ]
         dc = make_class(records)
-        ordering = css_ordering(dc, UNIT)
-        optimal, _ = replay_flags(dc, Ordering.CSS, Metric.GP, half_sd=1.0, css=ordering)
-        assert dc.columns.selection[replay_order(dc, Ordering.CSS, ordering)].tolist() == [3, 2, 1]
+        ranks = css_ordering(dc, UNIT)
+        optimal, _ = replay_flags(dc, ranks, Metric.GP, half_sd=1.0)
+        assert dc.columns.selection[np.argsort(ranks)].tolist() == [3, 2, 1]
         assert optimal.tolist() == [True, True, True]
-
-    def test_css_requires_ordering(self):
-        dc = class_with_gp([1, 2])
-        with pytest.raises(ValueError):
-            replay_flags(dc, Ordering.CSS, Metric.GP, half_sd=1.0)
 
     def test_matches_brute_force(self, rng):
         for _ in range(100):
             dc = random_class(rng, n=int(rng.integers(3, 31)))
-            ordering = css_ordering(dc, UNIT)
             half_sd = float(rng.uniform(0.5, 200.0))
             metric = list(Metric)[rng.integers(0, 3)]
-            for kind in Ordering:
-                css = ordering if kind is Ordering.CSS else None
-                mine = replay_flags(dc, kind, metric, half_sd, css=css)
-                oracle = brute_force_flags(dc, replay_order(dc, kind, css), metric, half_sd)
+            for ranks in (dc.columns.selection, css_ordering(dc, UNIT)):
+                mine = replay_flags(dc, ranks, metric, half_sd)
+                oracle = brute_force_flags(dc, np.argsort(ranks), metric, half_sd)
                 assert tuple(flags.tolist() for flags in mine) == oracle
 
     def test_half_sd_monotonicity(self, rng):
         dc = random_class(rng, n=25)
-        _, low = replay_flags(dc, Ordering.TEAM, Metric.TOI, half_sd=10.0)
-        _, high = replay_flags(dc, Ordering.TEAM, Metric.TOI, half_sd=500.0)
+        _, low = replay_flags(dc, dc.columns.selection, Metric.TOI, half_sd=10.0)
+        _, high = replay_flags(dc, dc.columns.selection, Metric.TOI, half_sd=500.0)
         assert not np.any(low & ~high)
 
     def test_optimal_flags_invariant_under_increasing_transform(self, rng):
@@ -126,29 +121,30 @@ class TestReplayFlags:
         base = class_with_gp(gps)
         # toi = 15*gp is a strictly increasing transform of gp
         transformed = class_with_gp(gps)
-        optimal_gp, _ = replay_flags(base, Ordering.TEAM, Metric.GP, half_sd=1.0)
-        optimal_toi, _ = replay_flags(transformed, Ordering.TEAM, Metric.TOI, half_sd=1.0)
+        selections = base.columns.selection  # both classes draft in the same order
+        optimal_gp, _ = replay_flags(base, selections, Metric.GP, half_sd=1.0)
+        optimal_toi, _ = replay_flags(transformed, selections, Metric.TOI, half_sd=1.0)
         assert optimal_gp.tolist() == optimal_toi.tolist()
 
     def test_invalid_half_sd(self):
         for half_sd in (0.0, -1.0, float("nan")):
             with pytest.raises(ValueError):
-                replay_flags(class_with_gp([1, 2]), Ordering.TEAM, Metric.GP, half_sd=half_sd)
+                dc = class_with_gp([1, 2])
+                replay_flags(dc, dc.columns.selection, Metric.GP, half_sd=half_sd)
 
     def test_optimal_implies_nearly(self, rng):
         for _ in range(20):
             dc = random_class(rng, n=int(rng.integers(3, 31)))
             for metric in Metric:
                 half_sd = float(rng.uniform(0.5, 50.0))
-                optimal, nearly_optimal = replay_flags(dc, Ordering.TEAM, metric, half_sd)
+                optimal, nearly_optimal = replay_flags(dc, dc.columns.selection, metric, half_sd)
                 assert not np.any(optimal & ~nearly_optimal)
 
 
 class TestAudit:
     def test_perfectly_ordered_draft(self):
         dc = class_with_gp(list(range(300, 0, -3)))  # descending metric
-        orderings = {dc.year: css_ordering(dc, UNIT)}
-        report = audit([dc], orderings, band_edge=50)
+        report = audit([dc], both_orderings([dc]), band_edge=50)
         for band in ("all", "1-3", "4-7"):
             cell = report.cell(Metric.GP, Ordering.TEAM, band)
             assert cell.optimal_pct == 100.0
@@ -156,15 +152,13 @@ class TestAudit:
 
     def test_optimal_never_exceeds_nearly(self, rng):
         classes = [random_class(rng, n=30, year=y) for y in (1998, 1999)]
-        orderings = {dc.year: css_ordering(dc, UNIT) for dc in classes}
-        report = audit(classes, orderings, band_edge=15)
+        report = audit(classes, both_orderings(classes), band_edge=15)
         for cell in report.cells.values():
             assert 0.0 <= cell.optimal_pct <= cell.nearly_optimal_pct <= 100.0
 
     def test_band_partition(self, rng):
         dc = random_class(rng, n=30)
-        orderings = {dc.year: css_ordering(dc, UNIT)}
-        report = audit([dc], orderings, band_edge=10)
+        report = audit([dc], both_orderings([dc]), band_edge=10)
         for metric in Metric:
             for ordering in Ordering:
                 total = report.cell(metric, ordering, "all").picks
@@ -181,8 +175,7 @@ class TestAudit:
 
     def test_report_rows_shape(self, rng):
         dc = random_class(rng, n=10)
-        orderings = {dc.year: css_ordering(dc, UNIT)}
-        rows = audit([dc], orderings).rows()
+        rows = audit([dc], both_orderings([dc])).rows()
         assert len(rows) == 3 * 2 * 3  # metric x ordering x band
         assert {"metric", "ordering", "rounds", "picks", "optimal_pct", "nearly_optimal_pct"} == set(
             rows[0]

@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from draftvalue.cli import main
-from draftvalue.config import parse_config_text
+from draftvalue.config import RunConfig, parse_config_text
 from draftvalue.core_model import Metric, PlayerRecord
 from draftvalue.io import CHUNK_ROWS, CSV_COLUMNS, DataError, load_draft_csv, write_draft_csv
 from draftvalue.synth import SynthConfig, generate_synthetic_draft
@@ -246,6 +246,13 @@ class TestConfigFile:
         with pytest.raises(ValueError, match="line 1"):
             parse_config_text("loess.span 0.4")
 
+    def test_unknown_factor_name_rejected(self):
+        assert RunConfig(factors={"eu_goalie": 2.0}).factors == {"eu_goalie": 2.0}
+        with pytest.raises(ValueError, match="na_skatr"):
+            RunConfig(factors={"na_skatr": 2.0})
+        with pytest.raises(ValueError, match="unknown key 'cescin.na_skatr'"):
+            parse_config_text("cescin.na_skatr = 2.0")
+
 
 class TestCli:
     def test_synth_then_run(self, tmp_path, capsys):
@@ -455,6 +462,30 @@ class TestCli:
         assert main(["synth", "--out", str(taken / "sub")]) == 1
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 2 and all(line.startswith("error: --out") for line in err)
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["synth", "--picks", "1"],
+            ["synth", "--picks", "300"],
+            ["synth", "--years", "0"],
+            ["synth", "--teams", "0"],
+            ["synth", "--seed", "-1"],
+            ["run", "--seed", "-1"],
+        ],
+        ids=" ".join,
+    )
+    def test_bad_synthetic_flag_exit_code(self, tmp_path, capsys, argv):
+        assert main([*argv, "--out", str(tmp_path / "o")]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error:")
+        assert not (tmp_path / "o").exists()
+
+    def test_synthetic_csv_cannot_be_written(self, tmp_path, capsys):
+        (tmp_path / "synthetic.csv").mkdir()  # a directory where the file goes
+        assert main(["synth", "--out", str(tmp_path)]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith(f"error: --out {tmp_path}: cannot write")
 
     @pytest.mark.parametrize("command, artifact", [("curves", "curves"), ("chart", "chart.csv")])
     def test_artifact_cannot_be_written(self, tmp_path, capsys, command, artifact):

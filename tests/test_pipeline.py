@@ -127,7 +127,11 @@ def test_each_expected_curve_is_fitted_once(command, one_year_csv, tmp_path, mon
     def record(*args, **kwargs):
         call = signature.bind(*args, **kwargs)
         call.apply_defaults()
-        fitted[call.arguments["ordering"], call.arguments["metric"], call.arguments["group"]] += 1
+        # the team ranks are each class's own selection column
+        ranks = call.arguments["ranks"]
+        team = all(ranks[dc.year] is dc.columns.selection for dc in call.arguments["classes"])
+        ordering = Ordering.TEAM if team else Ordering.CSS
+        fitted[ordering, call.arguments["metric"], call.arguments["group"]] += 1
         return fit(*args, **kwargs)
 
     monkeypatch.setattr(pipeline, "expected_curve", record)

@@ -1,4 +1,5 @@
 import dataclasses
+import warnings
 
 import numpy as np
 import pytest
@@ -153,6 +154,11 @@ class TestDiagnostics:
     def test_no_outliers_in_tight_cluster(self):
         gains = [TeamGain(f"T{i}", 1, {Metric.GP: float(i % 3)}) for i in range(12)]
         assert outlier_teams(gains, Metric.GP) == []
+
+    def test_one_team_has_no_outliers(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert outlier_teams([TeamGain("T1", 7, {Metric.GP: 3.0})], Metric.GP) == []
 
     def test_extreme_team_flagged(self):
         values = [0.0, 0.1, -0.1, 0.05, -0.05, 0.02, -0.02, 0.08, -0.08, 50.0]

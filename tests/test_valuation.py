@@ -3,7 +3,6 @@ import pytest
 
 from draftvalue.cescin import CategoryFactors, css_ordering
 from draftvalue.core_model import Metric, RecordError
-from draftvalue.draft_audit import Ordering
 from draftvalue.numerics import SmoothCurve
 from draftvalue.valuation import (
     DollarConstants,
@@ -170,7 +169,7 @@ def toi_class(toi_of_selection, n=210):
 
 
 def chart_of(dc):
-    return draft_value_chart(expected_curve([dc], {}, Ordering.TEAM, Metric.TOI))
+    return draft_value_chart(expected_curve([dc], {dc.year: dc.columns.selection}, Metric.TOI))
 
 
 class TestValueChart:
@@ -206,15 +205,13 @@ class TestValueChart:
 class TestExpectedCurve:
     def test_constant_metric(self):
         dc = toi_class(lambda s: 4000.0, n=60)
-        orderings = {dc.year: css_ordering(dc, UNIT)}
-        curve = expected_curve([dc], orderings, Ordering.TEAM, Metric.TOI)
+        curve = expected_curve([dc], {dc.year: dc.columns.selection}, Metric.TOI)
         assert np.allclose(curve.values, 4000.0, atol=1e-9)
 
     def test_decreasing_quality_decreasing_curve_ends(self):
         dc = toi_class(lambda s: 4200.0 - 20.0 * s)
-        orderings = {dc.year: css_ordering(dc, UNIT)}
-        for ordering in Ordering:
-            curve = expected_curve([dc], orderings, ordering, Metric.TOI)
+        for ranks in (dc.columns.selection, css_ordering(dc, UNIT)):
+            curve = expected_curve([dc], {dc.year: ranks}, Metric.TOI)
             assert curve(1) > curve(210)
 
     def test_sum_delta_rank_zero_when_all_ranked(self):
