@@ -37,6 +37,19 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
+def _synth_flag(field: str):
+    """An argparse type: an int that ``SynthConfig`` accepts as ``field``, so
+    a value it rejects is reported under the flag's name."""
+
+    def parse(text: str) -> int:
+        try:
+            return getattr(SynthConfig(**{field: int(text)}), field)
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from exc
+
+    return parse
+
+
 def _build_parser() -> _Parser:
     """The parser; ``--out`` defaults to None, which ``main`` resolves from
     ``DRAFTVAL_OUT`` at each call."""
@@ -56,8 +69,9 @@ def _build_parser() -> _Parser:
     ):
         p = sub.add_parser(name, help=summary)
         if name == "run":
-            p.add_argument("data", nargs="?", help="draft CSV file (not needed with --seed)")
-            p.add_argument("--seed", type=int, help="ignore the data file and use synthetic data")
+            data = p.add_mutually_exclusive_group(required=True)
+            data.add_argument("data", nargs="?", help="draft CSV file")
+            data.add_argument("--seed", type=_synth_flag("seed"), help="use synthetic data instead")
         else:
             p.add_argument("data", help="draft CSV file")
         p.add_argument("--config", type=Path, help="flat key/value config file")
@@ -74,10 +88,10 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("synth", help="write a synthetic draft CSV")
     p.add_argument("--out", **out)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--years", type=int, default=5)
-    p.add_argument("--picks", type=int, default=210)
-    p.add_argument("--teams", type=int, default=30)
+    p.add_argument("--seed", type=_synth_flag("seed"), default=0)
+    p.add_argument("--years", type=_synth_flag("years"), default=5)
+    p.add_argument("--picks", type=_synth_flag("picks_per_year"), default=210)
+    p.add_argument("--teams", type=_synth_flag("teams"), default=30)
 
     sub.add_parser("reference-chart", help="print the embedded published pick chart")
     return parser
@@ -90,7 +104,7 @@ def _run_config(args) -> RunConfig:
     cfg = RunConfig()
     if args.config:
         try:
-            cfg = load_config(args.config, cfg)
+            cfg = load_config(args.config)
         except (OSError, ValueError) as exc:
             raise _UsageError(f"config {args.config}: {exc}") from exc
     if getattr(args, "metric", "all") != "all":
@@ -106,13 +120,6 @@ def _out_dir(path: Path) -> Path:
     except OSError as exc:
         raise _UsageError(f"--out {path}: {exc.strerror}") from exc
     return path
-
-
-def _synth_config(**fields) -> SynthConfig:
-    try:
-        return SynthConfig(**fields)
-    except ValueError as exc:
-        raise _UsageError(f"synthetic data: {exc}") from exc
 
 
 def _write(out: Path, write, *args):
@@ -136,7 +143,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             return EXIT_OK
 
         if args.command == "synth":
-            config = _synth_config(
+            config = SynthConfig(
                 seed=args.seed, years=args.years, picks_per_year=args.picks, teams=args.teams
             )
             path = _out_dir(args.out) / "synthetic.csv"
@@ -146,9 +153,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
 
         cfg = _run_config(args)
         if args.command == "run" and args.seed is not None:
-            classes = generate_synthetic_draft(_synth_config(seed=args.seed), cfg.imputation)
-        elif args.data is None:
-            raise _UsageError("run needs a data file or --seed")
+            classes = generate_synthetic_draft(SynthConfig(seed=args.seed), cfg.imputation)
         else:
             classes = load_draft_csv(args.data, cfg.imputation)
 

@@ -9,7 +9,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field, replace
 from pathlib import Path
-from typing import Optional, Union
+from typing import Union
 
 from .cescin import FACTOR_CATEGORIES
 from .core_model import ImputationConfig, Metric
@@ -53,8 +53,8 @@ class RunConfig:
 _BOOLEANS = {"true": True, "yes": True, "1": True, "false": False, "no": False, "0": False}
 
 
-def parse_config_text(text: str, base: Optional[RunConfig] = None) -> RunConfig:
-    cfg = base or RunConfig()
+def parse_config_text(text: str) -> RunConfig:
+    cfg = RunConfig()
     dollars = cfg.dollars
     imputation = cfg.imputation
     factors = dict(cfg.factors)
@@ -99,5 +99,5 @@ def parse_config_text(text: str, base: Optional[RunConfig] = None) -> RunConfig:
     return replace(cfg, dollars=dollars, imputation=imputation, factors=factors, **updates)
 
 
-def load_config(path: Union[str, Path], base: Optional[RunConfig] = None) -> RunConfig:
-    return parse_config_text(Path(path).read_text(encoding="utf-8"), base)
+def load_config(path: Union[str, Path]) -> RunConfig:
+    return parse_config_text(Path(path).read_text(encoding="utf-8"))

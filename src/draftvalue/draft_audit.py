@@ -12,6 +12,8 @@ import numpy as np
 
 from .core_model import DraftClass, Metric, pooled_metric
 
+BAND_EDGE = 90  # round bands: picks 1-90 are rounds 1-3 (30 picks a round), the rest 4-7
+
 
 class Ordering(enum.Enum):
     TEAM = "team"
@@ -98,17 +100,14 @@ def audit(
     classes: Sequence[DraftClass],
     ranks: Mapping[Ordering, Mapping[int, np.ndarray]],
     metrics: Sequence[Metric] = tuple(Metric),
-    band_edge: int = 90,
 ) -> AuditReport:
     """Aggregate replay flags over all years into per-cell percentages, for
-    each ordering in ``ranks`` (its rank array per year).
-
-    Round bands split at ``band_edge`` picks into the replay (the default 90
-    is three 30-pick rounds).
+    each ordering in ``ranks`` (its rank array per year); the round bands
+    split at ``BAND_EDGE`` picks into the replay.
     """
     half_sd = half_sd_thresholds(classes, metrics)
     pick_number = np.concatenate([np.arange(1, len(dc) + 1) for dc in classes])
-    bands = {"all": pick_number > 0, "1-3": pick_number <= band_edge, "4-7": pick_number > band_edge}
+    bands = {"all": pick_number > 0, "1-3": pick_number <= BAND_EDGE, "4-7": pick_number > BAND_EDGE}
     cells = {}
     for metric in metrics:
         for ordering, by_year in ranks.items():

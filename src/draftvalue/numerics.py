@@ -28,24 +28,14 @@ class TestResult:
 
 @dataclass(frozen=True)
 class SmoothCurve:
-    """Fitted values on a grid, evaluable at arbitrary x.
+    """Fitted values on a grid, evaluable at arbitrary x: linear between
+    grid points and constant beyond them."""
 
-    LOESS curves interpolate linearly between grid points; antitonic curves
-    are step functions on the pooled levels. Both extrapolate as constants
-    beyond the grid.
-    """
-
-    kind: str  # "loess" or "antitonic"
     grid: np.ndarray
     values: np.ndarray
 
     def __call__(self, x):
-        x = np.asarray(x, dtype=float)
-        if self.kind == "antitonic":
-            idx = np.clip(np.searchsorted(self.grid, x, side="right") - 1, 0, len(self.grid) - 1)
-            out = self.values[idx]
-        else:
-            out = np.interp(x, self.grid, self.values)
+        out = np.interp(np.asarray(x, dtype=float), self.grid, self.values)
         return float(out) if out.ndim == 0 else out
 
 
@@ -117,7 +107,7 @@ def loess_fit(x, y, grid, span: float = 0.5) -> SmoothCurve:
             fitted[rows] = _fit_rows(x, y, count, grid[rows], dmax[rows], equal[rows], tol[rows])
     if not np.all(np.isfinite(fitted)):
         raise ValueError("non-finite fitted value")
-    return SmoothCurve(kind="loess", grid=grid, values=fitted)
+    return SmoothCurve(grid=grid, values=fitted)
 
 
 def _radii(x, count, q, x0):
@@ -220,7 +210,7 @@ def antitonic_fit(x, y, w=None) -> SmoothCurve:
     if len(x) < 2:
         raise ValueError("need at least 2 distinct x values")
     fitted = -pava_nondecreasing(-y, w)
-    return SmoothCurve(kind="antitonic", grid=x, values=fitted)
+    return SmoothCurve(grid=x, values=fitted)
 
 
 # Royston (1995) polynomial coefficients for the Shapiro-Wilk approximation.

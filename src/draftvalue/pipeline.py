@@ -65,9 +65,8 @@ def css_curves(
     classes: Sequence[DraftClass],
     css_ranks: Mapping[int, np.ndarray],
     config: RunConfig,
-    group: Optional[PositionGroup] = None,
 ) -> dict[Metric, SmoothCurve]:
-    return {m: expected_curve(classes, css_ranks, m, config.loess_span, group) for m in config.metrics}
+    return {m: expected_curve(classes, css_ranks, m, config.loess_span) for m in config.metrics}
 
 
 def surplus_for_metric(

@@ -29,13 +29,15 @@ _FORWARD_CODES = np.array(
     [POSITIONS.index(p) for p in (Position.C, Position.L, Position.R, Position.F)]
 )
 _CODE = {c: CATEGORIES.index(c) for c in CssCategory}
+FIRST_YEAR = 1998
+QUALITY_DECAY = 3.0  # base quality exp(-QUALITY_DECAY * talent/n) falls down the draft
+OUTCOME_NOISE = 0.35  # scale of the noise on each outcome
 
 
 @dataclass(frozen=True)
 class SynthConfig:
     seed: int = 0
     years: int = 5
-    first_year: int = 1998
     picks_per_year: int = 210
     teams: int = 30
     never_played_rate: float = 0.54
@@ -45,14 +47,11 @@ class SynthConfig:
     goalie_rate: float = 0.116
     defense_rate: float = 0.317
     eu_rate: float = 0.30
-    # decreasing base quality exp(-decay * talent/n) and outcome noise scale
-    quality_decay: float = 3.0
-    outcome_noise: float = 0.35
 
     def __post_init__(self):
         if not (0.0 <= self.never_played_rate < 1.0):
             raise ValueError("never_played_rate must be in [0, 1)")
-        for name in ("css_noise", "team_noise", "outcome_noise"):
+        for name in ("css_noise", "team_noise"):
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be >= 0")
         for name in ("goalie_rate", "defense_rate", "eu_rate"):
@@ -60,10 +59,9 @@ class SynthConfig:
                 raise ValueError(f"{name} must be in [0, 1]")
         if self.goalie_rate + self.defense_rate > 1.0:
             raise ValueError("goalie_rate + defense_rate must not exceed 1")
-        if self.seed < 0:
-            raise ValueError(f"seed must be >= 0, got {self.seed}")
-        if self.years < 1 or self.teams < 1:
-            raise ValueError("years and teams must be positive")
+        for name, low in (("seed", 0), ("years", 1), ("teams", 1)):
+            if getattr(self, name) < low:
+                raise ValueError(f"{name} must be >= {low}, got {getattr(self, name)}")
         if not 2 <= self.picks_per_year <= MAX_SELECTION:
             raise ValueError(
                 f"picks_per_year must be in [2, {MAX_SELECTION}], got {self.picks_per_year}"
@@ -100,10 +98,10 @@ def generate_synthetic_draft(
     rng = np.random.default_rng(config.seed)
     parts = []  # the rows of each year in pick order, as RawRows fields
     n = config.picks_per_year
-    quality = np.exp(-config.quality_decay * np.arange(n) / n)
+    quality = np.exp(-QUALITY_DECAY * np.arange(n) / n)
     played_p = _played_probabilities(n, config.never_played_rate)
     for y in range(config.years):
-        year = config.first_year + y
+        year = FIRST_YEAR + y
         talent = np.arange(1, n + 1, dtype=float)
 
         team_score = talent + rng.normal(0.0, config.team_noise, n) if config.team_noise else talent
@@ -133,15 +131,11 @@ def generate_synthetic_draft(
             category_rank[order] = np.arange(1, len(members) + 1)
 
         played = rng.random(n) < played_p
-        gp_noise = (
-            np.exp(rng.normal(0.0, config.outcome_noise, n) - config.outcome_noise**2 / 2.0)
-            if config.outcome_noise
-            else np.ones(n)
-        )
+        gp_noise = np.exp(rng.normal(0.0, OUTCOME_NOISE, n) - OUTCOME_NOISE**2 / 2.0)
         gp = np.where(played, np.maximum(1, np.rint(550.0 * quality * gp_noise).astype(int)), 0)
-        minutes = np.clip(6.0 + 19.0 * quality + rng.normal(0.0, config.outcome_noise, n), 3.0, None)
+        minutes = np.clip(6.0 + 19.0 * quality + rng.normal(0.0, OUTCOME_NOISE, n), 3.0, None)
         toi = gp * minutes
-        gvt = -20.0 + 134.0 * quality + rng.normal(0.0, 20.0 * config.outcome_noise, n)
+        gvt = -20.0 + 134.0 * quality + rng.normal(0.0, 20.0 * OUTCOME_NOISE, n)
 
         by_pick = np.argsort(selection_of)
         selection = selection_of[by_pick]

@@ -4,13 +4,15 @@ and a split-half consistency correlation across early and late drafts."""
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping, Optional, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
 from .core_model import DraftClass, Metric
 from .numerics import SmoothCurve, TestResult, pearson, shapiro_wilk
 from .valuation import differential_points
+
+OUTLIER_SD = 3.0  # a team's mean gain this many SDs from the league mean is an outlier
 
 
 @dataclass(frozen=True)
@@ -26,20 +28,18 @@ def team_gains(
     classes: Sequence[DraftClass],
     css_ranks: Mapping[int, np.ndarray],
     css_curves: Mapping[Metric, SmoothCurve],
-    years: Optional[Sequence[int]] = None,
 ) -> list[TeamGain]:
     """Average realized surplus (outcome minus scouting expectation) per team
     per pick. Averaging, rather than totals, keeps teams with fewer drafts
     comparable to the rest of the league.
     """
-    chosen = [dc for dc in classes if years is None or dc.year in years]
-    if not chosen:
+    if not classes:
         return []
-    teams, team_of = np.unique(np.concatenate([dc.columns.team for dc in chosen]), return_inverse=True)
+    teams, team_of = np.unique(np.concatenate([dc.columns.team for dc in classes]), return_inverse=True)
     picks = np.bincount(team_of)
     # bincount adds each team's surpluses in pick order, year by year
     means = {
-        m: np.bincount(team_of, weights=differential_points(chosen, css_ranks, curve, m)[1]) / picks
+        m: np.bincount(team_of, weights=differential_points(classes, css_ranks, curve, m)[1]) / picks
         for m, curve in css_curves.items()
     }
     return [
@@ -64,8 +64,8 @@ def split_half_correlation(
 ) -> dict[Metric, TestResult]:
     """Correlation across teams between mean gains in the early and late
     year halves; teams missing from either half are excluded."""
-    early = {g.team: g for g in team_gains(classes, css_ranks, css_curves, early_years)}
-    late = {g.team: g for g in team_gains(classes, css_ranks, css_curves, late_years)}
+    halves = [[dc for dc in classes if dc.year in years] for years in (early_years, late_years)]
+    early, late = ({g.team: g for g in team_gains(half, css_ranks, css_curves)} for half in halves)
     common = sorted(set(early) & set(late))
     if len(common) < 3:
         raise ValueError("need at least 3 teams with picks in both halves")
@@ -77,13 +77,13 @@ def split_half_correlation(
     return out
 
 
-def outlier_teams(gains: Sequence[TeamGain], metric: Metric, z: float = 3.0) -> list[str]:
-    """Teams whose mean gain sits beyond z standard deviations of the
-    cross-team mean; reported, never asserted."""
+def outlier_teams(gains: Sequence[TeamGain], metric: Metric) -> list[str]:
+    """Teams whose mean gain sits beyond ``OUTLIER_SD`` standard deviations
+    of the cross-team mean; reported, never asserted."""
     if len(gains) < 2:
         return []
     values = np.array([g.mean_gain[metric] for g in gains])
     mu, sd = values.mean(), values.std(ddof=1)
     if sd == 0:
         return []
-    return [g.team for g, v in zip(gains, values) if abs(v - mu) > z * sd]
+    return [g.team for g, v in zip(gains, values) if abs(v - mu) > OUTLIER_SD * sd]

@@ -173,7 +173,7 @@ def draft_value_chart(toi_curve: SmoothCurve) -> ValueChart:
     mono = antitonic_fit(SELECTION_GRID, toi_curve(SELECTION_GRID))
     # smoothing can undershoot below zero in the tail; expected minutes are
     # non-negative, so floor the curve before scaling
-    levels = np.maximum(mono(SELECTION_GRID), 0.0)
+    levels = np.maximum(mono.values, 0.0)
     top = levels[0]
     if top <= 0:
         raise ValueError("non-positive top value")

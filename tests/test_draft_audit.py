@@ -144,28 +144,28 @@ class TestReplayFlags:
 class TestAudit:
     def test_perfectly_ordered_draft(self):
         dc = class_with_gp(list(range(300, 0, -3)))  # descending metric
-        report = audit([dc], both_orderings([dc]), band_edge=50)
+        report = audit([dc], both_orderings([dc]))
         for band in ("all", "1-3", "4-7"):
             cell = report.cell(Metric.GP, Ordering.TEAM, band)
             assert cell.optimal_pct == 100.0
             assert cell.nearly_optimal_pct == 100.0
 
     def test_optimal_never_exceeds_nearly(self, rng):
-        classes = [random_class(rng, n=30, year=y) for y in (1998, 1999)]
-        report = audit(classes, both_orderings(classes), band_edge=15)
+        classes = [random_class(rng, n=120, year=y) for y in (1998, 1999)]
+        report = audit(classes, both_orderings(classes))
         for cell in report.cells.values():
             assert 0.0 <= cell.optimal_pct <= cell.nearly_optimal_pct <= 100.0
 
     def test_band_partition(self, rng):
-        dc = random_class(rng, n=30)
-        report = audit([dc], both_orderings([dc]), band_edge=10)
+        dc = random_class(rng, n=120)
+        report = audit([dc], both_orderings([dc]))
         for metric in Metric:
             for ordering in Ordering:
                 total = report.cell(metric, ordering, "all").picks
                 early = report.cell(metric, ordering, "1-3").picks
                 late = report.cell(metric, ordering, "4-7").picks
-                assert early + late == total == 30
-                assert early == 10
+                assert early + late == total == 120
+                assert early == 90
 
     def test_half_sd_pooled_over_years(self, rng):
         classes = [random_class(rng, n=20, year=y) for y in (1998, 1999)]

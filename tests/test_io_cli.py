@@ -1,7 +1,9 @@
 import contextlib
 import io
+import json
 import logging
 import tempfile
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -9,11 +11,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from draftvalue.cescin import FACTOR_CATEGORIES
 from draftvalue.cli import main
 from draftvalue.config import RunConfig, parse_config_text
-from draftvalue.core_model import Metric, PlayerRecord
+from draftvalue.core_model import ImputationConfig, Metric, PlayerRecord
 from draftvalue.io import CHUNK_ROWS, CSV_COLUMNS, DataError, load_draft_csv, write_draft_csv
 from draftvalue.synth import SynthConfig, generate_synthetic_draft
+from draftvalue.valuation import DollarConstants
 
 from conftest import make_record
 
@@ -224,6 +228,9 @@ class TestConfigFile:
         loess.span = 0.4
         cescin.na_skater = 1.25
         dollars.salary_per_game = 30000
+        dollars.dollars_per_goal = 250000
+        dollars.minutes_per_game = 18.5
+        dollars.picks_per_season = 9
         split.early = 1998-1999
         split.late = 2000,2002
         metrics = toi,gp
@@ -232,11 +239,31 @@ class TestConfigFile:
         cfg = parse_config_text(text)
         assert cfg.loess_span == 0.4
         assert cfg.factors == {"na_skater": 1.25}
-        assert cfg.dollars.salary_per_game == 30000.0
+        assert cfg.dollars == DollarConstants(30000.0, 250000.0, 18.5, 9)
         assert cfg.split_early == (1998, 1999)
         assert cfg.split_late == (2000, 2002)
         assert cfg.metrics == (Metric.TOI, Metric.GP)
         assert cfg.by_position
+
+    def test_readme_config_block_lists_every_key_with_its_default(self):
+        readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+        block = readme.split("## Config file", 1)[1].split("```\n")[1]
+        documented = [line.split("=")[0].strip() for line in block.splitlines()]
+        # the keys below set these fields; a new field needs its key here and in the README
+        assert [f.name for f in fields(RunConfig)] == [
+            "loess_span", "factors", "dollars", "imputation", "split_early", "split_late",
+            "metrics", "by_position",
+        ]
+        accepted = {
+            "loess.span", "split.early", "split.late", "metrics", "by_position",
+            *(f"cescin.{c.value.lower()}" for c in FACTOR_CATEGORIES),
+            *(f"dollars.{f.name}" for f in fields(DollarConstants)),
+            *(f"impute.{f.name}" for f in fields(ImputationConfig)),
+        }
+        assert len(accepted) == 15 and sorted(documented) == sorted(accepted)
+        cfg = parse_config_text(block)
+        assert set(cfg.factors) == {c.value.lower() for c in FACTOR_CATEGORIES}
+        assert replace(cfg, factors={}) == RunConfig()
 
     def test_unknown_key_rejected(self):
         with pytest.raises(ValueError, match="unknown key"):
@@ -316,6 +343,19 @@ class TestCli:
         )
         assert main(["run", str(path), "--out", str(tmp_path / "o")]) == 3
 
+    def test_never_played_draft(self, tmp_path, capsys):
+        # every TOI and GP is 0 and every GVT the imputed -30
+        rows = [
+            f"{y},{s},T{s % 6:02d},P{s},C,NA_SKATER,{s},0,," for y in (1998, 1999) for s in range(1, 31)
+        ]
+        path, out = write_csv(tmp_path, rows), tmp_path / "o"
+        assert main(["chart", str(path), "--out", str(out)]) == 3
+        assert "pipeline error: stage chart: non-positive top value" in capsys.readouterr().err
+        assert main(["teams", str(path), "--out", str(out)]) == 0
+        normality = json.loads((out / "team_tests.json").read_text(encoding="utf-8"))["normality"]
+        for metric in ("toi", "gp"):
+            assert normality[metric] == {"error": "degenerate sample: zero variance"}
+
     def test_metric_flag_restricts_outputs(self, tmp_path):
         out = tmp_path / "s"
         main(["synth", "--seed", "4", "--years", "1", "--out", str(out)])
@@ -383,23 +423,34 @@ class TestCli:
         assert "config" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
-        "content",
+        "content, message",
         [
-            HEADER + "\n1998,1,T01,Alpha,C,NA_SKATER,1,100,nan,5.0\n",
-            HEADER + "\n1998,1,T01,Alpha,C,NA_SKATER,1,100,1500.0,inf\n",
-            HEADER + "\n1998,1,T01,Alpha,C,NA_SKATER,3.5,100,1500.0,5.0\n",
-            HEADER + "\n1998,1,T01,Alpha,C\n",
-            HEADER + "\n1998,1,T01,Alpha,C,NA_SKATER,99999999999999999999,100,1500.0,5.0\n",
-            HEADER + "\n1998,1,T01," + "A" * 200_000 + ",C,NA_SKATER,1,100,1500.0,5.0\n",
-            (HEADER + "\n1998,1,T01,Alpha,C,NA_SKATER,1,100,1500.0,5.0\n").encode() + b"\xff\xfe\n",
-            None,  # a directory
+            (HEADER + "\n1998,1,T01,Alpha,C,NA_SKATER,1,100,nan,5.0\n", "line 2: toi7: must be finite"),
+            (HEADER + "\n1998,1,T01,Alpha,C,NA_SKATER,1,100,1500.0,inf\n", "line 2: gvt7: must be finite"),
+            (HEADER + "\n1998,1,T01,Alpha,C,NA_SKATER,3.5,100,1500.0,5.0\n", "line 2: unparseable integer"),
+            (HEADER + "\n1998,1,T01,Alpha,C\n", "line 2: expected 10 fields"),
+            (
+                HEADER + "\n1998,1,T01,Alpha,C,NA_SKATER,99999999999999999999,100,1500.0,5.0\n",
+                "line 2: css_category_rank: integer out of the 64-bit range",
+            ),
+            (
+                HEADER + "\n1998,1,T01," + "A" * 200_000 + ",C,NA_SKATER,1,100,1500.0,5.0\n",
+                "line 2: field larger than field limit",
+            ),
+            (
+                (HEADER + "\n1998,1,T01,Alpha,C,NA_SKATER,1,100,1500.0,5.0\n").encode() + b"\xff\xfe\n",
+                "not UTF-8 text",
+            ),
+            (None, "draft.csv: "),  # a directory
+            ("", "empty file, missing header"),
+            ("x" * 131_073 + "\n", "line 1: field larger than field limit"),
         ],
         ids=[
             "nan", "inf", "fractional-rank", "short-row", "rank-past-int64", "field-too-long",
-            "not-utf8", "directory",
+            "not-utf8", "directory", "empty", "header-field-too-long",
         ],
     )
-    def test_bad_input_exit_code(self, tmp_path, capsys, content):
+    def test_bad_input_exit_code(self, tmp_path, capsys, content, message):
         path = tmp_path / "draft.csv"
         if content is None:
             path.mkdir()
@@ -408,7 +459,8 @@ class TestCli:
         else:
             path.write_text(content, encoding="utf-8")
         assert main(["run", str(path), "--out", str(tmp_path / "o")]) == 2
-        assert capsys.readouterr().err.startswith("data error:")
+        err = capsys.readouterr().err
+        assert err.startswith("data error:") and message in err
 
     def test_ingest_and_run_build_no_player_record(self, tmp_path, monkeypatch, capsys):
         path = tmp_path / "draft.csv"
@@ -455,6 +507,18 @@ class TestCli:
         assert main(["run", "--out", str(out)]) == 1
         assert capsys.readouterr().err.startswith("error:")
 
+    @pytest.mark.parametrize("exists", [True, False], ids=["existing", "missing"])
+    def test_run_with_data_and_seed_exit_code(self, tmp_path, capsys, exists):
+        data = tmp_path / "draft.csv"
+        if exists:
+            main(["synth", "--seed", "1", "--years", "1", "--out", str(tmp_path)])
+            (tmp_path / "synthetic.csv").rename(data)
+            capsys.readouterr()
+        assert main(["run", str(data), "--seed", "1", "--out", str(tmp_path / "o")]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error:")
+        assert not (tmp_path / "o").exists()
+
     def test_out_names_a_file(self, tmp_path, capsys):
         taken = tmp_path / "taken"
         taken.write_text("", encoding="utf-8")
@@ -478,7 +542,7 @@ class TestCli:
     def test_bad_synthetic_flag_exit_code(self, tmp_path, capsys, argv):
         assert main([*argv, "--out", str(tmp_path / "o")]) == 1
         err = capsys.readouterr().err.splitlines()
-        assert len(err) == 1 and err[0].startswith("error:")
+        assert len(err) == 1 and err[0].startswith("error:") and argv[1] in err[0]
         assert not (tmp_path / "o").exists()
 
     def test_synthetic_csv_cannot_be_written(self, tmp_path, capsys):
@@ -506,7 +570,7 @@ class TestCli:
         curves = []
         for name, extra in (("default", []), ("imputed", ["--config", str(config)])):
             out = tmp_path / name
-            argv = ["run", "unused.csv", "--seed", "0", "--metric", "gvt", "--out", str(out), *extra]
+            argv = ["run", "--seed", "0", "--metric", "gvt", "--out", str(out), *extra]
             assert main(argv) == 0
             curves.append((out / "curves" / "expected_gvt_css.csv").read_text())
         assert curves[0] != curves[1]

@@ -109,7 +109,7 @@ class TestLoess:
     def test_evaluation_interpolates_and_clamps(self):
         from draftvalue.numerics import SmoothCurve
 
-        curve = SmoothCurve(kind="loess", grid=np.array([0.0, 1.0]), values=np.array([0.0, 2.0]))
+        curve = SmoothCurve(grid=np.array([0.0, 1.0]), values=np.array([0.0, 2.0]))
         assert curve(0.5) == pytest.approx(1.0)
         assert curve(-5.0) == 0.0
         assert curve(7.0) == 2.0
@@ -298,12 +298,6 @@ class TestAntitonic:
         # x=1 collapses to weighted mean 2.5 before fitting
         assert np.allclose(curve.grid, [1, 2])
         assert np.allclose(curve.values, [2.5, 1.0])
-
-    def test_step_evaluation(self):
-        curve = antitonic_fit([1, 2, 3], [5, 3, 1])
-        assert curve(0.0) == 5.0
-        assert curve(2.5) == 3.0
-        assert curve(99.0) == 1.0
 
     def test_too_few_distinct_x(self):
         with pytest.raises(ValueError):

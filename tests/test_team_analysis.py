@@ -23,7 +23,7 @@ UNIT = CategoryFactors(na_skater=1.0, na_goalie=1.0, eu_skater=1.0, eu_goalie=1.
 
 def flat_curves(level=0.0):
     grid = np.arange(1, 211, dtype=float)
-    curve = SmoothCurve(kind="loess", grid=grid, values=np.full(210, level))
+    curve = SmoothCurve(grid=grid, values=np.full(210, level))
     return {m: curve for m in Metric}
 
 
@@ -161,6 +161,7 @@ class TestDiagnostics:
             assert outlier_teams([TeamGain("T1", 7, {Metric.GP: 3.0})], Metric.GP) == []
 
     def test_extreme_team_flagged(self):
-        values = [0.0, 0.1, -0.1, 0.05, -0.05, 0.02, -0.02, 0.08, -0.08, 50.0]
+        # 12 teams: with n values no z-score (ddof=1) exceeds (n-1)/sqrt(n)
+        values = [0.0, 0.1, -0.1, 0.05, -0.05, 0.02, -0.02, 0.08, -0.08, 0.03, -0.03, 50.0]
         gains = [TeamGain(f"T{i}", 1, {Metric.GP: v}) for i, v in enumerate(values)]
-        assert outlier_teams(gains, Metric.GP, z=2.0) == ["T9"]
+        assert outlier_teams(gains, Metric.GP) == ["T11"]

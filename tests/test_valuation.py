@@ -23,7 +23,7 @@ UNIT = CategoryFactors(na_skater=1.0, na_goalie=1.0, eu_skater=1.0, eu_goalie=1.
 
 def linear_curve(slope, intercept=0.0, lo=-250, hi=250):
     grid = np.arange(lo, hi + 1, dtype=float)
-    return SmoothCurve(kind="loess", grid=grid, values=slope * grid + intercept)
+    return SmoothCurve(grid=grid, values=slope * grid + intercept)
 
 
 def differentials(records, curve=None, metric=Metric.GP):
@@ -76,7 +76,7 @@ class TestMetricDifferential:
         assert differentials([r], curve, Metric.GP)[1][0] == pytest.approx(-300.0)
 
     def test_rank_outside_grid_extrapolates_constant(self):
-        curve = SmoothCurve(kind="loess", grid=np.array([1.0, 10.0]), values=np.array([5.0, 2.0]))
+        curve = SmoothCurve(grid=np.array([1.0, 10.0]), values=np.array([5.0, 2.0]))
         records = [
             make_record(selection=s, css_category_rank=s, gp7=10, toi7=100.0, gvt7=0.0)
             for s in range(1, 13)
