@@ -15,7 +15,6 @@ from .core_model import (
     PositionGroup,
     RecordError,
     SummaryStats,
-    normalize_record,
     position_group,
     summarize_metric,
 )

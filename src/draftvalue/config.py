@@ -9,18 +9,19 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field, replace
 from pathlib import Path
-from typing import Union
+from typing import Sequence, Union
 
 from .cescin import FACTOR_CATEGORIES
 from .core_model import ImputationConfig, Metric
 from .valuation import DollarConstants
 
 
-def _year_range(text: str) -> tuple[int, ...]:
+def _year_range(text: str) -> Sequence[int]:
+    """``lo-hi`` as a ``range`` (no year list, however wide), or a comma list."""
     text = text.strip()
     if "-" in text:
         lo, hi = text.split("-", 1)
-        return tuple(range(int(lo), int(hi) + 1))
+        return range(int(lo), int(hi) + 1)
     return tuple(int(p) for p in text.split(",") if p.strip())
 
 
@@ -30,8 +31,8 @@ class RunConfig:
     factors: dict[str, float] = field(default_factory=dict)  # cescin overrides
     dollars: DollarConstants = DollarConstants()
     imputation: ImputationConfig = ImputationConfig()
-    split_early: tuple[int, ...] = (1998, 1999, 2000)
-    split_late: tuple[int, ...] = (2001, 2002)
+    split_early: Sequence[int] = range(1998, 2001)  # what the README's "1998-2000" parses to
+    split_late: Sequence[int] = (2001, 2002)
     metrics: tuple[Metric, ...] = tuple(Metric)
     by_position: bool = False
 

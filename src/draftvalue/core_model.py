@@ -7,7 +7,7 @@ from __future__ import annotations
 import enum
 import logging
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields
 from functools import cached_property
 from collections.abc import Sequence
 from typing import Iterable, Mapping, Optional
@@ -210,33 +210,6 @@ def impute(rows: RawRows, config: ImputationConfig) -> tuple[np.ndarray, np.ndar
     return toi7, np.where(never_played, config.never_played_gvt, rows.gvt7)
 
 
-def normalize_record(
-    raw: PlayerRecord, config: ImputationConfig = ImputationConfig()
-) -> PlayerRecord:
-    """Validate one record and apply the imputation rules; returns a
-    fully-populated record. Idempotent."""
-    rows = RawRows(
-        year=np.array([raw.year]),
-        selection=np.array([raw.selection]),
-        team=np.array([raw.team]),
-        name=np.array([raw.name]),
-        position=np.array([POSITIONS.index(raw.position)]),
-        css_category=np.array([CATEGORIES.index(raw.css_category)]),
-        css_category_rank=np.array([raw.css_category_rank or 0]),
-        has_css_category_rank=np.array([raw.css_category_rank is not None]),
-        gp7=np.array([raw.gp7]),
-        toi7=np.array([math.nan if raw.toi7 is None else raw.toi7], dtype=float),
-        has_toi7=np.array([raw.toi7 is not None]),
-        gvt7=np.array([math.nan if raw.gvt7 is None else raw.gvt7], dtype=float),
-        has_gvt7=np.array([raw.gvt7 is not None]),
-    )
-    invalid = first_invalid_row(rows)
-    if invalid is not None:
-        raise invalid[1]
-    toi7, gvt7 = impute(rows, config)
-    return replace(raw, toi7=float(toi7[0]), gvt7=float(gvt7[0]))
-
-
 @dataclass(frozen=True, eq=False)
 class DraftColumns:
     """Read-only numpy columns of one draft class, one row per player.
@@ -255,10 +228,12 @@ class DraftColumns:
     metrics: Mapping[Metric, np.ndarray]
 
     def __post_init__(self):
-        for column in (
-            self.selection, self.position, self.team, self.name, self.category,
-            self.category_rank, *self.metrics.values(),
-        ):
+        columns = {f.name: getattr(self, f.name) for f in fields(self) if f.name != "metrics"}
+        columns.update((m.value, column) for m, column in self.metrics.items())
+        n = len(self.selection)
+        for name, column in columns.items():
+            if len(column) != n:
+                raise ValueError(f"column {name} has {len(column)} rows, selection has {n}")
             column.flags.writeable = False
 
     @cached_property
@@ -274,9 +249,10 @@ class DraftClass:
     """One draft year's players as columns, sorted by selection.
 
     At most 210 selections; any number of slots may be missing (one historical
-    pick was invalidated), and the loader logs the missing ones. ``records``
-    is a read-only ``PlayerRecord`` view that builds a record only when one
-    is read.
+    pick was invalidated), and the loader logs the missing ones. The loader
+    and ``synth`` build classes with ``draft_classes``. ``records`` is a
+    read-only ``PlayerRecord`` view that builds a record only when one is
+    read; ``bench/tracing.py`` counts rows with ``len(dc.records)``.
     """
 
     year: int
@@ -288,26 +264,6 @@ class DraftClass:
             raise ValueError(f"year {self.year}: selections must be strictly increasing")
         if len(selection) > MAX_SELECTION:
             raise ValueError(f"year {self.year}: more than {MAX_SELECTION} selections")
-
-    @classmethod
-    def from_records(cls, year: int, records: Sequence[PlayerRecord]) -> "DraftClass":
-        for r in records:
-            if r.year != year:
-                raise ValueError(f"record year {r.year} != class year {year}")
-        columns = DraftColumns(
-            selection=np.array([r.selection for r in records], np.int64),
-            position=np.array([POSITIONS.index(r.position) for r in records], np.int8),
-            team=np.array([r.team for r in records], str),
-            name=np.array([r.name for r in records], str),
-            category=np.array([CATEGORIES.index(r.css_category) for r in records], np.int8),
-            category_rank=np.array([r.css_category_rank or 0 for r in records], np.int64),
-            metrics={
-                Metric.GP: np.array([r.gp7 for r in records], np.int64),
-                Metric.TOI: np.array([r.toi7 for r in records], float),
-                Metric.GVT: np.array([r.gvt7 for r in records], float),
-            },
-        )
-        return cls(year, columns)
 
     def __len__(self) -> int:
         return len(self.columns.selection)

@@ -183,8 +183,8 @@ class Analysis:
             except ValueError as exc:
                 tests["normality"][metric.value] = {"error": str(exc)}
             tests["outliers"][metric.value] = outlier_teams(gains, metric)
-        years = {dc.year for dc in self.classes}
-        if years & set(cfg.split_early) and years & set(cfg.split_late):
+        years = [dc.year for dc in self.classes]
+        if any(y in cfg.split_early for y in years) and any(y in cfg.split_late for y in years):
             try:
                 split = split_half_correlation(
                     self.classes, css_ranks, expected, cfg.split_early, cfg.split_late

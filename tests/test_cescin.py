@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -8,7 +10,7 @@ from draftvalue.cescin import (
     css_ordering,
     estimate_category_factors,
 )
-from draftvalue.core_model import CssCategory, Position, RecordError
+from draftvalue.core_model import CssCategory, DraftClass, Position, RecordError
 
 from conftest import make_class, make_record
 
@@ -82,8 +84,8 @@ class TestCescinValue:
 
     def test_invalid_inputs(self):
         # a value is rank x factor only for ranks >= 1 and positive factors
-        with pytest.raises(RecordError):
-            make_record(css_category_rank=0)
+        with pytest.raises(RecordError, match="css_category_rank: must be >= 1"):
+            make_class([make_record(css_category_rank=0)])
         with pytest.raises(ValueError):
             CategoryFactors(na_skater=1.0, na_goalie=1.0, eu_skater=0.0, eu_goalie=1.0)
 
@@ -124,10 +126,14 @@ class TestCssOrdering:
         assert by_sel[5] < by_sel[9]
 
     def test_empty_class_rejected(self):
-        from draftvalue.core_model import DraftClass
-
+        c = class_from_pairs([(1, 1)]).columns
+        no_rows = replace(
+            c, selection=c.selection[:0], position=c.position[:0], team=c.team[:0],
+            name=c.name[:0], category=c.category[:0], category_rank=c.category_rank[:0],
+            metrics={m: column[:0] for m, column in c.metrics.items()},
+        )
         with pytest.raises(ValueError):
-            css_ordering(DraftClass.from_records(1998, []), UNIT_FACTORS)
+            css_ordering(DraftClass(1998, no_rows), UNIT_FACTORS)
 
 
 @st.composite

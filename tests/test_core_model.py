@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -9,87 +11,78 @@ from draftvalue.core_model import (
     Position,
     PositionGroup,
     RecordError,
-    normalize_record,
+    first_invalid_row,
+    impute,
     position_group,
     summarize_metric,
 )
 
-from conftest import make_class, make_record
+from conftest import make_class, make_record, raw_rows
+
+
+def imputed(config=ImputationConfig(), **fields):
+    """(toi7, gvt7) of one valid row, given as ``make_record`` fields, after
+    imputation."""
+    rows = raw_rows([make_record(**fields)])
+    assert first_invalid_row(rows) is None
+    toi7, gvt7 = impute(rows, config)
+    return float(toi7[0]), float(gvt7[0])
+
+
+def rejected(**fields):
+    """The error ``first_invalid_row`` reports for one row."""
+    invalid = first_invalid_row(raw_rows([make_record(**fields)]))
+    assert invalid is not None and invalid[0] == 0
+    return invalid[1]
 
 
 class TestNormalize:
     def test_goalie_minutes_imputed(self):
-        r = make_record(
-            position=Position.G,
-            css_category=CssCategory.NA_GOALIE,
-            gp7=50,
-            toi7=None,
-            gvt7=2.0,
-            normalized=False,
-        )
-        assert normalize_record(r).toi7 == 1000.0
+        goalie = dict(position=Position.G, css_category=CssCategory.NA_GOALIE)
+        assert imputed(**goalie, gp7=50, toi7=None, gvt7=2.0) == (1000.0, 2.0)
 
     def test_never_played_skater(self):
-        r = make_record(gp7=0, toi7=None, gvt7=None, normalized=False)
-        out = normalize_record(r)
-        assert out.gvt7 == -30.0
-        assert out.toi7 == 0.0
+        assert imputed(gp7=0, toi7=None, gvt7=None) == (0.0, -30.0)
 
     def test_no_imputation_when_played(self):
-        r = make_record(gp7=553, toi7=13880.0, gvt7=114.0, normalized=False)
-        out = normalize_record(r)
-        assert (out.gp7, out.toi7, out.gvt7) == (553, 13880.0, 114.0)
+        assert imputed(gp7=553, toi7=13880.0, gvt7=114.0) == (13880.0, 114.0)
 
     def test_idempotent(self, rng):
         for _ in range(50):
             gp = int(rng.integers(0, 400))
             pos = [Position.C, Position.D, Position.G][rng.integers(0, 3)]
-            r = make_record(
+            fields = dict(
                 position=pos,
                 css_category=CssCategory.NA_GOALIE if pos is Position.G else CssCategory.NA_SKATER,
                 gp7=gp,
                 toi7=float(gp * 15) if gp else None,
                 gvt7=float(rng.normal()) if gp else None,
-                normalized=False,
             )
-            once = normalize_record(r)
-            assert normalize_record(once) == once
+            toi7, gvt7 = once = imputed(**fields)
+            assert imputed(**{**fields, "toi7": toi7, "gvt7": gvt7}) == once
             if gp == 0:
-                assert once.gvt7 == -30.0 and once.toi7 == 0.0
+                assert once == (0.0, -30.0)
             if pos is Position.G:
-                assert once.toi7 - 20 * once.gp7 == 0.0
+                assert toi7 - 20 * gp == 0.0
 
     def test_custom_imputation_constants(self):
         cfg = ImputationConfig(never_played_gvt=-25.0, goalie_minutes_per_game=18.0)
-        r = make_record(
-            position=Position.G,
-            css_category=CssCategory.NA_GOALIE,
-            gp7=10,
-            toi7=None,
-            gvt7=1.0,
-            normalized=False,
-        )
-        assert normalize_record(r, cfg).toi7 == 180.0
+        goalie = dict(position=Position.G, css_category=CssCategory.NA_GOALIE)
+        assert imputed(cfg, **goalie, gp7=10, toi7=None, gvt7=1.0) == (180.0, 1.0)
+        assert imputed(cfg, gp7=0, toi7=None, gvt7=None) == (0.0, -25.0)
 
     def test_goalie_with_skater_category_rejected(self):
-        r = make_record(position=Position.G, css_category=CssCategory.NA_SKATER, normalized=False)
-        with pytest.raises(RecordError) as exc:
-            normalize_record(r)
-        assert exc.value.field == "css_category"
+        error = rejected(position=Position.G, css_category=CssCategory.NA_SKATER)
+        assert isinstance(error, RecordError) and error.field == "css_category"
 
     def test_negative_metric_rejected(self):
-        r = make_record(toi7=-1.0, normalized=False)
-        with pytest.raises(RecordError) as exc:
-            normalize_record(r)
-        assert exc.value.field == "toi7"
+        assert rejected(toi7=-1.0).field == "toi7"
 
     def test_rank_absent_iff_unranked(self):
-        r = make_record(css_category=CssCategory.UNRANKED, css_category_rank=5, normalized=False)
-        with pytest.raises(RecordError):
-            normalize_record(r)
-        r = make_record(css_category_rank=None, normalized=False)
-        with pytest.raises(RecordError):
-            normalize_record(r)
+        assert rejected(css_category=CssCategory.UNRANKED, css_category_rank=5).field == (
+            "css_category_rank"
+        )
+        assert rejected(css_category_rank=None).field == "css_category_rank"
 
 
 @pytest.mark.parametrize(
@@ -109,36 +102,43 @@ def test_position_group(pos, group):
 
 class TestDraftClass:
     def test_duplicate_selection_rejected(self):
-        records = [make_record(selection=1), make_record(selection=1)]
-        with pytest.raises(ValueError):
-            DraftClass.from_records(1998, records)
+        dc = make_class([make_record(selection=1), make_record(selection=2)])
+        with pytest.raises(ValueError, match="strictly increasing"):
+            DraftClass(1998, replace(dc.columns, selection=np.array([1, 1])))
 
     def test_missing_slot_tolerated(self):
         records = [make_record(selection=s, css_category_rank=s) for s in (1, 2, 4)]
         dc = make_class(records)
         assert len(dc) == 3
 
-    def test_year_mismatch_rejected(self):
-        with pytest.raises(ValueError):
-            DraftClass.from_records(1999, [make_record(year=1998)])
-
     def test_unsorted_selections_rejected(self):
-        records = [make_record(selection=2), make_record(selection=1)]
+        dc = make_class([make_record(selection=1), make_record(selection=2)])
         with pytest.raises(ValueError, match="strictly increasing"):
-            DraftClass.from_records(1998, records)
+            DraftClass(1998, replace(dc.columns, selection=np.array([2, 1])))
 
     def test_more_than_210_rejected(self):
         records = [make_record(selection=s, css_category_rank=s) for s in range(1, 212)]
         with pytest.raises(ValueError, match="more than 210"):
-            DraftClass.from_records(1998, records)
+            make_class(records)
+
+    def test_unequal_columns_rejected(self):
+        columns = make_class([make_record(selection=s) for s in range(1, 11)]).columns
+        short_toi = {**columns.metrics, Metric.TOI: columns.metrics[Metric.TOI][:-5]}
+        with pytest.raises(ValueError, match="column toi has 5 rows, selection has 10"):
+            replace(columns, metrics=short_toi)
+        with pytest.raises(ValueError, match="column team has 9 rows"):
+            replace(columns, team=columns.team[1:])
 
     def test_records_view_round_trips(self):
+        # rows that imputation leaves as they are
         records = [
-            make_record(selection=1, team="BOS", gp7=0, toi7=None, gvt7=None),
+            make_record(selection=1, team="BOS", gp7=0, toi7=0.0, gvt7=-30.0),
             make_record(selection=3, css_category=CssCategory.UNRANKED, css_category_rank=None),
-            make_record(selection=7, position=Position.G, css_category=CssCategory.EU_GOALIE),
+            make_record(
+                selection=7, position=Position.G, css_category=CssCategory.EU_GOALIE, toi7=2000.0
+            ),
         ]
-        view = DraftClass.from_records(1998, records).records
+        view = make_class(records).records
         assert len(view) == 3
         assert list(view) == records
         assert view[-1] == records[-1]

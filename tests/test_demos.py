@@ -1,4 +1,5 @@
-"""Every demo script runs to completion against the package sources."""
+"""Every demo script and the README's library example run to completion
+against the package sources."""
 
 import os
 import subprocess
@@ -6,6 +7,9 @@ import sys
 from pathlib import Path
 
 import pytest
+
+from draftvalue.io import write_draft_csv
+from draftvalue.synth import SynthConfig, generate_synthetic_draft
 
 ROOT = Path(__file__).resolve().parents[1]
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
@@ -20,3 +24,13 @@ def test_demo_runs(demo, tmp_path):
         cwd=tmp_path, env=env, capture_output=True, text=True, timeout=300,
     )
     assert proc.returncode == 0, proc.stderr
+
+
+def test_readme_library_example_runs(tmp_path, monkeypatch):
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    block = readme.split("## Library", 1)[1].split("```python\n", 1)[1].split("```", 1)[0]
+    write_draft_csv(generate_synthetic_draft(SynthConfig(seed=0)), tmp_path / "draft.csv")
+    monkeypatch.chdir(tmp_path)
+    names = {}
+    exec(compile(block, "README.md", "exec"), names)
+    assert names["chart"].value(1) == 1000

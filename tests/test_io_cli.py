@@ -3,6 +3,7 @@ import io
 import json
 import logging
 import tempfile
+import tracemalloc
 from dataclasses import fields, replace
 from pathlib import Path
 
@@ -18,8 +19,6 @@ from draftvalue.core_model import ImputationConfig, Metric, PlayerRecord
 from draftvalue.io import CHUNK_ROWS, CSV_COLUMNS, DataError, load_draft_csv, write_draft_csv
 from draftvalue.synth import SynthConfig, generate_synthetic_draft
 from draftvalue.valuation import DollarConstants
-
-from conftest import make_record
 
 HEADER = ",".join(CSV_COLUMNS)
 
@@ -240,7 +239,7 @@ class TestConfigFile:
         assert cfg.loess_span == 0.4
         assert cfg.factors == {"na_skater": 1.25}
         assert cfg.dollars == DollarConstants(30000.0, 250000.0, 18.5, 9)
-        assert cfg.split_early == (1998, 1999)
+        assert cfg.split_early == range(1998, 2000)
         assert cfg.split_late == (2000, 2002)
         assert cfg.metrics == (Metric.TOI, Metric.GP)
         assert cfg.by_position
@@ -264,6 +263,17 @@ class TestConfigFile:
         cfg = parse_config_text(block)
         assert set(cfg.factors) == {c.value.lower() for c in FACTOR_CATEGORIES}
         assert replace(cfg, factors={}) == RunConfig()
+
+    def test_wide_year_range_parses_in_little_memory(self):
+        tracemalloc.start()
+        try:
+            cfg = parse_config_text("split.early = 1998-1001998")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_000_000
+        assert len(cfg.split_early) == 1_000_001
+        assert 1001998 in cfg.split_early and 1001999 not in cfg.split_early
 
     def test_unknown_key_rejected(self):
         with pytest.raises(ValueError, match="unknown key"):

@@ -65,10 +65,8 @@ class TestTeamGains:
         curves = flat_curves(50.0)
         base = {g.team: g for g in team_gains([dc], orderings, curves)}
         swap = {"T01": "T02", "T02": "T01", "T03": "T03", "T04": "T04"}
-        renamed = DraftClass.from_records(
-            dc.year,
-            tuple(dataclasses.replace(r, team=swap[r.team]) for r in dc.records),
-        )
+        teams = np.array([swap[t] for t in dc.columns.team.tolist()])
+        renamed = DraftClass(dc.year, dataclasses.replace(dc.columns, team=teams))
         permuted = {g.team: g for g in team_gains([renamed], {dc.year: orderings[dc.year]}, curves)}
         for old, new in swap.items():
             if old in base:
@@ -100,10 +98,7 @@ class TestNormalityCheck:
 class TestSplitHalf:
     def _two_identical_years(self, rng):
         dc = random_class(rng, n=24, year=1998, teams=6)
-        clone = DraftClass.from_records(
-            2001,
-            tuple(dataclasses.replace(r, year=2001) for r in dc.records),
-        )
+        clone = DraftClass(2001, dc.columns)
         classes = [dc, clone]
         orderings = {c.year: css_ordering(c, UNIT) for c in classes}
         return classes, orderings
@@ -120,18 +115,13 @@ class TestSplitHalf:
         classes, orderings = self._two_identical_years(rng)
         # flip the late half around the curve level: gain -> -gain
         late = classes[1]
-        flipped = DraftClass.from_records(
-            2001,
-            tuple(
-                dataclasses.replace(
-                    r,
-                    gp7=max(0, 2 * 80 - r.gp7),
-                    toi7=max(0.0, 2 * 80.0 - r.toi7) if r.gp7 else 0.0,
-                    gvt7=2 * 80.0 - r.gvt7,
-                )
-                for r in late.records
-            ),
-        )
+        gp, toi, gvt = (late.columns.metrics[m] for m in (Metric.GP, Metric.TOI, Metric.GVT))
+        metrics = {
+            Metric.GP: np.maximum(0, 2 * 80 - gp),
+            Metric.TOI: np.where(gp != 0, np.maximum(0.0, 2 * 80.0 - toi), 0.0),
+            Metric.GVT: 2 * 80.0 - gvt,
+        }
+        flipped = DraftClass(2001, dataclasses.replace(late.columns, metrics=metrics))
         curves = flat_curves(80.0)
         classes = [classes[0], flipped]
         orderings[2001] = css_ordering(flipped, UNIT)

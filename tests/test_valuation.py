@@ -54,8 +54,8 @@ class TestRankDifferential:
             assert differentials(moved(50, a, b))[0][a - 1] == -differentials(moved(50, b, a))[0][b - 1]
 
     def test_one_based(self):
-        with pytest.raises(RecordError):
-            make_record(selection=0)
+        with pytest.raises(RecordError, match="selection: must be >= 1, got 0"):
+            make_class([make_record(selection=0)])
         assert differentials(moved(5, 1, 5))[0].tolist() == [-4, 1, 1, 1, 1]
 
 
