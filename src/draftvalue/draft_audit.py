@@ -71,7 +71,7 @@ def replay_flags(
     value = dc.columns.metrics[metric][order]
     position = dc.columns.position[order]
     best = np.empty_like(value)
-    for code in np.unique(position):
+    for code in np.flatnonzero(np.bincount(position)):  # np.unique would import numpy.ma
         at = np.flatnonzero(position == code)
         best[at] = np.maximum.accumulate(value[at][::-1])[::-1]
     optimal = value >= best

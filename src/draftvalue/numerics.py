@@ -1,6 +1,7 @@
 """Numerical core: local-linear LOESS, weighted antitonic regression via
 pool-adjacent-violators, the Shapiro-Wilk normality test (Royston's AS R94
-approximation) and Pearson correlation with a t-based p-value.
+approximation) and Pearson correlation with a t-based p-value, with the
+normal and Student-t distribution functions those tests need.
 
 All fits are pure functions of their inputs.
 """
@@ -9,9 +10,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from statistics import NormalDist
 
 import numpy as np
-from scipy.special import ndtr, ndtri, stdtr
 
 
 @dataclass(frozen=True)
@@ -213,6 +214,67 @@ def antitonic_fit(x, y, w=None) -> SmoothCurve:
     return SmoothCurve(grid=x, values=fitted)
 
 
+_SQRT_HALF = math.sqrt(0.5)
+
+
+def normal_tail(z: float) -> float:
+    """P(Z > z) for a standard normal Z, to full relative precision up to
+    z = 37, where it underflows."""
+    return 0.5 * math.erfc(z * _SQRT_HALF)
+
+
+normal_quantile = NormalDist().inv_cdf  # Wichura's AS241
+
+
+_CF_EPS = 4e-16  # relative step (two ulps) at which the continued fraction has converged
+_CF_TINY = 1e-300  # keeps Lentz's denominators off zero
+
+
+def _off_zero(v: float) -> float:
+    return v if abs(v) >= _CF_TINY else _CF_TINY
+
+
+def _beta_fraction(a: float, b: float, x: float) -> float:
+    """Continued fraction of the incomplete beta function, by Lentz's
+    method; converges fast for x < (a + 1) / (a + b + 2)."""
+    c = 1.0
+    d = 1.0 / _off_zero(1.0 - (a + b) * x / (a + 1.0))
+    h = d
+    for m in range(1, 10_000):
+        for coeff in (
+            m * (b - m) * x / ((a + 2 * m - 1.0) * (a + 2 * m)),
+            -(a + m) * (a + b + m) * x / ((a + 2 * m) * (a + 2 * m + 1.0)),
+        ):
+            d = 1.0 / _off_zero(1.0 + coeff * d)
+            c = _off_zero(1.0 + coeff / c)
+            h *= c * d
+        if abs(c * d - 1.0) < _CF_EPS:
+            return h
+    raise ArithmeticError(f"incomplete beta fraction did not converge at a={a}, b={b}, x={x}")
+
+
+def _incomplete_beta(a: float, b: float, x: float, y: float) -> float:
+    """Regularized incomplete beta I_x(a, b), given x and y = 1 - x as
+    separately computed numbers so that neither loses digits to 1 - x."""
+    if x <= 0.0:
+        return 0.0
+    if y <= 0.0:
+        return 1.0
+    log_front = (
+        math.lgamma(a + b) - math.lgamma(a) - math.lgamma(b) + a * math.log(x) + b * math.log(y)
+    )
+    if x > (a + 1.0) / (a + b + 2.0):
+        return 1.0 - math.exp(log_front) * _beta_fraction(b, a, y) / b
+    return math.exp(log_front) * _beta_fraction(a, b, x) / a
+
+
+def t_two_sided(t: float, df: int) -> float:
+    """P(|T| > |t|) for Student's t on df degrees of freedom, as
+    I_x(df/2, 1/2) with x = df / (df + t^2)."""
+    t2 = t * t
+    return _incomplete_beta(df / 2.0, 0.5, df / (df + t2), t2 / (df + t2))
+
+
 # Royston (1995) polynomial coefficients for the Shapiro-Wilk approximation.
 _C1 = [-2.706056, 4.434685, -2.071190, -0.147981, 0.221157, 0.0]
 _C2 = [-3.582633, 5.682633, -1.752461, -0.293762, 0.042981, 0.0]
@@ -233,7 +295,7 @@ def _sw_coefficients(n: int) -> np.ndarray:
     i = np.arange(1, half + 1)
     # magnitudes of the expected normal order statistics' Blom scores;
     # m[0] belongs to the extreme pair.
-    m = -ndtri((i - 0.375) / (n + 0.25))
+    m = -np.array([normal_quantile(p) for p in (i - 0.375) / (n + 0.25)])
     summ2 = 2.0 * np.sum(m**2)
     ssumm2 = math.sqrt(summ2)
     rsn = 1.0 / math.sqrt(n)
@@ -282,13 +344,13 @@ def shapiro_wilk(sample) -> TestResult:
             z = (-math.log(gamma - math.log(1.0 - w_stat)) - np.polyval(_SMALL_N_MU, n)) / math.exp(
                 np.polyval(_SMALL_N_LOGSIG, n)
             )
-            p = float(1.0 - ndtr(z))
+            p = normal_tail(z)
     else:
         u = math.log(n)
         z = (math.log(1.0 - w_stat) - np.polyval(_LARGE_N_MU, u)) / math.exp(
             np.polyval(_LARGE_N_LOGSIG, u)
         )
-        p = float(1.0 - ndtr(z))
+        p = normal_tail(z)
     return TestResult(statistic=float(w_stat), p_value=p)
 
 
@@ -314,5 +376,5 @@ def pearson(x, y) -> TestResult:
         p = 0.0
     else:
         t = r * math.sqrt((n - 2) / (1.0 - r * r))
-        p = float(2.0 * stdtr(n - 2, -abs(t)))
+        p = t_two_sided(t, n - 2)
     return TestResult(statistic=r, p_value=p)

@@ -125,7 +125,7 @@ def generate_synthetic_draft(
             np.where(european, _CODE[CssCategory.EU_SKATER], _CODE[CssCategory.NA_SKATER]),
         ).astype(np.int8)
         category_rank = np.empty(n, dtype=np.int64)
-        for code in np.unique(category):
+        for code in np.flatnonzero(np.bincount(category)):
             members = np.flatnonzero(category == code)
             order = members[np.argsort(css_score[members], kind="stable")]
             category_rank[order] = np.arange(1, len(members) + 1)

@@ -2,6 +2,9 @@ import contextlib
 import io
 import json
 import logging
+import os
+import subprocess
+import sys
 import tempfile
 import tracemalloc
 from dataclasses import fields, replace
@@ -12,6 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import draftvalue
 from draftvalue.cescin import FACTOR_CATEGORIES
 from draftvalue.cli import main
 from draftvalue.config import RunConfig, parse_config_text
@@ -638,3 +642,33 @@ def test_fuzzed_csv_exits_0_or_2_without_traceback(rows, mutations, tail):
             code = main(["ingest-check", str(path), "--out", tmp])
     assert code in (0, 2), err.getvalue()
     assert "Traceback" not in err.getvalue()
+
+
+# Imports draftvalue.cli, then runs each data subcommand and prints its exit
+# code and the modules it loaded.
+_LOADS_SCRIPT = """
+import contextlib, io, sys
+import draftvalue.cli as cli
+csv, out = sys.argv[1:]
+for argv in (["run", "--by-position"], ["ingest-check"], ["cescin"], ["audit"],
+             ["curves"], ["surplus"], ["teams"], ["chart"]):
+    before = set(sys.modules)
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = cli.main([argv[0], csv, *argv[1:], "--out", out])
+    print(argv[0], code, *sorted(set(sys.modules) - before))
+"""
+
+
+def test_analysis_loads_no_module(tmp_path):
+    # a module first imported inside an analysis is paid, in time and in the
+    # traced peak, by the analysis: np.unique, for one, imports numpy.ma
+    csv_path = tmp_path / "draft.csv"
+    config = SynthConfig(seed=4, years=5, picks_per_year=60, teams=8)
+    write_draft_csv(generate_synthetic_draft(config), csv_path)
+    src = str(Path(draftvalue.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-c", _LOADS_SCRIPT, str(csv_path), str(tmp_path / "out")],
+        capture_output=True, text=True, check=True, env={**os.environ, "PYTHONPATH": src},
+    )
+    commands = ("run", "ingest-check", "cescin", "audit", "curves", "surplus", "teams", "chart")
+    assert proc.stdout.splitlines() == [f"{name} 0" for name in commands]

@@ -18,8 +18,11 @@ from draftvalue.numerics import (
     _radii,
     antitonic_fit,
     loess_fit,
+    normal_quantile,
+    normal_tail,
     pearson,
     shapiro_wilk,
+    t_two_sided,
     tricube,
 )
 from draftvalue.valuation import SELECTION_GRID
@@ -346,11 +349,58 @@ class TestShapiroWilk:
         assert shifted.statistic == pytest.approx(base.statistic, abs=1e-9)
         assert 0.0 < base.statistic <= 1.0
 
+    def test_far_tail_p_value(self):
+        # 1 - P(Z <= z) cancelled to exactly 0 here; the upper tail keeps its digits
+        from scipy import stats
+
+        x = np.random.default_rng(1).exponential(size=3000) ** 3
+        res = shapiro_wilk(x)
+        assert res.p_value > 0.0
+        assert res.p_value == pytest.approx(stats.shapiro(x).pvalue, rel=1e-6)
+
     def test_scale_invariance_of_a_tiny_spread(self):
         x = np.array([1e-5] + [0.0] * 48)
         assert shapiro_wilk(0.25 * x).statistic == pytest.approx(
             shapiro_wilk(x).statistic, abs=1e-9
         )
+
+
+class TestDistributions:
+    """numerics' normal and t functions against scipy.special as an oracle."""
+
+    def test_normal_tail(self):
+        from scipy.special import ndtr
+
+        z = np.linspace(-8.0, 37.0, 4501)
+        mine = np.array([normal_tail(v) for v in z])
+        assert np.all(mine > 0.0)
+        np.testing.assert_allclose(mine, ndtr(-z), rtol=1e-13, atol=0.0)
+
+    def test_normal_quantile(self):
+        from scipy.special import ndtri
+
+        p = np.concatenate([np.geomspace(1e-300, 0.4999, 3000), np.linspace(1e-4, 0.4999999, 3000)])
+        mine = np.array([normal_quantile(v) for v in p])
+        np.testing.assert_allclose(mine, ndtri(p), rtol=1e-14, atol=0.0)
+
+    def test_t_two_sided(self):
+        from scipy.special import stdtr
+
+        checked = 0
+        for df in range(1, 1001):
+            # x = df / (df + t^2) from 1 down past where p falls below 1e-300
+            x = 10.0 ** -np.linspace(0.0, min(300.0, 640.0 / df), 24)[1:]
+            t = np.concatenate([np.linspace(0.0, 3.0, 7), np.sqrt(df * (1.0 - x) / x)])
+            ref = 2.0 * stdtr(df, -t)
+            keep = ref >= 1e-300
+            mine = np.array([t_two_sided(float(v), df) for v in t[keep]])
+            np.testing.assert_allclose(mine, ref[keep], rtol=1e-10, atol=0.0, err_msg=f"df={df}")
+            checked += int(keep.sum())
+        assert checked > 20_000
+
+    def test_t_two_sided_symmetric_in_t(self):
+        assert t_two_sided(-2.5, 7) == t_two_sided(2.5, 7)
+        assert t_two_sided(0.0, 7) == 1.0
 
 
 class TestPearson:
@@ -381,6 +431,17 @@ class TestPearson:
         with pytest.raises(ValueError):
             pearson([1.0, 1.0, 1.0], [1.0, 2.0, 3.0])
 
+    def test_far_tail_p_value(self):
+        from scipy.special import stdtr
+
+        x = np.random.default_rng(0).normal(size=30)
+        y = x + 1e-6 * np.random.default_rng(1).normal(size=30)
+        res = pearson(x, y)
+        r = res.statistic
+        t = r * math.sqrt(28 / (1.0 - r * r))
+        assert res.p_value > 0.0
+        assert res.p_value == pytest.approx(2.0 * stdtr(28, -abs(t)), rel=1e-10)
+
     @given(st.floats(0.1, 50), st.floats(-20, 20), st.integers(0, 2**31))
     @settings(max_examples=50, deadline=None)
     def test_affine_invariance(self, a, b, seed):
@@ -393,11 +454,15 @@ class TestPearson:
         assert scaled.statistic == pytest.approx(base.statistic, abs=1e-9)
 
 
-def test_import_does_not_load_scipy_stats():
-    # scipy.stats is slow and large to import: shapiro_wilk and pearson use scipy.special
+def test_cli_import_loads_no_scipy():
+    # the distribution functions are numerics' own: a command starts on numpy alone
     src = str(Path(draftvalue.__file__).resolve().parents[1])
     proc = subprocess.run(
-        [sys.executable, "-c", "import sys, draftvalue; print('scipy.stats' in sys.modules)"],
+        [
+            sys.executable,
+            "-c",
+            "import sys, draftvalue.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))",
+        ],
         capture_output=True, text=True, check=True, env={**os.environ, "PYTHONPATH": src},
     )
-    assert proc.stdout.strip() == "False"
+    assert proc.stdout.strip() == "[]"
