@@ -47,8 +47,7 @@ for metric in Metric:
 
 curves = css_curves(classes, orderings, rc)
 print("\nper-pick gain of team ordering over the integrated scouting ordering:")
-for metric in Metric:
-    _, est = surplus_for_metric(classes, orderings, curves[metric], metric, rc)
+for metric, (_, est) in surplus_for_metric(classes, orderings, curves, rc).items():
     print(f"  {metric.value:>4}: gain {est.per_pick:8.3f} per pick  "
           f"{est.per_draft:8.3f} per draft  ~${est.dollars:12,.0f} per pick")
 

@@ -16,7 +16,7 @@ from draftvalue.valuation import draft_value_chart, expected_curve
 
 classes = generate_synthetic_draft(SynthConfig(seed=11, years=5))
 selections = {dc.year: dc.columns.selection for dc in classes}  # the team order's ranks
-synthetic = draft_value_chart(expected_curve(classes, selections, Metric.TOI))
+synthetic = draft_value_chart(expected_curve(classes, selections, [Metric.TOI])[Metric.TOI])
 published = reference_chart()
 
 print("pick value: synthetic data vs the published 1998-2002 chart")

@@ -30,7 +30,8 @@ class TestResult:
 @dataclass(frozen=True)
 class SmoothCurve:
     """Fitted values on a grid, evaluable at arbitrary x: linear between
-    grid points and constant beyond them."""
+    grid points and constant beyond them. A stacked fit holds one row of
+    values per response; ``split`` gives the curve of each."""
 
     grid: np.ndarray
     values: np.ndarray
@@ -38,6 +39,10 @@ class SmoothCurve:
     def __call__(self, x):
         out = np.interp(np.asarray(x, dtype=float), self.grid, self.values)
         return float(out) if out.ndim == 0 else out
+
+    def split(self) -> list[SmoothCurve]:
+        """One curve per row of stacked values, sharing the grid."""
+        return [SmoothCurve(self.grid, row) for row in self.values]
 
 
 def _as_weighted(x, y, w):
@@ -56,7 +61,13 @@ def tricube(u: np.ndarray) -> np.ndarray:
 
     Works in two arrays the size of u, without changing u.
     """
-    u = np.minimum(np.abs(u), 1.0)
+    return _tricube(np.abs(u))
+
+
+def _tricube(u: np.ndarray) -> np.ndarray:
+    """``tricube`` of a non-negative array u, written over u, with one more
+    array the size of u."""
+    np.minimum(u, 1.0, out=u)
     c = u * u
     c *= u
     np.subtract(1.0, c, out=c)
@@ -71,6 +82,10 @@ CHUNK_ELEMENTS = 4800  # (grid point x distinct x) entries fitted per numpy call
 def loess_fit(x, y, grid, span: float = 0.5) -> SmoothCurve:
     """Local-linear smoother with tricube neighborhood weights.
 
+    ``y`` is one response of shape (n,) for the n values of ``x``, or k
+    responses of shape (k, n) that share ``x``; the curve's values then
+    have shape (k, len(grid)), each row the fit of one response.
+
     Tied x collapse first to one point with its row count and mean y. At
     each grid point, dmax is the distance to the q-th nearest row,
     q = ceil(span*n); each distinct x gets weight tricube(d/dmax) times its
@@ -83,11 +98,18 @@ def loess_fit(x, y, grid, span: float = 0.5) -> SmoothCurve:
     The radii of all grid points are found first (``_radii``). Then grid
     points are fitted a chunk at a time, each one a row of a (grid point x
     distinct x) matrix of about ``CHUNK_ELEMENTS`` entries; the rows do not
-    interact.
+    interact. The weights depend on x alone, so each chunk builds them once
+    for all responses, and each response's row is bit-identical to its
+    one-response fit.
     """
     if not (0.0 < span <= 1.0):
         raise ValueError("span must be in (0, 1]")
-    x, y, count = _aggregate_ties(*_as_weighted(x, y, None))
+    x = np.asarray(x, dtype=float)
+    y = np.asarray(y, dtype=float)
+    if x.ndim != 1 or y.ndim not in (1, 2) or y.shape[-1] != len(x):
+        raise ValueError(f"y of shape {y.shape} is not (n,) or (k, n) for the {x.size} values of x")
+    shape = y.shape[:-1]
+    x, y, count = _aggregate_ties(x, np.atleast_2d(y))
     n = int(count.sum())
     if len(x) < 3:
         raise ValueError("need at least 3 distinct x values")
@@ -98,17 +120,17 @@ def loess_fit(x, y, grid, span: float = 0.5) -> SmoothCurve:
     dmax, dmin, dfar = _radii(x, count, q, grid)
     equal = dmax <= dmin
     tol = 1e-12 * np.maximum(1.0, dfar**2)
-    fitted = np.empty_like(grid)
+    fitted = np.empty((len(y), len(grid)))
     per_chunk = max(1, CHUNK_ELEMENTS // len(x))
     # a division by zero is replaced: at a zero radius by the equal weights,
     # in a flat design by the local mean
     with np.errstate(divide="ignore", invalid="ignore"):
         for start in range(0, len(grid), per_chunk):
             rows = slice(start, start + per_chunk)
-            fitted[rows] = _fit_rows(x, y, count, grid[rows], dmax[rows], equal[rows], tol[rows])
+            fitted[:, rows] = _fit_rows(x, y, count, grid[rows], dmax[rows], equal[rows], tol[rows])
     if not np.all(np.isfinite(fitted)):
         raise ValueError("non-finite fitted value")
-    return SmoothCurve(grid=grid, values=fitted)
+    return SmoothCurve(grid=grid, values=fitted.reshape(shape + grid.shape))
 
 
 def _radii(x, count, q, x0):
@@ -147,8 +169,9 @@ def _radii(x, count, q, x0):
     return dmax, dmin, dfar
 
 
-def _fit_rows(x, y, count, x0, dmax, equal, tol):
-    """The local-linear fit at each point of ``x0``, one matrix row per point.
+def _fit_rows(x, ys, count, x0, dmax, equal, tol):
+    """The local-linear fit of each response in ``ys`` at each point of
+    ``x0``, one matrix row per point; returns (responses, points).
 
     The weighted least-squares line is centred on the evaluation point, so
     its intercept is the fitted value and the solve stays well conditioned
@@ -161,26 +184,28 @@ def _fit_rows(x, y, count, x0, dmax, equal, tol):
     lw = np.abs(xc)  # distances, then weights, then weights times xc
     at_radius = lw == dmax
     lw /= dmax
-    lw = tricube(lw)
+    _tricube(lw)
     np.copyto(lw, at_radius, where=equal[:, None])
     lw *= count
     sw = lw.sum(axis=1)
     # einsum, not BLAS gemv: its rounding would depend on the rows in the chunk
-    t0 = np.einsum("ij,j->i", lw, y)
+    t0 = np.array([np.einsum("ij,j->i", lw, y) for y in ys])
     lw *= xc
     s1 = lw.sum(axis=1)
     s2 = np.einsum("ij,ij->i", lw, xc)
-    t1 = np.einsum("ij,j->i", lw, y)
+    t1 = np.array([np.einsum("ij,j->i", lw, y) for y in ys])
     spread = s2 / sw - (s1 / sw) ** 2
     return np.where(spread <= tol, t0 / sw, (s2 * t0 - s1 * t1) / (sw * s2 - s1 * s1))
 
 
-def _aggregate_ties(x, y, w):
-    """Collapse duplicate x to a single point with summed weight and
-    weighted-mean y; returns arrays sorted by x."""
+def _aggregate_ties(x, ys, w=None):
+    """Collapse duplicate x to a single point with summed weight (its row
+    count when ``w`` is None) and, for each row of ``ys``, the weighted-mean
+    y; returns arrays sorted by x."""
     ux, inverse = np.unique(x, return_inverse=True)
     sw = np.bincount(inverse, weights=w)
-    return ux, np.bincount(inverse, weights=w * y) / sw, sw
+    wy = ys if w is None else ys * w
+    return ux, np.array([np.bincount(inverse, weights=row) for row in wy]) / sw, sw
 
 
 def pava_nondecreasing(y: np.ndarray, w: np.ndarray) -> np.ndarray:
@@ -207,7 +232,7 @@ def antitonic_fit(x, y, w=None) -> SmoothCurve:
     Duplicate x are pre-aggregated; the fit is PAVA on the negated values.
     """
     x, y, w = _as_weighted(x, y, w)
-    x, y, w = _aggregate_ties(x, y, w)
+    x, (y,), w = _aggregate_ties(x, y[None], w)
     if len(x) < 2:
         raise ValueError("need at least 2 distinct x values")
     fitted = -pava_nondecreasing(-y, w)

@@ -66,27 +66,30 @@ def css_curves(
     css_ranks: Mapping[int, np.ndarray],
     config: RunConfig,
 ) -> dict[Metric, SmoothCurve]:
-    return {m: expected_curve(classes, css_ranks, m, config.loess_span) for m in config.metrics}
+    return expected_curve(classes, css_ranks, config.metrics, config.loess_span)
 
 
 def surplus_for_metric(
     classes: Sequence[DraftClass],
     css_ranks: Mapping[int, np.ndarray],
-    curve: SmoothCurve,
-    metric: Metric,
+    curves: Mapping[Metric, SmoothCurve],
     config: RunConfig,
     group: Optional[PositionGroup] = None,
-) -> tuple[Optional[SmoothCurve], GainEstimate]:
-    """The fitted surplus curve and the gain estimate.
+) -> dict[Metric, tuple[Optional[SmoothCurve], GainEstimate]]:
+    """The fitted surplus curve and the gain estimate of each metric of
+    ``curves``, the scouting-order expected curves of ``group``.
 
     When the team and scouting orderings coincide (all rank differentials
-    zero) no curve can be fitted and the gain is exactly zero.
+    zero) no curve can be fitted and every gain is exactly zero.
     """
-    delta_rank, delta_metric = differential_points(classes, css_ranks, curve, metric, group)
+    delta_rank, deltas = differential_points(classes, css_ranks, curves, group)
     if not delta_rank.any():
-        return None, GainEstimate(metric=metric, per_pick=0.0, per_draft=0.0, dollars=0.0)
-    diff_curve = fit_differential_curve(delta_rank, delta_metric, config.loess_span)
-    return diff_curve, gain_estimate(diff_curve, delta_rank, metric, config.dollars)
+        return {m: (None, GainEstimate(metric=m, per_pick=0.0, per_draft=0.0, dollars=0.0)) for m in curves}
+    fit = fit_differential_curve(delta_rank, deltas, config.loess_span)
+    return {
+        m: (curve, gain_estimate(curve, delta_rank, m, config.dollars))
+        for m, curve in zip(curves, fit.split())
+    }
 
 
 def _fails_as(stage: str, compute):
@@ -132,13 +135,17 @@ class Analysis:
         return self.cescin[1]
 
     @partial(_fails_as, "curves")
-    def curve(self, ordering: Ordering, metric: Metric, group=None) -> SmoothCurve:
-        """Expected-performance curve of ``group`` (None: all), fitted once."""
-        key = (ordering, metric, group)
-        if key not in self._curves:
+    def expected(
+        self, ordering: Ordering, metrics: Sequence[Metric], group=None
+    ) -> dict[Metric, SmoothCurve]:
+        """Expected-performance curves of ``metrics`` for ``group`` (None:
+        all). Each is fitted once; the missing ones in one stacked call."""
+        missing = [m for m in metrics if (ordering, m, group) not in self._curves]
+        if missing:
             ranks, span = self.ranks(ordering), self.config.loess_span
-            self._curves[key] = expected_curve(self.classes, ranks, metric, span, group)
-        return self._curves[key]
+            fitted = expected_curve(self.classes, ranks, missing, span, group)
+            self._curves.update(((ordering, m, group), c) for m, c in fitted.items())
+        return {m: self._curves[ordering, m, group] for m in metrics}
 
     @_stage
     def audit(self) -> AuditReport:
@@ -147,7 +154,7 @@ class Analysis:
     @_stage
     def curves(self) -> dict[Ordering, dict[Metric, SmoothCurve]]:
         """Expected-performance curve per ordering and metric."""
-        return {o: {m: self.curve(o, m) for m in self.config.metrics} for o in Ordering}
+        return {o: self.expected(o, self.config.metrics) for o in Ordering}
 
     @_stage
     def surplus(self) -> dict[str, tuple[Optional[SmoothCurve], GainEstimate]]:
@@ -156,23 +163,22 @@ class Analysis:
         cfg = self.config
         out = {}
         for group in [None, *PositionGroup] if cfg.by_position else [None]:
-            for metric in cfg.metrics:
+            expected = self.expected(Ordering.CSS, cfg.metrics, group)
+            fits = surplus_for_metric(self.classes, self.ranks(Ordering.CSS), expected, cfg, group)
+            for metric, fit in fits.items():
                 key = metric.value if group is None else f"{metric.value}_{group.value.lower()}"
-                expected = self.curve(Ordering.CSS, metric, group)
-                out[key] = surplus_for_metric(
-                    self.classes, self.ranks(Ordering.CSS), expected, metric, cfg, group
-                )
+                out[key] = fit
         return out
 
     @_stage
     def chart(self) -> ValueChart:
-        return draft_value_chart(self.curve(Ordering.TEAM, Metric.TOI))
+        return draft_value_chart(self.expected(Ordering.TEAM, [Metric.TOI])[Metric.TOI])
 
     @_stage
     def teams(self) -> tuple[list[TeamGain], dict]:
         """Per-team mean gains and the tests over them."""
         cfg = self.config
-        expected = {m: self.curve(Ordering.CSS, m) for m in cfg.metrics}
+        expected = self.expected(Ordering.CSS, cfg.metrics)
         css_ranks = self.ranks(Ordering.CSS)
         gains = team_gains(self.classes, css_ranks, expected)
         tests: dict = {"normality": {}, "split_half": {}, "outliers": {}}
@@ -214,7 +220,7 @@ def _write_csv(path: Path, header: Sequence[str], rows) -> Path:
 
 def _write_curve(path: Path, curve: SmoothCurve) -> Path:
     path.parent.mkdir(exist_ok=True)
-    rows = ([f"{x:g}", f"{v:.6f}"] for x, v in zip(curve.grid, curve.values))
+    rows = ([f"{x:g}", f"{v:.6f}"] for x, v in zip(curve.grid.tolist(), curve.values.tolist()))
     return _write_csv(path, ["x", "fitted"], rows)
 
 

@@ -37,11 +37,9 @@ def team_gains(
         return []
     teams, team_of = np.unique(np.concatenate([dc.columns.team for dc in classes]), return_inverse=True)
     picks = np.bincount(team_of)
+    deltas = differential_points(classes, css_ranks, css_curves)[1]
     # bincount adds each team's surpluses in pick order, year by year
-    means = {
-        m: np.bincount(team_of, weights=differential_points(classes, css_ranks, curve, m)[1]) / picks
-        for m, curve in css_curves.items()
-    }
+    means = {m: np.bincount(team_of, weights=row) / picks for m, row in zip(css_curves, deltas)}
     return [
         TeamGain(str(team), int(picks[k]), {m: float(v[k]) for m, v in means.items()})
         for k, team in enumerate(teams)

@@ -66,53 +66,73 @@ class ValueChart:
 
 
 def _pool(
-    classes: Sequence[DraftClass], columns: Iterable[np.ndarray], group: Optional[PositionGroup] = None
+    classes: Sequence[DraftClass],
+    columns: Iterable[np.ndarray],
+    group: Optional[PositionGroup] = None,
+    out: Optional[np.ndarray] = None,
 ) -> np.ndarray:
     """Concatenate one column per class, year by year in record order,
-    keeping only the rows of ``group`` when one is given."""
+    keeping only the rows of ``group`` when one is given; into ``out`` when
+    one is given."""
     if group is not None:
         code = GROUPS.index(group)
         columns = (col[dc.columns.group == code] for dc, col in zip(classes, columns))
-    return np.concatenate(list(columns))
+    return np.concatenate(list(columns), out=out)
+
+
+def _pool_metrics(
+    classes: Sequence[DraftClass], metrics: Sequence[Metric], group: Optional[PositionGroup], n: int
+) -> np.ndarray:
+    """The pooled outcomes of ``metrics``, one float row of ``n`` per metric."""
+    out = np.empty((len(metrics), n))
+    for row, metric in zip(out, metrics):
+        _pool(classes, (dc.columns.metrics[metric] for dc in classes), group, out=row)
+    return out
 
 
 def expected_curve(
     classes: Sequence[DraftClass],
     ranks: Mapping[int, np.ndarray],
-    metric: Metric,
+    metrics: Sequence[Metric],
     span: float = 0.5,
     group: Optional[PositionGroup] = None,
-) -> SmoothCurve:
-    """Smoothed expected metric at each of the 210 draft ranks, pooling
-    (rank, outcome) pairs across years under one ordering: ``ranks`` holds
-    its rank array per year."""
+) -> dict[Metric, SmoothCurve]:
+    """Smoothed expected outcome of each of ``metrics`` at each of the 210
+    draft ranks, pooling (rank, outcome) pairs across years under one
+    ordering: ``ranks`` holds its rank array per year. The metrics share
+    their ranks, so one stacked fit gives every curve."""
     pooled = _pool(classes, (ranks[dc.year] for dc in classes), group).astype(float)
-    values = _pool(classes, (dc.columns.metrics[metric] for dc in classes), group)
-    return loess_fit(pooled, values, grid=SELECTION_GRID, span=span)
+    values = _pool_metrics(classes, metrics, group, len(pooled))
+    fit = loess_fit(pooled, values, grid=SELECTION_GRID, span=span)
+    return dict(zip(metrics, fit.split()))
 
 
 def differential_points(
     classes: Sequence[DraftClass],
     css_ranks: Mapping[int, np.ndarray],
-    css_curve: SmoothCurve,
-    metric: Metric,
+    css_curves: Mapping[Metric, SmoothCurve],
     group: Optional[PositionGroup] = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Per-player rank differential (actual slot minus integrated scouting
     rank; negative means the team reached ahead of the scouting consensus)
-    and metric differential (realized outcome minus the expectation at the
-    player's scouting rank), pooled across all classes."""
-    ranks = _pool(classes, (css_ranks[dc.year] for dc in classes), group)
-    selections = _pool(classes, (dc.columns.selection for dc in classes), group)
-    values = _pool(classes, (dc.columns.metrics[metric] for dc in classes), group)
-    return selections - ranks, values - css_curve(ranks)
+    and, one row per metric of ``css_curves`` in its order, the metric
+    differential (realized outcome minus the expectation at the player's
+    scouting rank), pooled across all classes."""
+    # float once, for the curve lookups and for the differential fit
+    ranks = _pool(classes, (css_ranks[dc.year] for dc in classes), group).astype(float)
+    delta_rank = _pool(classes, (dc.columns.selection for dc in classes), group) - ranks
+    deltas = _pool_metrics(classes, list(css_curves), group, len(ranks))
+    for row, curve in zip(deltas, css_curves.values()):
+        row -= curve(ranks)
+    return delta_rank, deltas
 
 
 def fit_differential_curve(
     delta_rank: np.ndarray, delta_metric: np.ndarray, span: float = 0.5
 ) -> SmoothCurve:
     """Smooth the outcome surplus as a function of rank differential over the
-    observed differential range."""
+    observed differential range; ``delta_metric`` is one row of surpluses
+    or a (metrics, players) array of them, fitted in one stacked call."""
     if len(delta_rank) < 10:
         raise ValueError("need at least 10 differential points")
     dr = np.asarray(delta_rank, dtype=float)

@@ -115,10 +115,7 @@ def test_06_surplus_sign_property():
         )
         _, orderings = build_orderings(classes, rc)
         curves = css_curves(classes, orderings, rc)
-        gains = [
-            surplus_for_metric(classes, orderings, curves[m], m, rc)[1].per_pick
-            for m in Metric
-        ]
+        gains = [est.per_pick for _, est in surplus_for_metric(classes, orderings, curves, rc).values()]
         positive += all(g > 0 for g in gains)
     config0 = SynthConfig(seed=0, years=1, css_noise=0.0, team_noise=0.0,
                           goalie_rate=0.0, eu_rate=0.0)
@@ -126,8 +123,7 @@ def test_06_surplus_sign_property():
     _, orderings0 = build_orderings(classes0, rc)
     curves0 = css_curves(classes0, orderings0, rc)
     zero_ok = all(
-        surplus_for_metric(classes0, orderings0, curves0[m], m, rc)[1].per_pick == 0.0
-        for m in Metric
+        est.per_pick == 0.0 for _, est in surplus_for_metric(classes0, orderings0, curves0, rc).values()
     )
     elapsed = time.time() - start
     report(6, f"gain > 0 in {positive}/100 seeds, identical orderings exact 0: {zero_ok}, {elapsed:.0f}s",
@@ -138,13 +134,13 @@ def test_07_rank_differential_anchors():
     # the 6th pick was the 13th-ranked player; picks 7-13 were ranked 6-12
     ranks = [1, 2, 3, 4, 5, 13, 6, 7, 8, 9, 10, 11, 12]
     dc = make_class([make_record(selection=s, css_category_rank=k) for s, k in enumerate(ranks, 1)])
-    fata = int(differential_points([dc], {dc.year: css_ordering(dc, UNIT)}, FLAT, Metric.GP)[0][5])
+    fata = int(differential_points([dc], {dc.year: css_ordering(dc, UNIT)}, {Metric.GP: FLAT})[0][5])
     sums_ok = True
     for seed in range(10):
         classes = generate_synthetic_draft(SynthConfig(seed=seed, years=1))
         _, orderings = build_orderings(classes, RunConfig())
         for dc in classes:
-            total = differential_points([dc], orderings, FLAT, Metric.GP)[0].sum()
+            total = differential_points([dc], orderings, {Metric.GP: FLAT})[0].sum()
             sums_ok = sums_ok and total == 0
     report(7, f"anchor (6,13) -> {fata}, sum of differentials zero: {sums_ok}",
            fata == -7 and sums_ok)
@@ -169,8 +165,8 @@ def test_09_chart_on_noise_free_decreasing_toi():
     ]
     dc = make_class(records)
     selections = {dc.year: dc.columns.selection}
-    first = draft_value_chart(expected_curve([dc], selections, Metric.TOI))
-    second = draft_value_chart(expected_curve([dc], selections, Metric.TOI))
+    first = draft_value_chart(expected_curve([dc], selections, [Metric.TOI])[Metric.TOI])
+    second = draft_value_chart(expected_curve([dc], selections, [Metric.TOI])[Metric.TOI])
     ok = (
         first.value(1) == 1000
         and all(b <= a for a, b in zip(first.values, first.values[1:]))
@@ -207,7 +203,7 @@ def test_10_historical_reproduction():
         assert abs(cell.optimal_pct - opt) <= 1.0
         assert abs(cell.nearly_optimal_pct - nearly) <= 1.0
 
-    deltas, _ = differential_points(classes, orderings, FLAT, Metric.GP)
+    deltas, _ = differential_points(classes, orderings, {Metric.GP: FLAT})
     pos = 100.0 * np.mean(deltas > 0)
     neg = 100.0 * np.mean(deltas < 0)
     zero = 100.0 * np.mean(deltas == 0)

@@ -183,6 +183,49 @@ class TestLoess:
         assert np.array_equal(values[check], alone)
 
     @given(
+        st.lists(st.integers(0, 12), min_size=6, max_size=60),
+        st.integers(1, 4),
+        st.floats(0.05, 1.0),
+        st.integers(0, 2**31),
+    )
+    # at x = 0 the q = 3 nearest rows all lie at distance 0, so the five
+    # tied rows get equal weights, and they share one x: the local mean
+    @example(xs=[0, 0, 0, 0, 0, 3, 9], k=3, span=0.4, seed=0)
+    @settings(max_examples=100, deadline=None)
+    def test_stacked_rows_match_one_response_fits(self, xs, k, span, seed):
+        x = np.array(xs, dtype=float)
+        assume(len(np.unique(x)) >= 3 and math.ceil(span * len(x)) >= 2)
+        y = np.random.default_rng(seed).normal(size=(k, len(x))) * 50 + x
+        grid = np.arange(-1.0, 13.5, 0.5)
+        stacked = loess_fit(x, y, grid=grid, span=span)
+        assert stacked.values.shape == (k, len(grid))
+        for row, response in zip(stacked.values, y):
+            assert np.array_equal(row, loess_fit(x, response, grid=grid, span=span).values)
+
+    @pytest.mark.parametrize("shape", [(2, 9), (10, 2), (1, 2, 10), ()])
+    def test_y_must_have_one_value_per_x(self, shape):
+        with pytest.raises(ValueError, match="values of x"):
+            loess_fit(np.arange(10.0), np.zeros(shape), grid=[1.0])
+
+    def test_stacked_fit_peak_memory(self):
+        # three responses over 1,050 pooled ranks of five drafts: each chunk
+        # builds one weight matrix for all of them, so only rows of y and of
+        # the fitted values grow with the number of responses
+        x = np.tile(np.arange(1.0, 211.0), 5)
+        y = np.random.default_rng(0).normal(size=(3, len(x))) * 50 + x
+
+        def peak(responses):
+            loess_fit(x, responses, grid=SELECTION_GRID)
+            tracemalloc.start()
+            try:
+                loess_fit(x, responses, grid=SELECTION_GRID)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        assert peak(y) <= peak(y[0]) + 2 * y[0].nbytes
+
+    @given(
         st.one_of(
             st.lists(st.integers(-20, 20), min_size=1, max_size=60),
             st.lists(

@@ -103,24 +103,25 @@ def test_failure_names_the_failing_stage(command, stage, one_year_csv, tmp_path,
 
 
 GROUPS = (None, *PositionGroup)
-# (ordering, metric, group) of each expected curve a subcommand fits
-CURVES_FITTED = {
+ALL = frozenset(Metric)
+# (ordering, group, metrics) of each call that fits expected curves, per
+# subcommand: the metrics of one family are fitted together
+FAMILIES_FITTED = {
     "cescin": set(),
     "audit": set(),
-    "curves": {(o, m, None) for o in Ordering for m in Metric},
-    "surplus": {(Ordering.CSS, m, None) for m in Metric},
-    "surplus --by-position": {(Ordering.CSS, m, g) for m in Metric for g in GROUPS},
-    "chart": {(Ordering.TEAM, Metric.TOI, None)},
-    "teams": {(Ordering.CSS, m, None) for m in Metric},
-    "run": {(o, m, None) for o in Ordering for m in Metric},
-    "run --by-position": {(o, m, None) for o in Ordering for m in Metric}
-    | {(Ordering.CSS, m, g) for m in Metric for g in GROUPS},
+    "curves": {(o, None, ALL) for o in Ordering},
+    "surplus": {(Ordering.CSS, None, ALL)},
+    "surplus --by-position": {(Ordering.CSS, g, ALL) for g in GROUPS},
+    "chart": {(Ordering.TEAM, None, frozenset({Metric.TOI}))},
+    "teams": {(Ordering.CSS, None, ALL)},
+    "run": {(o, None, ALL) for o in Ordering},
+    "run --by-position": {(o, None, ALL) for o in Ordering} | {(Ordering.CSS, g, ALL) for g in GROUPS},
 }
 
 
-@pytest.mark.parametrize("command", sorted(CURVES_FITTED))
+@pytest.mark.parametrize("command", sorted(FAMILIES_FITTED))
 def test_each_expected_curve_is_fitted_once(command, one_year_csv, tmp_path, monkeypatch):
-    fitted = Counter()
+    calls = []
     fit = pipeline.expected_curve
     signature = inspect.signature(fit)
 
@@ -131,13 +132,14 @@ def test_each_expected_curve_is_fitted_once(command, one_year_csv, tmp_path, mon
         ranks = call.arguments["ranks"]
         team = all(ranks[dc.year] is dc.columns.selection for dc in call.arguments["classes"])
         ordering = Ordering.TEAM if team else Ordering.CSS
-        fitted[ordering, call.arguments["metric"], call.arguments["group"]] += 1
+        calls.append((ordering, call.arguments["group"], frozenset(call.arguments["metrics"])))
         return fit(*args, **kwargs)
 
     monkeypatch.setattr(pipeline, "expected_curve", record)
     name, *flags = command.split()
     assert main([name, str(one_year_csv), *flags, "--out", str(tmp_path)]) == 0
-    assert set(fitted) == CURVES_FITTED[command]
+    assert Counter(calls) == Counter(FAMILIES_FITTED[command])
+    fitted = Counter((o, m, g) for o, g, metrics in calls for m in metrics)
     assert set(fitted.values()) <= {1}
 
 

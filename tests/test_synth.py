@@ -84,10 +84,9 @@ class TestOrderingContract:
         dc = classes[0]
         assert dc.columns.selection.tolist() == orderings[dc.year].tolist()
         curves = css_curves(classes, orderings, rc)
-        for metric in Metric:
-            curve, est = surplus_for_metric(
-                classes, orderings, curves[metric], metric, rc
-            )
+        fits = surplus_for_metric(classes, orderings, curves, rc)
+        assert list(fits) == list(Metric)
+        for curve, est in fits.values():
             assert curve is None
             assert est.per_pick == 0.0 and est.dollars == 0.0
 

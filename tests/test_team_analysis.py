@@ -54,10 +54,10 @@ class TestTeamGains:
         orderings = {dc.year: css_ordering(dc, UNIT) for dc in classes}
         curves = flat_curves(120.0)
         gains = team_gains(classes, orderings, curves)
-        for metric in Metric:
+        deltas = differential_points(classes, orderings, curves)[1]
+        for metric, row in zip(curves, deltas):
             total_by_team = sum(g.picks * g.mean_gain[metric] for g in gains)
-            total_by_player = differential_points(classes, orderings, curves[metric], metric)[1].sum()
-            assert total_by_team == pytest.approx(total_by_player, abs=1e-9)
+            assert total_by_team == pytest.approx(row.sum(), abs=1e-9)
 
     def test_team_labels_permutable(self, rng):
         dc = random_class(rng, n=20, teams=4)
