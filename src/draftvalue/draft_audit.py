@@ -10,7 +10,7 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .core_model import DraftClass, Metric, pooled_metric
+from .core_model import POSITIONS, DraftClass, Metric, pooled_metric
 
 BAND_EDGE = 90  # round bands: picks 1-90 are rounds 1-3 (30 picks a round), the rest 4-7
 
@@ -64,16 +64,26 @@ def replay_flags(
     order. The best player still available at a position is the reverse
     running maximum over that position's picks. Ties at the maximum count as
     optimal.
+
+    All positions run in one reverse running maximum: each value is keyed by
+    its exact rank among the year's n values (ties share one), offset by n
+    times (positions - code), so over the picks in (position, replay) order
+    a later position's keys all lie below every key of an earlier one.
     """
     if not half_sd > 0:
         raise ValueError("half_sd must be positive")
-    order = np.argsort(ranks)
+    # ndarray methods skip the Python wrapper of np.argsort and np.searchsorted
+    order = ranks.argsort()
     value = dc.columns.metrics[metric][order]
+    n = len(value)
+    ordered = np.sort(value)
     position = dc.columns.position[order]
+    segments = position.argsort(kind="stable")
+    key = len(POSITIONS) - position[segments].astype(np.intp)
+    key *= n
+    key += ordered.searchsorted(value[segments])
     best = np.empty_like(value)
-    for code in np.flatnonzero(np.bincount(position)):  # np.unique would import numpy.ma
-        at = np.flatnonzero(position == code)
-        best[at] = np.maximum.accumulate(value[at][::-1])[::-1]
+    best[segments] = ordered[np.maximum.accumulate(key[::-1])[::-1] % n]
     optimal = value >= best
     nearly_optimal = value >= best - half_sd
     if np.any(optimal & ~nearly_optimal):

@@ -10,7 +10,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from statistics import NormalDist
+from typing import Optional
 
 import numpy as np
 
@@ -31,13 +33,32 @@ class TestResult:
 class SmoothCurve:
     """Fitted values on a grid, evaluable at arbitrary x: linear between
     grid points and constant beyond them. A stacked fit holds one row of
-    values per response; ``split`` gives the curve of each."""
+    values per response; ``split`` gives the curve of each.
+
+    On a grid of consecutive integers, integer x read the node values (the
+    first or last beyond the grid), which is exactly what ``np.interp``
+    returns there, without its search."""
 
     grid: np.ndarray
     values: np.ndarray
 
+    @cached_property
+    def _first_node(self) -> Optional[int]:
+        """The grid's first point when the grid is consecutive integers."""
+        start = float(self.grid[0]) if len(self.grid) else math.nan
+        if start.is_integer() and np.array_equal(self.grid, start + np.arange(len(self.grid))):
+            return int(start)
+        return None
+
     def __call__(self, x):
-        out = np.interp(np.asarray(x, dtype=float), self.grid, self.values)
+        x = np.asarray(x)
+        first = self._first_node
+        if first is not None and x.dtype.kind == "i":
+            node = x.astype(np.int64, copy=False).clip(first, first + len(self.grid) - 1)
+            node -= first
+            out = self.values[..., node]
+        else:
+            out = np.interp(x.astype(float, copy=False), self.grid, self.values)
         return float(out) if out.ndim == 0 else out
 
     def split(self) -> list[SmoothCurve]:

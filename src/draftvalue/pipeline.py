@@ -86,8 +86,9 @@ def surplus_for_metric(
     if not delta_rank.any():
         return {m: (None, GainEstimate(metric=m, per_pick=0.0, per_draft=0.0, dollars=0.0)) for m in curves}
     fit = fit_differential_curve(delta_rank, deltas, config.loess_span)
+    steps = delta_rank.astype(np.int64)  # integer differentials read the curves at their nodes
     return {
-        m: (curve, gain_estimate(curve, delta_rank, m, config.dollars))
+        m: (curve, gain_estimate(curve, steps, m, config.dollars))
         for m, curve in zip(curves, fit.split())
     }
 
@@ -220,8 +221,11 @@ def _write_csv(path: Path, header: Sequence[str], rows) -> Path:
 
 def _write_curve(path: Path, curve: SmoothCurve) -> Path:
     path.parent.mkdir(exist_ok=True)
-    rows = ([f"{x:g}", f"{v:.6f}"] for x, v in zip(curve.grid.tolist(), curve.values.tolist()))
-    return _write_csv(path, ["x", "fitted"], rows)
+    rows = map("{:g},{:.6f}\r\n".format, curve.grid.tolist(), curve.values.tolist())
+    # the bytes csv.writer gives these rows: nothing to quote, CRLF line ends
+    with path.open("w", newline="", encoding="utf-8") as fh:
+        fh.write("".join(["x,fitted\r\n", *rows]))
+    return path
 
 
 def _write_cescin(a: Analysis, out: Path) -> list[Path]:

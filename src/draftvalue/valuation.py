@@ -74,10 +74,11 @@ def _pool(
     """Concatenate one column per class, year by year in record order,
     keeping only the rows of ``group`` when one is given; into ``out`` when
     one is given."""
-    if group is not None:
-        code = GROUPS.index(group)
-        columns = (col[dc.columns.group == code] for dc, col in zip(classes, columns))
-    return np.concatenate(list(columns), out=out)
+    if group is None:
+        return np.concatenate(list(columns), out=out)
+    keep = np.concatenate([dc.columns.group for dc in classes]) == GROUPS.index(group)
+    pooled = np.concatenate(list(columns), dtype=None if out is None else out.dtype)
+    return pooled.compress(keep, out=out)
 
 
 def _pool_metrics(
@@ -118,13 +119,15 @@ def differential_points(
     and, one row per metric of ``css_curves`` in its order, the metric
     differential (realized outcome minus the expectation at the player's
     scouting rank), pooled across all classes."""
-    # float once, for the curve lookups and for the differential fit
-    ranks = _pool(classes, (css_ranks[dc.year] for dc in classes), group).astype(float)
-    delta_rank = _pool(classes, (dc.columns.selection for dc in classes), group) - ranks
+    # integer ranks read the curves at their nodes; the differentials are
+    # floats once, for the differential fit
+    ranks = _pool(classes, (css_ranks[dc.year] for dc in classes), group)
     deltas = _pool_metrics(classes, list(css_curves), group, len(ranks))
     for row, curve in zip(deltas, css_curves.values()):
         row -= curve(ranks)
-    return delta_rank, deltas
+    delta_rank = _pool(classes, (dc.columns.selection for dc in classes), group)
+    delta_rank -= ranks
+    return delta_rank.astype(float), deltas
 
 
 def fit_differential_curve(

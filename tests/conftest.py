@@ -81,13 +81,15 @@ def make_class(records):
     return dc
 
 
-def random_class(rng, n=20, year=1998, positions=None, teams=4):
-    """Small random single-category draft class for oracle comparisons."""
+def random_class(rng, n=20, year=1998, positions=None, teams=4, gp_max=300, selections=None):
+    """Small random single-category draft class for oracle comparisons: the
+    picks ``selections`` (default 1..n), each with GP drawn from
+    0..gp_max - 1."""
     positions = positions or [Position.C, Position.D, Position.G]
     records = []
-    for sel in range(1, n + 1):
+    for sel in range(1, n + 1) if selections is None else selections:
         pos = positions[rng.integers(0, len(positions))]
-        gp = int(rng.integers(0, 300))
+        gp = int(rng.integers(0, gp_max))
         records.append(
             make_record(
                 year=year,

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from draftvalue.cescin import CategoryFactors, css_ordering
-from draftvalue.core_model import Metric, Position
+from draftvalue.core_model import POSITIONS, Metric, Position
 from draftvalue.draft_audit import Ordering, audit, half_sd_thresholds, replay_flags
 
 from conftest import make_class, make_record, random_class
@@ -101,9 +101,21 @@ class TestReplayFlags:
         assert optimal.tolist() == [True, True, True]
 
     def test_matches_brute_force(self, rng):
-        for _ in range(100):
-            dc = random_class(rng, n=int(rng.integers(3, 31)))
-            half_sd = float(rng.uniform(0.5, 200.0))
+        classes = [random_class(rng, n=int(rng.integers(3, 31))) for _ in range(100)]
+        for _ in range(25):
+            n = int(rng.integers(3, 31))
+            classes += [
+                # GP 0-3: ties within and across positions, all six codes
+                random_class(rng, n=n, positions=list(Position), gp_max=4),
+                random_class(rng, n=n, positions=list(Position)),
+                random_class(rng, n=n, positions=[Position.L]),
+                # missing slots: the team ranks are not a permutation of 1..n
+                random_class(rng, selections=sorted(rng.choice(40, size=n, replace=False) + 1)),
+            ]
+        codes = [set(dc.columns.position.tolist()) for dc in classes]
+        assert len(POSITIONS) in map(len, codes) and 1 in map(len, codes)
+        for dc in classes:
+            half_sd = float(rng.uniform(0.5, 200.0) if rng.random() < 0.5 else rng.uniform(0.1, 3.0))
             metric = list(Metric)[rng.integers(0, 3)]
             for ranks in (dc.columns.selection, css_ordering(dc, UNIT)):
                 mine = replay_flags(dc, ranks, metric, half_sd)

@@ -15,6 +15,7 @@ from hypothesis.extra import numpy as hnp
 import draftvalue
 from draftvalue.numerics import (
     CHUNK_ELEMENTS,
+    SmoothCurve,
     _radii,
     antitonic_fit,
     loess_fit,
@@ -254,19 +255,18 @@ class TestLoess:
             assert dfar[j] == d.max()
 
     @pytest.mark.parametrize(
-        "x, grid, peak_before",
+        "x, grid, bound",
         [
             # 210 pooled ranks of five drafts, on the pick grid of the expected curves
-            (np.tile(np.arange(1.0, 211.0), 5), SELECTION_GRID, 201_574),
+            (np.tile(np.arange(1.0, 211.0), 5), SELECTION_GRID, 149_000),
             # 419 rank differentials, on the grid of a surplus curve
-            (np.resize(np.arange(-209.0, 210.0), 1050), np.arange(-209.0, 210.0), 398_934),
+            (np.resize(np.arange(-209.0, 210.0), 1050), np.arange(-209.0, 210.0), 165_000),
         ],
         ids=["ranks210", "differentials419"],
     )
-    def test_peak_memory_of_one_fit(self, x, grid, peak_before):
-        # peak_before: the same fit by 16-row chunks that each sorted every
-        # row to find its radius; the chunk size trades this peak against
-        # numpy calls per fit
+    def test_peak_memory_of_one_fit(self, x, grid, bound):
+        # bound: the kernel's peak, 135,492 and 149,938 bytes, plus about 10%;
+        # the chunk size trades this peak against numpy calls per fit
         y = np.random.default_rng(0).normal(size=len(x)) * 50 + x
         loess_fit(x, y, grid=grid)
         tracemalloc.start()
@@ -275,7 +275,7 @@ class TestLoess:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= peak_before
+        assert peak <= bound
 
     def test_ties_match_raw_row_wls_oracle(self, rng):
         checked = 0
@@ -300,6 +300,54 @@ class TestLoess:
                 assert value == pytest.approx(wls_line_oracle(x, y, w, x0), rel=1e-9, abs=1e-9)
                 checked += 1
         assert checked > 100
+
+
+class TestCurveEvaluation:
+    @given(
+        start=st.integers(-300, 300),
+        values=hnp.arrays(
+            float,
+            st.tuples(st.integers(1, 3), st.integers(1, 40)),
+            elements=st.floats(-1e6, 1e6) | st.just(-0.0),
+        ),
+        offsets=st.lists(st.integers(-50, 90), max_size=30),
+    )
+    @example(start=-2, values=np.array([[-0.0, 0.0, -0.0]]), offsets=[-1, 0, 1, 2, 3])
+    @settings(max_examples=300, deadline=None)
+    def test_integer_x_on_a_unit_grid_read_the_nodes(self, start, values, offsets):
+        grid = np.arange(start, start + values.shape[1], dtype=float)
+        x = start + np.array(offsets, dtype=np.int64)
+        want = np.array([np.interp(x.astype(float), grid, row) for row in values])
+        for curve, expected in ((SmoothCurve(grid, values), want), (SmoothCurve(grid, values[0]), want[0])):
+            got = curve(x)
+            assert got.shape == expected.shape
+            assert np.array_equal(got, expected)
+            assert np.array_equal(np.signbit(got), np.signbit(expected))
+
+    def test_which_grids_are_read_at_their_nodes(self):
+        for grid, first in [
+            (SELECTION_GRID, 1),
+            (np.arange(-209.0, 210.0), -209),
+            (np.array([4.0]), 4),
+            (np.array([1.0, 210.0]), None),
+            (np.array([0.5, 1.5, 2.5]), None),
+            (np.array([1.0, 2.0, 4.0]), None),
+        ]:
+            assert SmoothCurve(grid, np.zeros(len(grid)))._first_node == first
+
+    def test_float_x_and_other_grids_interpolate(self):
+        unit = SmoothCurve(np.arange(1.0, 4.0), np.array([3.0, 1.0, 2.0]))
+        assert unit(np.array([0.0, 1.5, 2.25, 9.0])).tolist() == [3.0, 2.0, 1.25, 2.0]
+        flat = SmoothCurve(np.array([1.0, 210.0]), np.array([0.0, 209.0]))
+        assert flat(np.array([0, 1, 100, 210, 300])).tolist() == [0.0, 0.0, 99.0, 209.0, 209.0]
+        steps = antitonic_fit([1, 2, 5], [5.0, 3.0, 1.0])
+        assert steps(np.array([1, 3, 4, 5])).tolist() == pytest.approx([5.0, 7.0 / 3.0, 5.0 / 3.0, 1.0])
+
+    def test_scalar_x_gives_a_float(self):
+        curve = SmoothCurve(SELECTION_GRID, SELECTION_GRID * 2.0)
+        for x, value in [(3, 6.0), (np.int64(500), 420.0), (2.5, 5.0), (np.float64(-1.0), 2.0)]:
+            got = curve(x)
+            assert type(got) is float and got == value
 
 
 class TestAntitonic:

@@ -167,6 +167,15 @@ def test_run_matches_reference(paper5_csv, tmp_path, capsys):
     assert gate.compare_reference(tmp_path, files, REFERENCE) == []
 
 
+def test_curve_files_are_the_reference_bytes(paper5_csv, tmp_path):
+    # curve rows are formatted by hand, to the bytes csv.writer gives: CRLF ends
+    assert main(["run", str(paper5_csv), "--out", str(tmp_path)]) == 0
+    curves = sorted(f for f in gate.run_outputs(by_position=False) if f.startswith("curves/"))
+    assert len(curves) == 9
+    for name in curves:
+        assert (tmp_path / name).read_bytes() == (REFERENCE / name).read_bytes(), name
+
+
 @pytest.mark.parametrize("command", sorted(gate.SUBCOMMAND_OUTPUTS))
 def test_subcommand_matches_reference(command, paper5_csv, tmp_path, capsys):
     assert main([command, str(paper5_csv), "--out", str(tmp_path)]) == 0
