@@ -10,11 +10,11 @@ are appended past every listed player's value.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Optional
+from typing import Mapping, Optional, Sequence
 
 import numpy as np
 
-from .core_model import CATEGORIES, CssCategory, DraftClass
+from .core_model import CATEGORIES, CssCategory, DraftClass, pooled
 
 FACTOR_CATEGORIES = (
     CssCategory.NA_SKATER,
@@ -44,7 +44,7 @@ class CategoryFactors:
 
 
 def estimate_category_factors(
-    classes: Iterable[DraftClass],
+    classes: Sequence[DraftClass],
     overrides: Optional[Mapping[str, float]] = None,
 ) -> CategoryFactors:
     """Fit one factor per category as the through-origin least-squares slope
@@ -54,10 +54,7 @@ def estimate_category_factors(
     estimation for that category.
     """
     overrides = dict(overrides or {})
-    cols = [dc.columns for dc in classes]
-    category = np.concatenate([c.category for c in cols])
-    rank = np.concatenate([c.category_rank for c in cols])
-    selection = np.concatenate([c.selection for c in cols])
+    category, rank, selection = (pooled(classes, c) for c in ("category", "category_rank", "selection"))
     factors = {}
     for cat in FACTOR_CATEGORIES:
         key = cat.value.lower()

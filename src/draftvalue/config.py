@@ -7,7 +7,7 @@ comment. Unknown keys are rejected so typos fail loudly.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 from typing import Sequence, Union
 
@@ -56,8 +56,7 @@ _BOOLEANS = {"true": True, "yes": True, "1": True, "false": False, "no": False, 
 
 def parse_config_text(text: str) -> RunConfig:
     cfg = RunConfig()
-    dollars = cfg.dollars
-    imputation = cfg.imputation
+    nested = {"dollars": cfg.dollars, "impute": cfg.imputation}  # a key sets one field of these
     factors = dict(cfg.factors)
     updates: dict = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -67,22 +66,14 @@ def parse_config_text(text: str) -> RunConfig:
         if "=" not in line:
             raise ValueError(f"config line {lineno}: expected 'key = value'")
         key, value = (part.strip() for part in line.split("=", 1))
+        section, _, name = key.partition(".")
         if key == "loess.span":
             updates["loess_span"] = float(value)
         elif key in {f"cescin.{c.value.lower()}" for c in FACTOR_CATEGORIES}:
             factors[key[7:]] = float(value)
-        elif key == "dollars.salary_per_game":
-            dollars = replace(dollars, salary_per_game=float(value))
-        elif key == "dollars.dollars_per_goal":
-            dollars = replace(dollars, dollars_per_goal=float(value))
-        elif key == "dollars.minutes_per_game":
-            dollars = replace(dollars, minutes_per_game=float(value))
-        elif key == "dollars.picks_per_season":
-            dollars = replace(dollars, picks_per_season=int(value))
-        elif key == "impute.never_played_gvt":
-            imputation = replace(imputation, never_played_gvt=float(value))
-        elif key == "impute.goalie_minutes_per_game":
-            imputation = replace(imputation, goalie_minutes_per_game=float(value))
+        elif section in nested and name in {f.name for f in fields(nested[section])}:
+            old = nested[section]  # the value parses as the type of the field's default
+            nested[section] = replace(old, **{name: type(getattr(old, name))(value)})
         elif key == "split.early":
             updates["split_early"] = _year_range(value)
         elif key == "split.late":
@@ -97,7 +88,7 @@ def parse_config_text(text: str) -> RunConfig:
             updates["by_position"] = _BOOLEANS[value.lower()]
         else:
             raise ValueError(f"config line {lineno}: unknown key {key!r}")
-    return replace(cfg, dollars=dollars, imputation=imputation, factors=factors, **updates)
+    return replace(cfg, dollars=nested["dollars"], imputation=nested["impute"], factors=factors, **updates)
 
 
 def load_config(path: Union[str, Path]) -> RunConfig:

@@ -8,9 +8,9 @@ import enum
 import logging
 import math
 from dataclasses import dataclass, fields
-from functools import cached_property
+from operator import attrgetter
 from collections.abc import Sequence
-from typing import Iterable, Mapping, Optional
+from typing import Iterable, Mapping, Optional, Union
 
 import numpy as np
 
@@ -125,7 +125,7 @@ _GOALIE = POSITIONS.index(Position.G)
 _UNRANKED = CATEGORIES.index(CssCategory.UNRANKED)
 _IS_GOALIE_CATEGORY = np.array([c in GOALIE_CATEGORIES for c in CATEGORIES])
 _IS_SKATER_CATEGORY = np.array([c in SKATER_CATEGORIES for c in CATEGORIES])
-_GROUP_OF_POSITION = np.array([GROUPS.index(position_group(p)) for p in POSITIONS], np.int8)
+GROUP_OF_POSITION = np.array([GROUPS.index(position_group(p)) for p in POSITIONS], np.int8)
 
 
 @dataclass(frozen=True, eq=False)
@@ -236,13 +236,6 @@ class DraftColumns:
                 raise ValueError(f"column {name} has {len(column)} rows, selection has {n}")
             column.flags.writeable = False
 
-    @cached_property
-    def group(self) -> np.ndarray:
-        """Indices into ``GROUPS``."""
-        out = _GROUP_OF_POSITION[self.position]
-        out.flags.writeable = False
-        return out
-
 
 @dataclass(frozen=True, eq=False)
 class DraftClass:
@@ -326,6 +319,23 @@ def draft_classes(rows: RawRows, imputation: ImputationConfig) -> list[DraftClas
     return classes
 
 
+def pooled(classes: Iterable[DraftClass], column: Union[str, Metric]) -> np.ndarray:
+    """One column of every class, year by year in selection order: a metric's
+    outcomes or the named ``DraftColumns`` field; an empty float array
+    without classes."""
+    read = (lambda c: c.metrics[column]) if isinstance(column, Metric) else attrgetter(column)
+    arrays = [read(dc.columns) for dc in classes]
+    return np.concatenate(arrays) if arrays else np.empty(0)
+
+
+def aligned(classes: Sequence[DraftClass], values: np.ndarray) -> np.ndarray:
+    """``values``, checked to hold one entry per row of ``classes``."""
+    rows = sum(map(len, classes))
+    if len(values) != rows:
+        raise ValueError(f"{len(values)} ranks for {rows} rows")
+    return values
+
+
 @dataclass(frozen=True)
 class SummaryStats:
     """Five-number descriptive summary of a pooled metric."""
@@ -337,15 +347,10 @@ class SummaryStats:
     sd: float
 
 
-def pooled_metric(classes: Iterable[DraftClass], metric: Metric) -> np.ndarray:
-    """All post-imputation values of one metric across the supplied classes."""
-    return np.concatenate([np.empty(0)] + [dc.columns.metrics[metric] for dc in classes])
-
-
 def summarize_metric(classes: Sequence[DraftClass], metric: Metric) -> SummaryStats:
     """Descriptive summary of a pooled metric; sd uses the n-1 denominator and
     the 75th percentile interpolates linearly between order statistics."""
-    values = pooled_metric(classes, metric)
+    values = pooled(classes, metric)
     if values.size < 2:
         raise ValueError("need at least 2 records to summarize")
     return SummaryStats(

@@ -10,7 +10,7 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .core_model import POSITIONS, DraftClass, Metric, pooled_metric
+from .core_model import POSITIONS, DraftClass, Metric, aligned, pooled
 
 BAND_EDGE = 90  # round bands: picks 1-90 are rounds 1-3 (30 picks a round), the rest 4-7
 
@@ -73,7 +73,7 @@ def replay_flags(
     if not half_sd > 0:
         raise ValueError("half_sd must be positive")
     # ndarray methods skip the Python wrapper of np.argsort and np.searchsorted
-    order = ranks.argsort()
+    order = aligned([dc], ranks).argsort()
     value = dc.columns.metrics[metric][order]
     n = len(value)
     ordered = np.sort(value)
@@ -95,7 +95,7 @@ def half_sd_thresholds(classes: Sequence[DraftClass], metrics: Iterable[Metric])
     """Half of the pooled standard deviation (n-1 denominator) per metric."""
     out = {}
     for metric in metrics:
-        values = pooled_metric(classes, metric)
+        values = pooled(classes, metric)
         if values.size < 2:
             raise ValueError("need at least 2 records")
         out[metric] = float(np.std(values, ddof=1)) / 2.0
@@ -108,20 +108,23 @@ def _percent(flags: np.ndarray, n: int) -> float:
 
 def audit(
     classes: Sequence[DraftClass],
-    ranks: Mapping[Ordering, Mapping[int, np.ndarray]],
+    ranks: Mapping[Ordering, np.ndarray],
     metrics: Sequence[Metric] = tuple(Metric),
 ) -> AuditReport:
     """Aggregate replay flags over all years into per-cell percentages, for
-    each ordering in ``ranks`` (its rank array per year); the round bands
-    split at ``BAND_EDGE`` picks into the replay.
+    each ordering in ``ranks`` (its pooled rank array, replayed year by
+    year); the round bands split at ``BAND_EDGE`` picks into the replay.
     """
+    bounds = np.cumsum([0, *map(len, classes)]).tolist()
+    ranks = {o: aligned(classes, r) for o, r in ranks.items()}
     half_sd = half_sd_thresholds(classes, metrics)
     pick_number = np.concatenate([np.arange(1, len(dc) + 1) for dc in classes])
     bands = {"all": pick_number > 0, "1-3": pick_number <= BAND_EDGE, "4-7": pick_number > BAND_EDGE}
     cells = {}
     for metric in metrics:
-        for ordering, by_year in ranks.items():
-            flags = [replay_flags(dc, by_year[dc.year], metric, half_sd[metric]) for dc in classes]
+        for ordering, r in ranks.items():
+            years = zip(classes, bounds, bounds[1:])
+            flags = [replay_flags(dc, r[lo:hi], metric, half_sd[metric]) for dc, lo, hi in years]
             optimal, nearly_optimal = (np.concatenate(f) for f in zip(*flags))
             for band, picked in bands.items():
                 n = int(np.count_nonzero(picked))

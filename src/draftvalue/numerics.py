@@ -125,7 +125,7 @@ def loess_fit(x, y, grid, span: float = 0.5) -> SmoothCurve:
     """
     if not (0.0 < span <= 1.0):
         raise ValueError("span must be in (0, 1]")
-    x = np.asarray(x, dtype=float)
+    x = np.asarray(x)  # integer x (ranks) collapse their ties before any float copy
     y = np.asarray(y, dtype=float)
     if x.ndim != 1 or y.ndim not in (1, 2) or y.shape[-1] != len(x):
         raise ValueError(f"y of shape {y.shape} is not (n,) or (k, n) for the {x.size} values of x")
@@ -222,11 +222,11 @@ def _fit_rows(x, ys, count, x0, dmax, equal, tol):
 def _aggregate_ties(x, ys, w=None):
     """Collapse duplicate x to a single point with summed weight (its row
     count when ``w`` is None) and, for each row of ``ys``, the weighted-mean
-    y; returns arrays sorted by x."""
+    y; returns arrays sorted by x, the distinct x as floats."""
     ux, inverse = np.unique(x, return_inverse=True)
     sw = np.bincount(inverse, weights=w)
     wy = ys if w is None else ys * w
-    return ux, np.array([np.bincount(inverse, weights=row) for row in wy]) / sw, sw
+    return ux.astype(float), np.array([np.bincount(inverse, weights=row) for row in wy]) / sw, sw
 
 
 def pava_nondecreasing(y: np.ndarray, w: np.ndarray) -> np.ndarray:

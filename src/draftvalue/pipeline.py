@@ -21,7 +21,7 @@ import numpy as np
 
 from .cescin import CategoryFactors, estimate_category_factors, css_ordering
 from .config import RunConfig
-from .core_model import DraftClass, Metric, PositionGroup
+from .core_model import DraftClass, Metric, PositionGroup, pooled
 from .draft_audit import AuditReport, Ordering, audit
 from .numerics import SmoothCurve
 from .team_analysis import (
@@ -53,17 +53,22 @@ class PipelineError(RuntimeError):
         self.cause = cause
 
 
+def _read_only(ranks: np.ndarray) -> np.ndarray:
+    ranks.flags.writeable = False
+    return ranks
+
+
 def build_orderings(
     classes: Sequence[DraftClass], config: RunConfig
-) -> tuple[CategoryFactors, dict[int, np.ndarray]]:
-    """The category factors and each year's integrated scouting ranks."""
+) -> tuple[CategoryFactors, np.ndarray]:
+    """The category factors and each year's ``css_ordering``, pooled."""
     factors = estimate_category_factors(classes, overrides=config.factors)
-    return factors, {dc.year: css_ordering(dc, factors) for dc in classes}
+    return factors, _read_only(np.concatenate([css_ordering(dc, factors) for dc in classes]))
 
 
 def css_curves(
     classes: Sequence[DraftClass],
-    css_ranks: Mapping[int, np.ndarray],
+    css_ranks: np.ndarray,
     config: RunConfig,
 ) -> dict[Metric, SmoothCurve]:
     return expected_curve(classes, css_ranks, config.metrics, config.loess_span)
@@ -71,7 +76,7 @@ def css_curves(
 
 def surplus_for_metric(
     classes: Sequence[DraftClass],
-    css_ranks: Mapping[int, np.ndarray],
+    css_ranks: np.ndarray,
     curves: Mapping[Metric, SmoothCurve],
     config: RunConfig,
     group: Optional[PositionGroup] = None,
@@ -125,14 +130,14 @@ class Analysis:
         self._curves: dict[tuple, SmoothCurve] = {}
 
     @_stage
-    def cescin(self) -> tuple[CategoryFactors, dict[int, np.ndarray]]:
+    def cescin(self) -> tuple[CategoryFactors, np.ndarray]:
         return build_orderings(self.classes, self.config)
 
-    def ranks(self, ordering: Ordering) -> dict[int, np.ndarray]:
-        """Each year's rank array under ``ordering``: the actual selections
-        for the team order, the integrated scouting ranks for CSS."""
+    def ranks(self, ordering: Ordering) -> np.ndarray:
+        """The read-only pooled rank array under ``ordering``: the actual
+        selections for the team order, the integrated scouting ranks for CSS."""
         if ordering is Ordering.TEAM:
-            return {dc.year: dc.columns.selection for dc in self.classes}
+            return _read_only(pooled(self.classes, "selection"))
         return self.cescin[1]
 
     @partial(_fails_as, "curves")
@@ -143,8 +148,8 @@ class Analysis:
         all). Each is fitted once; the missing ones in one stacked call."""
         missing = [m for m in metrics if (ordering, m, group) not in self._curves]
         if missing:
-            ranks, span = self.ranks(ordering), self.config.loess_span
-            fitted = expected_curve(self.classes, ranks, missing, span, group)
+            span = self.config.loess_span
+            fitted = expected_curve(self.classes, self.ranks(ordering), missing, span, group)
             self._curves.update(((ordering, m, group), c) for m, c in fitted.items())
         return {m: self._curves[ordering, m, group] for m in metrics}
 
@@ -229,8 +234,7 @@ def _write_curve(path: Path, curve: SmoothCurve) -> Path:
 
 
 def _write_cescin(a: Analysis, out: Path) -> list[Path]:
-    factors, orderings = a.cescin
-    cescin = {"factors": dataclasses.asdict(factors), "years": sorted(orderings)}
+    cescin = {"factors": dataclasses.asdict(a.cescin[0]), "years": sorted({dc.year for dc in a.classes})}
     return [_write_json(out / "cescin.json", cescin)]
 
 

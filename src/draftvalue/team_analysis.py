@@ -4,11 +4,12 @@ and a split-half consistency correlation across early and late drafts."""
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import compress
 from typing import Mapping, Sequence
 
 import numpy as np
 
-from .core_model import DraftClass, Metric
+from .core_model import DraftClass, Metric, aligned, pooled
 from .numerics import SmoothCurve, TestResult, pearson, shapiro_wilk
 from .valuation import differential_points
 
@@ -26,16 +27,14 @@ class TeamGain:
 
 def team_gains(
     classes: Sequence[DraftClass],
-    css_ranks: Mapping[int, np.ndarray],
+    css_ranks: np.ndarray,
     css_curves: Mapping[Metric, SmoothCurve],
 ) -> list[TeamGain]:
     """Average realized surplus (outcome minus scouting expectation) per team
     per pick. Averaging, rather than totals, keeps teams with fewer drafts
     comparable to the rest of the league.
     """
-    if not classes:
-        return []
-    teams, team_of = np.unique(np.concatenate([dc.columns.team for dc in classes]), return_inverse=True)
+    teams, team_of = np.unique(pooled(classes, "team"), return_inverse=True)
     picks = np.bincount(team_of)
     deltas = differential_points(classes, css_ranks, css_curves)[1]
     # bincount adds each team's surpluses in pick order, year by year
@@ -55,15 +54,21 @@ def normality_check(gains: Sequence[TeamGain], metric: Metric) -> TestResult:
 
 def split_half_correlation(
     classes: Sequence[DraftClass],
-    css_ranks: Mapping[int, np.ndarray],
+    css_ranks: np.ndarray,
     css_curves: Mapping[Metric, SmoothCurve],
     early_years: Sequence[int],
     late_years: Sequence[int],
 ) -> dict[Metric, TestResult]:
     """Correlation across teams between mean gains in the early and late
     year halves; teams missing from either half are excluded."""
-    halves = [[dc for dc in classes if dc.year in years] for years in (early_years, late_years)]
-    early, late = ({g.team: g for g in team_gains(half, css_ranks, css_curves)} for half in halves)
+
+    def half_gains(years):
+        in_half = [dc.year in years for dc in classes]  # one year mask for the classes and their rows
+        rows = np.repeat(in_half, [len(dc) for dc in classes])
+        gains = team_gains(list(compress(classes, in_half)), aligned(classes, css_ranks)[rows], css_curves)
+        return {g.team: g for g in gains}
+
+    early, late = half_gains(early_years), half_gains(late_years)
     common = sorted(set(early) & set(late))
     if len(common) < 3:
         raise ValueError("need at least 3 teams with picks in both halves")

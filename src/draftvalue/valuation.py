@@ -6,11 +6,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Optional, Sequence
+from typing import Mapping, Optional, Sequence
 
 import numpy as np
 
-from .core_model import GROUPS, DraftClass, Metric, PositionGroup
+from .core_model import GROUP_OF_POSITION, GROUPS, DraftClass, Metric, PositionGroup, aligned, pooled
 from .numerics import SmoothCurve, antitonic_fit, loess_fit
 
 SELECTION_GRID = np.arange(1, 211, dtype=float)
@@ -65,52 +65,48 @@ class ValueChart:
         return [(i + 1, v) for i, v in enumerate(self.values)]
 
 
-def _pool(
-    classes: Sequence[DraftClass],
-    columns: Iterable[np.ndarray],
-    group: Optional[PositionGroup] = None,
-    out: Optional[np.ndarray] = None,
-) -> np.ndarray:
-    """Concatenate one column per class, year by year in record order,
-    keeping only the rows of ``group`` when one is given; into ``out`` when
-    one is given."""
-    if group is None:
-        return np.concatenate(list(columns), out=out)
-    keep = np.concatenate([dc.columns.group for dc in classes]) == GROUPS.index(group)
-    pooled = np.concatenate(list(columns), dtype=None if out is None else out.dtype)
-    return pooled.compress(keep, out=out)
+def _group_rows(classes: Sequence[DraftClass], group: Optional[PositionGroup]):
+    """A function that keeps the rows of ``group`` (None: every row) of an
+    array with one entry per row of ``classes`` in pooled order."""
+    keep = None if group is None else GROUP_OF_POSITION[pooled(classes, "position")] == GROUPS.index(group)
+
+    def rows(values: np.ndarray) -> np.ndarray:
+        aligned(classes, values)
+        return values if keep is None else values.compress(keep)
+
+    return rows
 
 
-def _pool_metrics(
-    classes: Sequence[DraftClass], metrics: Sequence[Metric], group: Optional[PositionGroup], n: int
-) -> np.ndarray:
-    """The pooled outcomes of ``metrics``, one float row of ``n`` per metric."""
+def _pool_metrics(classes: Sequence[DraftClass], metrics: Sequence[Metric], rows, n: int) -> np.ndarray:
+    """The pooled outcomes of ``metrics`` in the kept ``rows``, one float row
+    of ``n`` per metric."""
     out = np.empty((len(metrics), n))
     for row, metric in zip(out, metrics):
-        _pool(classes, (dc.columns.metrics[metric] for dc in classes), group, out=row)
+        row[:] = rows(pooled(classes, metric))
     return out
 
 
 def expected_curve(
     classes: Sequence[DraftClass],
-    ranks: Mapping[int, np.ndarray],
+    ranks: np.ndarray,
     metrics: Sequence[Metric],
     span: float = 0.5,
     group: Optional[PositionGroup] = None,
 ) -> dict[Metric, SmoothCurve]:
     """Smoothed expected outcome of each of ``metrics`` at each of the 210
     draft ranks, pooling (rank, outcome) pairs across years under one
-    ordering: ``ranks`` holds its rank array per year. The metrics share
+    ordering: ``ranks`` holds its pooled rank array. The metrics share
     their ranks, so one stacked fit gives every curve."""
-    pooled = _pool(classes, (ranks[dc.year] for dc in classes), group).astype(float)
-    values = _pool_metrics(classes, metrics, group, len(pooled))
-    fit = loess_fit(pooled, values, grid=SELECTION_GRID, span=span)
+    rows = _group_rows(classes, group)
+    x = rows(ranks)
+    values = _pool_metrics(classes, metrics, rows, len(x))
+    fit = loess_fit(x, values, grid=SELECTION_GRID, span=span)
     return dict(zip(metrics, fit.split()))
 
 
 def differential_points(
     classes: Sequence[DraftClass],
-    css_ranks: Mapping[int, np.ndarray],
+    css_ranks: np.ndarray,
     css_curves: Mapping[Metric, SmoothCurve],
     group: Optional[PositionGroup] = None,
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -121,11 +117,12 @@ def differential_points(
     scouting rank), pooled across all classes."""
     # integer ranks read the curves at their nodes; the differentials are
     # floats once, for the differential fit
-    ranks = _pool(classes, (css_ranks[dc.year] for dc in classes), group)
-    deltas = _pool_metrics(classes, list(css_curves), group, len(ranks))
+    rows = _group_rows(classes, group)
+    ranks = rows(css_ranks)
+    deltas = _pool_metrics(classes, list(css_curves), rows, len(ranks))
     for row, curve in zip(deltas, css_curves.values()):
         row -= curve(ranks)
-    delta_rank = _pool(classes, (dc.columns.selection for dc in classes), group)
+    delta_rank = rows(pooled(classes, "selection"))
     delta_rank -= ranks
     return delta_rank.astype(float), deltas
 

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from draftvalue.cescin import css_ordering
 from draftvalue.core_model import (
     CATEGORIES,
     POSITIONS,
@@ -106,6 +107,12 @@ def random_class(rng, n=20, year=1998, positions=None, teams=4, gp_max=300, sele
             )
         )
     return make_class(records)
+
+
+def pooled_css(classes, factors):
+    """The integrated scouting ranks of ``classes`` pooled year by year, as
+    ``build_orderings`` pools them."""
+    return np.concatenate([css_ordering(dc, factors) for dc in classes])
 
 
 @pytest.fixture

@@ -134,14 +134,13 @@ def test_07_rank_differential_anchors():
     # the 6th pick was the 13th-ranked player; picks 7-13 were ranked 6-12
     ranks = [1, 2, 3, 4, 5, 13, 6, 7, 8, 9, 10, 11, 12]
     dc = make_class([make_record(selection=s, css_category_rank=k) for s, k in enumerate(ranks, 1)])
-    fata = int(differential_points([dc], {dc.year: css_ordering(dc, UNIT)}, {Metric.GP: FLAT})[0][5])
+    fata = int(differential_points([dc], css_ordering(dc, UNIT), {Metric.GP: FLAT})[0][5])
     sums_ok = True
     for seed in range(10):
         classes = generate_synthetic_draft(SynthConfig(seed=seed, years=1))
         _, orderings = build_orderings(classes, RunConfig())
-        for dc in classes:
-            total = differential_points([dc], orderings, {Metric.GP: FLAT})[0].sum()
-            sums_ok = sums_ok and total == 0
+        total = differential_points(classes, orderings, {Metric.GP: FLAT})[0].sum()
+        sums_ok = sums_ok and total == 0
     report(7, f"anchor (6,13) -> {fata}, sum of differentials zero: {sums_ok}",
            fata == -7 and sums_ok)
 
@@ -164,9 +163,8 @@ def test_09_chart_on_noise_free_decreasing_toi():
         for s in range(1, 211)
     ]
     dc = make_class(records)
-    selections = {dc.year: dc.columns.selection}
-    first = draft_value_chart(expected_curve([dc], selections, [Metric.TOI])[Metric.TOI])
-    second = draft_value_chart(expected_curve([dc], selections, [Metric.TOI])[Metric.TOI])
+    first = draft_value_chart(expected_curve([dc], dc.columns.selection, [Metric.TOI])[Metric.TOI])
+    second = draft_value_chart(expected_curve([dc], dc.columns.selection, [Metric.TOI])[Metric.TOI])
     ok = (
         first.value(1) == 1000
         and all(b <= a for a, b in zip(first.values, first.values[1:]))

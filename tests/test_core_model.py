@@ -13,11 +13,12 @@ from draftvalue.core_model import (
     RecordError,
     first_invalid_row,
     impute,
+    pooled,
     position_group,
     summarize_metric,
 )
 
-from conftest import make_class, make_record, raw_rows
+from conftest import make_class, make_record, random_class, raw_rows
 
 
 def imputed(config=ImputationConfig(), **fields):
@@ -197,3 +198,20 @@ class TestSummarize:
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             summarize_metric([], Metric.GP)
+
+    def test_one_value_rejected(self):
+        dc = make_class([make_record(selection=1, css_category_rank=1, gp7=80, toi7=900.0, gvt7=3.0)])
+        with pytest.raises(ValueError, match="at least 2"):
+            summarize_metric([dc], Metric.GP)
+
+
+class TestPooled:
+    def test_a_column_pools_year_by_year(self, rng):
+        classes = [random_class(rng, n=5, year=1998), random_class(rng, n=3, year=1999)]
+        assert pooled(classes, "selection").tolist() == [1, 2, 3, 4, 5, 1, 2, 3]
+        gp = np.concatenate([dc.columns.metrics[Metric.GP] for dc in classes])
+        assert np.array_equal(pooled(classes, Metric.GP), gp) and gp.dtype == np.int64
+
+    def test_no_class_pools_to_an_empty_float_array(self):
+        empty = pooled([], Metric.GP)
+        assert empty.shape == (0,) and empty.dtype == float

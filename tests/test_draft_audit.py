@@ -5,16 +5,16 @@ from draftvalue.cescin import CategoryFactors, css_ordering
 from draftvalue.core_model import POSITIONS, Metric, Position
 from draftvalue.draft_audit import Ordering, audit, half_sd_thresholds, replay_flags
 
-from conftest import make_class, make_record, random_class
+from conftest import make_class, make_record, pooled_css, random_class
 
 UNIT = CategoryFactors(na_skater=1.0, na_goalie=1.0, eu_skater=1.0, eu_goalie=1.0)
 
 
 def both_orderings(classes):
-    """Each ordering's ranks per year: the selections and the CSS ranks."""
+    """Each ordering's pooled ranks: the selections and the CSS ranks."""
     return {
-        Ordering.TEAM: {dc.year: dc.columns.selection for dc in classes},
-        Ordering.CSS: {dc.year: css_ordering(dc, UNIT) for dc in classes},
+        Ordering.TEAM: np.concatenate([dc.columns.selection for dc in classes]),
+        Ordering.CSS: pooled_css(classes, UNIT),
     }
 
 
@@ -143,6 +143,12 @@ class TestReplayFlags:
             with pytest.raises(ValueError):
                 dc = class_with_gp([1, 2])
                 replay_flags(dc, dc.columns.selection, Metric.GP, half_sd=half_sd)
+
+    @pytest.mark.parametrize("n", [100, 211])
+    def test_ranks_of_another_length_are_rejected(self, n):
+        dc = random_class(np.random.default_rng(0), n=210)
+        with pytest.raises(ValueError, match=f"^{n} ranks for 210 rows$"):
+            replay_flags(dc, np.arange(1, n + 1), Metric.GP, half_sd=1.0)
 
     def test_optimal_implies_nearly(self, rng):
         for _ in range(20):

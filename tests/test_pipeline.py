@@ -7,15 +7,20 @@ import inspect
 from collections import Counter
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from draftvalue import pipeline
 from draftvalue.cli import main
 from draftvalue.config import RunConfig
-from draftvalue.core_model import Metric, PositionGroup
-from draftvalue.draft_audit import Ordering
+from draftvalue.cescin import css_ordering
+from draftvalue.core_model import DraftClass, Metric, PositionGroup
+from draftvalue.draft_audit import Ordering, audit
 from draftvalue.io import write_draft_csv
+from draftvalue.numerics import SmoothCurve
 from draftvalue.synth import SynthConfig, generate_synthetic_draft
+from draftvalue.team_analysis import split_half_correlation, team_gains
+from draftvalue.valuation import SELECTION_GRID, differential_points, expected_curve
 
 ROOT = Path(__file__).resolve().parent.parent
 REFERENCE = ROOT / "bench" / "reference" / "paper5"
@@ -128,9 +133,9 @@ def test_each_expected_curve_is_fitted_once(command, one_year_csv, tmp_path, mon
     def record(*args, **kwargs):
         call = signature.bind(*args, **kwargs)
         call.apply_defaults()
-        # the team ranks are each class's own selection column
-        ranks = call.arguments["ranks"]
-        team = all(ranks[dc.year] is dc.columns.selection for dc in call.arguments["classes"])
+        # the team ranks are the selections pooled year by year
+        selections = np.concatenate([dc.columns.selection for dc in call.arguments["classes"]])
+        team = np.array_equal(call.arguments["ranks"], selections)
         ordering = Ordering.TEAM if team else Ordering.CSS
         calls.append((ordering, call.arguments["group"], frozenset(call.arguments["metrics"])))
         return fit(*args, **kwargs)
@@ -195,3 +200,56 @@ def test_by_position_run_matches_reference(tmp_path):
     files = gate.run_outputs(by_position=True)
     assert written(out) == set(files)
     assert gate.compare_reference(out, files, STRATIFIED_REFERENCE) == []
+
+
+def test_a_shared_year_label_gives_the_results_of_distinct_labels():
+    # each class reads its own CSS ranks, whatever its year label
+    a = generate_synthetic_draft(SynthConfig(seed=0, years=2))
+    shared = pipeline.Analysis([a[0], DraftClass(a[0].year, a[1].columns)], RunConfig())
+    distinct = pipeline.Analysis([a[0], DraftClass(a[0].year + 1, a[1].columns)], RunConfig())
+    assert shared.surplus.keys() == distinct.surplus.keys()
+    for key, (curve, estimate) in distinct.surplus.items():
+        assert shared.surplus[key][1] == estimate
+        assert np.array_equal(shared.surplus[key][0].values, curve.values)
+    assert shared.teams == distinct.teams
+
+
+def test_both_orderings_are_read_only_pooled_rank_arrays():
+    classes = generate_synthetic_draft(SynthConfig(seed=2, years=2))
+    analysis = pipeline.Analysis(classes, RunConfig())
+    factors = analysis.cescin[0]
+    want = {
+        Ordering.TEAM: np.concatenate([dc.columns.selection for dc in classes]),
+        Ordering.CSS: np.concatenate([css_ordering(dc, factors) for dc in classes]),
+    }
+    for ordering, ranks in want.items():
+        got = analysis.ranks(ordering)
+        assert np.array_equal(got, ranks) and got.dtype.kind == "i"
+        assert not got.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            got[0] = 0
+
+
+FLAT = {m: SmoothCurve(SELECTION_GRID, np.zeros(210)) for m in Metric}
+# every function that takes pooled ranks, called on (classes, ranks)
+POOLED_RANK_CALLS = {
+    "expected_curve": lambda c, r: expected_curve(c, r, [Metric.TOI]),
+    "expected_curve of a group": lambda c, r: expected_curve(c, r, [Metric.TOI], group=PositionGroup.F),
+    "differential_points": lambda c, r: differential_points(c, r, FLAT),
+    "differential_points of a group": lambda c, r: differential_points(c, r, FLAT, PositionGroup.D),
+    "css_curves": lambda c, r: pipeline.css_curves(c, r, RunConfig()),
+    "surplus_for_metric": lambda c, r: pipeline.surplus_for_metric(c, r, FLAT, RunConfig()),
+    "audit": lambda c, r: audit(c, {Ordering.CSS: r}),
+    "team_gains": lambda c, r: team_gains(c, r, FLAT),
+    "split_half_correlation": lambda c, r: split_half_correlation(c, r, FLAT, [1998], [1999]),
+}
+
+
+@pytest.mark.parametrize("call", sorted(POOLED_RANK_CALLS))
+def test_pooled_ranks_of_another_length_are_rejected(call):
+    classes = generate_synthetic_draft(SynthConfig(seed=2, years=2))
+    _, ranks = pipeline.build_orderings(classes, RunConfig())
+    POOLED_RANK_CALLS[call](classes, ranks)
+    for rows in (len(ranks) - 1, len(ranks) + 1):
+        with pytest.raises(ValueError, match=f"^{rows} ranks for {len(ranks)} rows$"):
+            POOLED_RANK_CALLS[call](classes, np.resize(ranks, rows))

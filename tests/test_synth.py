@@ -82,7 +82,7 @@ class TestOrderingContract:
         rc = RunConfig()
         _, orderings = build_orderings(classes, rc)
         dc = classes[0]
-        assert dc.columns.selection.tolist() == orderings[dc.year].tolist()
+        assert dc.columns.selection.tolist() == orderings.tolist()
         curves = css_curves(classes, orderings, rc)
         fits = surplus_for_metric(classes, orderings, curves, rc)
         assert list(fits) == list(Metric)

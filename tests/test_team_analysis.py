@@ -16,7 +16,7 @@ from draftvalue.team_analysis import (
 )
 from draftvalue.valuation import differential_points
 
-from conftest import make_class, make_record, random_class
+from conftest import make_class, make_record, pooled_css, random_class
 
 UNIT = CategoryFactors(na_skater=1.0, na_goalie=1.0, eu_skater=1.0, eu_goalie=1.0)
 
@@ -30,8 +30,7 @@ def flat_curves(level=0.0):
 class TestTeamGains:
     def test_single_pick_team(self):
         dc = make_class([make_record(selection=1, team="NYR", toi7=400.0, gp7=40, gvt7=2.0)])
-        orderings = {dc.year: css_ordering(dc, UNIT)}
-        gains = team_gains([dc], orderings, flat_curves(0.0))
+        gains = team_gains([dc], css_ordering(dc, UNIT), flat_curves(0.0))
         assert len(gains) == 1
         assert gains[0].team == "NYR"
         assert gains[0].picks == 1
@@ -45,13 +44,12 @@ class TestTeamGains:
                         toi7=1000.0, gvt7=-10.0),
         ]
         dc = make_class(records)
-        orderings = {dc.year: css_ordering(dc, UNIT)}
-        gains = team_gains([dc], orderings, flat_curves(2000.0))
+        gains = team_gains([dc], css_ordering(dc, UNIT), flat_curves(2000.0))
         assert gains[0].mean_gain[Metric.TOI] == pytest.approx(0.0)
 
     def test_partition_consistency(self, rng):
         classes = [random_class(rng, n=30, year=y, teams=5) for y in (1998, 1999)]
-        orderings = {dc.year: css_ordering(dc, UNIT) for dc in classes}
+        orderings = pooled_css(classes, UNIT)
         curves = flat_curves(120.0)
         gains = team_gains(classes, orderings, curves)
         deltas = differential_points(classes, orderings, curves)[1]
@@ -61,13 +59,13 @@ class TestTeamGains:
 
     def test_team_labels_permutable(self, rng):
         dc = random_class(rng, n=20, teams=4)
-        orderings = {dc.year: css_ordering(dc, UNIT)}
+        orderings = css_ordering(dc, UNIT)
         curves = flat_curves(50.0)
         base = {g.team: g for g in team_gains([dc], orderings, curves)}
         swap = {"T01": "T02", "T02": "T01", "T03": "T03", "T04": "T04"}
         teams = np.array([swap[t] for t in dc.columns.team.tolist()])
         renamed = DraftClass(dc.year, dataclasses.replace(dc.columns, team=teams))
-        permuted = {g.team: g for g in team_gains([renamed], {dc.year: orderings[dc.year]}, curves)}
+        permuted = {g.team: g for g in team_gains([renamed], orderings, curves)}
         for old, new in swap.items():
             if old in base:
                 assert permuted[new].mean_gain == base[old].mean_gain
@@ -100,8 +98,7 @@ class TestSplitHalf:
         dc = random_class(rng, n=24, year=1998, teams=6)
         clone = DraftClass(2001, dc.columns)
         classes = [dc, clone]
-        orderings = {c.year: css_ordering(c, UNIT) for c in classes}
-        return classes, orderings
+        return classes, pooled_css(classes, UNIT)
 
     def test_identical_halves_correlate_perfectly(self, rng):
         classes, orderings = self._two_identical_years(rng)
@@ -112,7 +109,7 @@ class TestSplitHalf:
             assert res.statistic == pytest.approx(1.0)
 
     def test_negated_halves_correlate_negatively(self, rng):
-        classes, orderings = self._two_identical_years(rng)
+        classes, _ = self._two_identical_years(rng)
         # flip the late half around the curve level: gain -> -gain
         late = classes[1]
         gp, toi, gvt = (late.columns.metrics[m] for m in (Metric.GP, Metric.TOI, Metric.GVT))
@@ -124,19 +121,17 @@ class TestSplitHalf:
         flipped = DraftClass(2001, dataclasses.replace(late.columns, metrics=metrics))
         curves = flat_curves(80.0)
         classes = [classes[0], flipped]
-        orderings[2001] = css_ordering(flipped, UNIT)
         results = split_half_correlation(
-            classes, orderings, {Metric.GVT: curves[Metric.GVT]},
+            classes, pooled_css(classes, UNIT), {Metric.GVT: curves[Metric.GVT]},
             early_years=[1998], late_years=[2001],
         )
         assert results[Metric.GVT].statistic == pytest.approx(-1.0)
 
     def test_needs_common_teams(self, rng):
         dc = random_class(rng, n=10, year=1998, teams=2)
-        orderings = {1998: css_ordering(dc, UNIT)}
         with pytest.raises(ValueError):
             split_half_correlation(
-                [dc], orderings, flat_curves(), early_years=[1998], late_years=[2001]
+                [dc], css_ordering(dc, UNIT), flat_curves(), early_years=[1998], late_years=[2001]
             )
 
 
