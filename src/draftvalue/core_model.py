@@ -217,6 +217,8 @@ class DraftColumns:
     ``position`` and ``category`` are indices into ``POSITIONS`` and
     ``CATEGORIES``; ``category_rank`` is 0 for unranked players; ``metrics``
     holds one column per outcome metric: integer games, float TOI and GVT.
+    ``team`` and ``name`` hold UTF-8 bytes (``S`` dtype), decoded only where
+    a ``str`` leaves the program.
     """
 
     selection: np.ndarray
@@ -230,6 +232,9 @@ class DraftColumns:
     def __post_init__(self):
         columns = {f.name: getattr(self, f.name) for f in fields(self) if f.name != "metrics"}
         columns.update((m.value, column) for m, column in self.metrics.items())
+        for name in ("team", "name"):
+            if columns[name].dtype.kind != "S":
+                raise ValueError(f"column {name} must hold UTF-8 bytes, got dtype {columns[name].dtype}")
         n = len(self.selection)
         for name, column in columns.items():
             if len(column) != n:
@@ -282,8 +287,8 @@ class RecordView(Sequence):
         return PlayerRecord(
             year=self._dc.year,
             selection=int(c.selection[i]),
-            team=str(c.team[i]),
-            name=str(c.name[i]),
+            team=c.team[i].decode(),
+            name=c.name[i].decode(),
             position=POSITIONS[c.position[i]],
             css_category=CATEGORIES[c.category[i]],
             css_category_rank=int(c.category_rank[i]) or None,

@@ -132,8 +132,8 @@ def _parse_chunk(rows: list[list[str]], lines: np.ndarray):
             stop = bad
             error = (int(lines[bad]), message(field, column[bad], exc))
     cols = {field: col[:stop] for field, col in cols.items()}
-    for field in ("team", "name"):
-        cols[field] = np.array(list(map(str.strip, texts[field][:stop])), dtype=str)
+    for field in ("team", "name"):  # UTF-8 bytes: a row costs its encoding, not 4 B per character
+        cols[field] = np.array([text.strip().encode() for text in texts[field][:stop]], dtype="S")
     cols["line"] = lines[:stop]
     return cols, error
 
@@ -234,8 +234,8 @@ def write_draft_csv(classes: Iterable[DraftClass], path: Union[str, Path]) -> No
                 zip(
                     repeat(dc.year),
                     c.selection.tolist(),
-                    c.team.tolist(),
-                    c.name.tolist(),
+                    map(bytes.decode, c.team.tolist()),
+                    map(bytes.decode, c.name.tolist()),
                     [POSITIONS[p].value for p in c.position.tolist()],
                     [CATEGORIES[k].value for k in c.category.tolist()],
                     [rank or "" for rank in c.category_rank.tolist()],

@@ -222,11 +222,24 @@ def _fit_rows(x, ys, count, x0, dmax, equal, tol):
 def _aggregate_ties(x, ys, w=None):
     """Collapse duplicate x to a single point with summed weight (its row
     count when ``w`` is None) and, for each row of ``ys``, the weighted-mean
-    y; returns arrays sorted by x, the distinct x as floats."""
-    ux, inverse = np.unique(x, return_inverse=True)
-    sw = np.bincount(inverse, weights=w)
+    y; returns arrays sorted by x, the distinct x as floats.
+
+    Unweighted integer x whose range is at most twice their number (ranks,
+    rank differentials) are binned at ``x - min``, with no sort; other x go
+    through ``np.unique``. Either way each bin adds its rows in row order,
+    so both give the same bits."""
+    lo = int(x.min()) if x.dtype.kind == "i" and x.size and w is None else None
+    if lo is not None and int(x.max()) - lo < 2 * x.size:
+        inverse = np.subtract(x, lo, dtype=np.intp)
+        present = np.flatnonzero(np.bincount(inverse))
+        ux = present + lo
+    else:
+        ux, inverse = np.unique(x, return_inverse=True)
+        present = slice(None)
+    sw = np.bincount(inverse, weights=w)[present]
     wy = ys if w is None else ys * w
-    return ux.astype(float), np.array([np.bincount(inverse, weights=row) for row in wy]) / sw, sw
+    sums = np.array([np.bincount(inverse, weights=row)[present] for row in wy])
+    return ux.astype(float), sums / sw, sw
 
 
 def pava_nondecreasing(y: np.ndarray, w: np.ndarray) -> np.ndarray:

@@ -91,9 +91,8 @@ def surplus_for_metric(
     if not delta_rank.any():
         return {m: (None, GainEstimate(metric=m, per_pick=0.0, per_draft=0.0, dollars=0.0)) for m in curves}
     fit = fit_differential_curve(delta_rank, deltas, config.loess_span)
-    steps = delta_rank.astype(np.int64)  # integer differentials read the curves at their nodes
     return {
-        m: (curve, gain_estimate(curve, steps, m, config.dollars))
+        m: (curve, gain_estimate(curve, delta_rank, m, config.dollars))
         for m, curve in zip(curves, fit.split())
     }
 
@@ -234,7 +233,7 @@ def _write_curve(path: Path, curve: SmoothCurve) -> Path:
 
 
 def _write_cescin(a: Analysis, out: Path) -> list[Path]:
-    cescin = {"factors": dataclasses.asdict(a.cescin[0]), "years": sorted({dc.year for dc in a.classes})}
+    cescin = {"factors": dataclasses.asdict(a.cescin[0]), "years": [dc.year for dc in a.classes]}
     return [_write_json(out / "cescin.json", cescin)]
 
 

@@ -142,8 +142,8 @@ def generate_synthetic_draft(
         parts.append(dict(
             year=np.full(n, year),
             selection=selection,
-            team=np.array([f"T{(s - 1) % config.teams + 1:02d}" for s in selection.tolist()]),
-            name=np.array([f"P{year}_{i + 1:03d}" for i in by_pick.tolist()]),
+            team=np.array([b"T%02d" % ((s - 1) % config.teams + 1) for s in selection.tolist()]),
+            name=np.array([b"P%d_%03d" % (year, i + 1) for i in by_pick.tolist()]),
             position=position[by_pick],
             css_category=category[by_pick],
             css_category_rank=category_rank[by_pick],

@@ -40,8 +40,8 @@ def team_gains(
     # bincount adds each team's surpluses in pick order, year by year
     means = {m: np.bincount(team_of, weights=row) / picks for m, row in zip(css_curves, deltas)}
     return [
-        TeamGain(str(team), int(picks[k]), {m: float(v[k]) for m, v in means.items()})
-        for k, team in enumerate(teams)
+        TeamGain(team.decode(), int(picks[k]), {m: float(v[k]) for m, v in means.items()})
+        for k, team in enumerate(teams.tolist())
     ]
 
 

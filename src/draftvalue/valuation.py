@@ -115,8 +115,8 @@ def differential_points(
     and, one row per metric of ``css_curves`` in its order, the metric
     differential (realized outcome minus the expectation at the player's
     scouting rank), pooled across all classes."""
-    # integer ranks read the curves at their nodes; the differentials are
-    # floats once, for the differential fit
+    # integer ranks read the curves at their nodes, and integer
+    # differentials collapse their ties by bincount in the differential fit
     rows = _group_rows(classes, group)
     ranks = rows(css_ranks)
     deltas = _pool_metrics(classes, list(css_curves), rows, len(ranks))
@@ -124,7 +124,7 @@ def differential_points(
         row -= curve(ranks)
     delta_rank = rows(pooled(classes, "selection"))
     delta_rank -= ranks
-    return delta_rank.astype(float), deltas
+    return delta_rank, deltas
 
 
 def fit_differential_curve(
@@ -135,7 +135,7 @@ def fit_differential_curve(
     or a (metrics, players) array of them, fitted in one stacked call."""
     if len(delta_rank) < 10:
         raise ValueError("need at least 10 differential points")
-    dr = np.asarray(delta_rank, dtype=float)
+    dr = np.asarray(delta_rank)
     if dr.min() >= 0 or dr.max() <= 0:
         raise ValueError("differential points must span negative and positive delta_rank")
     grid = np.arange(math.floor(dr.min()), math.ceil(dr.max()) + 1, dtype=float)
@@ -154,8 +154,13 @@ def average_gain(curve: SmoothCurve, delta_ranks: Sequence[int]) -> float:
     if d.size == 0:
         raise ValueError("no selections")
     gain = curve(d)
-    # running totals in pick order, independent of numpy's pairwise summation
-    return (sum(gain[d < 0].tolist()) - sum(gain[d > 0].tolist())) / d.size
+    return (_running_total(gain[d < 0]) - _running_total(gain[d > 0])) / d.size
+
+
+def _running_total(values: np.ndarray) -> float:
+    """The sum of ``values`` added left to right, 0.0 when empty: neither
+    numpy's pairwise ``sum`` nor the compensated ``sum()`` of Python 3.12+."""
+    return float(np.add.accumulate(values)[-1]) if values.size else 0.0
 
 
 def to_dollars(gain_per_draft: float, metric: Metric, constants: DollarConstants = DollarConstants()) -> float:

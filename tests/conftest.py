@@ -55,8 +55,8 @@ def raw_rows(records):
     return RawRows(
         year=column(lambda r: r.year, np.int64),
         selection=column(lambda r: r.selection, np.int64),
-        team=column(lambda r: r.team, str),
-        name=column(lambda r: r.name, str),
+        team=column(lambda r: r.team.encode(), "S"),
+        name=column(lambda r: r.name.encode(), "S"),
         position=column(lambda r: POSITIONS.index(r.position), np.int8),
         css_category=column(lambda r: CATEGORIES.index(r.css_category), np.int8),
         css_category_rank=column(lambda r: r.css_category_rank or 0, np.int64),

@@ -130,10 +130,18 @@ class TestDraftClass:
         with pytest.raises(ValueError, match="column team has 9 rows"):
             replace(columns, team=columns.team[1:])
 
+    @pytest.mark.parametrize("column", ["team", "name"])
+    @pytest.mark.parametrize("dtype", [str, object])
+    def test_text_columns_hold_bytes(self, column, dtype):
+        columns = make_class([make_record(selection=s) for s in range(1, 4)]).columns
+        text = np.array([t.decode() for t in getattr(columns, column).tolist()], dtype)
+        with pytest.raises(ValueError, match=f"^column {column} must hold UTF-8 bytes, got dtype"):
+            replace(columns, **{column: text})
+
     def test_records_view_round_trips(self):
         # rows that imputation leaves as they are
         records = [
-            make_record(selection=1, team="BOS", gp7=0, toi7=0.0, gvt7=-30.0),
+            make_record(selection=1, team="BOS", name="Jääskeläinen, 李", gp7=0, toi7=0.0, gvt7=-30.0),
             make_record(selection=3, css_category=CssCategory.UNRANKED, css_category_rank=None),
             make_record(
                 selection=7, position=Position.G, css_category=CssCategory.EU_GOALIE, toi7=2000.0

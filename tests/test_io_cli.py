@@ -1,4 +1,5 @@
 import contextlib
+import csv
 import io
 import json
 import logging
@@ -19,7 +20,7 @@ import draftvalue
 from draftvalue.cescin import FACTOR_CATEGORIES
 from draftvalue.cli import main
 from draftvalue.config import RunConfig, parse_config_text
-from draftvalue.core_model import ImputationConfig, Metric, PlayerRecord
+from draftvalue.core_model import DraftClass, ImputationConfig, Metric, PlayerRecord
 from draftvalue.io import CHUNK_ROWS, CSV_COLUMNS, DataError, load_draft_csv, write_draft_csv
 from draftvalue.synth import SynthConfig, generate_synthetic_draft
 from draftvalue.valuation import DollarConstants
@@ -193,6 +194,57 @@ class TestIngest:
         assert [(dc.year, list(dc.records)) for dc in reread] == [
             (dc.year, list(dc.records)) for dc in classes
         ]
+
+
+    def test_text_columns_are_utf8_bytes(self, tmp_path):
+        path = write_csv(
+            tmp_path,
+            [
+                "1998,1,MTL,Ségolène,C,NA_SKATER,1,100,1500.0,5.0",
+                "1998,2,Ørn,李明,D,NA_SKATER,2,0,,",
+                "1998,3,T03,Al,G,NA_GOALIE,1,50,,2.0",
+            ],
+        )
+        columns = load_draft_csv(path)[0].columns
+        for column, texts in ((columns.team, ["MTL", "Ørn", "T03"]), (columns.name, ["Ségolène", "李明", "Al"])):
+            encoded = [text.encode() for text in texts]
+            assert column.dtype.kind == "S"
+            assert column.itemsize == max(map(len, encoded)) > max(map(len, texts))
+            assert column.tolist() == encoded
+
+    def test_non_ascii_text_round_trips_byte_for_byte(self, tmp_path):
+        # the bytes write_draft_csv gives: CRLF ends, a field quoted only
+        # when it holds a comma or a quote
+        rows = [
+            ("1998", "1", "MTL", "Pierre-Édouard Bellemare", "C", "NA_SKATER", "1", "100", "1500.0", "5.0"),
+            ("1998", "2", "Ørn", "Jääskeläinen, Jussi", "D", "EU_SKATER", "1", "40", "800.0", "-2.5"),
+            ("1998", "3", "ÅIK", 'Dale "李" Smith', "G", "EU_GOALIE", "1", "50", "1000.0", "2.0"),
+            ("1999", "1", "𝔸BC", "Zoë", "R", "UNRANKED", "", "0", "0.0", "-30.0"),
+        ]
+        original = tmp_path / "original.csv"
+        with original.open("w", newline="", encoding="utf-8") as fh:
+            csv.writer(fh).writerows([CSV_COLUMNS, *rows])
+        assert '"Jääskeläinen, Jussi"' in original.read_text(encoding="utf-8")
+        classes = load_draft_csv(original)
+        assert [r.name for dc in classes for r in dc.records] == [row[3] for row in rows]
+        written = tmp_path / "written.csv"
+        write_draft_csv(classes, written)
+        assert written.read_bytes() == original.read_bytes()
+
+    def test_teams_csv_orders_non_ascii_codes_as_sorted_strings(self, tmp_path):
+        # one-, two-, three- and four-byte UTF-8 codes: byte order is code point order
+        labels = ["Ä", "Z", "é", "Ω", "a", "ß", "ｚ", "𝔸"]
+        code = {b"T%02d" % (k + 1): label.encode() for k, label in enumerate(labels)}
+        classes = [
+            DraftClass(dc.year, replace(dc.columns, team=np.array([code[t] for t in dc.columns.team.tolist()])))
+            for dc in generate_synthetic_draft(SynthConfig(seed=3, years=2, teams=len(labels)))
+        ]
+        path = tmp_path / "draft.csv"
+        write_draft_csv(classes, path)
+        assert main(["teams", str(path), "--out", str(tmp_path / "out")]) == 0
+        with (tmp_path / "out" / "teams.csv").open(newline="", encoding="utf-8") as fh:
+            teams = [row["team"] for row in csv.DictReader(fh)]
+        assert teams == sorted(labels)
 
 
 _SHUFFLE_CLASSES = generate_synthetic_draft(SynthConfig(seed=7, years=3, picks_per_year=100))

@@ -140,6 +140,29 @@ class TestLoess:
         assert loess_fit(x, y, grid=[-1.0], span=0.5).values[0] == pytest.approx(2.5)
 
     @given(
+        st.one_of(
+            # dense: ties collapse by bincount over x - min(x)
+            st.lists(st.integers(-8, 8), min_size=3, max_size=80),
+            # sparse: a range past twice the rows takes np.unique
+            st.lists(st.sampled_from([-1000, -7, -1, 0, 3, 4, 2000]), min_size=3, max_size=40),
+        ),
+        st.integers(1, 3),
+        st.floats(0.05, 1.0),
+        st.integers(0, 2**31),
+    )
+    @example(xs=[-3, -3, -3, 0, 0, 5], k=2, span=0.5, seed=0)
+    @example(xs=[-1000, -1000, 0, 2000], k=1, span=1.0, seed=0)
+    @settings(max_examples=150, deadline=None)
+    def test_integer_x_fit_as_their_floats(self, xs, k, span, seed):
+        x = np.array(xs)
+        assume(len(np.unique(x)) >= 3 and math.ceil(span * len(x)) >= 2)
+        y = np.random.default_rng(seed).normal(size=(k, len(x))) * 50 + x
+        grid = np.union1d(np.linspace(x.min() - 2.0, x.max() + 2.0, 25), x)
+        for response in (y, y[0]):
+            integer = loess_fit(x, response, grid=grid, span=span).values
+            assert np.array_equal(integer, loess_fit(x.astype(float), response, grid=grid, span=span).values)
+
+    @given(
         st.lists(
             st.tuples(st.integers(0, 5), st.floats(-100, 100, allow_nan=False)),
             min_size=6,
@@ -261,12 +284,16 @@ class TestLoess:
             (np.tile(np.arange(1.0, 211.0), 5), SELECTION_GRID, 149_000),
             # 419 rank differentials, on the grid of a surplus curve
             (np.resize(np.arange(-209.0, 210.0), 1050), np.arange(-209.0, 210.0), 165_000),
+            # the same x as integers, whose ties collapse by bincount
+            (np.tile(np.arange(1, 211), 5), SELECTION_GRID, 148_000),
+            (np.resize(np.arange(-209, 210), 1050), np.arange(-209.0, 210.0), 165_000),
         ],
-        ids=["ranks210", "differentials419"],
+        ids=["ranks210", "differentials419", "integer ranks210", "integer differentials419"],
     )
     def test_peak_memory_of_one_fit(self, x, grid, bound):
-        # bound: the kernel's peak, 135,492 and 149,938 bytes, plus about 10%;
-        # the chunk size trades this peak against numpy calls per fit
+        # bound: the kernel's peak, 135,492 and 149,938 bytes for float x and
+        # 134,849 and 149,879 for integer x, plus about 10%; the chunk size
+        # trades this peak against numpy calls per fit
         y = np.random.default_rng(0).normal(size=len(x)) * 50 + x
         loess_fit(x, y, grid=grid)
         tracemalloc.start()

@@ -2,8 +2,11 @@
 artifacts read, a failure names the stage that failed, and every subcommand
 reproduces the stored reference artifacts of the benchmark."""
 
+import gc
 import importlib.util
 import inspect
+import json
+import tracemalloc
 from collections import Counter
 from pathlib import Path
 
@@ -212,6 +215,28 @@ def test_a_shared_year_label_gives_the_results_of_distinct_labels():
         assert shared.surplus[key][1] == estimate
         assert np.array_equal(shared.surplus[key][0].values, curve.values)
     assert shared.teams == distinct.teams
+
+
+def test_cescin_lists_one_year_per_class(tmp_path):
+    a = generate_synthetic_draft(SynthConfig(seed=0, years=2))
+    pipeline.run_pipeline([a[0], DraftClass(a[0].year, a[1].columns)], RunConfig(), tmp_path, ("cescin",))
+    assert json.loads((tmp_path / "cescin.json").read_text())["years"] == [1998, 1998]
+
+
+def test_peak_memory_of_a_stratified_run(tmp_path):
+    # bound: the tracemalloc peak of this run, 381,108 bytes, plus about 10%;
+    # text columns as str and integer ties by np.unique read 433,982
+    classes = generate_synthetic_draft(SynthConfig(seed=0, years=20))
+    config = RunConfig(by_position=True)
+    pipeline.run_pipeline(classes, config, tmp_path)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        pipeline.run_pipeline(classes, config, tmp_path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 418_000
 
 
 def test_both_orderings_are_read_only_pooled_rank_arrays():

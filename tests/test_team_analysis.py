@@ -63,7 +63,7 @@ class TestTeamGains:
         curves = flat_curves(50.0)
         base = {g.team: g for g in team_gains([dc], orderings, curves)}
         swap = {"T01": "T02", "T02": "T01", "T03": "T03", "T04": "T04"}
-        teams = np.array([swap[t] for t in dc.columns.team.tolist()])
+        teams = np.array([swap[t.decode()].encode() for t in dc.columns.team.tolist()])
         renamed = DraftClass(dc.year, dataclasses.replace(dc.columns, team=teams))
         permuted = {g.team: g for g in team_gains([renamed], orderings, curves)}
         for old, new in swap.items():

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from draftvalue.cescin import CategoryFactors, css_ordering
 from draftvalue.core_model import Metric, RecordError
@@ -107,7 +109,36 @@ class TestDifferentialCurve:
             fit_differential_curve(np.array([-1, 1]), np.zeros(2))
 
 
+def looped_gain(curve, deltas):
+    """``average_gain`` as an explicit loop over the picks in order."""
+    ahead = behind = 0.0
+    for d in deltas:
+        if d < 0:
+            ahead += curve(d)
+        elif d > 0:
+            behind += curve(d)
+    return (ahead - behind) / len(deltas)
+
+
 class TestAverageGain:
+    def test_adds_in_pick_order_through_cancellation(self):
+        # Python 3.12's compensated sum() gives 4301.000000000005 for the
+        # ahead total and 3.11's 3999.3010000000004, as this loop does
+        values = np.array([1e16, 1.0, -1e16, 3.3, 1e-3] * 1000)
+        curve = SmoothCurve(np.arange(-5000.0, 5001.0), np.concatenate([values, [0.0], -values]))
+        deltas = np.arange(-5000, 5001)
+        assert average_gain(curve, deltas[:5000]) == looped_gain(curve, deltas[:5000]) == 3999.3010000000004 / 5000
+        assert average_gain(curve, deltas) == looped_gain(curve, deltas)
+
+    @given(
+        st.lists(st.floats(-1e16, 1e16), min_size=21, max_size=21),
+        st.lists(st.integers(-10, 10), min_size=1, max_size=200),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_matches_a_left_to_right_loop(self, values, deltas):
+        curve = SmoothCurve(np.arange(-10.0, 11.0), np.array(values))
+        assert average_gain(curve, deltas) == looped_gain(curve, deltas)
+
     def test_zero_curve(self):
         assert average_gain(linear_curve(0.0), [-3, 0, 5]) == 0.0
 
