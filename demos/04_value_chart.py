@@ -9,14 +9,14 @@ ships with the package for reference.
 Run with:  python3 demos/04_value_chart.py
 """
 
-from draftvalue.core_model import Metric, pooled
+from draftvalue.core_model import Metric
 from draftvalue.reference_chart import reference_chart
 from draftvalue.synth import SynthConfig, generate_synthetic_draft
 from draftvalue.valuation import draft_value_chart, expected_curve
 
-classes = generate_synthetic_draft(SynthConfig(seed=11, years=5))
-selections = pooled(classes, "selection")  # the team order's ranks
-synthetic = draft_value_chart(expected_curve(classes, selections, [Metric.TOI])[Metric.TOI])
+draft = generate_synthetic_draft(SynthConfig(seed=11, years=5))
+selections = draft.columns.selection  # the team order's ranks
+synthetic = draft_value_chart(expected_curve(draft, selections, [Metric.TOI])[Metric.TOI])
 published = reference_chart()
 
 print("pick value: synthetic data vs the published 1998-2002 chart")

@@ -6,6 +6,7 @@ from .cescin import CategoryFactors, css_ordering, estimate_category_factors
 from .config import RunConfig, load_config, parse_config_text
 from .core_model import (
     CssCategory,
+    Draft,
     DraftClass,
     DraftColumns,
     ImputationConfig,

@@ -4,17 +4,17 @@ The four category lists (NA/EU x skater/goalie) carry no cross-list
 comparison, so each category rank is multiplied by a category factor
 estimated from historical selection records; ranking the resulting values
 gives one ordering over a whole draft class. Drafted-but-unlisted players
-are appended past every listed player's value.
+are ranked after every listed player.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping, Optional, Sequence
+from typing import Mapping, Optional
 
 import numpy as np
 
-from .core_model import CATEGORIES, CssCategory, DraftClass, pooled
+from .core_model import CATEGORIES, CssCategory, Draft, DraftClass
 
 FACTOR_CATEGORIES = (
     CssCategory.NA_SKATER,
@@ -44,7 +44,7 @@ class CategoryFactors:
 
 
 def estimate_category_factors(
-    classes: Sequence[DraftClass],
+    draft: Draft,
     overrides: Optional[Mapping[str, float]] = None,
 ) -> CategoryFactors:
     """Fit one factor per category as the through-origin least-squares slope
@@ -54,14 +54,14 @@ def estimate_category_factors(
     estimation for that category.
     """
     overrides = dict(overrides or {})
-    category, rank, selection = (pooled(classes, c) for c in ("category", "category_rank", "selection"))
+    c = draft.columns
     factors = {}
     for cat in FACTOR_CATEGORIES:
         key = cat.value.lower()
         if key in overrides:
             factors[key] = float(overrides[key])
             continue
-        listed = category == CATEGORIES.index(cat)
+        listed = c.category == CATEGORIES.index(cat)
         n = np.count_nonzero(listed)
         if n == 0:
             # category absent from the data; its factor is never applied
@@ -69,7 +69,7 @@ def estimate_category_factors(
             continue
         if n < 2:
             raise ValueError(f"category {cat.value}: need >= 2 ranked drafted players, got {n}")
-        r, s = rank[listed], selection[listed]
+        r, s = c.category_rank[listed], c.selection[listed]
         factors[key] = int(r @ s) / int(r @ r)
     return CategoryFactors(**factors)
 
@@ -78,21 +78,17 @@ def css_ordering(dc: DraftClass, factors: CategoryFactors) -> np.ndarray:
     """Integrated scouting rank of every player in a class: a read-only
     permutation of 1..N aligned with the rows of ``DraftClass.columns``.
 
-    Players are ranked by value. A listed player's value is his category
-    rank times the category factor. Unlisted players get values above every
-    listed player's, spaced by 1 in order of actual selection, so their
-    relative order follows the draft. Ties in value break toward the earlier
-    actual selection.
+    Listed players come first, ranked by value: a listed player's value is
+    his category rank times the category factor. Unlisted players follow in
+    order of actual selection, so their relative order follows the draft.
+    Ties in value break toward the earlier actual selection.
     """
     if len(dc) == 0:
         raise ValueError("empty draft class")
     c = dc.columns
     factor = np.array([factors.for_category(k) if k in FACTOR_CATEGORIES else 0.0 for k in CATEGORIES])
-    values = c.category_rank * factor[c.category]
-    unlisted = c.category == UNRANKED
-    base = values[~unlisted].max(initial=0.0)
-    values[unlisted] = base + np.arange(1, np.count_nonzero(unlisted) + 1)
+    values = c.category_rank * factor[c.category]  # 0 for the unlisted
     ranks = np.empty(len(dc), dtype=np.int64)
-    ranks[np.lexsort((c.selection, values))] = np.arange(1, len(dc) + 1)
+    ranks[np.lexsort((c.selection, values, c.category == UNRANKED))] = np.arange(1, len(dc) + 1)
     ranks.flags.writeable = False
     return ranks

@@ -153,17 +153,17 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
 
         cfg = _run_config(args)
         if args.command == "run" and args.seed is not None:
-            classes = generate_synthetic_draft(SynthConfig(seed=args.seed), cfg.imputation)
+            draft = generate_synthetic_draft(SynthConfig(seed=args.seed), cfg.imputation)
         else:
-            classes = load_draft_csv(args.data, cfg.imputation)
+            draft = load_draft_csv(args.data, cfg.imputation)
 
         if args.command == "ingest-check":
-            for dc in classes:
+            for dc in draft:
                 print(f"year {dc.year}: {len(dc)} records")
             return EXIT_OK
 
         stages = STAGES if args.command == "run" else (args.command,)
-        paths = _write(args.out, run_pipeline, classes, cfg, _out_dir(args.out), stages)
+        paths = _write(args.out, run_pipeline, draft, cfg, _out_dir(args.out), stages)
         for path in paths:
             print(path)
         return EXIT_OK

@@ -8,9 +8,9 @@ import enum
 import logging
 import math
 from dataclasses import dataclass, fields
-from operator import attrgetter
 from collections.abc import Sequence
-from typing import Iterable, Mapping, Optional, Union
+from itertools import accumulate
+from typing import Iterable, Mapping, Optional
 
 import numpy as np
 
@@ -298,47 +298,62 @@ class RecordView(Sequence):
         )
 
 
-def draft_classes(rows: RawRows, imputation: ImputationConfig) -> list[DraftClass]:
-    """Valid rows sorted by year and selection, imputed and split into one
-    class per year whose columns are slices of the columns of ``rows``.
-    Missing selections within a year are logged."""
+class Draft(tuple):
+    """The draft classes of one analysis, year by year, over one table:
+    ``columns`` joins their columns, class ``i`` holding rows
+    ``bounds[i]:bounds[i + 1]``, and a pooled rank array has one entry per
+    row. ``Draft(classes)`` joins by copying; the classes that
+    ``draft_classes`` builds are slices of the draft's columns."""
+
+    columns: DraftColumns
+
+    def __new__(cls, classes: Iterable[DraftClass]) -> "Draft":
+        classes = tuple(classes)
+        parts = [dc.columns for dc in classes]
+        names = [f.name for f in fields(DraftColumns) if f.name != "metrics"]
+        columns = {name: np.concatenate([getattr(c, name) for c in parts]) for name in names}
+        metrics = {m: np.concatenate([c.metrics[m] for c in parts]) for m in parts[0].metrics}
+        return cls._over(classes, DraftColumns(**columns, metrics=metrics))
+
+    @classmethod
+    def _over(cls, classes: tuple[DraftClass, ...], columns: DraftColumns) -> "Draft":
+        draft = super().__new__(cls, classes)
+        draft.columns = columns
+        return draft
+
+    @property
+    def bounds(self) -> tuple[int, ...]:
+        """Computed on each read: kept, the tuple held 1.9 KB of ints at 50 years."""
+        return tuple(accumulate(map(len, self), initial=0))
+
+    def aligned(self, values: np.ndarray, keep: Optional[np.ndarray] = None) -> np.ndarray:
+        """``values``, checked to hold one entry per row, in the rows of the
+        mask ``keep`` (None: every row, and ``values`` itself)."""
+        if len(values) != len(self.columns.selection):
+            raise ValueError(f"{len(values)} ranks for {len(self.columns.selection)} rows")
+        return values if keep is None else values.compress(keep)
+
+
+def draft_classes(rows: RawRows, imputation: ImputationConfig) -> Draft:
+    """Valid rows sorted by year and selection, imputed, as one ``Draft``
+    over the columns of ``rows`` whose classes, one per year, read slices of
+    them. Missing selections within a year are logged."""
     toi7, gvt7 = impute(rows, imputation)
-    year, selection = rows.year, rows.selection
-    bounds = [0, *(np.flatnonzero(np.diff(year)) + 1).tolist(), year.size]
+    table = dict(selection=rows.selection, position=rows.position, team=rows.team, name=rows.name,
+                 category=rows.css_category, category_rank=rows.css_category_rank)
+    metrics = {Metric.GP: rows.gp7, Metric.TOI: toi7, Metric.GVT: gvt7}
+    bounds = [0, *(np.flatnonzero(np.diff(rows.year)) + 1).tolist(), rows.year.size]
     classes = []
     for lo, hi in zip(bounds, bounds[1:]):
-        sels = selection[lo:hi]
+        sels = rows.selection[lo:hi]
         if sels[-1] - sels[0] >= len(sels):
             missing = np.setdiff1d(np.arange(sels[0], sels[-1] + 1), sels)
-            logger.info("year %d: missing selection(s) %s", year[lo], missing.tolist())
+            logger.info("year %d: missing selection(s) %s", rows.year[lo], missing.tolist())
         columns = DraftColumns(
-            selection=sels,
-            position=rows.position[lo:hi],
-            team=rows.team[lo:hi],
-            name=rows.name[lo:hi],
-            category=rows.css_category[lo:hi],
-            category_rank=rows.css_category_rank[lo:hi],
-            metrics={Metric.GP: rows.gp7[lo:hi], Metric.TOI: toi7[lo:hi], Metric.GVT: gvt7[lo:hi]},
+            **{name: c[lo:hi] for name, c in table.items()}, metrics={m: c[lo:hi] for m, c in metrics.items()}
         )
-        classes.append(DraftClass(int(year[lo]), columns))
-    return classes
-
-
-def pooled(classes: Iterable[DraftClass], column: Union[str, Metric]) -> np.ndarray:
-    """One column of every class, year by year in selection order: a metric's
-    outcomes or the named ``DraftColumns`` field; an empty float array
-    without classes."""
-    read = (lambda c: c.metrics[column]) if isinstance(column, Metric) else attrgetter(column)
-    arrays = [read(dc.columns) for dc in classes]
-    return np.concatenate(arrays) if arrays else np.empty(0)
-
-
-def aligned(classes: Sequence[DraftClass], values: np.ndarray) -> np.ndarray:
-    """``values``, checked to hold one entry per row of ``classes``."""
-    rows = sum(map(len, classes))
-    if len(values) != rows:
-        raise ValueError(f"{len(values)} ranks for {rows} rows")
-    return values
+        classes.append(DraftClass(int(rows.year[lo]), columns))
+    return Draft._over(tuple(classes), DraftColumns(**table, metrics=metrics))
 
 
 @dataclass(frozen=True)
@@ -352,10 +367,10 @@ class SummaryStats:
     sd: float
 
 
-def summarize_metric(classes: Sequence[DraftClass], metric: Metric) -> SummaryStats:
+def summarize_metric(draft: Draft, metric: Metric) -> SummaryStats:
     """Descriptive summary of a pooled metric; sd uses the n-1 denominator and
     the 75th percentile interpolates linearly between order statistics."""
-    values = pooled(classes, metric)
+    values = draft.columns.metrics[metric]
     if values.size < 2:
         raise ValueError("need at least 2 records to summarize")
     return SummaryStats(

@@ -10,7 +10,7 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .core_model import POSITIONS, DraftClass, Metric, aligned, pooled
+from .core_model import POSITIONS, Draft, DraftClass, Metric
 
 BAND_EDGE = 90  # round bands: picks 1-90 are rounds 1-3 (30 picks a round), the rest 4-7
 
@@ -72,8 +72,10 @@ def replay_flags(
     """
     if not half_sd > 0:
         raise ValueError("half_sd must be positive")
+    if len(ranks) != len(dc):
+        raise ValueError(f"{len(ranks)} ranks for {len(dc)} rows")
     # ndarray methods skip the Python wrapper of np.argsort and np.searchsorted
-    order = aligned([dc], ranks).argsort()
+    order = ranks.argsort()
     value = dc.columns.metrics[metric][order]
     n = len(value)
     ordered = np.sort(value)
@@ -91,11 +93,11 @@ def replay_flags(
     return optimal, nearly_optimal
 
 
-def half_sd_thresholds(classes: Sequence[DraftClass], metrics: Iterable[Metric]) -> dict[Metric, float]:
+def half_sd_thresholds(draft: Draft, metrics: Iterable[Metric]) -> dict[Metric, float]:
     """Half of the pooled standard deviation (n-1 denominator) per metric."""
     out = {}
     for metric in metrics:
-        values = pooled(classes, metric)
+        values = draft.columns.metrics[metric]
         if values.size < 2:
             raise ValueError("need at least 2 records")
         out[metric] = float(np.std(values, ddof=1)) / 2.0
@@ -107,7 +109,7 @@ def _percent(flags: np.ndarray, n: int) -> float:
 
 
 def audit(
-    classes: Sequence[DraftClass],
+    draft: Draft,
     ranks: Mapping[Ordering, np.ndarray],
     metrics: Sequence[Metric] = tuple(Metric),
 ) -> AuditReport:
@@ -115,17 +117,19 @@ def audit(
     each ordering in ``ranks`` (its pooled rank array, replayed year by
     year); the round bands split at ``BAND_EDGE`` picks into the replay.
     """
-    bounds = np.cumsum([0, *map(len, classes)]).tolist()
-    ranks = {o: aligned(classes, r) for o, r in ranks.items()}
-    half_sd = half_sd_thresholds(classes, metrics)
-    pick_number = np.concatenate([np.arange(1, len(dc) + 1) for dc in classes])
-    bands = {"all": pick_number > 0, "1-3": pick_number <= BAND_EDGE, "4-7": pick_number > BAND_EDGE}
+    bounds = draft.bounds
+    ranks = {o: draft.aligned(r) for o, r in ranks.items()}
+    half_sd = half_sd_thresholds(draft, metrics)
+    early = np.zeros(bounds[-1], dtype=bool)  # the rows of picks 1..BAND_EDGE of each replay
+    for lo, hi in zip(bounds, bounds[1:]):
+        early[lo : min(lo + BAND_EDGE, hi)] = True
+    bands = {"all": np.ones_like(early), "1-3": early, "4-7": ~early}
+    optimal, nearly_optimal = np.empty((2, bounds[-1]), dtype=bool)
     cells = {}
     for metric in metrics:
         for ordering, r in ranks.items():
-            years = zip(classes, bounds, bounds[1:])
-            flags = [replay_flags(dc, r[lo:hi], metric, half_sd[metric]) for dc, lo, hi in years]
-            optimal, nearly_optimal = (np.concatenate(f) for f in zip(*flags))
+            for dc, lo, hi in zip(draft, bounds, bounds[1:]):
+                optimal[lo:hi], nearly_optimal[lo:hi] = replay_flags(dc, r[lo:hi], metric, half_sd[metric])
             for band, picked in bands.items():
                 n = int(np.count_nonzero(picked))
                 cells[(metric, ordering, band)] = AuditCell(

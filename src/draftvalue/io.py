@@ -21,6 +21,7 @@ from .core_model import (
     CATEGORIES,
     MAX_SELECTION,
     POSITIONS,
+    Draft,
     DraftClass,
     ImputationConfig,
     Metric,
@@ -171,8 +172,9 @@ def _read(path: Path):
 def load_draft_csv(
     path: Union[str, Path],
     imputation: ImputationConfig = ImputationConfig(),
-) -> list[DraftClass]:
-    """Read, validate and normalize a draft CSV into one class per year.
+) -> Draft:
+    """Read, validate and normalize a draft CSV into a ``Draft`` of one class
+    per year.
 
     Rows with a selection past the top 210 are dropped, with one warning
     that counts them; any number of missing slots within a year are

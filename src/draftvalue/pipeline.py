@@ -21,7 +21,7 @@ import numpy as np
 
 from .cescin import CategoryFactors, estimate_category_factors, css_ordering
 from .config import RunConfig
-from .core_model import DraftClass, Metric, PositionGroup, pooled
+from .core_model import Draft, Metric, PositionGroup
 from .draft_audit import AuditReport, Ordering, audit
 from .numerics import SmoothCurve
 from .team_analysis import (
@@ -39,6 +39,7 @@ from .valuation import (
     expected_curve,
     fit_differential_curve,
     gain_estimate,
+    group_rows,
 )
 
 logger = logging.getLogger("draftvalue")
@@ -53,29 +54,21 @@ class PipelineError(RuntimeError):
         self.cause = cause
 
 
-def _read_only(ranks: np.ndarray) -> np.ndarray:
+def build_orderings(draft: Draft, config: RunConfig) -> tuple[CategoryFactors, np.ndarray]:
+    """The category factors and each year's ``css_ordering``, pooled into
+    one read-only rank array."""
+    factors = estimate_category_factors(draft, overrides=config.factors)
+    ranks = np.concatenate([css_ordering(dc, factors) for dc in draft])
     ranks.flags.writeable = False
-    return ranks
+    return factors, ranks
 
 
-def build_orderings(
-    classes: Sequence[DraftClass], config: RunConfig
-) -> tuple[CategoryFactors, np.ndarray]:
-    """The category factors and each year's ``css_ordering``, pooled."""
-    factors = estimate_category_factors(classes, overrides=config.factors)
-    return factors, _read_only(np.concatenate([css_ordering(dc, factors) for dc in classes]))
-
-
-def css_curves(
-    classes: Sequence[DraftClass],
-    css_ranks: np.ndarray,
-    config: RunConfig,
-) -> dict[Metric, SmoothCurve]:
-    return expected_curve(classes, css_ranks, config.metrics, config.loess_span)
+def css_curves(draft: Draft, css_ranks: np.ndarray, config: RunConfig) -> dict[Metric, SmoothCurve]:
+    return expected_curve(draft, css_ranks, config.metrics, config.loess_span)
 
 
 def surplus_for_metric(
-    classes: Sequence[DraftClass],
+    draft: Draft,
     css_ranks: np.ndarray,
     curves: Mapping[Metric, SmoothCurve],
     config: RunConfig,
@@ -87,7 +80,7 @@ def surplus_for_metric(
     When the team and scouting orderings coincide (all rank differentials
     zero) no curve can be fitted and every gain is exactly zero.
     """
-    delta_rank, deltas = differential_points(classes, css_ranks, curves, group)
+    delta_rank, deltas = differential_points(draft, css_ranks, curves, group_rows(draft, group))
     if not delta_rank.any():
         return {m: (None, GainEstimate(metric=m, per_pick=0.0, per_draft=0.0, dollars=0.0)) for m in curves}
     fit = fit_differential_curve(delta_rank, deltas, config.loess_span)
@@ -119,24 +112,22 @@ def _stage(compute):
 
 
 class Analysis:
-    """The six stage results of one run over ``classes``."""
+    """The six stage results of one run over ``draft``."""
 
-    def __init__(self, classes: Sequence[DraftClass], config: RunConfig):
-        if not classes:
-            raise PipelineError("ingest", ValueError("no draft classes supplied"))
-        self.classes = classes
+    def __init__(self, draft: Draft, config: RunConfig):
+        self.draft = draft
         self.config = config
         self._curves: dict[tuple, SmoothCurve] = {}
 
     @_stage
     def cescin(self) -> tuple[CategoryFactors, np.ndarray]:
-        return build_orderings(self.classes, self.config)
+        return build_orderings(self.draft, self.config)
 
     def ranks(self, ordering: Ordering) -> np.ndarray:
         """The read-only pooled rank array under ``ordering``: the actual
         selections for the team order, the integrated scouting ranks for CSS."""
         if ordering is Ordering.TEAM:
-            return _read_only(pooled(self.classes, "selection"))
+            return self.draft.columns.selection
         return self.cescin[1]
 
     @partial(_fails_as, "curves")
@@ -148,13 +139,13 @@ class Analysis:
         missing = [m for m in metrics if (ordering, m, group) not in self._curves]
         if missing:
             span = self.config.loess_span
-            fitted = expected_curve(self.classes, self.ranks(ordering), missing, span, group)
+            fitted = expected_curve(self.draft, self.ranks(ordering), missing, span, group)
             self._curves.update(((ordering, m, group), c) for m, c in fitted.items())
         return {m: self._curves[ordering, m, group] for m in metrics}
 
     @_stage
     def audit(self) -> AuditReport:
-        return audit(self.classes, {o: self.ranks(o) for o in Ordering}, self.config.metrics)
+        return audit(self.draft, {o: self.ranks(o) for o in Ordering}, self.config.metrics)
 
     @_stage
     def curves(self) -> dict[Ordering, dict[Metric, SmoothCurve]]:
@@ -169,7 +160,7 @@ class Analysis:
         out = {}
         for group in [None, *PositionGroup] if cfg.by_position else [None]:
             expected = self.expected(Ordering.CSS, cfg.metrics, group)
-            fits = surplus_for_metric(self.classes, self.ranks(Ordering.CSS), expected, cfg, group)
+            fits = surplus_for_metric(self.draft, self.ranks(Ordering.CSS), expected, cfg, group)
             for metric, fit in fits.items():
                 key = metric.value if group is None else f"{metric.value}_{group.value.lower()}"
                 out[key] = fit
@@ -185,7 +176,7 @@ class Analysis:
         cfg = self.config
         expected = self.expected(Ordering.CSS, cfg.metrics)
         css_ranks = self.ranks(Ordering.CSS)
-        gains = team_gains(self.classes, css_ranks, expected)
+        gains = team_gains(self.draft, css_ranks, expected)
         tests: dict = {"normality": {}, "split_half": {}, "outliers": {}}
         for metric in cfg.metrics:
             try:
@@ -194,11 +185,11 @@ class Analysis:
             except ValueError as exc:
                 tests["normality"][metric.value] = {"error": str(exc)}
             tests["outliers"][metric.value] = outlier_teams(gains, metric)
-        years = [dc.year for dc in self.classes]
+        years = [dc.year for dc in self.draft]
         if any(y in cfg.split_early for y in years) and any(y in cfg.split_late for y in years):
             try:
                 split = split_half_correlation(
-                    self.classes, css_ranks, expected, cfg.split_early, cfg.split_late
+                    self.draft, css_ranks, expected, cfg.split_early, cfg.split_late
                 )
                 tests["split_half"] = {
                     m.value: {"r": res.statistic, "p": res.p_value} for m, res in split.items()
@@ -233,7 +224,7 @@ def _write_curve(path: Path, curve: SmoothCurve) -> Path:
 
 
 def _write_cescin(a: Analysis, out: Path) -> list[Path]:
-    cescin = {"factors": dataclasses.asdict(a.cescin[0]), "years": [dc.year for dc in a.classes]}
+    cescin = {"factors": dataclasses.asdict(a.cescin[0]), "years": [dc.year for dc in a.draft]}
     return [_write_json(out / "cescin.json", cescin)]
 
 
@@ -294,14 +285,14 @@ STAGES = tuple(_WRITERS)
 
 
 def run_pipeline(
-    classes: Sequence[DraftClass],
+    draft: Draft,
     config: RunConfig,
     out_dir: Union[str, Path],
     stages: Sequence[str] = STAGES,
 ) -> list[Path]:
     """Write the artifacts of ``stages``, computing them and the stages they
     read; returns the paths written."""
-    analysis = Analysis(classes, config)
+    analysis = Analysis(draft, config)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     return [path for stage in stages for path in _WRITERS[stage](analysis, out)]

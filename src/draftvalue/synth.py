@@ -18,7 +18,7 @@ from .core_model import (
     MAX_SELECTION,
     POSITIONS,
     CssCategory,
-    DraftClass,
+    Draft,
     ImputationConfig,
     Position,
     RawRows,
@@ -92,7 +92,7 @@ def _played_probabilities(n: int, rate: float) -> np.ndarray:
 
 def generate_synthetic_draft(
     config: SynthConfig, imputation: ImputationConfig = ImputationConfig()
-) -> list[DraftClass]:
+) -> Draft:
     """Deterministic synthetic drafts; identical config gives identical output.
     ``imputation`` fills the outcomes of players who never played."""
     rng = np.random.default_rng(config.seed)

@@ -4,12 +4,11 @@ and a split-half consistency correlation across early and late drafts."""
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import compress
-from typing import Mapping, Sequence
+from typing import Mapping, Optional, Sequence
 
 import numpy as np
 
-from .core_model import DraftClass, Metric, aligned, pooled
+from .core_model import Draft, Metric
 from .numerics import SmoothCurve, TestResult, pearson, shapiro_wilk
 from .valuation import differential_points
 
@@ -26,17 +25,19 @@ class TeamGain:
 
 
 def team_gains(
-    classes: Sequence[DraftClass],
+    draft: Draft,
     css_ranks: np.ndarray,
     css_curves: Mapping[Metric, SmoothCurve],
+    keep: Optional[np.ndarray] = None,
 ) -> list[TeamGain]:
     """Average realized surplus (outcome minus scouting expectation) per team
-    per pick. Averaging, rather than totals, keeps teams with fewer drafts
-    comparable to the rest of the league.
+    per pick, over the rows of the mask ``keep`` (None: every row).
+    Averaging, rather than totals, keeps teams with fewer drafts comparable
+    to the rest of the league.
     """
-    teams, team_of = np.unique(pooled(classes, "team"), return_inverse=True)
+    teams, team_of = np.unique(draft.aligned(draft.columns.team, keep), return_inverse=True)
     picks = np.bincount(team_of)
-    deltas = differential_points(classes, css_ranks, css_curves)[1]
+    deltas = differential_points(draft, css_ranks, css_curves, keep)[1]
     # bincount adds each team's surpluses in pick order, year by year
     means = {m: np.bincount(team_of, weights=row) / picks for m, row in zip(css_curves, deltas)}
     return [
@@ -53,7 +54,7 @@ def normality_check(gains: Sequence[TeamGain], metric: Metric) -> TestResult:
 
 
 def split_half_correlation(
-    classes: Sequence[DraftClass],
+    draft: Draft,
     css_ranks: np.ndarray,
     css_curves: Mapping[Metric, SmoothCurve],
     early_years: Sequence[int],
@@ -63,10 +64,8 @@ def split_half_correlation(
     year halves; teams missing from either half are excluded."""
 
     def half_gains(years):
-        in_half = [dc.year in years for dc in classes]  # one year mask for the classes and their rows
-        rows = np.repeat(in_half, [len(dc) for dc in classes])
-        gains = team_gains(list(compress(classes, in_half)), aligned(classes, css_ranks)[rows], css_curves)
-        return {g.team: g for g in gains}
+        rows = np.repeat([dc.year in years for dc in draft], np.diff(draft.bounds))
+        return {g.team: g for g in team_gains(draft, css_ranks, css_curves, rows)}
 
     early, late = half_gains(early_years), half_gains(late_years)
     common = sorted(set(early) & set(late))

@@ -10,7 +10,7 @@ from typing import Mapping, Optional, Sequence
 
 import numpy as np
 
-from .core_model import GROUP_OF_POSITION, GROUPS, DraftClass, Metric, PositionGroup, aligned, pooled
+from .core_model import GROUP_OF_POSITION, GROUPS, Draft, Metric, PositionGroup
 from .numerics import SmoothCurve, antitonic_fit, loess_fit
 
 SELECTION_GRID = np.arange(1, 211, dtype=float)
@@ -65,29 +65,23 @@ class ValueChart:
         return [(i + 1, v) for i, v in enumerate(self.values)]
 
 
-def _group_rows(classes: Sequence[DraftClass], group: Optional[PositionGroup]):
-    """A function that keeps the rows of ``group`` (None: every row) of an
-    array with one entry per row of ``classes`` in pooled order."""
-    keep = None if group is None else GROUP_OF_POSITION[pooled(classes, "position")] == GROUPS.index(group)
-
-    def rows(values: np.ndarray) -> np.ndarray:
-        aligned(classes, values)
-        return values if keep is None else values.compress(keep)
-
-    return rows
+def group_rows(draft: Draft, group: Optional[PositionGroup]) -> Optional[np.ndarray]:
+    """The row mask of ``group`` over ``draft.columns``; None for every row."""
+    return None if group is None else GROUP_OF_POSITION[draft.columns.position] == GROUPS.index(group)
 
 
-def _pool_metrics(classes: Sequence[DraftClass], metrics: Sequence[Metric], rows, n: int) -> np.ndarray:
-    """The pooled outcomes of ``metrics`` in the kept ``rows``, one float row
-    of ``n`` per metric."""
-    out = np.empty((len(metrics), n))
-    for row, metric in zip(out, metrics):
-        row[:] = rows(pooled(classes, metric))
-    return out
+def _pairs(draft: Draft, ranks: np.ndarray, metrics: Sequence[Metric], keep: Optional[np.ndarray]):
+    """The pooled (rank, outcome) pairs in the rows of the mask ``keep``:
+    the ranks, and the outcomes of ``metrics`` as one float row each."""
+    x = draft.aligned(ranks, keep)
+    values = np.empty((len(metrics), len(x)))
+    for row, metric in zip(values, metrics):
+        row[:] = draft.aligned(draft.columns.metrics[metric], keep)
+    return x, values
 
 
 def expected_curve(
-    classes: Sequence[DraftClass],
+    draft: Draft,
     ranks: np.ndarray,
     metrics: Sequence[Metric],
     span: float = 0.5,
@@ -97,34 +91,29 @@ def expected_curve(
     draft ranks, pooling (rank, outcome) pairs across years under one
     ordering: ``ranks`` holds its pooled rank array. The metrics share
     their ranks, so one stacked fit gives every curve."""
-    rows = _group_rows(classes, group)
-    x = rows(ranks)
-    values = _pool_metrics(classes, metrics, rows, len(x))
+    x, values = _pairs(draft, ranks, metrics, group_rows(draft, group))
     fit = loess_fit(x, values, grid=SELECTION_GRID, span=span)
     return dict(zip(metrics, fit.split()))
 
 
 def differential_points(
-    classes: Sequence[DraftClass],
+    draft: Draft,
     css_ranks: np.ndarray,
     css_curves: Mapping[Metric, SmoothCurve],
-    group: Optional[PositionGroup] = None,
+    keep: Optional[np.ndarray] = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Per-player rank differential (actual slot minus integrated scouting
     rank; negative means the team reached ahead of the scouting consensus)
     and, one row per metric of ``css_curves`` in its order, the metric
     differential (realized outcome minus the expectation at the player's
-    scouting rank), pooled across all classes."""
+    scouting rank), pooled across the rows of the mask ``keep`` (None:
+    every row)."""
     # integer ranks read the curves at their nodes, and integer
     # differentials collapse their ties by bincount in the differential fit
-    rows = _group_rows(classes, group)
-    ranks = rows(css_ranks)
-    deltas = _pool_metrics(classes, list(css_curves), rows, len(ranks))
+    ranks, deltas = _pairs(draft, css_ranks, list(css_curves), keep)
     for row, curve in zip(deltas, css_curves.values()):
         row -= curve(ranks)
-    delta_rank = rows(pooled(classes, "selection"))
-    delta_rank -= ranks
-    return delta_rank, deltas
+    return draft.aligned(draft.columns.selection, keep) - ranks, deltas
 
 
 def fit_differential_curve(

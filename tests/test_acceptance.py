@@ -10,7 +10,7 @@ import pytest
 
 from draftvalue.cescin import CategoryFactors, css_ordering
 from draftvalue.config import RunConfig
-from draftvalue.core_model import Metric, summarize_metric
+from draftvalue.core_model import Draft, Metric, summarize_metric
 from draftvalue.draft_audit import Ordering, audit, replay_flags
 from draftvalue.io import load_draft_csv
 from draftvalue.numerics import SmoothCurve, antitonic_fit, loess_fit, shapiro_wilk
@@ -99,7 +99,7 @@ def test_05_audit_oracle():
             mine = replay_flags(dc, ranks, metric, half_sd)
             oracle = brute_force_flags(dc, np.argsort(ranks), metric, half_sd)
             mismatches += tuple(flags.tolist() for flags in mine) != oracle
-    classes = [random_class(rng, n=120, year=y) for y in (1998, 1999)]
+    classes = Draft(random_class(rng, n=120, year=y) for y in (1998, 1999))
     rep = audit(classes, both_orderings(classes))
     cells_ok = all(c.optimal_pct <= c.nearly_optimal_pct for c in rep.cells.values())
     report(5, f"replay flags vs brute force, {mismatches} mismatches", mismatches == 0 and cells_ok)
@@ -134,7 +134,7 @@ def test_07_rank_differential_anchors():
     # the 6th pick was the 13th-ranked player; picks 7-13 were ranked 6-12
     ranks = [1, 2, 3, 4, 5, 13, 6, 7, 8, 9, 10, 11, 12]
     dc = make_class([make_record(selection=s, css_category_rank=k) for s, k in enumerate(ranks, 1)])
-    fata = int(differential_points([dc], css_ordering(dc, UNIT), {Metric.GP: FLAT})[0][5])
+    fata = int(differential_points(Draft([dc]), css_ordering(dc, UNIT), {Metric.GP: FLAT})[0][5])
     sums_ok = True
     for seed in range(10):
         classes = generate_synthetic_draft(SynthConfig(seed=seed, years=1))
@@ -163,8 +163,8 @@ def test_09_chart_on_noise_free_decreasing_toi():
         for s in range(1, 211)
     ]
     dc = make_class(records)
-    first = draft_value_chart(expected_curve([dc], dc.columns.selection, [Metric.TOI])[Metric.TOI])
-    second = draft_value_chart(expected_curve([dc], dc.columns.selection, [Metric.TOI])[Metric.TOI])
+    first = draft_value_chart(expected_curve(Draft([dc]), dc.columns.selection, [Metric.TOI])[Metric.TOI])
+    second = draft_value_chart(expected_curve(Draft([dc]), dc.columns.selection, [Metric.TOI])[Metric.TOI])
     ok = (
         first.value(1) == 1000
         and all(b <= a for a, b in zip(first.values, first.values[1:]))

@@ -10,7 +10,7 @@ from draftvalue.cescin import (
     css_ordering,
     estimate_category_factors,
 )
-from draftvalue.core_model import CssCategory, DraftClass, Position, RecordError
+from draftvalue.core_model import CssCategory, Draft, DraftClass, Position, RecordError
 
 from conftest import make_class, make_record
 
@@ -29,16 +29,16 @@ def class_from_pairs(pairs, category=CssCategory.NA_SKATER):
 class TestEstimateFactors:
     def test_exact_double(self):
         dc = class_from_pairs([(1, 2), (2, 4), (3, 6)])
-        factors = estimate_category_factors([dc])
+        factors = estimate_category_factors(Draft([dc]))
         assert factors.na_skater == pytest.approx(2.0, abs=1e-12)
 
     def test_identity(self):
         dc = class_from_pairs([(1, 1), (2, 2)])
-        assert estimate_category_factors([dc]).na_skater == pytest.approx(1.0)
+        assert estimate_category_factors(Draft([dc])).na_skater == pytest.approx(1.0)
 
     def test_through_origin_slope(self):
         dc = class_from_pairs([(1, 3), (2, 5)])
-        assert estimate_category_factors([dc]).na_skater == pytest.approx(2.6)
+        assert estimate_category_factors(Draft([dc])).na_skater == pytest.approx(2.6)
 
     def test_single_observation_errors(self):
         records = [
@@ -52,11 +52,11 @@ class TestEstimateFactors:
             ),
         ]
         with pytest.raises(ValueError, match="NA_GOALIE"):
-            estimate_category_factors([make_class(records)])
+            estimate_category_factors(Draft([make_class(records)]))
 
     def test_override_skips_estimation(self):
         dc = class_from_pairs([(1, 2), (2, 4)])
-        factors = estimate_category_factors([dc], overrides={"na_skater": 1.5})
+        factors = estimate_category_factors(Draft([dc]), overrides={"na_skater": 1.5})
         assert factors.na_skater == 1.5
 
     def test_nonpositive_factor_rejected(self):
@@ -203,3 +203,49 @@ def test_unranked_ordered_by_selection(dc):
     if ranks and ranked_ranks:
         # every unranked player sits past every listed player
         assert min(ranks) > max(ranked_ranks)
+
+
+GOALIE_CATEGORIES = (CssCategory.NA_GOALIE, CssCategory.EU_GOALIE)
+
+
+@st.composite
+def class_and_factors(draw):
+    """Any valid class over all five categories, some of it or all of it
+    unlisted, with category ranks that repeat and factors whose products tie."""
+    n = draw(st.integers(min_value=1, max_value=30))
+    selections = sorted(draw(st.sets(st.integers(1, 210), min_size=n, max_size=n)))
+    unlisted = draw(st.booleans())
+    categories = st.just(CssCategory.UNRANKED) if unlisted else st.sampled_from(CssCategory)
+    records = []
+    for sel in selections:
+        cat = draw(categories)
+        goalie = cat in GOALIE_CATEGORIES or (cat is CssCategory.UNRANKED and draw(st.booleans()))
+        records.append(make_record(
+            selection=sel,
+            position=Position.G if goalie else draw(st.sampled_from([Position.C, Position.D])),
+            css_category=cat,
+            css_category_rank=None if cat is CssCategory.UNRANKED else draw(st.integers(1, 6)),
+        ))
+    factor = st.sampled_from([0.5, 1.0, 1.5, 2.0, 3.0])
+    factors = CategoryFactors(na_skater=draw(factor), na_goalie=draw(factor), eu_skater=draw(factor),
+                              eu_goalie=draw(factor))
+    return make_class(records), factors
+
+
+@given(class_and_factors())
+@settings(max_examples=150, deadline=None)
+def test_css_ordering_matches_a_sorted_reference(case):
+    # listed players by value, unlisted after them, ties to the earlier selection
+    dc, factors = case
+    records = list(dc.records)
+
+    def key(i):
+        r = records[i]
+        unlisted = r.css_category is CssCategory.UNRANKED
+        value = 0 if unlisted else r.css_category_rank * factors.for_category(r.css_category)
+        return (unlisted, value, r.selection)
+
+    want = [0] * len(records)
+    for rank, i in enumerate(sorted(range(len(records)), key=key), start=1):
+        want[i] = rank
+    assert css_ordering(dc, factors).tolist() == want

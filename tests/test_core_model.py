@@ -5,6 +5,7 @@ import pytest
 
 from draftvalue.core_model import (
     CssCategory,
+    Draft,
     DraftClass,
     ImputationConfig,
     Metric,
@@ -13,10 +14,12 @@ from draftvalue.core_model import (
     RecordError,
     first_invalid_row,
     impute,
-    pooled,
     position_group,
     summarize_metric,
 )
+
+from draftvalue.io import load_draft_csv, write_draft_csv
+from draftvalue.synth import SynthConfig, generate_synthetic_draft
 
 from conftest import make_class, make_record, random_class, raw_rows
 
@@ -161,7 +164,7 @@ class TestSummarize:
             make_record(selection=s, css_category_rank=s, gp7=80, toi7=900.0, gvt7=3.0)
             for s in range(1, 6)
         ]
-        stats = summarize_metric([make_class(records)], Metric.GP)
+        stats = summarize_metric(Draft([make_class(records)]), Metric.GP)
         assert stats.median == stats.mean == stats.p75 == stats.max == 80
         assert stats.sd == 0.0
 
@@ -170,7 +173,7 @@ class TestSummarize:
             make_record(selection=1, css_category_rank=1, gp7=0, toi7=None, gvt7=None),
             make_record(selection=2, css_category_rank=2, gp7=10, toi7=150.0, gvt7=1.0),
         ]
-        stats = summarize_metric([make_class(records)], Metric.GP)
+        stats = summarize_metric(Draft([make_class(records)]), Metric.GP)
         assert stats.mean == 5.0
         assert stats.sd == pytest.approx(np.sqrt(50), abs=1e-9)  # n-1 denominator
 
@@ -191,7 +194,7 @@ class TestSummarize:
         rng.shuffle(shuffled)
         b = make_class(shuffled)
         for metric in Metric:
-            assert summarize_metric([a], metric) == summarize_metric([b], metric)
+            assert summarize_metric(Draft([a]), metric) == summarize_metric(Draft([b]), metric)
 
     def test_ordering_invariant(self, rng):
         values = rng.normal(size=30)
@@ -199,27 +202,52 @@ class TestSummarize:
             make_record(selection=s, css_category_rank=s, gp7=s, toi7=float(s), gvt7=float(v))
             for s, v in enumerate(values, start=1)
         ]
-        stats = summarize_metric([make_class(records)], Metric.GVT)
+        stats = summarize_metric(Draft([make_class(records)]), Metric.GVT)
         assert stats.median <= stats.p75 <= stats.max
         assert stats.sd >= 0
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
-            summarize_metric([], Metric.GP)
+            summarize_metric(Draft([]), Metric.GP)
 
     def test_one_value_rejected(self):
         dc = make_class([make_record(selection=1, css_category_rank=1, gp7=80, toi7=900.0, gvt7=3.0)])
         with pytest.raises(ValueError, match="at least 2"):
-            summarize_metric([dc], Metric.GP)
+            summarize_metric(Draft([dc]), Metric.GP)
 
 
-class TestPooled:
-    def test_a_column_pools_year_by_year(self, rng):
+class TestDraft:
+    def test_columns_join_the_classes_year_by_year(self, rng):
         classes = [random_class(rng, n=5, year=1998), random_class(rng, n=3, year=1999)]
-        assert pooled(classes, "selection").tolist() == [1, 2, 3, 4, 5, 1, 2, 3]
+        draft = Draft(classes)
+        assert tuple(draft) == tuple(classes) and draft.bounds == (0, 5, 8)
+        assert draft.columns.selection.tolist() == [1, 2, 3, 4, 5, 1, 2, 3]
         gp = np.concatenate([dc.columns.metrics[Metric.GP] for dc in classes])
-        assert np.array_equal(pooled(classes, Metric.GP), gp) and gp.dtype == np.int64
+        assert np.array_equal(draft.columns.metrics[Metric.GP], gp) and gp.dtype == np.int64
 
-    def test_no_class_pools_to_an_empty_float_array(self):
-        empty = pooled([], Metric.GP)
-        assert empty.shape == (0,) and empty.dtype == float
+    @pytest.mark.parametrize("source", ["loader", "synth"])
+    def test_built_classes_are_views_of_the_draft_columns(self, source, tmp_path):
+        draft = generate_synthetic_draft(SynthConfig(seed=3, years=3, picks_per_year=40))
+        if source == "loader":
+            write_draft_csv(draft, tmp_path / "draft.csv")
+            draft = load_draft_csv(tmp_path / "draft.csv")
+        assert draft.bounds == (0, 40, 80, 120)
+        joined = Draft(draft)  # the same classes, joined by copying
+        assert joined.bounds == draft.bounds
+        for name in ("selection", "position", "team", "name", "category", "category_rank"):
+            column = getattr(draft.columns, name)
+            assert np.array_equal(getattr(joined.columns, name), column)
+            assert not np.shares_memory(getattr(joined.columns, name), column)
+            for dc, lo, hi in zip(draft, draft.bounds, draft.bounds[1:]):
+                assert np.shares_memory(getattr(dc.columns, name), column)
+                assert np.array_equal(getattr(dc.columns, name), column[lo:hi])
+        for metric, column in draft.columns.metrics.items():
+            assert np.array_equal(joined.columns.metrics[metric], column)
+            assert all(np.shares_memory(dc.columns.metrics[metric], column) for dc in draft)
+
+    def test_aligned_checks_the_row_count(self, rng):
+        draft = Draft([random_class(rng, n=5), random_class(rng, n=3, year=1999)])
+        ranks = np.arange(8)
+        assert draft.aligned(ranks) is ranks
+        with pytest.raises(ValueError, match="^7 ranks for 8 rows$"):
+            draft.aligned(ranks[1:])

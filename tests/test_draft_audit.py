@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from draftvalue.cescin import CategoryFactors, css_ordering
-from draftvalue.core_model import POSITIONS, Metric, Position
+from draftvalue.core_model import POSITIONS, Draft, Metric, Position
 from draftvalue.draft_audit import Ordering, audit, half_sd_thresholds, replay_flags
 
 from conftest import make_class, make_record, pooled_css, random_class
@@ -10,12 +10,9 @@ from conftest import make_class, make_record, pooled_css, random_class
 UNIT = CategoryFactors(na_skater=1.0, na_goalie=1.0, eu_skater=1.0, eu_goalie=1.0)
 
 
-def both_orderings(classes):
+def both_orderings(draft):
     """Each ordering's pooled ranks: the selections and the CSS ranks."""
-    return {
-        Ordering.TEAM: np.concatenate([dc.columns.selection for dc in classes]),
-        Ordering.CSS: pooled_css(classes, UNIT),
-    }
+    return {Ordering.TEAM: draft.columns.selection, Ordering.CSS: pooled_css(draft, UNIT)}
 
 
 def class_with_gp(gps, position=Position.C):
@@ -161,39 +158,40 @@ class TestReplayFlags:
 
 class TestAudit:
     def test_perfectly_ordered_draft(self):
-        dc = class_with_gp(list(range(300, 0, -3)))  # descending metric
-        report = audit([dc], both_orderings([dc]))
+        draft = Draft([class_with_gp(list(range(300, 0, -3)))])  # descending metric
+        report = audit(draft, both_orderings(draft))
         for band in ("all", "1-3", "4-7"):
             cell = report.cell(Metric.GP, Ordering.TEAM, band)
             assert cell.optimal_pct == 100.0
             assert cell.nearly_optimal_pct == 100.0
 
     def test_optimal_never_exceeds_nearly(self, rng):
-        classes = [random_class(rng, n=120, year=y) for y in (1998, 1999)]
-        report = audit(classes, both_orderings(classes))
+        draft = Draft(random_class(rng, n=120, year=y) for y in (1998, 1999))
+        report = audit(draft, both_orderings(draft))
         for cell in report.cells.values():
             assert 0.0 <= cell.optimal_pct <= cell.nearly_optimal_pct <= 100.0
 
     def test_band_partition(self, rng):
-        dc = random_class(rng, n=120)
-        report = audit([dc], both_orderings([dc]))
+        # each year's replay has its own bands; a short year has no late picks
+        draft = Draft([random_class(rng, n=120), random_class(rng, n=50, year=1999)])
+        report = audit(draft, both_orderings(draft))
         for metric in Metric:
             for ordering in Ordering:
                 total = report.cell(metric, ordering, "all").picks
                 early = report.cell(metric, ordering, "1-3").picks
                 late = report.cell(metric, ordering, "4-7").picks
-                assert early + late == total == 120
-                assert early == 90
+                assert early + late == total == 170
+                assert early == 90 + 50
 
     def test_half_sd_pooled_over_years(self, rng):
-        classes = [random_class(rng, n=20, year=y) for y in (1998, 1999)]
+        classes = Draft(random_class(rng, n=20, year=y) for y in (1998, 1999))
         thresholds = half_sd_thresholds(classes, [Metric.GP])
         pooled = [r.gp7 for dc in classes for r in dc.records]
         assert thresholds[Metric.GP] == pytest.approx(np.std(pooled, ddof=1) / 2)
 
     def test_report_rows_shape(self, rng):
-        dc = random_class(rng, n=10)
-        rows = audit([dc], both_orderings([dc])).rows()
+        draft = Draft([random_class(rng, n=10)])
+        rows = audit(draft, both_orderings(draft)).rows()
         assert len(rows) == 3 * 2 * 3  # metric x ordering x band
         assert {"metric", "ordering", "rounds", "picks", "optimal_pct", "nearly_optimal_pct"} == set(
             rows[0]

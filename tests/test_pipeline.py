@@ -17,13 +17,13 @@ from draftvalue import pipeline
 from draftvalue.cli import main
 from draftvalue.config import RunConfig
 from draftvalue.cescin import css_ordering
-from draftvalue.core_model import DraftClass, Metric, PositionGroup
+from draftvalue.core_model import Draft, DraftClass, Metric, PositionGroup
 from draftvalue.draft_audit import Ordering, audit
 from draftvalue.io import write_draft_csv
 from draftvalue.numerics import SmoothCurve
 from draftvalue.synth import SynthConfig, generate_synthetic_draft
 from draftvalue.team_analysis import split_half_correlation, team_gains
-from draftvalue.valuation import SELECTION_GRID, differential_points, expected_curve
+from draftvalue.valuation import SELECTION_GRID, differential_points, expected_curve, group_rows
 
 ROOT = Path(__file__).resolve().parent.parent
 REFERENCE = ROOT / "bench" / "reference" / "paper5"
@@ -136,9 +136,8 @@ def test_each_expected_curve_is_fitted_once(command, one_year_csv, tmp_path, mon
     def record(*args, **kwargs):
         call = signature.bind(*args, **kwargs)
         call.apply_defaults()
-        # the team ranks are the selections pooled year by year
-        selections = np.concatenate([dc.columns.selection for dc in call.arguments["classes"]])
-        team = np.array_equal(call.arguments["ranks"], selections)
+        # the team ranks are the draft's own selection column
+        team = call.arguments["ranks"] is call.arguments["draft"].columns.selection
         ordering = Ordering.TEAM if team else Ordering.CSS
         calls.append((ordering, call.arguments["group"], frozenset(call.arguments["metrics"])))
         return fit(*args, **kwargs)
@@ -208,8 +207,8 @@ def test_by_position_run_matches_reference(tmp_path):
 def test_a_shared_year_label_gives_the_results_of_distinct_labels():
     # each class reads its own CSS ranks, whatever its year label
     a = generate_synthetic_draft(SynthConfig(seed=0, years=2))
-    shared = pipeline.Analysis([a[0], DraftClass(a[0].year, a[1].columns)], RunConfig())
-    distinct = pipeline.Analysis([a[0], DraftClass(a[0].year + 1, a[1].columns)], RunConfig())
+    shared = pipeline.Analysis(Draft([a[0], DraftClass(a[0].year, a[1].columns)]), RunConfig())
+    distinct = pipeline.Analysis(Draft([a[0], DraftClass(a[0].year + 1, a[1].columns)]), RunConfig())
     assert shared.surplus.keys() == distinct.surplus.keys()
     for key, (curve, estimate) in distinct.surplus.items():
         assert shared.surplus[key][1] == estimate
@@ -219,8 +218,51 @@ def test_a_shared_year_label_gives_the_results_of_distinct_labels():
 
 def test_cescin_lists_one_year_per_class(tmp_path):
     a = generate_synthetic_draft(SynthConfig(seed=0, years=2))
-    pipeline.run_pipeline([a[0], DraftClass(a[0].year, a[1].columns)], RunConfig(), tmp_path, ("cescin",))
+    draft = Draft([a[0], DraftClass(a[0].year, a[1].columns)])
+    pipeline.run_pipeline(draft, RunConfig(), tmp_path, ("cescin",))
     assert json.loads((tmp_path / "cescin.json").read_text())["years"] == [1998, 1998]
+
+
+def _peak(compute):
+    """The tracemalloc peak of ``compute()``, after a warm-up call."""
+    compute()
+    gc.collect()
+    tracemalloc.start()
+    try:
+        compute()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_peak_memory_of_the_scouting_orderings():
+    # bound: the tracemalloc peak, 72,790-75,446 bytes, plus about 10%;
+    # pooling each column the factors read into a copy read 125,412
+    draft = generate_synthetic_draft(SynthConfig(seed=0, years=20))
+    assert _peak(lambda: pipeline.build_orderings(draft, RunConfig())) <= 83_000
+
+
+def test_peak_memory_of_the_team_stage_with_split_halves():
+    # bound: the tracemalloc peak, 207,917 bytes, plus about 10%; each half
+    # keeps its rows by one mask before its differentials are computed
+    draft = generate_synthetic_draft(SynthConfig(seed=0, years=20))
+    config = RunConfig(split_early=range(1998, 2008), split_late=range(2008, 2018))
+
+    def teams():
+        analysis = pipeline.Analysis(draft, config)
+        analysis.expected(Ordering.CSS, config.metrics)  # the curves and orderings it reads
+        gc.collect()
+        tracemalloc.start()
+        try:
+            split_half = analysis.teams[1]["split_half"]
+            return tracemalloc.get_traced_memory()[1], split_half
+        finally:
+            tracemalloc.stop()
+
+    teams()
+    peak, split_half = teams()
+    assert set(split_half) == {m.value for m in Metric}
+    assert peak <= 229_000
 
 
 def test_peak_memory_of_a_stratified_run(tmp_path):
@@ -253,6 +295,7 @@ def test_both_orderings_are_read_only_pooled_rank_arrays():
         assert not got.flags.writeable
         with pytest.raises(ValueError, match="read-only"):
             got[0] = 0
+    assert analysis.ranks(Ordering.TEAM) is classes.columns.selection
 
 
 FLAT = {m: SmoothCurve(SELECTION_GRID, np.zeros(210)) for m in Metric}
@@ -261,7 +304,7 @@ POOLED_RANK_CALLS = {
     "expected_curve": lambda c, r: expected_curve(c, r, [Metric.TOI]),
     "expected_curve of a group": lambda c, r: expected_curve(c, r, [Metric.TOI], group=PositionGroup.F),
     "differential_points": lambda c, r: differential_points(c, r, FLAT),
-    "differential_points of a group": lambda c, r: differential_points(c, r, FLAT, PositionGroup.D),
+    "differential_points of a group": lambda c, r: differential_points(c, r, FLAT, group_rows(c, PositionGroup.D)),
     "css_curves": lambda c, r: pipeline.css_curves(c, r, RunConfig()),
     "surplus_for_metric": lambda c, r: pipeline.surplus_for_metric(c, r, FLAT, RunConfig()),
     "audit": lambda c, r: audit(c, {Ordering.CSS: r}),

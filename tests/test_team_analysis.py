@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from draftvalue.cescin import CategoryFactors, css_ordering
-from draftvalue.core_model import DraftClass, Metric
+from draftvalue.core_model import Draft, DraftClass, Metric
 from draftvalue.numerics import SmoothCurve
 from draftvalue.team_analysis import (
     TeamGain,
@@ -30,7 +30,7 @@ def flat_curves(level=0.0):
 class TestTeamGains:
     def test_single_pick_team(self):
         dc = make_class([make_record(selection=1, team="NYR", toi7=400.0, gp7=40, gvt7=2.0)])
-        gains = team_gains([dc], css_ordering(dc, UNIT), flat_curves(0.0))
+        gains = team_gains(Draft([dc]), css_ordering(dc, UNIT), flat_curves(0.0))
         assert len(gains) == 1
         assert gains[0].team == "NYR"
         assert gains[0].picks == 1
@@ -44,11 +44,11 @@ class TestTeamGains:
                         toi7=1000.0, gvt7=-10.0),
         ]
         dc = make_class(records)
-        gains = team_gains([dc], css_ordering(dc, UNIT), flat_curves(2000.0))
+        gains = team_gains(Draft([dc]), css_ordering(dc, UNIT), flat_curves(2000.0))
         assert gains[0].mean_gain[Metric.TOI] == pytest.approx(0.0)
 
     def test_partition_consistency(self, rng):
-        classes = [random_class(rng, n=30, year=y, teams=5) for y in (1998, 1999)]
+        classes = Draft(random_class(rng, n=30, year=y, teams=5) for y in (1998, 1999))
         orderings = pooled_css(classes, UNIT)
         curves = flat_curves(120.0)
         gains = team_gains(classes, orderings, curves)
@@ -57,15 +57,24 @@ class TestTeamGains:
             total_by_team = sum(g.picks * g.mean_gain[metric] for g in gains)
             assert total_by_team == pytest.approx(row.sum(), abs=1e-9)
 
+    def test_kept_rows_give_the_gains_of_their_classes(self, rng):
+        classes = [random_class(rng, n=30, year=y, teams=5) for y in (1998, 1999, 2000)]
+        draft = Draft(classes)
+        orderings = pooled_css(draft, UNIT)
+        keep = np.repeat([True, False, True], 30)
+        half = Draft([classes[0], classes[2]])
+        curves = flat_curves(120.0)
+        assert team_gains(draft, orderings, curves, keep) == team_gains(half, orderings[keep], curves)
+
     def test_team_labels_permutable(self, rng):
         dc = random_class(rng, n=20, teams=4)
         orderings = css_ordering(dc, UNIT)
         curves = flat_curves(50.0)
-        base = {g.team: g for g in team_gains([dc], orderings, curves)}
+        base = {g.team: g for g in team_gains(Draft([dc]), orderings, curves)}
         swap = {"T01": "T02", "T02": "T01", "T03": "T03", "T04": "T04"}
         teams = np.array([swap[t.decode()].encode() for t in dc.columns.team.tolist()])
         renamed = DraftClass(dc.year, dataclasses.replace(dc.columns, team=teams))
-        permuted = {g.team: g for g in team_gains([renamed], orderings, curves)}
+        permuted = {g.team: g for g in team_gains(Draft([renamed]), orderings, curves)}
         for old, new in swap.items():
             if old in base:
                 assert permuted[new].mean_gain == base[old].mean_gain
@@ -97,7 +106,7 @@ class TestSplitHalf:
     def _two_identical_years(self, rng):
         dc = random_class(rng, n=24, year=1998, teams=6)
         clone = DraftClass(2001, dc.columns)
-        classes = [dc, clone]
+        classes = Draft([dc, clone])
         return classes, pooled_css(classes, UNIT)
 
     def test_identical_halves_correlate_perfectly(self, rng):
@@ -120,7 +129,7 @@ class TestSplitHalf:
         }
         flipped = DraftClass(2001, dataclasses.replace(late.columns, metrics=metrics))
         curves = flat_curves(80.0)
-        classes = [classes[0], flipped]
+        classes = Draft([classes[0], flipped])
         results = split_half_correlation(
             classes, pooled_css(classes, UNIT), {Metric.GVT: curves[Metric.GVT]},
             early_years=[1998], late_years=[2001],
@@ -131,7 +140,7 @@ class TestSplitHalf:
         dc = random_class(rng, n=10, year=1998, teams=2)
         with pytest.raises(ValueError):
             split_half_correlation(
-                [dc], css_ordering(dc, UNIT), flat_curves(), early_years=[1998], late_years=[2001]
+                Draft([dc]), css_ordering(dc, UNIT), flat_curves(), early_years=[1998], late_years=[2001]
             )
 
 

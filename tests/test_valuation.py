@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from draftvalue.cescin import CategoryFactors, css_ordering
-from draftvalue.core_model import Metric, RecordError
+from draftvalue.core_model import Draft, Metric, RecordError
 from draftvalue.numerics import SmoothCurve
 from draftvalue.valuation import (
     DollarConstants,
@@ -32,7 +32,7 @@ def differentials(records, curve=None, metric=Metric.GP):
     """(delta rank, delta metric) of a one-year class ranked by category rank."""
     dc = make_class(records)
     curves = {metric: curve or linear_curve(0.0)}
-    delta_rank, deltas = differential_points([dc], css_ordering(dc, UNIT), curves)
+    delta_rank, deltas = differential_points(Draft([dc]), css_ordering(dc, UNIT), curves)
     return delta_rank, deltas[0]
 
 
@@ -202,7 +202,7 @@ def toi_class(toi_of_selection, n=210):
 
 
 def chart_of(dc):
-    return draft_value_chart(expected_curve([dc], dc.columns.selection, [Metric.TOI])[Metric.TOI])
+    return draft_value_chart(expected_curve(Draft([dc]), dc.columns.selection, [Metric.TOI])[Metric.TOI])
 
 
 class TestValueChart:
@@ -238,13 +238,13 @@ class TestValueChart:
 class TestExpectedCurve:
     def test_constant_metric(self):
         dc = toi_class(lambda s: 4000.0, n=60)
-        curve = expected_curve([dc], dc.columns.selection, [Metric.TOI])[Metric.TOI]
+        curve = expected_curve(Draft([dc]), dc.columns.selection, [Metric.TOI])[Metric.TOI]
         assert np.allclose(curve.values, 4000.0, atol=1e-9)
 
     def test_decreasing_quality_decreasing_curve_ends(self):
         dc = toi_class(lambda s: 4200.0 - 20.0 * s)
         for ranks in (dc.columns.selection, css_ordering(dc, UNIT)):
-            curve = expected_curve([dc], ranks, [Metric.TOI])[Metric.TOI]
+            curve = expected_curve(Draft([dc]), ranks, [Metric.TOI])[Metric.TOI]
             assert curve(1) > curve(210)
 
     def test_sum_delta_rank_zero_when_all_ranked(self):
