@@ -20,13 +20,16 @@ from draftvalue.team_analysis import (
     split_half_correlation,
     team_gains,
 )
+from draftvalue.valuation import differential_points
 
 classes = generate_synthetic_draft(SynthConfig(seed=19, years=5))
 rc = RunConfig()
 _, orderings = build_orderings(classes, rc)
 curves = css_curves(classes, orderings, rc)
+# each pick's outcome minus the expectation at its scouting rank
+surplus = dict(zip(curves, differential_points(classes, orderings, curves)[1]))
 
-gains = team_gains(classes, orderings, curves)
+gains = team_gains(classes, surplus)
 toi = sorted(gains, key=lambda g: g.mean_gain[Metric.TOI], reverse=True)
 print("top and bottom five teams by mean minutes gained per pick:")
 for g in toi[:5] + toi[-5:]:
@@ -41,7 +44,7 @@ for metric in Metric:
     print(f"  {metric.value:>4}: normality W = {sw.statistic:.3f}, p = {sw.p_value:.3f}"
           f"  ({'looks like noise' if sw.p_value > 0.05 else 'non-normal'})")
 
-split = split_half_correlation(classes, orderings, curves, rc.split_early, rc.split_late)
+split = split_half_correlation(classes, surplus, rc.split_early, rc.split_late)
 print("\ndoes a team's edge persist from 1998-2000 to 2001-2002?")
 for metric, res in split.items():
     print(f"  {metric.value:>4}: r = {res.statistic:+.3f}, p = {res.p_value:.3f}")

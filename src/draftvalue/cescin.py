@@ -81,7 +81,7 @@ def css_ordering(dc: DraftClass, factors: CategoryFactors) -> np.ndarray:
     Listed players come first, ranked by value: a listed player's value is
     his category rank times the category factor. Unlisted players follow in
     order of actual selection, so their relative order follows the draft.
-    Ties in value break toward the earlier actual selection.
+    Ties in value break by row order, which is selection order.
     """
     if len(dc) == 0:
         raise ValueError("empty draft class")
@@ -89,6 +89,6 @@ def css_ordering(dc: DraftClass, factors: CategoryFactors) -> np.ndarray:
     factor = np.array([factors.for_category(k) if k in FACTOR_CATEGORIES else 0.0 for k in CATEGORIES])
     values = c.category_rank * factor[c.category]  # 0 for the unlisted
     ranks = np.empty(len(dc), dtype=np.int64)
-    ranks[np.lexsort((c.selection, values, c.category == UNRANKED))] = np.arange(1, len(dc) + 1)
+    ranks[np.lexsort((values, c.category == UNRANKED))] = np.arange(1, len(dc) + 1)
     ranks.flags.writeable = False
     return ranks

@@ -41,6 +41,14 @@ class RunConfig:
             raise ValueError(f"loess span must be in (0, 1], got {self.loess_span}")
         if not (self.split_early and self.split_late):
             raise ValueError("split.early and split.late must each name at least one year")
+        early, late = self.split_early, self.split_late
+        # a year list tests its own items; two ranges only the span their bounds share
+        years = late if isinstance(early, range) else early
+        if isinstance(years, range):
+            years = range(max(early[0], late[0]), min(early[-1], late[-1]) + 1)
+        shared = next((y for y in years if y in early and y in late), None)
+        if shared is not None:
+            raise ValueError(f"split.early and split.late must not share a year, both name {shared}")
         if not self.metrics:
             raise ValueError("metrics must name at least one metric")
         if len(set(self.metrics)) != len(self.metrics):

@@ -175,8 +175,9 @@ class Analysis:
         """Per-team mean gains and the tests over them."""
         cfg = self.config
         expected = self.expected(Ordering.CSS, cfg.metrics)
-        css_ranks = self.ranks(Ordering.CSS)
-        gains = team_gains(self.draft, css_ranks, expected)
+        # one per-pick surplus table, read by the gains and both split halves
+        surplus = dict(zip(expected, differential_points(self.draft, self.ranks(Ordering.CSS), expected)[1]))
+        gains = team_gains(self.draft, surplus)
         tests: dict = {"normality": {}, "split_half": {}, "outliers": {}}
         for metric in cfg.metrics:
             try:
@@ -188,12 +189,8 @@ class Analysis:
         years = [dc.year for dc in self.draft]
         if any(y in cfg.split_early for y in years) and any(y in cfg.split_late for y in years):
             try:
-                split = split_half_correlation(
-                    self.draft, css_ranks, expected, cfg.split_early, cfg.split_late
-                )
-                tests["split_half"] = {
-                    m.value: {"r": res.statistic, "p": res.p_value} for m, res in split.items()
-                }
+                split = split_half_correlation(self.draft, surplus, cfg.split_early, cfg.split_late)
+                tests["split_half"] = {m.value: {"r": r.statistic, "p": r.p_value} for m, r in split.items()}
             except ValueError as exc:
                 tests["split_half"] = {"error": str(exc)}
         else:

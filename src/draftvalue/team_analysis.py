@@ -9,8 +9,7 @@ from typing import Mapping, Optional, Sequence
 import numpy as np
 
 from .core_model import Draft, Metric
-from .numerics import SmoothCurve, TestResult, pearson, shapiro_wilk
-from .valuation import differential_points
+from .numerics import TestResult, pearson, shapiro_wilk
 
 OUTLIER_SD = 3.0  # a team's mean gain this many SDs from the league mean is an outlier
 
@@ -26,20 +25,19 @@ class TeamGain:
 
 def team_gains(
     draft: Draft,
-    css_ranks: np.ndarray,
-    css_curves: Mapping[Metric, SmoothCurve],
+    surplus: Mapping[Metric, np.ndarray],
     keep: Optional[np.ndarray] = None,
 ) -> list[TeamGain]:
-    """Average realized surplus (outcome minus scouting expectation) per team
-    per pick, over the rows of the mask ``keep`` (None: every row).
-    Averaging, rather than totals, keeps teams with fewer drafts comparable
-    to the rest of the league.
+    """Mean ``surplus`` per pick of each team, over the rows of the mask
+    ``keep`` (None: every row); ``surplus`` maps a metric to one outcome minus
+    expectation per row of ``draft.columns``. Averaging, rather than totals,
+    keeps teams with fewer drafts comparable to the rest of the league.
     """
-    teams, team_of = np.unique(draft.aligned(draft.columns.team, keep), return_inverse=True)
-    picks = np.bincount(team_of)
-    deltas = differential_points(draft, css_ranks, css_curves, keep)[1]
-    # bincount adds each team's surpluses in pick order, year by year
-    means = {m: np.bincount(team_of, weights=row) / picks for m, row in zip(css_curves, deltas)}
+    labels = draft.aligned(draft.columns.team, keep)
+    teams, picks = np.unique(labels, return_counts=True)  # a bare np.unique imports numpy.ma
+    team_of = teams.searchsorted(labels)
+    # bincount adds each team's surpluses in row order, year by year
+    means = {m: np.bincount(team_of, draft.aligned(row, keep)) / picks for m, row in surplus.items()}
     return [
         TeamGain(team.decode(), int(picks[k]), {m: float(v[k]) for m, v in means.items()})
         for k, team in enumerate(teams.tolist())
@@ -55,28 +53,26 @@ def normality_check(gains: Sequence[TeamGain], metric: Metric) -> TestResult:
 
 def split_half_correlation(
     draft: Draft,
-    css_ranks: np.ndarray,
-    css_curves: Mapping[Metric, SmoothCurve],
+    surplus: Mapping[Metric, np.ndarray],
     early_years: Sequence[int],
     late_years: Sequence[int],
 ) -> dict[Metric, TestResult]:
-    """Correlation across teams between mean gains in the early and late
-    year halves; teams missing from either half are excluded."""
+    """Correlation across teams between mean ``surplus`` gains in the early and
+    late year halves; teams missing from either half are excluded."""
 
     def half_gains(years):
         rows = np.repeat([dc.year in years for dc in draft], np.diff(draft.bounds))
-        return {g.team: g for g in team_gains(draft, css_ranks, css_curves, rows)}
+        return {g.team: g for g in team_gains(draft, surplus, rows)}
 
     early, late = half_gains(early_years), half_gains(late_years)
     common = sorted(set(early) & set(late))
     if len(common) < 3:
         raise ValueError("need at least 3 teams with picks in both halves")
-    out = {}
-    for metric in css_curves:
-        x = [early[t].mean_gain[metric] for t in common]
-        y = [late[t].mean_gain[metric] for t in common]
-        out[metric] = pearson(x, y)
-    return out
+
+    def means(half, metric):
+        return [half[t].mean_gain[metric] for t in common]
+
+    return {m: pearson(means(early, m), means(late, m)) for m in surplus}
 
 
 def outlier_teams(gains: Sequence[TeamGain], metric: Metric) -> list[str]:

@@ -208,12 +208,11 @@ def test_10_historical_reproduction():
     assert abs(pos - 56) <= 1 and abs(neg - 43) <= 1 and abs(zero - 1) <= 1
 
     curves = css_curves(classes, orderings, rc)
-    gains = team_gains(classes, orderings, curves)
+    surplus = dict(zip(curves, differential_points(classes, orderings, curves)[1]))
+    gains = team_gains(classes, surplus)
     for metric in Metric:
         assert normality_check(gains, metric).p_value > 0.1
-    split = split_half_correlation(
-        classes, orderings, curves, rc.split_early, rc.split_late
-    )
+    split = split_half_correlation(classes, surplus, rc.split_early, rc.split_late)
     for res in split.values():
         assert 0.0 <= res.statistic <= 0.4
     report(10, "historical reproduction", True)

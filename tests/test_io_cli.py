@@ -321,15 +321,29 @@ class TestConfigFile:
         assert replace(cfg, factors={}) == RunConfig()
 
     def test_wide_year_range_parses_in_little_memory(self):
+        # two wide disjoint halves: neither the parse nor the overlap check lists their years
         tracemalloc.start()
         try:
-            cfg = parse_config_text("split.early = 1998-1001998")
+            cfg = parse_config_text("split.early = 1998-1001998\nsplit.late = 1001999-2001999")
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert peak < 1_000_000
         assert len(cfg.split_early) == 1_000_001
         assert 1001998 in cfg.split_early and 1001999 not in cfg.split_early
+
+    @pytest.mark.parametrize(
+        "text, year",
+        [
+            ("split.early = 1998-2002\nsplit.late = 1998-2002", 1998),
+            ("split.early = 1998-1001998\nsplit.late = 1001998-2001998", 1001998),
+            ("split.late = 2000", 2000),
+            ("split.early = 2003,2001", 2001),
+        ],
+    )
+    def test_split_halves_that_share_a_year_rejected(self, text, year):
+        with pytest.raises(ValueError, match=f"must not share a year, both name {year}$"):
+            parse_config_text(text)
 
     def test_unknown_key_rejected(self):
         with pytest.raises(ValueError, match="unknown key"):
@@ -473,6 +487,7 @@ class TestCli:
             "dollars.salary_per_game = nan",
             "split.early = 2000-1990",
             "split.late = ,",
+            "split.early = 1998-2002\nsplit.late = 1998-2002",
             "by_position = on",
             "metrics = toi, toi",
             None,  # no config file at the given path

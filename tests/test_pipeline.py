@@ -6,6 +6,9 @@ import gc
 import importlib.util
 import inspect
 import json
+import os
+import subprocess
+import sys
 import tracemalloc
 from collections import Counter
 from pathlib import Path
@@ -13,7 +16,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from draftvalue import pipeline
+from draftvalue import pipeline, team_analysis, valuation
 from draftvalue.cli import main
 from draftvalue.config import RunConfig
 from draftvalue.cescin import css_ordering
@@ -243,8 +246,9 @@ def test_peak_memory_of_the_scouting_orderings():
 
 
 def test_peak_memory_of_the_team_stage_with_split_halves():
-    # bound: the tracemalloc peak, 207,917 bytes, plus about 10%; each half
-    # keeps its rows by one mask before its differentials are computed
+    # bound: the tracemalloc peak, 197,678-197,838 bytes, plus about 10%; the
+    # halves mask the one surplus table of the stage, and computing each
+    # half's differentials after its mask read 207,917
     draft = generate_synthetic_draft(SynthConfig(seed=0, years=20))
     config = RunConfig(split_early=range(1998, 2008), split_late=range(2008, 2018))
 
@@ -262,7 +266,43 @@ def test_peak_memory_of_the_team_stage_with_split_halves():
     teams()
     peak, split_half = teams()
     assert set(split_half) == {m.value for m in Metric}
-    assert peak <= 229_000
+    assert peak <= 218_000
+
+
+def test_the_team_stage_computes_the_differentials_once(paper5_csv, tmp_path, monkeypatch):
+    # the gains and both split halves read one per-pick surplus table
+    calls = []
+    compute = valuation.differential_points
+
+    def record(*args, **kwargs):
+        calls.append(args)
+        return compute(*args, **kwargs)
+
+    for module in (pipeline, team_analysis, valuation):
+        if hasattr(module, "differential_points"):
+            monkeypatch.setattr(module, "differential_points", record)
+    assert main(["teams", str(paper5_csv), "--out", str(tmp_path)]) == 0
+    split_half = json.loads((tmp_path / "team_tests.json").read_text())["split_half"]
+    assert set(split_half) == {m.value for m in Metric}
+    assert len(calls) == 1
+
+
+def test_no_run_imports_numpy_ma(one_year_csv, tmp_path):
+    # under numpy 2.4 an np.unique with no return_* flag imports numpy.ma
+    # (about 1.09 MB traced) inside the first analysis of a process; checked
+    # in a subprocess, since scipy and hypothesis import it under pytest
+    script = "\n".join([
+        "import sys",
+        "from draftvalue.cli import main",
+        f"assert main(['run', {str(one_year_csv)!r}, '--by-position', '--out', {str(tmp_path / 'run')!r}]) == 0",
+        f"assert main(['teams', {str(one_year_csv)!r}, '--out', {str(tmp_path / 'teams')!r}]) == 0",
+        "print('numpy.ma' in sys.modules)",
+    ])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "False"
 
 
 def test_peak_memory_of_a_stratified_run(tmp_path):
@@ -308,8 +348,9 @@ POOLED_RANK_CALLS = {
     "css_curves": lambda c, r: pipeline.css_curves(c, r, RunConfig()),
     "surplus_for_metric": lambda c, r: pipeline.surplus_for_metric(c, r, FLAT, RunConfig()),
     "audit": lambda c, r: audit(c, {Ordering.CSS: r}),
-    "team_gains": lambda c, r: team_gains(c, r, FLAT),
-    "split_half_correlation": lambda c, r: split_half_correlation(c, r, FLAT, [1998], [1999]),
+    # the team statistics take a per-pick surplus row, here the ranks as floats
+    "team_gains": lambda c, r: team_gains(c, {Metric.TOI: r.astype(float)}),
+    "split_half_correlation": lambda c, r: split_half_correlation(c, {Metric.TOI: r.astype(float)}, [1998], [1999]),
 }
 
 

@@ -4,9 +4,7 @@ import warnings
 import numpy as np
 import pytest
 
-from draftvalue.cescin import CategoryFactors, css_ordering
 from draftvalue.core_model import Draft, DraftClass, Metric
-from draftvalue.numerics import SmoothCurve
 from draftvalue.team_analysis import (
     TeamGain,
     normality_check,
@@ -14,67 +12,52 @@ from draftvalue.team_analysis import (
     split_half_correlation,
     team_gains,
 )
-from draftvalue.valuation import differential_points
 
-from conftest import make_class, make_record, pooled_css, random_class
-
-UNIT = CategoryFactors(na_skater=1.0, na_goalie=1.0, eu_skater=1.0, eu_goalie=1.0)
+from conftest import make_class, make_record, random_class
 
 
-def flat_curves(level=0.0):
-    grid = np.arange(1, 211, dtype=float)
-    curve = SmoothCurve(grid=grid, values=np.full(210, level))
-    return {m: curve for m in Metric}
+def random_surplus(rng, draft):
+    """A per-pick surplus row of every metric over the rows of ``draft``."""
+    return {m: rng.normal(0, 100, len(draft.columns.selection)) for m in Metric}
 
 
 class TestTeamGains:
     def test_single_pick_team(self):
-        dc = make_class([make_record(selection=1, team="NYR", toi7=400.0, gp7=40, gvt7=2.0)])
-        gains = team_gains(Draft([dc]), css_ordering(dc, UNIT), flat_curves(0.0))
-        assert len(gains) == 1
-        assert gains[0].team == "NYR"
-        assert gains[0].picks == 1
-        assert gains[0].mean_gain[Metric.TOI] == pytest.approx(400.0)
+        draft = Draft([make_class([make_record(selection=1, team="NYR")])])
+        gains = team_gains(draft, {Metric.TOI: np.array([400.0])})
+        assert gains == [TeamGain("NYR", 1, {Metric.TOI: 400.0})]
 
     def test_symmetric_picks_cancel(self):
-        records = [
-            make_record(selection=1, team="BOS", css_category_rank=1, gp7=200,
-                        toi7=3000.0, gvt7=10.0),
-            make_record(selection=2, team="BOS", css_category_rank=2, gp7=100,
-                        toi7=1000.0, gvt7=-10.0),
-        ]
-        dc = make_class(records)
-        gains = team_gains(Draft([dc]), css_ordering(dc, UNIT), flat_curves(2000.0))
-        assert gains[0].mean_gain[Metric.TOI] == pytest.approx(0.0)
+        records = [make_record(selection=s, team="BOS", css_category_rank=s) for s in (1, 2)]
+        gains = team_gains(Draft([make_class(records)]), {Metric.TOI: np.array([1000.0, -1000.0])})
+        assert gains[0].picks == 2 and gains[0].mean_gain[Metric.TOI] == 0.0
 
     def test_partition_consistency(self, rng):
         classes = Draft(random_class(rng, n=30, year=y, teams=5) for y in (1998, 1999))
-        orderings = pooled_css(classes, UNIT)
-        curves = flat_curves(120.0)
-        gains = team_gains(classes, orderings, curves)
-        deltas = differential_points(classes, orderings, curves)[1]
-        for metric, row in zip(curves, deltas):
+        surplus = random_surplus(rng, classes)
+        gains = team_gains(classes, surplus)
+        assert sum(g.picks for g in gains) == 60
+        for metric, row in surplus.items():
             total_by_team = sum(g.picks * g.mean_gain[metric] for g in gains)
             assert total_by_team == pytest.approx(row.sum(), abs=1e-9)
 
     def test_kept_rows_give_the_gains_of_their_classes(self, rng):
         classes = [random_class(rng, n=30, year=y, teams=5) for y in (1998, 1999, 2000)]
         draft = Draft(classes)
-        orderings = pooled_css(draft, UNIT)
+        surplus = random_surplus(rng, draft)
         keep = np.repeat([True, False, True], 30)
         half = Draft([classes[0], classes[2]])
-        curves = flat_curves(120.0)
-        assert team_gains(draft, orderings, curves, keep) == team_gains(half, orderings[keep], curves)
+        kept = {m: row[keep] for m, row in surplus.items()}
+        assert team_gains(draft, surplus, keep) == team_gains(half, kept)
 
     def test_team_labels_permutable(self, rng):
         dc = random_class(rng, n=20, teams=4)
-        orderings = css_ordering(dc, UNIT)
-        curves = flat_curves(50.0)
-        base = {g.team: g for g in team_gains(Draft([dc]), orderings, curves)}
+        surplus = random_surplus(rng, Draft([dc]))
+        base = {g.team: g for g in team_gains(Draft([dc]), surplus)}
         swap = {"T01": "T02", "T02": "T01", "T03": "T03", "T04": "T04"}
         teams = np.array([swap[t.decode()].encode() for t in dc.columns.team.tolist()])
         renamed = DraftClass(dc.year, dataclasses.replace(dc.columns, team=teams))
-        permuted = {g.team: g for g in team_gains(Draft([renamed]), orderings, curves)}
+        permuted = {g.team: g for g in team_gains(Draft([renamed]), surplus)}
         for old, new in swap.items():
             if old in base:
                 assert permuted[new].mean_gain == base[old].mean_gain
@@ -105,43 +88,26 @@ class TestNormalityCheck:
 class TestSplitHalf:
     def _two_identical_years(self, rng):
         dc = random_class(rng, n=24, year=1998, teams=6)
-        clone = DraftClass(2001, dc.columns)
-        classes = Draft([dc, clone])
-        return classes, pooled_css(classes, UNIT)
+        return Draft([dc, DraftClass(2001, dc.columns)]), rng.normal(0, 100, 24)
 
     def test_identical_halves_correlate_perfectly(self, rng):
-        classes, orderings = self._two_identical_years(rng)
-        results = split_half_correlation(
-            classes, orderings, flat_curves(80.0), early_years=[1998], late_years=[2001]
-        )
+        classes, row = self._two_identical_years(rng)
+        surplus = {m: np.tile(row, 2) for m in Metric}
+        results = split_half_correlation(classes, surplus, early_years=[1998], late_years=[2001])
+        assert set(results) == set(Metric)
         for res in results.values():
             assert res.statistic == pytest.approx(1.0)
 
     def test_negated_halves_correlate_negatively(self, rng):
-        classes, _ = self._two_identical_years(rng)
-        # flip the late half around the curve level: gain -> -gain
-        late = classes[1]
-        gp, toi, gvt = (late.columns.metrics[m] for m in (Metric.GP, Metric.TOI, Metric.GVT))
-        metrics = {
-            Metric.GP: np.maximum(0, 2 * 80 - gp),
-            Metric.TOI: np.where(gp != 0, np.maximum(0.0, 2 * 80.0 - toi), 0.0),
-            Metric.GVT: 2 * 80.0 - gvt,
-        }
-        flipped = DraftClass(2001, dataclasses.replace(late.columns, metrics=metrics))
-        curves = flat_curves(80.0)
-        classes = Draft([classes[0], flipped])
-        results = split_half_correlation(
-            classes, pooled_css(classes, UNIT), {Metric.GVT: curves[Metric.GVT]},
-            early_years=[1998], late_years=[2001],
-        )
+        classes, row = self._two_identical_years(rng)
+        surplus = {Metric.GVT: np.concatenate([row, -row])}
+        results = split_half_correlation(classes, surplus, early_years=[1998], late_years=[2001])
         assert results[Metric.GVT].statistic == pytest.approx(-1.0)
 
     def test_needs_common_teams(self, rng):
-        dc = random_class(rng, n=10, year=1998, teams=2)
+        draft = Draft([random_class(rng, n=10, year=1998, teams=2)])
         with pytest.raises(ValueError):
-            split_half_correlation(
-                Draft([dc]), css_ordering(dc, UNIT), flat_curves(), early_years=[1998], late_years=[2001]
-            )
+            split_half_correlation(draft, random_surplus(rng, draft), early_years=[1998], late_years=[2001])
 
 
 class TestDiagnostics:
