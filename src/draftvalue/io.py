@@ -10,7 +10,7 @@ from __future__ import annotations
 import csv
 import logging
 from functools import partial
-from itertools import islice, repeat
+from itertools import accumulate, islice, repeat
 from operator import length_hint
 from pathlib import Path
 from typing import Iterable, Sequence, Union
@@ -139,6 +139,16 @@ def _parse_chunk(rows: list[list[str]], lines: np.ndarray):
     return cols, error
 
 
+def _start_lines(rows: list[list[str]], first: int) -> tuple[np.ndarray, int]:
+    """The line each of ``rows`` starts on, the first on line ``first``,
+    and the line after the last. A row spans one line more than its quoted
+    fields hold line ends (``\\r\\n``, ``\\n`` or ``\\r``, which split the
+    lines of a file opened with ``newline=""``)."""
+    spans = [1 + sum(f.count("\n") + f.count("\r") - f.count("\r\n") for f in row) for row in rows]
+    lines = np.fromiter(accumulate(spans, initial=first), np.int64, len(rows) + 1)
+    return lines[:-1], int(lines[-1])
+
+
 def _read(path: Path):
     """Parsed columns of the rows of a draft CSV up to its first row that
     does not parse, in file order, and that row's error as (line, message)
@@ -151,15 +161,20 @@ def _read(path: Path):
             raise DataError(f"{path}: empty file, missing header")
         if tuple(header) != CSV_COLUMNS:
             raise DataError(f"{path}: bad header {header}, expected {list(CSV_COLUMNS)}")
-        first_line = 2  # the header is line 1, and a blank line counts
         while True:
-            rows = []
+            first_line = reader.line_num + 1  # a blank line counts
+            rows, csv_error = [], None
             try:
                 rows.extend(islice(reader, CHUNK_ROWS))  # keeps the rows read before an error
             except csv.Error as exc:
-                error = (first_line + len(rows), str(exc))
-            cols, row_error = _parse_chunk(rows, np.arange(first_line, first_line + len(rows)))
-            first_line += len(rows)
+                csv_error = exc
+            if csv_error is None and reader.line_num - first_line + 1 == len(rows):  # a line each
+                lines = np.arange(first_line, first_line + len(rows))
+            else:
+                lines, next_line = _start_lines(rows, first_line)
+                if csv_error is not None:
+                    error = (next_line, str(csv_error))
+            cols, row_error = _parse_chunk(rows, lines)
             error = row_error or error  # a row that does not parse comes before the csv error
             parts.append(cols)
             if error is not None or not rows:

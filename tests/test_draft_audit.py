@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from draftvalue.cescin import CategoryFactors, css_ordering
-from draftvalue.core_model import POSITIONS, Draft, Metric, Position
-from draftvalue.draft_audit import Ordering, audit, half_sd_thresholds, replay_flags
+from draftvalue.core_model import POSITIONS, CssCategory, Draft, Metric, Position
+from draftvalue.draft_audit import BAND_EDGE, AuditCell, Ordering, audit, half_sd_thresholds, replay_flags
 
 from conftest import make_class, make_record, pooled_css, random_class
 
@@ -38,18 +40,17 @@ def brute_force_flags(dc, order_indices, metric, half_sd):
     """Independent re-derivation of the replay flags from the records:
     (optimal, nearly optimal) lists in replay order."""
     optimal, nearly_optimal = [], []
-    taken = []
+    taken = set()
+    records = list(dc.records)
+    value = [record_metric(r, metric) for r in records]
     for i in order_indices:
-        picked = dc.records[i]
         available = [
-            r
-            for j, r in enumerate(dc.records)
-            if j not in taken and r.position is picked.position
+            j for j, r in enumerate(records) if j not in taken and r.position is records[i].position
         ]
-        best = max(record_metric(r, metric) for r in available)
-        optimal.append(record_metric(picked, metric) >= best)
-        nearly_optimal.append(record_metric(picked, metric) >= best - half_sd)
-        taken.append(i)
+        best = max(value[j] for j in available)
+        optimal.append(value[i] >= best)
+        nearly_optimal.append(value[i] >= best - half_sd)
+        taken.add(i)
     return optimal, nearly_optimal
 
 
@@ -196,3 +197,67 @@ class TestAudit:
         assert {"metric", "ordering", "rounds", "picks", "optimal_pct", "nearly_optimal_pct"} == set(
             rows[0]
         )
+
+
+@st.composite
+def classes_and_ranks(draw):
+    """1-4 classes, with their replay ranks under two orderings: one a
+    permutation of each class's rows, one with ties. Classes may be short
+    of ``BAND_EDGE`` or past it, miss slots, share a year label, hold one
+    position only, and tie on every metric."""
+    classes, ranks = [], {Ordering.TEAM: [], Ordering.CSS: []}
+    for _ in range(draw(st.integers(1, 4))):
+        n = draw(st.integers(1 if classes else 2, BAND_EDGE + 20))  # a draft needs 2 rows
+        selections = sorted(draw(st.sets(st.integers(1, 210), min_size=n, max_size=n)))
+        positions = draw(st.sampled_from([[Position.C], [Position.G], [Position.C, Position.D, Position.G], POSITIONS]))
+        gp_max = draw(st.sampled_from([1, 3, 500]))
+        year = draw(st.sampled_from([1998, 1999]))  # classes may share a label
+        records = []
+        for sel in selections:
+            position = draw(st.sampled_from(positions))
+            gp = draw(st.integers(0, gp_max))
+            records.append(make_record(
+                year=year,
+                selection=sel,
+                position=position,
+                css_category=CssCategory.NA_GOALIE if position is Position.G else CssCategory.NA_SKATER,
+                css_category_rank=sel,
+                gp7=gp,
+                toi7=float(gp * draw(st.sampled_from([10, 15]))) if gp else None,
+                gvt7=float(draw(st.integers(-5, 5))) if gp else None,
+            ))
+        classes.append(make_class(records))
+        ranks[Ordering.TEAM].append(np.array(draw(st.permutations(range(n))), dtype=np.int64))
+        ranks[Ordering.CSS].append(np.array(draw(st.lists(st.integers(1, 4), min_size=n, max_size=n)), dtype=np.int64))
+    return Draft(classes), {o: np.concatenate(r) for o, r in ranks.items()}
+
+
+@given(classes_and_ranks())
+@settings(max_examples=40, deadline=None)
+def test_audit_matches_brute_force_per_class(drawn):
+    # tied ranks replay in row order: the oracle replays by a stable sort
+    draft, ranks = drawn
+    if any(np.std(draft.columns.metrics[m]) == 0 for m in Metric):
+        with pytest.raises(ValueError, match="half_sd must be positive"):
+            audit(draft, ranks)
+        return
+    report = audit(draft, ranks)
+    bounds = draft.bounds
+    for metric in Metric:
+        half_sd = report.half_sd[metric]
+        for ordering, pooled in ranks.items():
+            counts = {"1-3": [0, 0, 0], "4-7": [0, 0, 0]}
+            for dc, lo, hi in zip(draft, bounds, bounds[1:]):
+                order = np.argsort(pooled[lo:hi], kind="stable")
+                optimal, nearly_optimal = brute_force_flags(dc, order, metric, half_sd)
+                mine = replay_flags(dc, pooled[lo:hi], metric, half_sd)
+                assert tuple(flags.tolist() for flags in mine) == (optimal, nearly_optimal)
+                for pick, flags in enumerate(zip(optimal, nearly_optimal)):
+                    band = counts["1-3" if pick < BAND_EDGE else "4-7"]
+                    band[0] += 1
+                    band[1] += flags[0]
+                    band[2] += flags[1]
+            counts["all"] = [a + b for a, b in zip(counts["1-3"], counts["4-7"])]
+            for band, (n, optimal, nearly_optimal) in counts.items():
+                want = AuditCell(n, 100.0 * optimal / n if n else 0.0, 100.0 * nearly_optimal / n if n else 0.0)
+                assert report.cell(metric, ordering, band) == want

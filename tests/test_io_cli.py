@@ -153,6 +153,19 @@ class TestIngest:
             (["1998,1,T01,A,C,NA_SKATER,1,10,1.0,1.0", "1998,211,T01,B,C,NA_SKATER,2,10,1.0,1.0",
               "1998,211,T01,C,C,NA_SKATER,3,10,1.0,1.0", "1998,2,T01,D,C,NA_SKATER,4,-1,1.0,1.0"],
              "line 5: gp7"),
+            # a row is numbered by the line it starts on: a quoted line end
+            # (\n, \r\n or \r) adds a line to its row, and blank lines count
+            (['1998,1,T01,"P\nX",C,NA_SKATER,1,10,1.0,1.0', "1998,2,T01,B,C,NA_SKATER,2,10,1.0,1.0",
+              "1998,3,T01,C,C,NA_SKATER,3,10,1.0,1.0", "1998,4,T01,D,C,NA_SKATER,4,10,1.0,1.0",
+              "1998,0,T01,E,C,NA_SKATER,5,10,1.0,1.0"],
+             "line 7: selection: must be >= 1, got 0"),
+            (['1998,1,T01,"P\nX",C,NA_SKATER,1,10,1.0,1.0', "1998,x,T01,B,C,NA_SKATER,2,10,1.0,1.0"],
+             "line 4: unparseable integer field"),
+            (['1998,1,T01,"P\r\nX\rY",C,NA_SKATER,1,10,1.0,1.0', "", "1998,2,T01,B,C,NA_SKATER,2,-1,1.0,1.0"],
+             "line 6: gp7"),
+            (['1998,1,T01,"P\nX\nY",C,NA_SKATER,1,10,1.0,1.0', "",
+              "1998,2,T01," + "B" * 200_000 + ",C,NA_SKATER,2,10,1.0,1.0"],
+             "line 6: field larger than field limit"),
         ],
     )
     def test_first_bad_row_in_file_order(self, tmp_path, rows, message):
@@ -172,6 +185,10 @@ class TestIngest:
             load_draft_csv(write_csv(tmp_path, rows))
         rows[2 * CHUNK_ROWS] = rows[0]
         with pytest.raises(DataError, match=f"^line {2 * CHUNK_ROWS + 2}: duplicate selection 1"):
+            load_draft_csv(write_csv(tmp_path, rows))
+        # a quoted line end in the first chunk moves every later row down a line
+        rows[1] = '1901,1,T01,"P\nQ",C,NA_SKATER,1,10,1.0,1.0'
+        with pytest.raises(DataError, match=f"^line {2 * CHUNK_ROWS + 3}: duplicate selection 1"):
             load_draft_csv(write_csv(tmp_path, rows))
 
     def test_games_past_2_pow_53_kept_exactly(self, tmp_path):

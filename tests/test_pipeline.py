@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from draftvalue import pipeline, team_analysis, valuation
+from draftvalue import draft_audit, pipeline, team_analysis, valuation
 from draftvalue.cli import main
 from draftvalue.config import RunConfig
 from draftvalue.cescin import css_ordering
@@ -269,6 +269,27 @@ def test_peak_memory_of_the_team_stage_with_split_halves():
     assert peak <= 218_000
 
 
+def test_peak_memory_of_the_audit():
+    # bound: the tracemalloc peak, 188,224-192,512 bytes, plus about 10%; one
+    # run of whole classes replays at a time, and replaying all 20 years as
+    # one run read 403,926
+    draft = generate_synthetic_draft(SynthConfig(seed=0, years=20))
+
+    def audit():
+        analysis = pipeline.Analysis(draft, RunConfig())
+        analysis.cescin  # the orderings it reads
+        gc.collect()
+        tracemalloc.start()
+        try:
+            analysis.audit
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    audit()
+    assert audit() <= 210_000
+
+
 def test_the_team_stage_computes_the_differentials_once(paper5_csv, tmp_path, monkeypatch):
     # the gains and both split halves read one per-pick surplus table
     calls = []
@@ -285,6 +306,28 @@ def test_the_team_stage_computes_the_differentials_once(paper5_csv, tmp_path, mo
     split_half = json.loads((tmp_path / "team_tests.json").read_text())["split_half"]
     assert set(split_half) == {m.value for m in Metric}
     assert len(calls) == 1
+
+
+@pytest.mark.parametrize("years", [5, 20])
+def test_the_audit_makes_one_pass_per_metric_ordering_and_run(years, tmp_path, monkeypatch):
+    # runs of whole classes of at most BLOCK_ROWS rows replay together, one
+    # pass per (metric, ordering) each; no class is replayed on its own
+    passes, per_class = [], []
+    compute = draft_audit._replay
+
+    def record(values, ranked, ordered, replay, half_sd):
+        passes.append(len(replay.rows))
+        return compute(values, ranked, ordered, replay, half_sd)
+
+    monkeypatch.setattr(draft_audit, "_replay", record)
+    monkeypatch.setattr(draft_audit, "replay_flags", lambda *args: per_class.append(args))
+    data = tmp_path / "input.csv"
+    write_draft_csv(generate_synthetic_draft(SynthConfig(seed=0, years=years)), data)
+    assert main(["audit", str(data), "--out", str(tmp_path / "out")]) == 0
+    per_run = draft_audit.BLOCK_ROWS // 210  # classes of 210 rows
+    runs = -(-years // per_run)
+    assert passes == [210 * min(per_run, years - i * per_run) for i in range(runs) for _ in range(6)]
+    assert not per_class
 
 
 def test_no_run_imports_numpy_ma(one_year_csv, tmp_path):

@@ -2,7 +2,11 @@
 exists under its name, and one paper-scale run does the work pinned here
 (rows read, audit replays, LOESS fits and their point evaluations). The
 three metrics of one rank family share one stacked LOESS fit, and the
-tracer counts len(x) x len(grid) evaluations per call."""
+tracer counts len(x) x len(grid) evaluations per call. The tracer counts
+replays and pool scans per ``replay_flags`` call, which ``audit`` no
+longer makes: it replays runs of whole classes in one pass per (metric,
+ordering) each, so a run reads 0 of both (``test_pipeline`` pins the
+passes)."""
 
 import importlib
 import importlib.util
@@ -39,8 +43,8 @@ def test_paper_scale_run_work_counts(tmp_path, capsys):
         assert draftvalue.cli.main(["run", str(data), "--out", str(tmp_path / "o")]) == 0
     assert tracing.work_counts(tracer.spans) == {
         "io.rows_read": 1050,
-        "draft_audit.replays": 30,
-        "draft_audit.pool_scans": 664_650,
+        "draft_audit.replays": 0,
+        "draft_audit.pool_scans": 0,
         "numerics.loess_fits": 3,
         "numerics.loess_point_evals": 679_350,
         "cli.subcommand_calls": 1,
