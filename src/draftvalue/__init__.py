@@ -11,7 +11,6 @@ from .core_model import (
     DraftColumns,
     ImputationConfig,
     Metric,
-    PlayerRecord,
     Position,
     PositionGroup,
     RecordError,
@@ -37,13 +36,10 @@ from .valuation import (
     DollarConstants,
     GainEstimate,
     ValueChart,
-    average_gain,
     differential_points,
     draft_value_chart,
     expected_curve,
     fit_differential_curve,
-    gain_estimate,
-    to_dollars,
 )
 
 __version__ = "0.1.0"

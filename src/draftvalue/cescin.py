@@ -10,11 +10,11 @@ are ranked after every listed player.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping, Optional
+from typing import Mapping, Optional, Sequence
 
 import numpy as np
 
-from .core_model import CATEGORIES, CssCategory, Draft, DraftClass
+from .core_model import CATEGORIES, CssCategory, Draft, DraftClass, DraftColumns
 
 FACTOR_CATEGORIES = (
     CssCategory.NA_SKATER,
@@ -83,12 +83,19 @@ def css_ordering(dc: DraftClass, factors: CategoryFactors) -> np.ndarray:
     order of actual selection, so their relative order follows the draft.
     Ties in value break by row order, which is selection order.
     """
-    if len(dc) == 0:
-        raise ValueError("empty draft class")
-    c = dc.columns
+    return css_ranks(dc.columns, (0, len(dc)), factors)
+
+
+def css_ranks(c: DraftColumns, bounds: Sequence[int], factors: CategoryFactors) -> np.ndarray:
+    """The ``css_ordering`` of each class, rows ``bounds[i]:bounds[i + 1]``
+    of ``c``, filled class by class into one read-only rank array."""
     factor = np.array([factors.for_category(k) if k in FACTOR_CATEGORIES else 0.0 for k in CATEGORIES])
-    values = c.category_rank * factor[c.category]  # 0 for the unlisted
-    ranks = np.empty(len(dc), dtype=np.int64)
-    ranks[np.lexsort((values, c.category == UNRANKED))] = np.arange(1, len(dc) + 1)
+    ranks = np.empty(len(c.selection), dtype=np.int64)
+    for lo, hi in zip(bounds, bounds[1:]):
+        if lo == hi:
+            raise ValueError("empty draft class")
+        category = c.category[lo:hi]
+        values = c.category_rank[lo:hi] * factor[category]  # 0 for the unlisted
+        ranks[lo:hi][np.lexsort((values, category == UNRANKED))] = np.arange(1, hi - lo + 1)
     ranks.flags.writeable = False
     return ranks

@@ -158,8 +158,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             draft = load_draft_csv(args.data, cfg.imputation)
 
         if args.command == "ingest-check":
-            for dc in draft:
-                print(f"year {dc.year}: {len(dc)} records")
+            for year, lo, hi in zip(draft.years, draft.bounds, draft.bounds[1:]):
+                print(f"year {year}: {hi - lo} records")
             return EXIT_OK
 
         stages = STAGES if args.command == "run" else (args.command,)

@@ -230,7 +230,7 @@ class DraftColumns:
     metrics: Mapping[Metric, np.ndarray]
 
     def __post_init__(self):
-        columns = {f.name: getattr(self, f.name) for f in fields(self) if f.name != "metrics"}
+        columns = {name: getattr(self, name) for name in _ARRAYS}
         columns.update((m.value, column) for m, column in self.metrics.items())
         for name in ("team", "name"):
             if columns[name].dtype.kind != "S":
@@ -241,27 +241,45 @@ class DraftColumns:
                 raise ValueError(f"column {name} has {len(column)} rows, selection has {n}")
             column.flags.writeable = False
 
+    def rows(self, lo: int, hi: int) -> "DraftColumns":
+        """Rows ``lo:hi`` of every column, as views."""
+        metrics = {m: column[lo:hi] for m, column in self.metrics.items()}
+        return DraftColumns(**{name: getattr(self, name)[lo:hi] for name in _ARRAYS}, metrics=metrics)
+
+
+_ARRAYS = tuple(f.name for f in fields(DraftColumns) if f.name != "metrics")
+
+
+def _check_classes(years: Sequence[int], bounds: Sequence[int], selection: np.ndarray) -> None:
+    """Raise ``ValueError`` naming the year of the first class, rows
+    ``bounds[i]:bounds[i + 1]`` of ``selection``, whose selections do not
+    strictly increase or number more than ``MAX_SELECTION``."""
+    down = np.flatnonzero(selection[1:] <= selection[:-1]) + 1  # rows not above the row before
+    classes = np.searchsorted(bounds, down, side="right") - 1
+    unordered = classes[down != np.asarray(bounds)[classes]].tolist()  # each class starts over
+    oversized = np.flatnonzero(np.diff(bounds) > MAX_SELECTION).tolist()
+    if unordered or oversized:
+        i = min(unordered + oversized)
+        rule = "selections must be strictly increasing" if i in unordered else f"more than {MAX_SELECTION} selections"
+        raise ValueError(f"year {years[i]}: {rule}")
+
 
 @dataclass(frozen=True, eq=False)
 class DraftClass:
     """One draft year's players as columns, sorted by selection.
 
     At most 210 selections; any number of slots may be missing (one historical
-    pick was invalidated), and the loader logs the missing ones. The loader
-    and ``synth`` build classes with ``draft_classes``. ``records`` is a
-    read-only ``PlayerRecord`` view that builds a record only when one is
-    read; ``bench/tracing.py`` counts rows with ``len(dc.records)``.
+    pick was invalidated), and the loader logs the missing ones. A ``Draft``
+    builds its classes when one is read. ``records`` is a read-only
+    ``PlayerRecord`` view that builds a record only when one is read;
+    ``bench/tracing.py`` counts rows with ``len(dc.records)``.
     """
 
     year: int
     columns: DraftColumns
 
     def __post_init__(self):
-        selection = self.columns.selection
-        if np.any(selection[1:] <= selection[:-1]):
-            raise ValueError(f"year {self.year}: selections must be strictly increasing")
-        if len(selection) > MAX_SELECTION:
-            raise ValueError(f"year {self.year}: more than {MAX_SELECTION} selections")
+        _check_classes((self.year,), (0, len(self)), self.columns.selection)
 
     def __len__(self) -> int:
         return len(self.columns.selection)
@@ -298,33 +316,38 @@ class RecordView(Sequence):
         )
 
 
-class Draft(tuple):
+class Draft(Sequence):
     """The draft classes of one analysis, year by year, over one table:
-    ``columns`` joins their columns, class ``i`` holding rows
-    ``bounds[i]:bounds[i + 1]``, and a pooled rank array has one entry per
-    row. ``Draft(classes)`` joins by copying; the classes that
-    ``draft_classes`` builds are slices of the draft's columns."""
+    ``columns`` holds every row, class ``i`` the year ``years[i]`` and rows
+    ``bounds[i]:bounds[i + 1]``; a pooled rank array has one entry per row.
+    ``draft[i]`` builds class ``i`` when read, as a view of the table, so no
+    per-year object is kept. ``Draft(classes)`` joins by copying."""
 
-    columns: DraftColumns
+    __slots__ = ("columns", "years", "bounds")
 
     def __new__(cls, classes: Iterable[DraftClass]) -> "Draft":
         classes = tuple(classes)
         parts = [dc.columns for dc in classes]
-        names = [f.name for f in fields(DraftColumns) if f.name != "metrics"]
-        columns = {name: np.concatenate([getattr(c, name) for c in parts]) for name in names}
+        columns = {name: np.concatenate([getattr(c, name) for c in parts]) for name in _ARRAYS}
         metrics = {m: np.concatenate([c.metrics[m] for c in parts]) for m in parts[0].metrics}
-        return cls._over(classes, DraftColumns(**columns, metrics=metrics))
+        bounds = (0, *accumulate(map(len, classes)))
+        return cls._over(DraftColumns(**columns, metrics=metrics), tuple(dc.year for dc in classes), bounds)
 
     @classmethod
-    def _over(cls, classes: tuple[DraftClass, ...], columns: DraftColumns) -> "Draft":
-        draft = super().__new__(cls, classes)
-        draft.columns = columns
+    def _over(cls, columns: DraftColumns, years: tuple[int, ...], bounds: tuple[int, ...]) -> "Draft":
+        draft = object.__new__(cls)
+        draft.columns, draft.years, draft.bounds = columns, years, bounds
         return draft
 
-    @property
-    def bounds(self) -> tuple[int, ...]:
-        """Computed on each read: kept, the tuple held 1.9 KB of ints at 50 years."""
-        return tuple(accumulate(map(len, self), initial=0))
+    def __reduce__(self):  # copy and pickle rebuild the draft over the same table
+        return Draft._over, (self.columns, self.years, self.bounds)
+
+    def __len__(self) -> int:
+        return len(self.years)
+
+    def __getitem__(self, index: int) -> DraftClass:
+        i = range(len(self))[index]
+        return DraftClass(self.years[i], self.columns.rows(self.bounds[i], self.bounds[i + 1]))
 
     def aligned(self, values: np.ndarray, keep: Optional[np.ndarray] = None) -> np.ndarray:
         """``values``, checked to hold one entry per row, in the rows of the
@@ -336,24 +359,19 @@ class Draft(tuple):
 
 def draft_classes(rows: RawRows, imputation: ImputationConfig) -> Draft:
     """Valid rows sorted by year and selection, imputed, as one ``Draft``
-    over the columns of ``rows`` whose classes, one per year, read slices of
-    them. Missing selections within a year are logged."""
+    over the columns of ``rows``, one class per year, whose rules are checked
+    once over the table. Missing selections within a year are logged."""
     toi7, gvt7 = impute(rows, imputation)
     table = dict(selection=rows.selection, position=rows.position, team=rows.team, name=rows.name,
                  category=rows.css_category, category_rank=rows.css_category_rank)
     metrics = {Metric.GP: rows.gp7, Metric.TOI: toi7, Metric.GVT: gvt7}
-    bounds = [0, *(np.flatnonzero(np.diff(rows.year)) + 1).tolist(), rows.year.size]
-    classes = []
-    for lo, hi in zip(bounds, bounds[1:]):
-        sels = rows.selection[lo:hi]
-        if sels[-1] - sels[0] >= len(sels):
-            missing = np.setdiff1d(np.arange(sels[0], sels[-1] + 1), sels)
-            logger.info("year %d: missing selection(s) %s", rows.year[lo], missing.tolist())
-        columns = DraftColumns(
-            **{name: c[lo:hi] for name, c in table.items()}, metrics={m: c[lo:hi] for m, c in metrics.items()}
-        )
-        classes.append(DraftClass(int(rows.year[lo]), columns))
-    return Draft._over(tuple(classes), DraftColumns(**table, metrics=metrics))
+    bounds = np.concatenate(([0], np.flatnonzero(np.diff(rows.year)) + 1, [rows.year.size]))
+    lo, hi, years, sels = bounds[:-1], bounds[1:], rows.year[bounds[:-1]], rows.selection
+    _check_classes(years, bounds, sels)
+    for i in np.flatnonzero(sels[hi - 1] - sels[lo] >= hi - lo):
+        missing = np.setdiff1d(np.arange(sels[lo[i]], sels[hi[i] - 1] + 1), sels[lo[i] : hi[i]])
+        logger.info("year %d: missing selection(s) %s", years[i], missing.tolist())
+    return Draft._over(DraftColumns(**table, metrics=metrics), tuple(years.tolist()), tuple(bounds.tolist()))
 
 
 @dataclass(frozen=True)

@@ -241,8 +241,7 @@ def load_draft_csv(
 
 def write_draft_csv(classes: Iterable[DraftClass], path: Union[str, Path]) -> None:
     """Emit draft classes in the ingest schema; re-ingesting round-trips."""
-    path = Path(path)
-    with path.open("w", newline="", encoding="utf-8") as fh:
+    with Path(path).open("w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(CSV_COLUMNS)
         for dc in classes:

@@ -19,7 +19,7 @@ from typing import Mapping, Optional, Sequence, Union
 
 import numpy as np
 
-from .cescin import CategoryFactors, estimate_category_factors, css_ordering
+from .cescin import CategoryFactors, css_ranks, estimate_category_factors
 from .config import RunConfig
 from .core_model import Draft, Metric, PositionGroup
 from .draft_audit import AuditReport, Ordering, audit
@@ -55,12 +55,10 @@ class PipelineError(RuntimeError):
 
 
 def build_orderings(draft: Draft, config: RunConfig) -> tuple[CategoryFactors, np.ndarray]:
-    """The category factors and each year's ``css_ordering``, pooled into
-    one read-only rank array."""
+    """The category factors and each year's ``css_ordering``, filled class
+    by class into one read-only rank array."""
     factors = estimate_category_factors(draft, overrides=config.factors)
-    ranks = np.concatenate([css_ordering(dc, factors) for dc in draft])
-    ranks.flags.writeable = False
-    return factors, ranks
+    return factors, css_ranks(draft.columns, draft.bounds, factors)
 
 
 def css_curves(draft: Draft, css_ranks: np.ndarray, config: RunConfig) -> dict[Metric, SmoothCurve]:
@@ -186,8 +184,7 @@ class Analysis:
             except ValueError as exc:
                 tests["normality"][metric.value] = {"error": str(exc)}
             tests["outliers"][metric.value] = outlier_teams(gains, metric)
-        years = [dc.year for dc in self.draft]
-        if any(y in cfg.split_early for y in years) and any(y in cfg.split_late for y in years):
+        if all(set(self.draft.years).intersection(half) for half in (cfg.split_early, cfg.split_late)):
             try:
                 split = split_half_correlation(self.draft, surplus, cfg.split_early, cfg.split_late)
                 tests["split_half"] = {m.value: {"r": r.statistic, "p": r.p_value} for m, r in split.items()}
@@ -221,7 +218,7 @@ def _write_curve(path: Path, curve: SmoothCurve) -> Path:
 
 
 def _write_cescin(a: Analysis, out: Path) -> list[Path]:
-    cescin = {"factors": dataclasses.asdict(a.cescin[0]), "years": [dc.year for dc in a.draft]}
+    cescin = {"factors": dataclasses.asdict(a.cescin[0]), "years": list(a.draft.years)}
     return [_write_json(out / "cescin.json", cescin)]
 
 
@@ -287,9 +284,11 @@ def run_pipeline(
     out_dir: Union[str, Path],
     stages: Sequence[str] = STAGES,
 ) -> list[Path]:
-    """Write the artifacts of ``stages``, computing them and the stages they
-    read; returns the paths written."""
+    """Compute ``stages`` and the stages they read, then write their
+    artifacts; a failed stage writes nothing. Returns the paths written."""
     analysis = Analysis(draft, config)
+    for stage in stages:
+        getattr(analysis, stage)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     return [path for stage in stages for path in _WRITERS[stage](analysis, out)]

@@ -61,7 +61,7 @@ def split_half_correlation(
     late year halves; teams missing from either half are excluded."""
 
     def half_gains(years):
-        rows = np.repeat([dc.year in years for dc in draft], np.diff(draft.bounds))
+        rows = np.repeat([year in years for year in draft.years], np.diff(draft.bounds))
         return {g.team: g for g in team_gains(draft, surplus, rows)}
 
     early, late = half_gains(early_years), half_gains(late_years)

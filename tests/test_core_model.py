@@ -1,4 +1,6 @@
-from dataclasses import replace
+import copy
+import pickle
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -7,11 +9,13 @@ from draftvalue.core_model import (
     CssCategory,
     Draft,
     DraftClass,
+    DraftColumns,
     ImputationConfig,
     Metric,
     Position,
     PositionGroup,
     RecordError,
+    draft_classes,
     first_invalid_row,
     impute,
     position_group,
@@ -216,14 +220,78 @@ class TestSummarize:
             summarize_metric(Draft([dc]), Metric.GP)
 
 
+def arrays(columns: DraftColumns) -> dict:
+    """Every array of ``columns``, keyed by column or metric name."""
+    named = {f.name: getattr(columns, f.name) for f in fields(columns) if f.name != "metrics"}
+    return {**named, **{m.value: column for m, column in columns.metrics.items()}}
+
+
+def resized(columns: DraftColumns, selection) -> DraftColumns:
+    """``columns`` repeated or cut to the rows of ``selection``, with those
+    selections."""
+    n = len(selection)
+    metrics = {m: np.resize(column, n) for m, column in columns.metrics.items()}
+    between = fields(columns)[1:-1]  # the fields after selection and before metrics
+    other = {f.name: np.resize(getattr(columns, f.name), n) for f in between}
+    return replace(columns, **other, selection=np.array(selection), metrics=metrics)
+
+
 class TestDraft:
     def test_columns_join_the_classes_year_by_year(self, rng):
         classes = [random_class(rng, n=5, year=1998), random_class(rng, n=3, year=1999)]
         draft = Draft(classes)
-        assert tuple(draft) == tuple(classes) and draft.bounds == (0, 5, 8)
+        assert len(draft) == 2 and draft.bounds == (0, 5, 8) and draft.years == (1998, 1999)
         assert draft.columns.selection.tolist() == [1, 2, 3, 4, 5, 1, 2, 3]
         gp = np.concatenate([dc.columns.metrics[Metric.GP] for dc in classes])
         assert np.array_equal(draft.columns.metrics[Metric.GP], gp) and gp.dtype == np.int64
+        # each class is built when read, with the year and columns of the class it joined
+        for i, want in enumerate(classes):
+            for got in (draft[i], draft[i - len(classes)], list(draft)[i]):
+                assert got.year == want.year
+                have = arrays(got.columns)
+                for name, column in arrays(want.columns).items():
+                    assert np.array_equal(have[name], column) and have[name].dtype == column.dtype, name
+        with pytest.raises(IndexError):
+            draft[2]
+
+    def test_a_draft_copies_and_pickles(self, rng):
+        draft = Draft([random_class(rng, n=5, year=1998), random_class(rng, n=3, year=1999)])
+        for copied in (copy.copy(draft), copy.deepcopy(draft), pickle.loads(pickle.dumps(draft))):
+            assert type(copied) is Draft and copied.years == draft.years and copied.bounds == draft.bounds
+            table = arrays(copied.columns)
+            for name, column in arrays(draft.columns).items():
+                assert np.array_equal(table[name], column), name
+            assert np.array_equal(copied[1].columns.selection, draft[1].columns.selection)
+
+    def test_a_class_view_shares_the_draft_columns(self, rng):
+        draft = Draft([random_class(rng, n=5, year=1998), random_class(rng, n=3, year=1999)])
+        table = arrays(draft.columns)
+        for dc in draft:
+            for name, column in arrays(dc.columns).items():
+                assert np.shares_memory(column, table[name]), name
+                assert not column.flags.writeable
+
+    @pytest.mark.parametrize(
+        "selections, rule",
+        [
+            ([1, 2, 2], "selections must be strictly increasing"),
+            ([1, 3, 2], "selections must be strictly increasing"),
+            (list(range(1, 212)), "more than 210 selections"),
+            # both rules broken: the order is checked first
+            (list(range(1, 211)) + [210], "selections must be strictly increasing"),
+        ],
+    )
+    def test_draft_classes_check_the_class_rules(self, selections, rule):
+        # 1999 is the first class to break a rule; 2000 breaks one too, and
+        # each class may start below the last selection of the one before
+        years = {1998: [1, 2, 210], 1999: selections, 2000: [5, 2]}
+        records = [make_record(year=y, selection=s, css_category_rank=s) for y, sels in years.items() for s in sels]
+        with pytest.raises(ValueError) as table:
+            draft_classes(raw_rows(records), ImputationConfig())
+        assert str(table.value) == f"year 1999: {rule}"
+        with pytest.raises(ValueError) as one:
+            DraftClass(1999, resized(make_class([make_record()]).columns, selections))
+        assert str(one.value) == str(table.value)
 
     @pytest.mark.parametrize("source", ["loader", "synth"])
     def test_built_classes_are_views_of_the_draft_columns(self, source, tmp_path):

@@ -2,6 +2,7 @@
 artifacts read, a failure names the stage that failed, and every subcommand
 reproduces the stored reference artifacts of the benchmark."""
 
+import dataclasses
 import gc
 import importlib.util
 import inspect
@@ -22,7 +23,7 @@ from draftvalue.config import RunConfig
 from draftvalue.cescin import css_ordering
 from draftvalue.core_model import Draft, DraftClass, Metric, PositionGroup
 from draftvalue.draft_audit import Ordering, audit
-from draftvalue.io import write_draft_csv
+from draftvalue.io import load_draft_csv, write_draft_csv
 from draftvalue.numerics import SmoothCurve
 from draftvalue.synth import SynthConfig, generate_synthetic_draft
 from draftvalue.team_analysis import split_half_correlation, team_gains
@@ -160,6 +161,35 @@ def test_curve_failure_names_the_curves_stage(command, one_year_csv, tmp_path, m
     assert "stage curves: boom" in capsys.readouterr().err
 
 
+def _tree(out: Path) -> dict[str, bytes]:
+    return {p.relative_to(out).as_posix(): p.read_bytes() for p in out.rglob("*") if p.is_file()}
+
+
+@pytest.mark.parametrize("by_position", [False, True])
+def test_a_failed_run_leaves_the_output_directory_as_it_was(by_position, one_year_csv, tmp_path, monkeypatch, capsys):
+    # the teams stage fails last; every stage is computed before a file is written
+    monkeypatch.setattr(pipeline, "team_gains", _boom)
+    out = tmp_path / "out"
+    (out / "curves").mkdir(parents=True)
+    (out / "cescin.json").write_text("from an earlier run")
+    (out / "curves" / "expected_gp_css.csv").write_text("x,fitted\r\n")
+    before = _tree(out)
+    flags = ["--by-position"] if by_position else []
+    assert main(["run", str(one_year_csv), *flags, "--out", str(out)]) == 3
+    assert "stage teams: boom" in capsys.readouterr().err
+    assert _tree(out) == before
+
+
+def test_too_few_differentials_leave_no_artifacts(tmp_path, capsys):
+    # 12 picks from 30 teams in one year: too few rank differentials for the
+    # position groups' surplus curves, found after the audit and curves
+    assert main(["synth", "--picks", "12", "--teams", "30", "--years", "1", "--out", str(tmp_path)]) == 0
+    out = tmp_path / "out"
+    assert main(["run", str(tmp_path / "synthetic.csv"), "--by-position", "--out", str(out)]) == 3
+    assert "stage surplus: need at least 10 differential points" in capsys.readouterr().err
+    assert _tree(out) == {}
+
+
 def test_failure_in_a_dependency_names_the_dependency(tmp_path, monkeypatch):
     monkeypatch.setattr(pipeline, "build_orderings", _boom)
     classes = generate_synthetic_draft(SynthConfig(seed=2, years=1))
@@ -239,10 +269,35 @@ def _peak(compute):
 
 
 def test_peak_memory_of_the_scouting_orderings():
-    # bound: the tracemalloc peak, 72,790-75,446 bytes, plus about 10%;
+    # bound: the tracemalloc peak, 53,444-53,476 bytes, plus about 10%; one
+    # rank array per class joined by np.concatenate read 72,088-75,273, and
     # pooling each column the factors read into a copy read 125,412
     draft = generate_synthetic_draft(SynthConfig(seed=0, years=20))
-    assert _peak(lambda: pipeline.build_orderings(draft, RunConfig())) <= 83_000
+    assert _peak(lambda: pipeline.build_orderings(draft, RunConfig())) <= 59_000
+
+
+def test_a_loaded_draft_holds_no_per_year_objects(tmp_path):
+    # beyond its columns a draft holds one year label and one bound per
+    # class: 40 years exceed 20 by 1,527 bytes, where a DraftClass and sliced
+    # DraftColumns kept per year exceeded them by 30,433
+
+    def held(years):
+        path = tmp_path / f"{years}.csv"
+        write_draft_csv(generate_synthetic_draft(SynthConfig(seed=0, years=years)), path)
+        load_draft_csv(path)
+        gc.collect()
+        tracemalloc.start()
+        try:
+            draft = load_draft_csv(path)
+            gc.collect()
+            traced = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        columns = draft.columns
+        arrays = [getattr(columns, f.name) for f in dataclasses.fields(columns) if f.name != "metrics"]
+        return traced - sum(a.nbytes for a in [*arrays, *columns.metrics.values()])
+
+    assert held(40) - held(20) < 4_000
 
 
 def test_peak_memory_of_the_team_stage_with_split_halves():
@@ -349,8 +404,10 @@ def test_no_run_imports_numpy_ma(one_year_csv, tmp_path):
 
 
 def test_peak_memory_of_a_stratified_run(tmp_path):
-    # bound: the tracemalloc peak of this run, 381,108 bytes, plus about 10%;
-    # text columns as str and integer ties by np.unique read 433,982
+    # bound: the tracemalloc peak of this run, 345,945-346,364 bytes, plus
+    # about 10%; a draft that kept a DraftClass per year and joined per-class
+    # CSS ranks by np.concatenate read 359,709-361,003, and text columns as
+    # str and integer ties by np.unique read 433,982
     classes = generate_synthetic_draft(SynthConfig(seed=0, years=20))
     config = RunConfig(by_position=True)
     pipeline.run_pipeline(classes, config, tmp_path)
@@ -361,7 +418,7 @@ def test_peak_memory_of_a_stratified_run(tmp_path):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 418_000
+    assert peak <= 381_000
 
 
 def test_both_orderings_are_read_only_pooled_rank_arrays():
