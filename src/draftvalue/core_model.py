@@ -190,7 +190,9 @@ def first_invalid_row(rows: RawRows) -> Optional[tuple[int, RecordError]]:
         ),
         ("gvt7", ~rows.has_gvt7 & (rows.gp7 != 0), "missing for a player with NHL games", None),
     )
-    broken = np.logical_or.reduce([mask for _, mask, _, _ in rules])
+    broken = np.zeros(len(rows.year), bool)
+    for _, mask, _, _ in rules:
+        broken |= mask  # in place: the masks are not stacked into one copy
     if not broken.any():
         return None
     i = int(np.argmax(broken))
@@ -240,6 +242,9 @@ class DraftColumns:
             if len(column) != n:
                 raise ValueError(f"column {name} has {len(column)} rows, selection has {n}")
             column.flags.writeable = False
+
+    def __reduce__(self):  # copy and pickle rebuild through __post_init__, which sets the flags
+        return DraftColumns, tuple(getattr(self, f.name) for f in fields(self))
 
     def rows(self, lo: int, hi: int) -> "DraftColumns":
         """Rows ``lo:hi`` of every column, as views."""
@@ -327,6 +332,8 @@ class Draft(Sequence):
 
     def __new__(cls, classes: Iterable[DraftClass]) -> "Draft":
         classes = tuple(classes)
+        if not classes:
+            raise ValueError("a draft needs at least one class")
         parts = [dc.columns for dc in classes]
         columns = {name: np.concatenate([getattr(c, name) for c in parts]) for name in _ARRAYS}
         metrics = {m: np.concatenate([c.metrics[m] for c in parts]) for m in parts[0].metrics}
@@ -361,6 +368,8 @@ def draft_classes(rows: RawRows, imputation: ImputationConfig) -> Draft:
     """Valid rows sorted by year and selection, imputed, as one ``Draft``
     over the columns of ``rows``, one class per year, whose rules are checked
     once over the table. Missing selections within a year are logged."""
+    if not rows.year.size:
+        raise ValueError("a draft needs at least one row")
     toi7, gvt7 = impute(rows, imputation)
     table = dict(selection=rows.selection, position=rows.position, team=rows.team, name=rows.name,
                  category=rows.css_category, category_rank=rows.css_category_rank)

@@ -50,12 +50,22 @@ class DataError(ValueError):
     """Structurally invalid input data."""
 
 
-CHUNK_ROWS = 256  # rows parsed per batch: a file is never held as Python rows at once
+CHUNK_ROWS = 128  # rows parsed per batch: a file is never held as Python rows at once
+BLOCK_CHUNKS = 8  # batches joined into one block: a batch's small arrays are not kept to the end
+
+
+class _Codes(dict):
+    """Member index by code; a text not a code exactly is looked up stripped and upper-cased."""
+
+    def __missing__(self, text: str) -> int:
+        code = text.strip().upper()
+        if code == text:
+            raise KeyError(text)
+        return self[code]
 
 
 def _codes(members):
-    lookup = {m.value: i for i, m in enumerate(members)}.__getitem__
-    return lambda texts: map(lookup, map(str.upper, map(str.strip, texts)))
+    return partial(map, _Codes((m.value, i) for i, m in enumerate(members)).__getitem__)
 
 
 def _unparseable(kind):
@@ -67,6 +77,10 @@ def _unparseable(kind):
     return message
 
 
+def _unknown(kind):
+    return lambda field, text, exc: f"{field}: unknown {kind} {text!r}"
+
+
 # (field, texts -> values, dtype, stand-in text when blank (None: required),
 # error message) in the order a row's fields are checked
 _PARSERS = (
@@ -74,20 +88,8 @@ _PARSERS = (
     ("selection", partial(map, int), np.int64, None, _unparseable("integer")),
     ("gp7", partial(map, int), np.int64, None, _unparseable("integer")),
     ("css_category_rank", partial(map, int), np.int64, "0", _unparseable("integer")),
-    (
-        "position",
-        _codes(POSITIONS),
-        np.int8,
-        None,
-        lambda field, text, exc: f"position: unknown code {text!r}",
-    ),
-    (
-        "css_category",
-        _codes(CATEGORIES),
-        np.int8,
-        None,
-        lambda field, text, exc: f"css_category: unknown category {text!r}",
-    ),
+    ("position", _codes(POSITIONS), np.int8, None, _unknown("code")),
+    ("css_category", _codes(CATEGORIES), np.int8, None, _unknown("category")),
     ("toi7", partial(map, float), float, "nan", _unparseable("numeric")),
     ("gvt7", partial(map, float), float, "nan", _unparseable("numeric")),
 )
@@ -149,11 +151,16 @@ def _start_lines(rows: list[list[str]], first: int) -> tuple[np.ndarray, int]:
     return lines[:-1], int(lines[-1])
 
 
+def _join(parts: list[dict]) -> dict:
+    """The columns of ``parts`` joined field by field, each field's parts freed as it is joined."""
+    return {field: np.concatenate([part.pop(field) for part in parts]) for field in list(parts[0])}
+
+
 def _read(path: Path):
     """Parsed columns of the rows of a draft CSV up to its first row that
     does not parse, in file order, and that row's error as (line, message)
     or None. A ``csv.Error`` is the error of the row being read."""
-    parts, error = [], None
+    blocks, parts, error = [], [], None
     with path.open(newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
@@ -175,13 +182,15 @@ def _read(path: Path):
                 if csv_error is not None:
                     error = (next_line, str(csv_error))
             cols, row_error = _parse_chunk(rows, lines)
+            del rows  # not held through a join
             error = row_error or error  # a row that does not parse comes before the csv error
             parts.append(cols)
-            if error is not None or not rows:
+            if len(parts) == BLOCK_CHUNKS:
+                blocks.append(_join(parts))
+                parts = []
+            if error is not None or not lines.size:
                 break
-    # one field at a time, so the chunks of a field are freed as it is joined
-    fields = list(parts[0])
-    return {field: np.concatenate([part.pop(field) for part in parts]) for field in fields}, error
+    return _join([*blocks, _join(parts)] if parts else blocks), error
 
 
 def load_draft_csv(
@@ -231,6 +240,7 @@ def load_draft_csv(
     if later.size:
         i = later[np.argmin(line[later])]
         duplicate = (int(line[i]), f"duplicate selection {selection[i]} in year {year[i]}")
+    del past, order, line, later  # not held while the draft is built
     errors = [e for e in (invalid, duplicate, error) if e is not None]
     if errors:  # the least line; on a tie the row's own error came first
         raise DataError("line %d: %s" % min(errors, key=lambda e: e[0]))

@@ -9,13 +9,12 @@ partial run computes only what it writes.
 
 from __future__ import annotations
 
-import csv
 import dataclasses
 import json
 import logging
 from functools import cached_property, partial, wraps
 from pathlib import Path
-from typing import Mapping, Optional, Sequence, Union
+from typing import Iterable, Mapping, Optional, Sequence, Union
 
 import numpy as np
 
@@ -200,21 +199,24 @@ def _write_json(path: Path, obj) -> Path:
     return path
 
 
-def _write_csv(path: Path, header: Sequence[str], rows) -> Path:
-    with path.open("w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        writer.writerows(rows)
+def _write_csv(path: Path, header: Sequence[str], line: str, rows: Iterable[tuple]) -> Path:
+    """Write ``header`` and each of ``rows`` formatted by ``line`` in one call, as the bytes
+    csv.writer gives (CRLF ends, minimal quoting); a csv.writer takes a 128 KB buffer."""
+    text = "".join([",".join(header) + "\r\n", *(line % row for row in rows)])
+    path.write_text(text, encoding="utf-8", newline="")
     return path
+
+
+def _csv_text(text: str) -> str:
+    """``text`` as a CSV field, quoted as csv.writer's QUOTE_MINIMAL quotes it."""
+    if any(c in text for c in ',"\r\n'):
+        return '"%s"' % text.replace('"', '""')
+    return text
 
 
 def _write_curve(path: Path, curve: SmoothCurve) -> Path:
     path.parent.mkdir(exist_ok=True)
-    rows = map("{:g},{:.6f}\r\n".format, curve.grid.tolist(), curve.values.tolist())
-    # the bytes csv.writer gives these rows: nothing to quote, CRLF line ends
-    with path.open("w", newline="", encoding="utf-8") as fh:
-        fh.write("".join(["x,fitted\r\n", *rows]))
-    return path
+    return _write_csv(path, ("x", "fitted"), "%g,%.6f\r\n", zip(curve.grid.tolist(), curve.values.tolist()))
 
 
 def _write_cescin(a: Analysis, out: Path) -> list[Path]:
@@ -227,7 +229,7 @@ def _write_audit(a: Analysis, out: Path) -> list[Path]:
     half_sd = {m.value: v for m, v in a.audit.half_sd.items()}
     return [
         _write_json(out / "audit.json", {"half_sd": half_sd, "cells": rows}),
-        _write_csv(out / "audit.csv", list(rows[0]), (r.values() for r in rows)),
+        _write_csv(out / "audit.csv", rows[0], "%s,%s,%s,%d,%r,%r\r\n", (tuple(r.values()) for r in rows)),
     ]
 
 
@@ -253,16 +255,17 @@ def _write_surplus(a: Analysis, out: Path) -> list[Path]:
 
 
 def _write_chart(a: Analysis, out: Path) -> list[Path]:
-    return [_write_csv(out / "chart.csv", ["selection", "value"], a.chart.rows())]
+    return [_write_csv(out / "chart.csv", ("selection", "value"), "%d,%d\r\n", a.chart.rows())]
 
 
 def _write_teams(a: Analysis, out: Path) -> list[Path]:
     gains, tests = a.teams
     metrics = a.config.metrics
     header = ["team", "picks"] + [f"mean_gain_{m.value}" for m in metrics]
-    rows = ([g.team, g.picks] + [f"{g.mean_gain[m]:.4f}" for m in metrics] for g in gains)
+    line = "%s,%d" + ",%.4f" * len(metrics) + "\r\n"
+    rows = ((_csv_text(g.team), g.picks, *(g.mean_gain[m] for m in metrics)) for g in gains)
     return [
-        _write_csv(out / "teams.csv", header, rows),
+        _write_csv(out / "teams.csv", header, line, rows),
         _write_json(out / "team_tests.json", tests),
     ]
 

@@ -263,6 +263,22 @@ class TestDraft:
                 assert np.array_equal(table[name], column), name
             assert np.array_equal(copied[1].columns.selection, draft[1].columns.selection)
 
+    def test_copied_and_pickled_columns_stay_read_only(self, rng):
+        draft = Draft([random_class(rng, n=5, year=1998), random_class(rng, n=3, year=1999)])
+        for copy_of in (copy.copy, copy.deepcopy, lambda obj: pickle.loads(pickle.dumps(obj))):
+            for columns in (copy_of(draft).columns, copy_of(draft.columns)):
+                assert type(columns) is DraftColumns
+                for name, column in arrays(columns).items():
+                    assert not column.flags.writeable, name
+                    with pytest.raises(ValueError, match="read-only"):
+                        column[0] = column[1]
+
+    def test_an_empty_draft_is_rejected(self):
+        with pytest.raises(ValueError, match="^a draft needs at least one row$"):
+            draft_classes(raw_rows([]), ImputationConfig())
+        with pytest.raises(ValueError, match="^a draft needs at least one class$"):
+            Draft([])
+
     def test_a_class_view_shares_the_draft_columns(self, rng):
         draft = Draft([random_class(rng, n=5, year=1998), random_class(rng, n=3, year=1999)])
         table = arrays(draft.columns)

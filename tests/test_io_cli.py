@@ -21,7 +21,7 @@ from draftvalue.cescin import FACTOR_CATEGORIES
 from draftvalue.cli import main
 from draftvalue.config import RunConfig, parse_config_text
 from draftvalue.core_model import DraftClass, ImputationConfig, Metric, PlayerRecord
-from draftvalue.io import CHUNK_ROWS, CSV_COLUMNS, DataError, load_draft_csv, write_draft_csv
+from draftvalue.io import BLOCK_CHUNKS, CHUNK_ROWS, CSV_COLUMNS, DataError, load_draft_csv, write_draft_csv
 from draftvalue.synth import SynthConfig, generate_synthetic_draft
 from draftvalue.valuation import DollarConstants
 
@@ -191,6 +191,24 @@ class TestIngest:
         with pytest.raises(DataError, match=f"^line {2 * CHUNK_ROWS + 3}: duplicate selection 1"):
             load_draft_csv(write_csv(tmp_path, rows))
 
+    @pytest.mark.parametrize("at", [BLOCK_CHUNKS * CHUNK_ROWS - 1, BLOCK_CHUNKS * CHUNK_ROWS + 1])
+    def test_first_bad_row_across_a_block_boundary(self, tmp_path, at):
+        # row ``at`` ends the first block of BLOCK_CHUNKS batches or is the
+        # second row of the next; row i sits on line i + 2
+        rows = [f"{1900 + i},1,T01,P,C,NA_SKATER,1,10,1.0,1.0" for i in range(2 * BLOCK_CHUNKS * CHUNK_ROWS)]
+        rows[at] = "2999,1,T01,P,C,NA_SKATER,1,-1,1.0,1.0"
+        with pytest.raises(DataError, match=f"^line {at + 2}: gp7"):
+            load_draft_csv(write_csv(tmp_path, rows))
+        rows[at] = rows[0]
+        with pytest.raises(DataError, match=f"^line {at + 2}: duplicate selection 1 in year 1900$"):
+            load_draft_csv(write_csv(tmp_path, rows))
+        # a quoted line end in the last batch of the first block moves every later row down a line
+        quoted = BLOCK_CHUNKS * CHUNK_ROWS - 2
+        rows[quoted] = f'{1900 + quoted},1,T01,"P\nQ",C,NA_SKATER,1,10,1.0,1.0'
+        line = at + 2 + (at > quoted)
+        with pytest.raises(DataError, match=f"^line {line}: duplicate selection 1 in year 1900$"):
+            load_draft_csv(write_csv(tmp_path, rows))
+
     def test_games_past_2_pow_53_kept_exactly(self, tmp_path):
         path = write_csv(tmp_path, ["1998,1,T01,A,C,NA_SKATER,1,9007199254740993,1.0,1.0"])
         (dc,) = load_draft_csv(path)
@@ -212,6 +230,21 @@ class TestIngest:
             (dc.year, list(dc.records)) for dc in classes
         ]
 
+
+    def test_round_trip_over_several_blocks(self, tmp_path):
+        # 4,200 rows: 33 batches, joined into 5 blocks
+        draft = generate_synthetic_draft(SynthConfig(seed=0, years=20))
+        path = tmp_path / "out.csv"
+        write_draft_csv(draft, path)
+        reread = load_draft_csv(path)
+        assert -(-len(draft.columns.selection) // CHUNK_ROWS) == 33
+        assert reread.years == draft.years and reread.bounds == draft.bounds
+        for field in ("selection", "position", "team", "name", "category", "category_rank"):
+            got, want = getattr(reread.columns, field), getattr(draft.columns, field)
+            assert np.array_equal(got, want) and got.dtype == want.dtype, field
+        for metric in Metric:
+            got, want = reread.columns.metrics[metric], draft.columns.metrics[metric]
+            assert np.array_equal(got, want) and got.dtype == want.dtype, metric
 
     def test_text_columns_are_utf8_bytes(self, tmp_path):
         path = write_csv(

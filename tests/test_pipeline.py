@@ -2,10 +2,12 @@
 artifacts read, a failure names the stage that failed, and every subcommand
 reproduces the stored reference artifacts of the benchmark."""
 
+import csv
 import dataclasses
 import gc
 import importlib.util
 import inspect
+import io
 import json
 import os
 import subprocess
@@ -13,21 +15,24 @@ import sys
 import tracemalloc
 from collections import Counter
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from draftvalue import draft_audit, pipeline, team_analysis, valuation
 from draftvalue.cli import main
 from draftvalue.config import RunConfig
 from draftvalue.cescin import css_ordering
 from draftvalue.core_model import Draft, DraftClass, Metric, PositionGroup
-from draftvalue.draft_audit import Ordering, audit
+from draftvalue.draft_audit import AuditCell, AuditReport, Ordering, audit
 from draftvalue.io import load_draft_csv, write_draft_csv
 from draftvalue.numerics import SmoothCurve
 from draftvalue.synth import SynthConfig, generate_synthetic_draft
-from draftvalue.team_analysis import split_half_correlation, team_gains
-from draftvalue.valuation import SELECTION_GRID, differential_points, expected_curve, group_rows
+from draftvalue.team_analysis import TeamGain, split_half_correlation, team_gains
+from draftvalue.valuation import SELECTION_GRID, ValueChart, differential_points, expected_curve, group_rows
 
 ROOT = Path(__file__).resolve().parent.parent
 REFERENCE = ROOT / "bench" / "reference" / "paper5"
@@ -216,6 +221,57 @@ def test_curve_files_are_the_reference_bytes(paper5_csv, tmp_path):
         assert (tmp_path / name).read_bytes() == (REFERENCE / name).read_bytes(), name
 
 
+def _csv_writer_bytes(header, rows) -> bytes:
+    """The bytes csv.writer writes for ``header`` and ``rows``."""
+    text = io.StringIO(newline="")
+    writer = csv.writer(text)
+    writer.writerow(header)
+    writer.writerows(rows)
+    return text.getvalue().encode()
+
+
+# free text as a team code can hold it: the characters csv.writer quotes,
+# spaces, non-ASCII and any other character a UTF-8 file can hold
+_TEAMS = st.text(
+    st.sampled_from([",", '"', "\r", "\n", " ", "é", "李", "𝔸"]) | st.characters(blacklist_categories=("Cs",)),
+    max_size=8,
+)
+_FLOATS = st.floats(allow_nan=True, allow_infinity=True)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    teams=st.lists(st.tuples(_TEAMS, st.integers(0, 10**6), st.lists(_FLOATS, min_size=3, max_size=3)), max_size=6),
+    metrics=st.permutations(list(Metric)).flatmap(lambda ms: st.integers(1, 3).map(lambda k: tuple(ms[:k]))),
+    cells=st.dictionaries(
+        st.tuples(st.sampled_from(list(Metric)), st.sampled_from(list(Ordering)), st.sampled_from(["all", "1-3", "4-7"])),
+        st.builds(AuditCell, st.integers(0, 10**6), _FLOATS, _FLOATS),
+        min_size=1,
+    ),
+    chart=st.lists(st.integers(0, 1000), min_size=209, max_size=209).map(lambda v: (1000, *sorted(v, reverse=True))),
+)
+def test_csv_artifacts_are_the_bytes_csv_writer_gives(tmp_path_factory, teams, metrics, cells, chart):
+    # teams.csv, audit.csv and chart.csv are formatted by hand; csv.writer
+    # quotes a field that holds a comma, a quote or a line end, doubling quotes
+    out = tmp_path_factory.mktemp("artifacts")
+    gains = [TeamGain(team, picks, dict(zip(Metric, means))) for team, picks, means in teams]
+    analysis = SimpleNamespace(
+        config=RunConfig(metrics=metrics),
+        teams=(gains, {}),
+        audit=AuditReport(cells=cells, half_sd={}),
+        chart=ValueChart(chart),
+    )
+    pipeline._write_teams(analysis, out)
+    pipeline._write_audit(analysis, out)
+    pipeline._write_chart(analysis, out)
+    header = ["team", "picks"] + [f"mean_gain_{m.value}" for m in metrics]
+    rows = [[g.team, g.picks] + [f"{g.mean_gain[m]:.4f}" for m in metrics] for g in gains]
+    assert (out / "teams.csv").read_bytes() == _csv_writer_bytes(header, rows)
+    rows = analysis.audit.rows()
+    assert (out / "audit.csv").read_bytes() == _csv_writer_bytes(list(rows[0]), (r.values() for r in rows))
+    assert (out / "chart.csv").read_bytes() == _csv_writer_bytes(["selection", "value"], analysis.chart.rows())
+
+
 @pytest.mark.parametrize("command", sorted(gate.SUBCOMMAND_OUTPUTS))
 def test_subcommand_matches_reference(command, paper5_csv, tmp_path, capsys):
     assert main([command, str(paper5_csv), "--out", str(tmp_path)]) == 0
@@ -276,6 +332,40 @@ def test_peak_memory_of_the_scouting_orderings():
     assert _peak(lambda: pipeline.build_orderings(draft, RunConfig())) <= 59_000
 
 
+def _table_bytes(draft: Draft) -> int:
+    """The ``nbytes`` of every column of ``draft``."""
+    columns = draft.columns
+    arrays = [getattr(columns, f.name) for f in dataclasses.fields(columns) if f.name != "metrics"]
+    return sum(a.nbytes for a in [*arrays, *columns.metrics.values()])
+
+
+def test_peak_memory_of_a_paper_scale_load(paper5_csv):
+    # bound: the tracemalloc peak, 239,107-239,498 bytes, plus about 10%;
+    # 256-row batches of csv.reader lists, each batch's arrays kept to one
+    # join at the end, read 325,516
+    assert _peak(lambda: load_draft_csv(paper5_csv)) <= 263_000
+
+
+def test_the_load_peak_above_its_columns_at_40_years(tmp_path):
+    # bound: the peak beyond the loaded columns' nbytes (453,600),
+    # 343,627-343,899 bytes, plus about 10%; 256-row batches joined once at
+    # the end, the rule masks stacked into one array and the sort order held
+    # while the draft was built read 502,073
+    path = tmp_path / "input.csv"
+    write_draft_csv(generate_synthetic_draft(SynthConfig(seed=0, years=40)), path)
+    drafts = []
+    peak = _peak(lambda: drafts.append(load_draft_csv(path)))
+    assert peak - _table_bytes(drafts[-1]) <= 378_000
+
+
+def test_peak_memory_of_a_paper_scale_run(tmp_path):
+    # bound: the tracemalloc peak, 211,639-213,391 bytes, plus about 10%;
+    # artifacts written through csv.writer, which allocates a 128 KB record
+    # buffer on its first row, read 251,062
+    draft = generate_synthetic_draft(SynthConfig(seed=0, years=5))
+    assert _peak(lambda: pipeline.run_pipeline(draft, RunConfig(), tmp_path)) <= 235_000
+
+
 def test_a_loaded_draft_holds_no_per_year_objects(tmp_path):
     # beyond its columns a draft holds one year label and one bound per
     # class: 40 years exceed 20 by 1,527 bytes, where a DraftClass and sliced
@@ -293,9 +383,7 @@ def test_a_loaded_draft_holds_no_per_year_objects(tmp_path):
             traced = tracemalloc.get_traced_memory()[0]
         finally:
             tracemalloc.stop()
-        columns = draft.columns
-        arrays = [getattr(columns, f.name) for f in dataclasses.fields(columns) if f.name != "metrics"]
-        return traced - sum(a.nbytes for a in [*arrays, *columns.metrics.values()])
+        return traced - _table_bytes(draft)
 
     assert held(40) - held(20) < 4_000
 
