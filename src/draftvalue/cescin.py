@@ -92,8 +92,6 @@ def css_ranks(c: DraftColumns, bounds: Sequence[int], factors: CategoryFactors) 
     factor = np.array([factors.for_category(k) if k in FACTOR_CATEGORIES else 0.0 for k in CATEGORIES])
     ranks = np.empty(len(c.selection), dtype=np.int64)
     for lo, hi in zip(bounds, bounds[1:]):
-        if lo == hi:
-            raise ValueError("empty draft class")
         category = c.category[lo:hi]
         values = c.category_rank[lo:hi] * factor[category]  # 0 for the unlisted
         ranks[lo:hi][np.lexsort((values, category == UNRANKED))] = np.arange(1, hi - lo + 1)

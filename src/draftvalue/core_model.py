@@ -86,28 +86,6 @@ class ImputationConfig:
             raise ValueError("goalie_minutes_per_game must be finite and >= 0")
 
 
-@dataclass(frozen=True)
-class PlayerRecord:
-    """One drafted player with identity, draft slot, scouting rank and
-    post-imputation seven-year outcomes.
-
-    ``css_category_rank`` is the player's rank within his category list and is
-    absent exactly when the category is UNRANKED. ``toi7`` is minutes,
-    ``gp7`` games, ``gvt7`` goals versus threshold.
-    """
-
-    year: int
-    selection: int
-    team: str
-    name: str
-    position: Position
-    css_category: CssCategory
-    css_category_rank: Optional[int]
-    gp7: int
-    toi7: Optional[float]
-    gvt7: Optional[float]
-
-
 def position_group(p: Position) -> PositionGroup:
     """Map a fine position to its group; C/L/R/F are all forwards."""
     if p is Position.D:
@@ -150,53 +128,41 @@ class RawRows:
     has_gvt7: np.ndarray
 
 
+def _record_rules(rows: RawRows):
+    """Each record rule in order as (field, rows breaking the rule, message,
+    column whose value it quotes); a mask is built only when it is read."""
+    goalie = rows.position == _GOALIE
+    ranked, category = rows.has_css_category_rank, rows.css_category
+    toi7, gvt7 = rows.toi7, rows.gvt7
+    yield "selection", rows.selection < 1, "must be >= 1, got {}", rows.selection
+    yield "gp7", rows.gp7 < 0, "must be >= 0, got {}", rows.gp7
+    yield "toi7", rows.has_toi7 & ~np.isfinite(toi7), "must be finite, got {}", toi7
+    yield "gvt7", rows.has_gvt7 & ~np.isfinite(gvt7), "must be finite, got {}", gvt7
+    yield "toi7", rows.has_toi7 & (toi7 < 0), "must be >= 0, got {}", toi7
+    yield (
+        "css_category_rank",
+        ranked == (category == _UNRANKED),
+        "rank must be present exactly when the player is category-ranked",
+        None,
+    )
+    yield "css_category_rank", ranked & (rows.css_category_rank < 1), "must be >= 1", None
+    yield "css_category", goalie & _IS_SKATER_CATEGORY[category], "goalie cannot carry a skater category", None
+    yield "css_category", ~goalie & _IS_GOALIE_CATEGORY[category], "skater cannot carry a goalie category", None
+    yield "toi7", ~rows.has_toi7 & (rows.gp7 != 0) & ~goalie, "missing for a skater with NHL games", None
+    yield "gvt7", ~rows.has_gvt7 & (rows.gp7 != 0), "missing for a player with NHL games", None
+
+
 def first_invalid_row(rows: RawRows) -> Optional[tuple[int, RecordError]]:
     """The index of the first row that breaks a record rule and the error of
     the first rule it breaks, or None when every row is valid."""
-    goalie = rows.position == _GOALIE
-    ranked = rows.has_css_category_rank
-    toi7, gvt7 = rows.toi7, rows.gvt7
-    # (field, rows breaking the rule, message, column whose value it quotes)
-    rules = (
-        ("selection", rows.selection < 1, "must be >= 1, got {}", rows.selection),
-        ("gp7", rows.gp7 < 0, "must be >= 0, got {}", rows.gp7),
-        ("toi7", rows.has_toi7 & ~np.isfinite(toi7), "must be finite, got {}", toi7),
-        ("gvt7", rows.has_gvt7 & ~np.isfinite(gvt7), "must be finite, got {}", gvt7),
-        ("toi7", rows.has_toi7 & (toi7 < 0), "must be >= 0, got {}", toi7),
-        (
-            "css_category_rank",
-            ranked == (rows.css_category == _UNRANKED),
-            "rank must be present exactly when the player is category-ranked",
-            None,
-        ),
-        ("css_category_rank", ranked & (rows.css_category_rank < 1), "must be >= 1", None),
-        (
-            "css_category",
-            goalie & _IS_SKATER_CATEGORY[rows.css_category],
-            "goalie cannot carry a skater category",
-            None,
-        ),
-        (
-            "css_category",
-            ~goalie & _IS_GOALIE_CATEGORY[rows.css_category],
-            "skater cannot carry a goalie category",
-            None,
-        ),
-        (
-            "toi7",
-            ~rows.has_toi7 & (rows.gp7 != 0) & ~goalie,
-            "missing for a skater with NHL games",
-            None,
-        ),
-        ("gvt7", ~rows.has_gvt7 & (rows.gp7 != 0), "missing for a player with NHL games", None),
-    )
     broken = np.zeros(len(rows.year), bool)
-    for _, mask, _, _ in rules:
-        broken |= mask  # in place: the masks are not stacked into one copy
+    for _, mask, _, _ in _record_rules(rows):
+        broken |= mask  # in place, and one mask at a time
+        del mask
     if not broken.any():
         return None
     i = int(np.argmax(broken))
-    field, _, message, quoted = next(rule for rule in rules if rule[1][i])
+    field, _, message, quoted = next(rule for rule in _record_rules(rows) if rule[1][i])
     return i, RecordError(field, message if quoted is None else message.format(quoted[i]))
 
 
@@ -257,15 +223,17 @@ _ARRAYS = tuple(f.name for f in fields(DraftColumns) if f.name != "metrics")
 
 def _check_classes(years: Sequence[int], bounds: Sequence[int], selection: np.ndarray) -> None:
     """Raise ``ValueError`` naming the year of the first class, rows
-    ``bounds[i]:bounds[i + 1]`` of ``selection``, whose selections do not
-    strictly increase or number more than ``MAX_SELECTION``."""
+    ``bounds[i]:bounds[i + 1]`` of ``selection``, that has no rows or whose
+    selections do not strictly increase or number more than ``MAX_SELECTION``."""
     down = np.flatnonzero(selection[1:] <= selection[:-1]) + 1  # rows not above the row before
     classes = np.searchsorted(bounds, down, side="right") - 1
     unordered = classes[down != np.asarray(bounds)[classes]].tolist()  # each class starts over
-    oversized = np.flatnonzero(np.diff(bounds) > MAX_SELECTION).tolist()
-    if unordered or oversized:
-        i = min(unordered + oversized)
-        rule = "selections must be strictly increasing" if i in unordered else f"more than {MAX_SELECTION} selections"
+    sizes = np.diff(bounds)
+    misfit = np.flatnonzero((sizes == 0) | (sizes > MAX_SELECTION)).tolist()
+    if unordered or misfit:
+        i = min(unordered + misfit)
+        rule = ("selections must be strictly increasing" if i in unordered
+                else "empty draft class" if sizes[i] == 0 else f"more than {MAX_SELECTION} selections")
         raise ValueError(f"year {years[i]}: {rule}")
 
 
@@ -273,11 +241,9 @@ def _check_classes(years: Sequence[int], bounds: Sequence[int], selection: np.nd
 class DraftClass:
     """One draft year's players as columns, sorted by selection.
 
-    At most 210 selections; any number of slots may be missing (one historical
-    pick was invalidated), and the loader logs the missing ones. A ``Draft``
-    builds its classes when one is read. ``records`` is a read-only
-    ``PlayerRecord`` view that builds a record only when one is read;
-    ``bench/tracing.py`` counts rows with ``len(dc.records)``.
+    At least one and at most 210 selections; any number of slots may be
+    missing (one historical pick was invalidated), and the loader logs the
+    missing ones. A ``Draft`` builds its classes when one is read.
     """
 
     year: int
@@ -290,35 +256,12 @@ class DraftClass:
         return len(self.columns.selection)
 
     @property
-    def records(self) -> "RecordView":
-        return RecordView(self)
-
-
-class RecordView(Sequence):
-    """The players of a draft class as ``PlayerRecord`` objects, each built
-    from the columns when it is read."""
-
-    def __init__(self, dc: DraftClass):
-        self._dc = dc
-
-    def __len__(self) -> int:
-        return len(self._dc)
-
-    def __getitem__(self, index: int) -> PlayerRecord:
-        i = range(len(self))[index]
-        c = self._dc.columns
-        return PlayerRecord(
-            year=self._dc.year,
-            selection=int(c.selection[i]),
-            team=c.team[i].decode(),
-            name=c.name[i].decode(),
-            position=POSITIONS[c.position[i]],
-            css_category=CATEGORIES[c.category[i]],
-            css_category_rank=int(c.category_rank[i]) or None,
-            gp7=int(c.metrics[Metric.GP][i]),
-            toi7=float(c.metrics[Metric.TOI][i]),
-            gvt7=float(c.metrics[Metric.GVT][i]),
-        )
+    def records(self) -> "DraftClass":
+        """The class itself, so ``len(dc.records)`` is its row count. It stays
+        only because ``bench/tracing.py`` counts rows that way; once the
+        tracer reads ``len(dc)`` it goes. A class has no ``__getitem__`` or
+        ``__iter__``, so any other use fails."""
+        return self
 
 
 class Draft(Sequence):

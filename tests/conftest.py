@@ -1,4 +1,6 @@
 import math
+from dataclasses import fields
+from typing import NamedTuple, Optional
 
 import numpy as np
 import pytest
@@ -8,8 +10,8 @@ from draftvalue.core_model import (
     CATEGORIES,
     POSITIONS,
     CssCategory,
+    DraftColumns,
     ImputationConfig,
-    PlayerRecord,
     Position,
     RawRows,
     draft_classes,
@@ -17,32 +19,28 @@ from draftvalue.core_model import (
 )
 
 
-def make_record(
-    year=1998,
-    selection=1,
-    team="T01",
-    name=None,
-    position=Position.C,
-    css_category=CssCategory.NA_SKATER,
-    css_category_rank=1,
-    gp7=100,
-    toi7=1500.0,
-    gvt7=5.0,
-):
-    """One row as the CSV gives it: ``None`` is a blank rank, ``toi7`` or
-    ``gvt7``. Nothing is checked or imputed until ``make_class``."""
-    return PlayerRecord(
-        year=year,
-        selection=selection,
-        team=team,
-        name=name or f"P{selection:03d}",
-        position=position,
-        css_category=css_category,
-        css_category_rank=css_category_rank,
-        gp7=gp7,
-        toi7=toi7,
-        gvt7=gvt7,
-    )
+class Row(NamedTuple):
+    """One player row as the CSV gives it: ``None`` is a blank rank, ``toi7``
+    or ``gvt7``."""
+
+    year: int = 1998
+    selection: int = 1
+    team: str = "T01"
+    name: Optional[str] = None
+    position: Position = Position.C
+    css_category: CssCategory = CssCategory.NA_SKATER
+    css_category_rank: Optional[int] = 1
+    gp7: int = 100
+    toi7: Optional[float] = 1500.0
+    gvt7: Optional[float] = 5.0
+
+
+def make_record(**given):
+    """A ``Row`` of the ``given`` fields over the defaults, named ``P`` and its
+    selection when no name is given. Nothing is checked or imputed until
+    ``make_class``."""
+    row = Row(**given)
+    return row._replace(name=row.name or f"P{row.selection:03d}")
 
 
 def raw_rows(records):
@@ -80,6 +78,12 @@ def make_class(records):
         raise invalid[1]
     (dc,) = draft_classes(rows, ImputationConfig())
     return dc
+
+
+def arrays(columns: DraftColumns) -> dict:
+    """Every array of ``columns``, keyed by column or metric name."""
+    named = {f.name: getattr(columns, f.name) for f in fields(columns) if f.name != "metrics"}
+    return {**named, **{m.value: column for m, column in columns.metrics.items()}}
 
 
 def random_class(rng, n=20, year=1998, positions=None, teams=4, gp_max=300, selections=None):

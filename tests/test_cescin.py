@@ -10,7 +10,7 @@ from draftvalue.cescin import (
     css_ordering,
     estimate_category_factors,
 )
-from draftvalue.core_model import CssCategory, Draft, DraftClass, Position, RecordError
+from draftvalue.core_model import CATEGORIES, CssCategory, Draft, DraftClass, Position, RecordError
 
 from conftest import make_class, make_record
 
@@ -122,7 +122,7 @@ class TestCssOrdering:
         ]
         dc = make_class(records)
         out = css_ordering(dc, factors)
-        by_sel = {r.selection: out[i] for i, r in enumerate(dc.records)}
+        by_sel = dict(zip(dc.columns.selection.tolist(), out.tolist()))
         assert by_sel[5] < by_sel[9]
 
     def test_empty_class_rejected(self):
@@ -171,13 +171,10 @@ def test_rank_is_bijection(dc):
 def test_within_category_order_preserved(dc):
     factors = CategoryFactors(na_skater=1.3, na_goalie=5.0, eu_skater=2.1, eu_goalie=9.0)
     out = css_ordering(dc, factors)
+    c = dc.columns
     for cat in (CssCategory.NA_SKATER, CssCategory.EU_SKATER):
-        members = [
-            (r.css_category_rank, out[i])
-            for i, r in enumerate(dc.records)
-            if r.css_category is cat
-        ]
-        members.sort()
+        listed = c.category == CATEGORIES.index(cat)
+        members = sorted(zip(c.category_rank[listed].tolist(), out[listed].tolist()))
         overall = [rank for _, rank in members]
         assert overall == sorted(overall)
 
@@ -187,19 +184,12 @@ def test_within_category_order_preserved(dc):
 def test_unranked_ordered_by_selection(dc):
     factors = CategoryFactors(na_skater=1.0, na_goalie=1.0, eu_skater=1.0, eu_goalie=1.0)
     out = css_ordering(dc, factors)
-    unranked = [
-        (r.selection, out[i])
-        for i, r in enumerate(dc.records)
-        if r.css_category is CssCategory.UNRANKED
-    ]
-    unranked.sort()
+    c = dc.columns
+    unlisted = c.category == CATEGORIES.index(CssCategory.UNRANKED)
+    unranked = sorted(zip(c.selection[unlisted].tolist(), out[unlisted].tolist()))
     ranks = [rank for _, rank in unranked]
     assert ranks == sorted(ranks)
-    ranked_ranks = [
-        out[i]
-        for i, r in enumerate(dc.records)
-        if r.css_category is not CssCategory.UNRANKED
-    ]
+    ranked_ranks = out[~unlisted].tolist()
     if ranks and ranked_ranks:
         # every unranked player sits past every listed player
         assert min(ranks) > max(ranked_ranks)
@@ -237,15 +227,15 @@ def class_and_factors(draw):
 def test_css_ordering_matches_a_sorted_reference(case):
     # listed players by value, unlisted after them, ties to the earlier selection
     dc, factors = case
-    records = list(dc.records)
+    categories = [CATEGORIES[k] for k in dc.columns.category.tolist()]
+    category_ranks, selections = dc.columns.category_rank.tolist(), dc.columns.selection.tolist()
 
     def key(i):
-        r = records[i]
-        unlisted = r.css_category is CssCategory.UNRANKED
-        value = 0 if unlisted else r.css_category_rank * factors.for_category(r.css_category)
-        return (unlisted, value, r.selection)
+        unlisted = categories[i] is CssCategory.UNRANKED
+        value = 0 if unlisted else category_ranks[i] * factors.for_category(categories[i])
+        return (unlisted, value, selections[i])
 
-    want = [0] * len(records)
-    for rank, i in enumerate(sorted(range(len(records)), key=key), start=1):
+    want = [0] * len(dc)
+    for rank, i in enumerate(sorted(range(len(dc)), key=key), start=1):
         want[i] = rank
     assert css_ordering(dc, factors).tolist() == want

@@ -25,7 +25,7 @@ from draftvalue.core_model import (
 from draftvalue.io import load_draft_csv, write_draft_csv
 from draftvalue.synth import SynthConfig, generate_synthetic_draft
 
-from conftest import make_class, make_record, random_class, raw_rows
+from conftest import arrays, make_class, make_record, random_class, raw_rows
 
 
 def imputed(config=ImputationConfig(), **fields):
@@ -145,7 +145,7 @@ class TestDraftClass:
         with pytest.raises(ValueError, match=f"^column {column} must hold UTF-8 bytes, got dtype"):
             replace(columns, **{column: text})
 
-    def test_records_view_round_trips(self):
+    def test_columns_hold_the_rows(self):
         # rows that imputation leaves as they are
         records = [
             make_record(selection=1, team="BOS", name="Jääskeläinen, 李", gp7=0, toi7=0.0, gvt7=-30.0),
@@ -154,12 +154,15 @@ class TestDraftClass:
                 selection=7, position=Position.G, css_category=CssCategory.EU_GOALIE, toi7=2000.0
             ),
         ]
-        view = make_class(records).records
-        assert len(view) == 3
-        assert list(view) == records
-        assert view[-1] == records[-1]
-        with pytest.raises(IndexError):
-            view[3]
+        columns = make_class(records).columns
+        assert [name.decode() for name in columns.name.tolist()] == [r.name for r in records]
+        assert columns.category_rank.tolist() == [1, 0, 1]
+        assert columns.metrics[Metric.TOI].tolist() == [0.0, 1500.0, 2000.0]
+
+    def test_a_class_with_no_rows_is_rejected(self):
+        draft = generate_synthetic_draft(SynthConfig(seed=0, years=2))
+        with pytest.raises(ValueError, match="^year 2005: empty draft class$"):
+            Draft([draft[0], DraftClass(2005, draft.columns.rows(0, 0)), draft[1]])
 
 
 class TestSummarize:
@@ -218,12 +221,6 @@ class TestSummarize:
         dc = make_class([make_record(selection=1, css_category_rank=1, gp7=80, toi7=900.0, gvt7=3.0)])
         with pytest.raises(ValueError, match="at least 2"):
             summarize_metric(Draft([dc]), Metric.GP)
-
-
-def arrays(columns: DraftColumns) -> dict:
-    """Every array of ``columns``, keyed by column or metric name."""
-    named = {f.name: getattr(columns, f.name) for f in fields(columns) if f.name != "metrics"}
-    return {**named, **{m.value: column for m, column in columns.metrics.items()}}
 
 
 def resized(columns: DraftColumns, selection) -> DraftColumns:

@@ -32,21 +32,15 @@ def class_with_gp(gps, position=Position.C):
     return make_class(records)
 
 
-def record_metric(r, metric):
-    return float({Metric.TOI: r.toi7, Metric.GP: r.gp7, Metric.GVT: r.gvt7}[metric])
-
-
 def brute_force_flags(dc, order_indices, metric, half_sd):
-    """Independent re-derivation of the replay flags from the records:
-    (optimal, nearly optimal) lists in replay order."""
+    """Independent re-derivation of the replay flags from the columns read
+    as Python lists: (optimal, nearly optimal) lists in replay order."""
     optimal, nearly_optimal = [], []
     taken = set()
-    records = list(dc.records)
-    value = [record_metric(r, metric) for r in records]
+    value = [float(v) for v in dc.columns.metrics[metric].tolist()]
+    position = dc.columns.position.tolist()
     for i in order_indices:
-        available = [
-            j for j, r in enumerate(records) if j not in taken and r.position is records[i].position
-        ]
+        available = [j for j in range(len(dc)) if j not in taken and position[j] == position[i]]
         best = max(value[j] for j in available)
         optimal.append(value[i] >= best)
         nearly_optimal.append(value[i] >= best - half_sd)
@@ -187,7 +181,7 @@ class TestAudit:
     def test_half_sd_pooled_over_years(self, rng):
         classes = Draft(random_class(rng, n=20, year=y) for y in (1998, 1999))
         thresholds = half_sd_thresholds(classes, [Metric.GP])
-        pooled = [r.gp7 for dc in classes for r in dc.records]
+        pooled = classes.columns.metrics[Metric.GP].tolist()
         assert thresholds[Metric.GP] == pytest.approx(np.std(pooled, ddof=1) / 2)
 
     def test_report_rows_shape(self, rng):

@@ -20,10 +20,12 @@ import draftvalue
 from draftvalue.cescin import FACTOR_CATEGORIES
 from draftvalue.cli import main
 from draftvalue.config import RunConfig, parse_config_text
-from draftvalue.core_model import DraftClass, ImputationConfig, Metric, PlayerRecord
+from draftvalue.core_model import DraftClass, ImputationConfig, Metric
 from draftvalue.io import BLOCK_CHUNKS, CHUNK_ROWS, CSV_COLUMNS, DataError, load_draft_csv, write_draft_csv
 from draftvalue.synth import SynthConfig, generate_synthetic_draft
 from draftvalue.valuation import DollarConstants
+
+from conftest import arrays
 
 HEADER = ",".join(CSV_COLUMNS)
 
@@ -46,9 +48,10 @@ class TestIngest:
         )
         classes = load_draft_csv(path)
         assert len(classes) == 1 and len(classes[0]) == 3
-        by_sel = {r.selection: r for r in classes[0].records}
-        assert by_sel[2].gvt7 == -30.0
-        assert by_sel[3].toi7 == 1000.0
+        metrics = classes[0].columns.metrics
+        assert classes[0].columns.selection.tolist() == [1, 2, 3]
+        assert metrics[Metric.GVT][1] == -30.0
+        assert metrics[Metric.TOI][2] == 1000.0
 
     def test_missing_header(self, tmp_path):
         path = tmp_path / "draft.csv"
@@ -212,7 +215,8 @@ class TestIngest:
     def test_games_past_2_pow_53_kept_exactly(self, tmp_path):
         path = write_csv(tmp_path, ["1998,1,T01,A,C,NA_SKATER,1,9007199254740993,1.0,1.0"])
         (dc,) = load_draft_csv(path)
-        assert dc.records[0].gp7 == 9007199254740993
+        gp7 = dc.columns.metrics[Metric.GP]
+        assert gp7.dtype == np.int64 and int(gp7[0]) == 9007199254740993
         write_draft_csv([dc], tmp_path / "out.csv")
         assert ",9007199254740993," in (tmp_path / "out.csv").read_text(encoding="utf-8")
 
@@ -226,9 +230,10 @@ class TestIngest:
         path = tmp_path / "out.csv"
         write_draft_csv(classes, path)
         reread = load_draft_csv(path)
-        assert [(dc.year, list(dc.records)) for dc in reread] == [
-            (dc.year, list(dc.records)) for dc in classes
-        ]
+        assert reread.years == classes.years and reread.bounds == classes.bounds
+        want = arrays(classes.columns)
+        for name, column in arrays(reread.columns).items():
+            assert np.array_equal(column, want[name]), name
 
 
     def test_round_trip_over_several_blocks(self, tmp_path):
@@ -276,7 +281,7 @@ class TestIngest:
             csv.writer(fh).writerows([CSV_COLUMNS, *rows])
         assert '"Jääskeläinen, Jussi"' in original.read_text(encoding="utf-8")
         classes = load_draft_csv(original)
-        assert [r.name for dc in classes for r in dc.records] == [row[3] for row in rows]
+        assert [name.decode() for name in classes.columns.name.tolist()] == [row[3] for row in rows]
         written = tmp_path / "written.csv"
         write_draft_csv(classes, written)
         assert written.read_bytes() == original.read_bytes()
@@ -592,24 +597,6 @@ class TestCli:
         assert main(["run", str(path), "--out", str(tmp_path / "o")]) == 2
         err = capsys.readouterr().err
         assert err.startswith("data error:") and message in err
-
-    def test_ingest_and_run_build_no_player_record(self, tmp_path, monkeypatch, capsys):
-        path = tmp_path / "draft.csv"
-        write_draft_csv(generate_synthetic_draft(SynthConfig(seed=0)), path)
-        built = []
-        init = PlayerRecord.__init__
-
-        def counting_init(self, *args, **kwargs):
-            built.append(1)
-            init(self, *args, **kwargs)
-
-        monkeypatch.setattr(PlayerRecord, "__init__", counting_init)
-        assert main(["ingest-check", str(path), "--out", str(tmp_path)]) == 0
-        assert main(["run", str(path), "--out", str(tmp_path / "o")]) == 0
-        assert sum(len(dc.records) for dc in load_draft_csv(path)) == 1050
-        assert not built
-        load_draft_csv(path)[0].records[-1]  # the view builds a record when one is read
-        assert built
 
     @pytest.mark.parametrize(
         "argv",

@@ -22,11 +22,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from draftvalue import draft_audit, pipeline, team_analysis, valuation
+from draftvalue import draft_audit, io as draft_io, pipeline, team_analysis, valuation
 from draftvalue.cli import main
 from draftvalue.config import RunConfig
 from draftvalue.cescin import css_ordering
-from draftvalue.core_model import Draft, DraftClass, Metric, PositionGroup
+from draftvalue.core_model import Draft, DraftClass, Metric, PositionGroup, first_invalid_row
 from draftvalue.draft_audit import AuditCell, AuditReport, Ordering, audit
 from draftvalue.io import load_draft_csv, write_draft_csv
 from draftvalue.numerics import SmoothCurve
@@ -346,6 +346,18 @@ def test_peak_memory_of_a_paper_scale_load(paper5_csv):
     assert _peak(lambda: load_draft_csv(paper5_csv)) <= 263_000
 
 
+def test_peak_memory_of_the_record_rules(tmp_path, monkeypatch):
+    # bound: the tracemalloc peak, 102,648-102,848 bytes, plus about 10%;
+    # all 11 rule masks held at once while they were ORed read 161,936-162,640
+    path = tmp_path / "input.csv"
+    write_draft_csv(generate_synthetic_draft(SynthConfig(seed=0, years=40)), path)
+    parsed = []
+    monkeypatch.setattr(draft_io, "first_invalid_row", lambda rows: parsed.append(rows))
+    load_draft_csv(path)
+    (rows,) = parsed
+    assert _peak(lambda: first_invalid_row(rows)) <= 113_000
+
+
 def test_the_load_peak_above_its_columns_at_40_years(tmp_path):
     # bound: the peak beyond the loaded columns' nbytes (453,600),
     # 343,627-343,899 bytes, plus about 10%; 256-row batches joined once at
@@ -482,13 +494,13 @@ def test_no_run_imports_numpy_ma(one_year_csv, tmp_path):
         "from draftvalue.cli import main",
         f"assert main(['run', {str(one_year_csv)!r}, '--by-position', '--out', {str(tmp_path / 'run')!r}]) == 0",
         f"assert main(['teams', {str(one_year_csv)!r}, '--out', {str(tmp_path / 'teams')!r}]) == 0",
-        "print('numpy.ma' in sys.modules)",
+        "print('numpy.ma' in sys.modules, 'scipy' in sys.modules)",
     ])
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
     proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.splitlines()[-1] == "False"
+    assert proc.stdout.splitlines()[-1] == "False False"  # and the package needs no scipy
 
 
 def test_peak_memory_of_a_stratified_run(tmp_path):

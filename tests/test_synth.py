@@ -2,7 +2,16 @@ import numpy as np
 import pytest
 
 from draftvalue.config import RunConfig
-from draftvalue.core_model import CssCategory, Metric, Position, position_group
+from draftvalue.core_model import (
+    CATEGORIES,
+    GROUP_OF_POSITION,
+    GROUPS,
+    POSITIONS,
+    CssCategory,
+    Metric,
+    Position,
+    PositionGroup,
+)
 from draftvalue.io import write_draft_csv
 from draftvalue.pipeline import build_orderings, css_curves, surplus_for_metric
 from draftvalue.synth import SynthConfig, generate_synthetic_draft
@@ -32,28 +41,27 @@ class TestStructure:
         classes = generate_synthetic_draft(SynthConfig(seed=5, years=3, picks_per_year=60))
         assert [dc.year for dc in classes] == [1998, 1999, 2000]
         for dc in classes:
-            assert [r.selection for r in dc.records] == list(range(1, 61))
-            for r in dc.records:
-                if r.gp7 == 0:
-                    assert r.gvt7 == -30.0 and r.toi7 == 0.0
-                if r.position is Position.G:
-                    assert r.toi7 == 20.0 * r.gp7
-                    assert r.css_category in (CssCategory.NA_GOALIE, CssCategory.EU_GOALIE)
+            c = dc.columns
+            gp, toi, gvt = c.metrics[Metric.GP], c.metrics[Metric.TOI], c.metrics[Metric.GVT]
+            assert c.selection.tolist() == list(range(1, 61))
+            never_played = gp == 0
+            assert (gvt[never_played] == -30.0).all() and (toi[never_played] == 0.0).all()
+            goalie = c.position == POSITIONS.index(Position.G)
+            assert (toi[goalie] == 20.0 * gp[goalie]).all()
+            goalie_categories = {CATEGORIES[k] for k in c.category[goalie].tolist()}
+            assert goalie_categories <= {CssCategory.NA_GOALIE, CssCategory.EU_GOALIE}
 
     def test_category_ranks_contiguous(self):
         classes = generate_synthetic_draft(SynthConfig(seed=5, years=1))
-        dc = classes[0]
-        by_cat = {}
-        for r in dc.records:
-            by_cat.setdefault(r.css_category, []).append(r.css_category_rank)
-        for ranks in by_cat.values():
+        c = classes[0].columns
+        for k in set(c.category.tolist()):
+            ranks = c.category_rank[c.category == k].tolist()
             assert sorted(ranks) == list(range(1, len(ranks) + 1))
 
     def test_position_mix_roughly_as_configured(self):
         classes = generate_synthetic_draft(SynthConfig(seed=9, years=5))
-        groups = [position_group(r.position) for dc in classes for r in dc.records]
-        n = len(groups)
-        goalies = sum(g.value == "G" for g in groups) / n
+        groups = GROUP_OF_POSITION[classes.columns.position]
+        goalies = np.mean(groups == GROUPS.index(PositionGroup.G))
         assert 0.06 <= goalies <= 0.18
 
 
@@ -62,15 +70,14 @@ class TestCalibration:
         fractions = []
         for seed in range(8):
             classes = generate_synthetic_draft(SynthConfig(seed=seed, years=5))
-            values = [r.gp7 == 0 for dc in classes for r in dc.records]
-            fractions.append(np.mean(values))
+            fractions.append(np.mean(classes.columns.metrics[Metric.GP] == 0))
         assert all(abs(f - 0.54) < 0.05 for f in fractions)
 
     def test_zero_never_played_rate(self):
         classes = generate_synthetic_draft(
             SynthConfig(seed=0, years=1, never_played_rate=0.0)
         )
-        assert all(r.gp7 > 0 for r in classes[0].records)
+        assert (classes[0].columns.metrics[Metric.GP] > 0).all()
 
 
 class TestOrderingContract:
@@ -92,13 +99,8 @@ class TestOrderingContract:
 
     def test_mean_quality_decreases_down_the_draft(self):
         classes = generate_synthetic_draft(SynthConfig(seed=4, years=5, team_noise=5.0))
-        toi_top = np.mean(
-            [r.toi7 for dc in classes for r in dc.records if r.selection <= 30]
-        )
-        toi_bottom = np.mean(
-            [r.toi7 for dc in classes for r in dc.records if r.selection > 180]
-        )
-        assert toi_top > toi_bottom
+        toi, selection = classes.columns.metrics[Metric.TOI], classes.columns.selection
+        assert np.mean(toi[selection <= 30]) > np.mean(toi[selection > 180])
 
 
 class TestConfigValidation:

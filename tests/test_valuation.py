@@ -249,5 +249,6 @@ class TestExpectedCurve:
 
     def test_sum_delta_rank_zero_when_all_ranked(self):
         dc = toi_class(lambda s: 4200.0 - 20.0 * s, n=50)
-        delta_rank, _ = differentials(dc.records, metric=Metric.TOI)
+        curves = {Metric.TOI: linear_curve(0.0)}
+        delta_rank, _ = differential_points(Draft([dc]), css_ordering(dc, UNIT), curves)
         assert delta_rank.sum() == 0
