@@ -21,9 +21,9 @@ from draftvalue.synth import SynthConfig, generate_synthetic_draft
 config = SynthConfig(seed=7, years=5, team_noise=8.0, css_noise=35.0)
 classes = generate_synthetic_draft(config)
 print(f"generated {len(classes)} draft classes, "
-      f"{sum(len(dc) for dc in classes)} players total")
+      f"{len(classes.columns.selection)} players total")
 
-never_played = np.mean(np.concatenate([dc.columns.metrics[Metric.GP] == 0 for dc in classes]))
+never_played = np.mean(classes.columns.metrics[Metric.GP] == 0)
 print(f"fraction who never played an NHL game: {never_played:.2f}")
 
 for metric in Metric:

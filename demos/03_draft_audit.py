@@ -23,7 +23,7 @@ dc = classes[0]
 half_sd = half_sd_thresholds(classes, [Metric.GP])[Metric.GP]
 # the team ordering ranks each player by his actual selection
 optimal, nearly_optimal = replay_flags(dc, dc.columns.selection, Metric.GP, half_sd=half_sd)
-print(f"first ten picks of {dc.year}, games-played metric "
+print(f"first ten picks of {dc.years[0]}, games-played metric "
       f"(half-SD threshold {half_sd:.1f}):")
 for i in range(10):
     tag = "optimal" if optimal[i] else ("nearly" if nearly_optimal[i] else "-")

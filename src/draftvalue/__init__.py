@@ -7,7 +7,6 @@ from .config import RunConfig, load_config, parse_config_text
 from .core_model import (
     CssCategory,
     Draft,
-    DraftClass,
     DraftColumns,
     ImputationConfig,
     Metric,

@@ -10,11 +10,11 @@ are ranked after every listed player.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping, Optional, Sequence
+from typing import Mapping, Optional
 
 import numpy as np
 
-from .core_model import CATEGORIES, CssCategory, Draft, DraftClass, DraftColumns
+from .core_model import CATEGORIES, CssCategory, Draft
 
 FACTOR_CATEGORIES = (
     CssCategory.NA_SKATER,
@@ -74,21 +74,16 @@ def estimate_category_factors(
     return CategoryFactors(**factors)
 
 
-def css_ordering(dc: DraftClass, factors: CategoryFactors) -> np.ndarray:
-    """Integrated scouting rank of every player in a class: a read-only
-    permutation of 1..N aligned with the rows of ``DraftClass.columns``.
+def css_ordering(draft: Draft, factors: CategoryFactors) -> np.ndarray:
+    """Integrated scouting rank of every row of ``draft``, filled class by
+    class into one read-only array: in each class a permutation of 1..N.
 
     Listed players come first, ranked by value: a listed player's value is
     his category rank times the category factor. Unlisted players follow in
     order of actual selection, so their relative order follows the draft.
     Ties in value break by row order, which is selection order.
     """
-    return css_ranks(dc.columns, (0, len(dc)), factors)
-
-
-def css_ranks(c: DraftColumns, bounds: Sequence[int], factors: CategoryFactors) -> np.ndarray:
-    """The ``css_ordering`` of each class, rows ``bounds[i]:bounds[i + 1]``
-    of ``c``, filled class by class into one read-only rank array."""
+    c, bounds = draft.columns, draft.bounds
     factor = np.array([factors.for_category(k) if k in FACTOR_CATEGORIES else 0.0 for k in CATEGORIES])
     ranks = np.empty(len(c.selection), dtype=np.int64)
     for lo, hi in zip(bounds, bounds[1:]):

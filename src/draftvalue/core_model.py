@@ -101,8 +101,6 @@ CATEGORIES = tuple(CssCategory)
 
 _GOALIE = POSITIONS.index(Position.G)
 _UNRANKED = CATEGORIES.index(CssCategory.UNRANKED)
-_IS_GOALIE_CATEGORY = np.array([c in GOALIE_CATEGORIES for c in CATEGORIES])
-_IS_SKATER_CATEGORY = np.array([c in SKATER_CATEGORIES for c in CATEGORIES])
 GROUP_OF_POSITION = np.array([GROUPS.index(position_group(p)) for p in POSITIONS], np.int8)
 
 
@@ -128,6 +126,15 @@ class RawRows:
     has_gvt7: np.ndarray
 
 
+def _within(codes: np.ndarray, pair: frozenset, rows: np.ndarray) -> np.ndarray:
+    """The ``rows`` whose code is one of the two in ``pair``, built in place (a lookup costs 8 B a row)."""
+    a, b = (CATEGORIES.index(c) for c in pair)
+    mask = codes == a
+    mask |= codes == b
+    mask &= rows
+    return mask
+
+
 def _record_rules(rows: RawRows):
     """Each record rule in order as (field, rows breaking the rule, message,
     column whose value it quotes); a mask is built only when it is read."""
@@ -146,8 +153,8 @@ def _record_rules(rows: RawRows):
         None,
     )
     yield "css_category_rank", ranked & (rows.css_category_rank < 1), "must be >= 1", None
-    yield "css_category", goalie & _IS_SKATER_CATEGORY[category], "goalie cannot carry a skater category", None
-    yield "css_category", ~goalie & _IS_GOALIE_CATEGORY[category], "skater cannot carry a goalie category", None
+    yield "css_category", _within(category, SKATER_CATEGORIES, goalie), "goalie cannot carry a skater category", None
+    yield "css_category", _within(category, GOALIE_CATEGORIES, ~goalie), "skater cannot carry a goalie category", None
     yield "toi7", ~rows.has_toi7 & (rows.gp7 != 0) & ~goalie, "missing for a skater with NHL games", None
     yield "gvt7", ~rows.has_gvt7 & (rows.gp7 != 0), "missing for a player with NHL games", None
 
@@ -221,83 +228,63 @@ class DraftColumns:
 _ARRAYS = tuple(f.name for f in fields(DraftColumns) if f.name != "metrics")
 
 
-def _check_classes(years: Sequence[int], bounds: Sequence[int], selection: np.ndarray) -> None:
-    """Raise ``ValueError`` naming the year of the first class, rows
-    ``bounds[i]:bounds[i + 1]`` of ``selection``, that has no rows or whose
-    selections do not strictly increase or number more than ``MAX_SELECTION``."""
-    down = np.flatnonzero(selection[1:] <= selection[:-1]) + 1  # rows not above the row before
-    classes = np.searchsorted(bounds, down, side="right") - 1
-    unordered = classes[down != np.asarray(bounds)[classes]].tolist()  # each class starts over
-    sizes = np.diff(bounds)
-    misfit = np.flatnonzero((sizes == 0) | (sizes > MAX_SELECTION)).tolist()
-    if unordered or misfit:
-        i = min(unordered + misfit)
-        rule = ("selections must be strictly increasing" if i in unordered
-                else "empty draft class" if sizes[i] == 0 else f"more than {MAX_SELECTION} selections")
-        raise ValueError(f"year {years[i]}: {rule}")
-
-
-@dataclass(frozen=True, eq=False)
-class DraftClass:
-    """One draft year's players as columns, sorted by selection.
-
-    At least one and at most 210 selections; any number of slots may be
-    missing (one historical pick was invalidated), and the loader logs the
-    missing ones. A ``Draft`` builds its classes when one is read.
-    """
-
-    year: int
-    columns: DraftColumns
-
-    def __post_init__(self):
-        _check_classes((self.year,), (0, len(self)), self.columns.selection)
-
-    def __len__(self) -> int:
-        return len(self.columns.selection)
-
-    @property
-    def records(self) -> "DraftClass":
-        """The class itself, so ``len(dc.records)`` is its row count. It stays
-        only because ``bench/tracing.py`` counts rows that way; once the
-        tracer reads ``len(dc)`` it goes. A class has no ``__getitem__`` or
-        ``__iter__``, so any other use fails."""
-        return self
-
-
 class Draft(Sequence):
     """The draft classes of one analysis, year by year, over one table:
     ``columns`` holds every row, class ``i`` the year ``years[i]`` and rows
     ``bounds[i]:bounds[i + 1]``; a pooled rank array has one entry per row.
-    ``draft[i]`` builds class ``i`` when read, as a view of the table, so no
-    per-year object is kept. ``Draft(classes)`` joins by copying."""
+    A class is a ``Draft`` of one year: ``draft[i]`` builds class ``i`` when
+    read, over a view of the table, so no per-year object is kept.
+    ``len(draft)`` counts classes. ``Draft(drafts)`` joins by copying."""
 
     __slots__ = ("columns", "years", "bounds")
 
-    def __new__(cls, classes: Iterable[DraftClass]) -> "Draft":
-        classes = tuple(classes)
-        if not classes:
+    def __new__(cls, drafts: Iterable["Draft"]) -> "Draft":
+        drafts = tuple(drafts)
+        if not drafts:
             raise ValueError("a draft needs at least one class")
-        parts = [dc.columns for dc in classes]
+        parts = [d.columns for d in drafts]
         columns = {name: np.concatenate([getattr(c, name) for c in parts]) for name in _ARRAYS}
         metrics = {m: np.concatenate([c.metrics[m] for c in parts]) for m in parts[0].metrics}
-        bounds = (0, *accumulate(map(len, classes)))
-        return cls._over(DraftColumns(**columns, metrics=metrics), tuple(dc.year for dc in classes), bounds)
+        sizes = (hi - lo for d in drafts for lo, hi in zip(d.bounds, d.bounds[1:]))
+        years = tuple(year for d in drafts for year in d.years)
+        return cls.over(DraftColumns(**columns, metrics=metrics), years, (0, *accumulate(sizes)))
 
     @classmethod
-    def _over(cls, columns: DraftColumns, years: tuple[int, ...], bounds: tuple[int, ...]) -> "Draft":
+    def over(cls, columns: DraftColumns, years: Sequence[int], bounds: Sequence[int]) -> "Draft":
+        """The draft over ``columns`` whose class ``i``, the year ``years[i]``, is rows
+        ``bounds[i]:bounds[i + 1]``. Raises ``ValueError`` naming the year of the first class
+        with no rows or whose selections do not strictly increase or number over ``MAX_SELECTION``."""
+        selection, edges = columns.selection, np.asarray(bounds)
+        down = np.flatnonzero(selection[1:] <= selection[:-1]) + 1  # rows not above the row before
+        classes = np.searchsorted(edges, down, side="right") - 1
+        unordered = classes[down != edges[classes]].tolist()  # each class starts over
+        sizes = np.diff(edges)
+        misfit = np.flatnonzero((sizes == 0) | (sizes > MAX_SELECTION)).tolist()
+        if unordered or misfit:
+            i = min(unordered + misfit)
+            rule = ("selections must be strictly increasing" if i in unordered
+                    else "empty draft class" if sizes[i] == 0 else f"more than {MAX_SELECTION} selections")
+            raise ValueError(f"year {years[i]}: {rule}")
         draft = object.__new__(cls)
-        draft.columns, draft.years, draft.bounds = columns, years, bounds
+        draft.columns, draft.years, draft.bounds = columns, tuple(years), tuple(bounds)
         return draft
 
     def __reduce__(self):  # copy and pickle rebuild the draft over the same table
-        return Draft._over, (self.columns, self.years, self.bounds)
+        return Draft.over, (self.columns, self.years, self.bounds)
 
     def __len__(self) -> int:
         return len(self.years)
 
-    def __getitem__(self, index: int) -> DraftClass:
+    def __getitem__(self, index: int) -> "Draft":
         i = range(len(self))[index]
-        return DraftClass(self.years[i], self.columns.rows(self.bounds[i], self.bounds[i + 1]))
+        lo, hi = self.bounds[i], self.bounds[i + 1]
+        return Draft.over(self.columns.rows(lo, hi), (self.years[i],), (0, hi - lo))
+
+    @property
+    def records(self) -> np.ndarray:
+        """``columns.selection``, so ``len(draft.records)`` counts rows: kept only because
+        ``bench/tracing.py`` counts rows that way, it goes once the tracer reads the columns."""
+        return self.columns.selection
 
     def aligned(self, values: np.ndarray, keep: Optional[np.ndarray] = None) -> np.ndarray:
         """``values``, checked to hold one entry per row, in the rows of the
@@ -319,11 +306,11 @@ def draft_classes(rows: RawRows, imputation: ImputationConfig) -> Draft:
     metrics = {Metric.GP: rows.gp7, Metric.TOI: toi7, Metric.GVT: gvt7}
     bounds = np.concatenate(([0], np.flatnonzero(np.diff(rows.year)) + 1, [rows.year.size]))
     lo, hi, years, sels = bounds[:-1], bounds[1:], rows.year[bounds[:-1]], rows.selection
-    _check_classes(years, bounds, sels)
+    draft = Draft.over(DraftColumns(**table, metrics=metrics), years.tolist(), bounds.tolist())
     for i in np.flatnonzero(sels[hi - 1] - sels[lo] >= hi - lo):
         missing = np.setdiff1d(np.arange(sels[lo[i]], sels[hi[i] - 1] + 1), sels[lo[i] : hi[i]])
         logger.info("year %d: missing selection(s) %s", years[i], missing.tolist())
-    return Draft._over(DraftColumns(**table, metrics=metrics), tuple(years.tolist()), tuple(bounds.tolist()))
+    return draft
 
 
 @dataclass(frozen=True)

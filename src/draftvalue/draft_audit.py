@@ -10,7 +10,7 @@ from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
-from .core_model import POSITIONS, Draft, DraftClass, DraftColumns, Metric
+from .core_model import POSITIONS, Draft, DraftColumns, Metric
 
 BAND_EDGE = 90  # round bands: picks 1-90 are rounds 1-3 (30 picks a round), the rest 4-7
 BLOCK_ROWS = 2048  # rows of whole classes replayed together: bounds the audit's temporaries
@@ -120,21 +120,19 @@ def _replay(
 
 
 def replay_flags(
-    dc: DraftClass, ranks: np.ndarray, metric: Metric, half_sd: float
+    draft: Draft, ranks: np.ndarray, metric: Metric, half_sd: float
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Walk the draft in the order of ``ranks`` (one per row of
-    ``dc.columns``; tied ranks in row order), flagging each pick against
-    the best same-position player still available (the picked player
-    included).
+    """Walk each class of ``draft`` in the order of ``ranks`` (one per row
+    of ``draft.columns``; tied ranks in row order), flagging each pick
+    against the best same-position player of its class still available
+    (the picked player included).
 
     Returns boolean ``optimal`` and ``nearly_optimal`` arrays in replay
-    order: the one-class form of the pass ``audit`` makes over many classes.
+    order, class by class: the flags behind the counts ``audit`` makes.
     """
-    if len(ranks) != len(dc):
-        raise ValueError(f"{len(ranks)} ranks for {len(dc)} rows")
-    values = dc.columns.metrics[metric]
-    r, replay = _replay_order(dc.columns.position, ranks, np.array([len(dc)]))
-    flags = np.empty((2, len(dc)), dtype=bool)
+    values = draft.columns.metrics[metric]
+    r, replay = _replay_order(draft.columns.position, draft.aligned(ranks), np.diff(draft.bounds))
+    flags = np.empty((2, len(values)), dtype=bool)
     flags[:, replay] = _replay(values, *_by_value(values), r, half_sd)
     return flags[0], flags[1]
 

@@ -13,7 +13,7 @@ from functools import partial
 from itertools import accumulate, islice, repeat
 from operator import length_hint
 from pathlib import Path
-from typing import Iterable, Sequence, Union
+from typing import Sequence, Union
 
 import numpy as np
 
@@ -22,7 +22,6 @@ from .core_model import (
     MAX_SELECTION,
     POSITIONS,
     Draft,
-    DraftClass,
     ImputationConfig,
     Metric,
     RawRows,
@@ -249,16 +248,16 @@ def load_draft_csv(
     return draft_classes(RawRows(**cols), imputation)
 
 
-def write_draft_csv(classes: Iterable[DraftClass], path: Union[str, Path]) -> None:
-    """Emit draft classes in the ingest schema; re-ingesting round-trips."""
+def write_draft_csv(draft: Draft, path: Union[str, Path]) -> None:
+    """Emit a draft in the ingest schema, class by class; re-ingesting round-trips."""
     with Path(path).open("w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(CSV_COLUMNS)
-        for dc in classes:
+        for dc in draft:
             c = dc.columns
             writer.writerows(
                 zip(
-                    repeat(dc.year),
+                    repeat(dc.years[0]),
                     c.selection.tolist(),
                     map(bytes.decode, c.team.tolist()),
                     map(bytes.decode, c.name.tolist()),

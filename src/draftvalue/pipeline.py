@@ -18,7 +18,7 @@ from typing import Iterable, Mapping, Optional, Sequence, Union
 
 import numpy as np
 
-from .cescin import CategoryFactors, css_ranks, estimate_category_factors
+from .cescin import CategoryFactors, css_ordering, estimate_category_factors
 from .config import RunConfig
 from .core_model import Draft, Metric, PositionGroup
 from .draft_audit import AuditReport, Ordering, audit
@@ -54,19 +54,19 @@ class PipelineError(RuntimeError):
 
 
 def build_orderings(draft: Draft, config: RunConfig) -> tuple[CategoryFactors, np.ndarray]:
-    """The category factors and each year's ``css_ordering``, filled class
-    by class into one read-only rank array."""
+    """The category factors and the ``css_ordering`` of every class, as one
+    read-only rank array."""
     factors = estimate_category_factors(draft, overrides=config.factors)
-    return factors, css_ranks(draft.columns, draft.bounds, factors)
+    return factors, css_ordering(draft, factors)
 
 
-def css_curves(draft: Draft, css_ranks: np.ndarray, config: RunConfig) -> dict[Metric, SmoothCurve]:
-    return expected_curve(draft, css_ranks, config.metrics, config.loess_span)
+def css_curves(draft: Draft, css_order: np.ndarray, config: RunConfig) -> dict[Metric, SmoothCurve]:
+    return expected_curve(draft, css_order, config.metrics, config.loess_span)
 
 
 def surplus_for_metric(
     draft: Draft,
-    css_ranks: np.ndarray,
+    css_order: np.ndarray,
     curves: Mapping[Metric, SmoothCurve],
     config: RunConfig,
     group: Optional[PositionGroup] = None,
@@ -77,7 +77,7 @@ def surplus_for_metric(
     When the team and scouting orderings coincide (all rank differentials
     zero) no curve can be fitted and every gain is exactly zero.
     """
-    delta_rank, deltas = differential_points(draft, css_ranks, curves, group_rows(draft, group))
+    delta_rank, deltas = differential_points(draft, css_order, curves, group_rows(draft, group))
     if not delta_rank.any():
         return {m: (None, GainEstimate(metric=m, per_pick=0.0, per_draft=0.0, dollars=0.0)) for m in curves}
     fit = fit_differential_curve(delta_rank, deltas, config.loess_span)

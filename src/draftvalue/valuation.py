@@ -98,7 +98,7 @@ def expected_curve(
 
 def differential_points(
     draft: Draft,
-    css_ranks: np.ndarray,
+    css_order: np.ndarray,
     css_curves: Mapping[Metric, SmoothCurve],
     keep: Optional[np.ndarray] = None,
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -110,7 +110,7 @@ def differential_points(
     every row)."""
     # integer ranks read the curves at their nodes, and integer
     # differentials collapse their ties by bincount in the differential fit
-    ranks, deltas = _pairs(draft, css_ranks, list(css_curves), keep)
+    ranks, deltas = _pairs(draft, css_order, list(css_curves), keep)
     for row, curve in zip(deltas, css_curves.values()):
         row -= curve(ranks)
     return draft.aligned(draft.columns.selection, keep) - ranks, deltas

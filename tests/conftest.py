@@ -5,11 +5,11 @@ from typing import NamedTuple, Optional
 import numpy as np
 import pytest
 
-from draftvalue.cescin import css_ordering
 from draftvalue.core_model import (
     CATEGORIES,
     POSITIONS,
     CssCategory,
+    Draft,
     DraftColumns,
     ImputationConfig,
     Position,
@@ -113,10 +113,9 @@ def random_class(rng, n=20, year=1998, positions=None, teams=4, gp_max=300, sele
     return make_class(records)
 
 
-def pooled_css(classes, factors):
-    """The integrated scouting ranks of ``classes`` pooled year by year, as
-    ``build_orderings`` pools them."""
-    return np.concatenate([css_ordering(dc, factors) for dc in classes])
+def one_class(year: int, columns: DraftColumns) -> Draft:
+    """The checked one-year ``Draft`` of the year ``year`` over ``columns``."""
+    return Draft.over(columns, (year,), (0, len(columns.selection)))
 
 
 @pytest.fixture

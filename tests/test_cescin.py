@@ -10,9 +10,9 @@ from draftvalue.cescin import (
     css_ordering,
     estimate_category_factors,
 )
-from draftvalue.core_model import CATEGORIES, CssCategory, Draft, DraftClass, Position, RecordError
+from draftvalue.core_model import CATEGORIES, CssCategory, Draft, Position, RecordError
 
-from conftest import make_class, make_record
+from conftest import make_class, make_record, one_class
 
 UNIT_FACTORS = CategoryFactors(na_skater=1.0, na_goalie=1.0, eu_skater=1.0, eu_goalie=1.0)
 
@@ -133,7 +133,7 @@ class TestCssOrdering:
             metrics={m: column[:0] for m, column in c.metrics.items()},
         )
         with pytest.raises(ValueError):
-            css_ordering(DraftClass(1998, no_rows), UNIT_FACTORS)
+            css_ordering(one_class(1998, no_rows), UNIT_FACTORS)
 
 
 @st.composite
@@ -163,7 +163,7 @@ def mixed_class(draw):
 def test_rank_is_bijection(dc):
     factors = CategoryFactors(na_skater=1.3, na_goalie=5.0, eu_skater=2.1, eu_goalie=9.0)
     out = css_ordering(dc, factors)
-    assert sorted(out) == list(range(1, len(dc) + 1))
+    assert sorted(out) == list(range(1, len(dc.columns.selection) + 1))
 
 
 @given(mixed_class())
@@ -235,7 +235,17 @@ def test_css_ordering_matches_a_sorted_reference(case):
         value = 0 if unlisted else category_ranks[i] * factors.for_category(categories[i])
         return (unlisted, value, selections[i])
 
-    want = [0] * len(dc)
-    for rank, i in enumerate(sorted(range(len(dc)), key=key), start=1):
+    want = [0] * len(dc.columns.selection)
+    for rank, i in enumerate(sorted(range(len(dc.columns.selection)), key=key), start=1):
         want[i] = rank
     assert css_ordering(dc, factors).tolist() == want
+
+
+@given(st.lists(class_and_factors(), min_size=2, max_size=4))
+@settings(max_examples=60, deadline=None)
+def test_css_ordering_of_a_draft_joins_the_orderings_of_its_classes(cases):
+    factors = cases[0][1]
+    draft = Draft(one_class(1998 + i, dc.columns) for i, (dc, _) in enumerate(cases))
+    got = css_ordering(draft, factors)
+    assert got.tolist() == np.concatenate([css_ordering(dc, factors) for dc, _ in cases]).tolist()
+    assert not got.flags.writeable

@@ -8,7 +8,6 @@ import pytest
 from draftvalue.core_model import (
     CssCategory,
     Draft,
-    DraftClass,
     DraftColumns,
     ImputationConfig,
     Metric,
@@ -25,7 +24,7 @@ from draftvalue.core_model import (
 from draftvalue.io import load_draft_csv, write_draft_csv
 from draftvalue.synth import SynthConfig, generate_synthetic_draft
 
-from conftest import arrays, make_class, make_record, random_class, raw_rows
+from conftest import arrays, make_class, make_record, one_class, random_class, raw_rows
 
 
 def imputed(config=ImputationConfig(), **fields):
@@ -112,17 +111,17 @@ class TestDraftClass:
     def test_duplicate_selection_rejected(self):
         dc = make_class([make_record(selection=1), make_record(selection=2)])
         with pytest.raises(ValueError, match="strictly increasing"):
-            DraftClass(1998, replace(dc.columns, selection=np.array([1, 1])))
+            one_class(1998, replace(dc.columns, selection=np.array([1, 1])))
 
     def test_missing_slot_tolerated(self):
         records = [make_record(selection=s, css_category_rank=s) for s in (1, 2, 4)]
         dc = make_class(records)
-        assert len(dc) == 3
+        assert len(dc.columns.selection) == 3
 
     def test_unsorted_selections_rejected(self):
         dc = make_class([make_record(selection=1), make_record(selection=2)])
         with pytest.raises(ValueError, match="strictly increasing"):
-            DraftClass(1998, replace(dc.columns, selection=np.array([2, 1])))
+            one_class(1998, replace(dc.columns, selection=np.array([2, 1])))
 
     def test_more_than_210_rejected(self):
         records = [make_record(selection=s, css_category_rank=s) for s in range(1, 212)]
@@ -162,7 +161,10 @@ class TestDraftClass:
     def test_a_class_with_no_rows_is_rejected(self):
         draft = generate_synthetic_draft(SynthConfig(seed=0, years=2))
         with pytest.raises(ValueError, match="^year 2005: empty draft class$"):
-            Draft([draft[0], DraftClass(2005, draft.columns.rows(0, 0)), draft[1]])
+            Draft([draft[0], one_class(2005, draft.columns.rows(0, 0)), draft[1]])
+        # the table itself, with an empty class between its two
+        with pytest.raises(ValueError, match="^year 2005: empty draft class$"):
+            Draft.over(draft.columns, (1998, 2005, 1999), (0, 210, 210, 420))
 
 
 class TestSummarize:
@@ -244,7 +246,7 @@ class TestDraft:
         # each class is built when read, with the year and columns of the class it joined
         for i, want in enumerate(classes):
             for got in (draft[i], draft[i - len(classes)], list(draft)[i]):
-                assert got.year == want.year
+                assert got.years == want.years
                 have = arrays(got.columns)
                 for name, column in arrays(want.columns).items():
                     assert np.array_equal(have[name], column) and have[name].dtype == column.dtype, name
@@ -277,12 +279,19 @@ class TestDraft:
             Draft([])
 
     def test_a_class_view_shares_the_draft_columns(self, rng):
+        # a class is a one-year draft over a read-only view of the table
         draft = Draft([random_class(rng, n=5, year=1998), random_class(rng, n=3, year=1999)])
         table = arrays(draft.columns)
-        for dc in draft:
+        for i, (year, lo, hi) in enumerate(zip(draft.years, draft.bounds, draft.bounds[1:])):
+            dc = draft[i]
+            assert type(dc) is Draft and len(dc) == 1
+            assert dc.years == (year,) and dc.bounds == (0, hi - lo)
+            assert len(dc.records) == hi - lo  # the row count the benchmark tracer reads
             for name, column in arrays(dc.columns).items():
-                assert np.shares_memory(column, table[name]), name
+                assert np.shares_memory(column, table[name]) and np.array_equal(column, table[name][lo:hi]), name
                 assert not column.flags.writeable
+                with pytest.raises(ValueError, match="read-only"):
+                    column[0] = column[0]
 
     @pytest.mark.parametrize(
         "selections, rule",
@@ -303,7 +312,7 @@ class TestDraft:
             draft_classes(raw_rows(records), ImputationConfig())
         assert str(table.value) == f"year 1999: {rule}"
         with pytest.raises(ValueError) as one:
-            DraftClass(1999, resized(make_class([make_record()]).columns, selections))
+            one_class(1999, resized(make_class([make_record()]).columns, selections))
         assert str(one.value) == str(table.value)
 
     @pytest.mark.parametrize("source", ["loader", "synth"])

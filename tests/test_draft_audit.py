@@ -7,14 +7,14 @@ from draftvalue.cescin import CategoryFactors, css_ordering
 from draftvalue.core_model import POSITIONS, CssCategory, Draft, Metric, Position
 from draftvalue.draft_audit import BAND_EDGE, AuditCell, Ordering, audit, half_sd_thresholds, replay_flags
 
-from conftest import make_class, make_record, pooled_css, random_class
+from conftest import make_class, make_record, random_class
 
 UNIT = CategoryFactors(na_skater=1.0, na_goalie=1.0, eu_skater=1.0, eu_goalie=1.0)
 
 
 def both_orderings(draft):
     """Each ordering's pooled ranks: the selections and the CSS ranks."""
-    return {Ordering.TEAM: draft.columns.selection, Ordering.CSS: pooled_css(draft, UNIT)}
+    return {Ordering.TEAM: draft.columns.selection, Ordering.CSS: css_ordering(draft, UNIT)}
 
 
 def class_with_gp(gps, position=Position.C):
@@ -40,7 +40,7 @@ def brute_force_flags(dc, order_indices, metric, half_sd):
     value = [float(v) for v in dc.columns.metrics[metric].tolist()]
     position = dc.columns.position.tolist()
     for i in order_indices:
-        available = [j for j in range(len(dc)) if j not in taken and position[j] == position[i]]
+        available = [j for j in range(len(position)) if j not in taken and position[j] == position[i]]
         best = max(value[j] for j in available)
         optimal.append(value[i] >= best)
         nearly_optimal.append(value[i] >= best - half_sd)
@@ -113,6 +113,24 @@ class TestReplayFlags:
                 mine = replay_flags(dc, ranks, metric, half_sd)
                 oracle = brute_force_flags(dc, np.argsort(ranks), metric, half_sd)
                 assert tuple(flags.tolist() for flags in mine) == oracle
+
+    def test_a_draft_of_several_classes_replays_each_class_on_its_own(self, rng):
+        # tied values across classes, missing slots, and a class of one
+        for _ in range(20):
+            classes = [
+                random_class(rng, n=int(rng.integers(1, 31)), year=1998 + i, positions=list(Position), gp_max=4)
+                for i in range(int(rng.integers(2, 5)))
+            ]
+            classes.append(random_class(rng, year=2010, selections=[3, 7, 8, 20]))
+            draft = Draft(classes)
+            for metric in Metric:
+                half_sd = float(rng.uniform(0.1, 3.0))
+                for ranks in (draft.columns.selection, css_ordering(draft, UNIT)):
+                    whole = replay_flags(draft, ranks, metric, half_sd)
+                    apart = [replay_flags(dc, ranks[lo:hi], metric, half_sd)
+                             for dc, lo, hi in zip(draft, draft.bounds, draft.bounds[1:])]
+                    for flags, parts in zip(whole, zip(*apart)):
+                        assert flags.tolist() == np.concatenate(parts).tolist()
 
     def test_half_sd_monotonicity(self, rng):
         dc = random_class(rng, n=25)

@@ -20,12 +20,12 @@ import draftvalue
 from draftvalue.cescin import FACTOR_CATEGORIES
 from draftvalue.cli import main
 from draftvalue.config import RunConfig, parse_config_text
-from draftvalue.core_model import DraftClass, ImputationConfig, Metric
+from draftvalue.core_model import Draft, ImputationConfig, Metric
 from draftvalue.io import BLOCK_CHUNKS, CHUNK_ROWS, CSV_COLUMNS, DataError, load_draft_csv, write_draft_csv
 from draftvalue.synth import SynthConfig, generate_synthetic_draft
 from draftvalue.valuation import DollarConstants
 
-from conftest import arrays
+from conftest import arrays, one_class
 
 HEADER = ",".join(CSV_COLUMNS)
 
@@ -47,7 +47,7 @@ class TestIngest:
             ],
         )
         classes = load_draft_csv(path)
-        assert len(classes) == 1 and len(classes[0]) == 3
+        assert len(classes) == 1 and len(classes.columns.selection) == 3
         metrics = classes[0].columns.metrics
         assert classes[0].columns.selection.tolist() == [1, 2, 3]
         assert metrics[Metric.GVT][1] == -30.0
@@ -89,7 +89,7 @@ class TestIngest:
         path = write_csv(tmp_path, rows)
         with caplog.at_level(logging.INFO, logger="draftvalue"):
             classes = load_draft_csv(path)
-        assert len(classes[0]) == 4
+        assert len(classes[0].columns.selection) == 4
         assert any("123" in m for m in caplog.messages)
 
     def test_selection_past_210_dropped_with_warning(self, tmp_path, caplog):
@@ -100,7 +100,7 @@ class TestIngest:
         path = write_csv(tmp_path, rows)
         with caplog.at_level(logging.WARNING, logger="draftvalue"):
             classes = load_draft_csv(path)
-        assert len(classes[0]) == 1
+        assert len(classes[0].columns.selection) == 1
         assert any("211" in m for m in caplog.messages)
 
     def test_rows_past_210_logged_once(self, tmp_path, caplog):
@@ -217,7 +217,7 @@ class TestIngest:
         (dc,) = load_draft_csv(path)
         gp7 = dc.columns.metrics[Metric.GP]
         assert gp7.dtype == np.int64 and int(gp7[0]) == 9007199254740993
-        write_draft_csv([dc], tmp_path / "out.csv")
+        write_draft_csv(dc, tmp_path / "out.csv")
         assert ",9007199254740993," in (tmp_path / "out.csv").read_text(encoding="utf-8")
 
     def test_empty_file_errors(self, tmp_path):
@@ -291,11 +291,11 @@ class TestIngest:
         labels = ["Ä", "Z", "é", "Ω", "a", "ß", "ｚ", "𝔸"]
         code = {b"T%02d" % (k + 1): label.encode() for k, label in enumerate(labels)}
         classes = [
-            DraftClass(dc.year, replace(dc.columns, team=np.array([code[t] for t in dc.columns.team.tolist()])))
+            one_class(dc.years[0], replace(dc.columns, team=np.array([code[t] for t in dc.columns.team.tolist()])))
             for dc in generate_synthetic_draft(SynthConfig(seed=3, years=2, teams=len(labels)))
         ]
         path = tmp_path / "draft.csv"
-        write_draft_csv(classes, path)
+        write_draft_csv(Draft(classes), path)
         assert main(["teams", str(path), "--out", str(tmp_path / "out")]) == 0
         with (tmp_path / "out" / "teams.csv").open(newline="", encoding="utf-8") as fh:
             teams = [row["team"] for row in csv.DictReader(fh)]
@@ -317,7 +317,7 @@ def test_row_order_and_blank_lines_do_not_change_the_classes(order, blanks):
             rows.insert(at, "")
         path.write_text("\n".join([header, *rows]) + "\n", encoding="utf-8")
         loaded = load_draft_csv(path)
-    assert [dc.year for dc in loaded] == [dc.year for dc in _SHUFFLE_CLASSES]
+    assert [dc.years for dc in loaded] == [dc.years for dc in _SHUFFLE_CLASSES]
     for got, want in zip(loaded, _SHUFFLE_CLASSES):
         for field in ("selection", "position", "team", "name", "category", "category_rank"):
             assert np.array_equal(getattr(got.columns, field), getattr(want.columns, field)), field

@@ -26,13 +26,15 @@ from draftvalue import draft_audit, io as draft_io, pipeline, team_analysis, val
 from draftvalue.cli import main
 from draftvalue.config import RunConfig
 from draftvalue.cescin import css_ordering
-from draftvalue.core_model import Draft, DraftClass, Metric, PositionGroup, first_invalid_row
+from draftvalue.core_model import Draft, Metric, PositionGroup, first_invalid_row
 from draftvalue.draft_audit import AuditCell, AuditReport, Ordering, audit
 from draftvalue.io import load_draft_csv, write_draft_csv
 from draftvalue.numerics import SmoothCurve
 from draftvalue.synth import SynthConfig, generate_synthetic_draft
 from draftvalue.team_analysis import TeamGain, split_half_correlation, team_gains
 from draftvalue.valuation import SELECTION_GRID, ValueChart, differential_points, expected_curve, group_rows
+
+from conftest import one_class
 
 ROOT = Path(__file__).resolve().parent.parent
 REFERENCE = ROOT / "bench" / "reference" / "paper5"
@@ -296,8 +298,9 @@ def test_by_position_run_matches_reference(tmp_path):
 def test_a_shared_year_label_gives_the_results_of_distinct_labels():
     # each class reads its own CSS ranks, whatever its year label
     a = generate_synthetic_draft(SynthConfig(seed=0, years=2))
-    shared = pipeline.Analysis(Draft([a[0], DraftClass(a[0].year, a[1].columns)]), RunConfig())
-    distinct = pipeline.Analysis(Draft([a[0], DraftClass(a[0].year + 1, a[1].columns)]), RunConfig())
+    year = a[0].years[0]
+    shared = pipeline.Analysis(Draft([a[0], one_class(year, a[1].columns)]), RunConfig())
+    distinct = pipeline.Analysis(Draft([a[0], one_class(year + 1, a[1].columns)]), RunConfig())
     assert shared.surplus.keys() == distinct.surplus.keys()
     for key, (curve, estimate) in distinct.surplus.items():
         assert shared.surplus[key][1] == estimate
@@ -307,7 +310,7 @@ def test_a_shared_year_label_gives_the_results_of_distinct_labels():
 
 def test_cescin_lists_one_year_per_class(tmp_path):
     a = generate_synthetic_draft(SynthConfig(seed=0, years=2))
-    draft = Draft([a[0], DraftClass(a[0].year, a[1].columns)])
+    draft = Draft([a[0], one_class(a[0].years[0], a[1].columns)])
     pipeline.run_pipeline(draft, RunConfig(), tmp_path, ("cescin",))
     assert json.loads((tmp_path / "cescin.json").read_text())["years"] == [1998, 1998]
 
@@ -347,15 +350,17 @@ def test_peak_memory_of_a_paper_scale_load(paper5_csv):
 
 
 def test_peak_memory_of_the_record_rules(tmp_path, monkeypatch):
-    # bound: the tracemalloc peak, 102,648-102,848 bytes, plus about 10%;
-    # all 11 rule masks held at once while they were ORed read 161,936-162,640
+    # bound: the tracemalloc peak, 43,081-43,089 bytes, plus about 10%; the
+    # category rules read through lookup arrays indexed by the int8 codes
+    # (an 8 B index a row) read 102,648-102,856, and all 11 rule
+    # masks held at once while they were ORed read 161,936-162,640
     path = tmp_path / "input.csv"
     write_draft_csv(generate_synthetic_draft(SynthConfig(seed=0, years=40)), path)
     parsed = []
     monkeypatch.setattr(draft_io, "first_invalid_row", lambda rows: parsed.append(rows))
     load_draft_csv(path)
     (rows,) = parsed
-    assert _peak(lambda: first_invalid_row(rows)) <= 113_000
+    assert _peak(lambda: first_invalid_row(rows)) <= 47_500
 
 
 def test_the_load_peak_above_its_columns_at_40_years(tmp_path):

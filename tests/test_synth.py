@@ -39,7 +39,7 @@ class TestDeterminism:
 class TestStructure:
     def test_classes_well_formed(self):
         classes = generate_synthetic_draft(SynthConfig(seed=5, years=3, picks_per_year=60))
-        assert [dc.year for dc in classes] == [1998, 1999, 2000]
+        assert classes.years == (1998, 1999, 2000)
         for dc in classes:
             c = dc.columns
             gp, toi, gvt = c.metrics[Metric.GP], c.metrics[Metric.TOI], c.metrics[Metric.GVT]

@@ -4,7 +4,7 @@ import warnings
 import numpy as np
 import pytest
 
-from draftvalue.core_model import Draft, DraftClass, Metric
+from draftvalue.core_model import Draft, Metric
 from draftvalue.team_analysis import (
     TeamGain,
     normality_check,
@@ -13,7 +13,7 @@ from draftvalue.team_analysis import (
     team_gains,
 )
 
-from conftest import make_class, make_record, random_class
+from conftest import make_class, make_record, one_class, random_class
 
 
 def random_surplus(rng, draft):
@@ -56,7 +56,7 @@ class TestTeamGains:
         base = {g.team: g for g in team_gains(Draft([dc]), surplus)}
         swap = {"T01": "T02", "T02": "T01", "T03": "T03", "T04": "T04"}
         teams = np.array([swap[t.decode()].encode() for t in dc.columns.team.tolist()])
-        renamed = DraftClass(dc.year, dataclasses.replace(dc.columns, team=teams))
+        renamed = one_class(dc.years[0], dataclasses.replace(dc.columns, team=teams))
         permuted = {g.team: g for g in team_gains(Draft([renamed]), surplus)}
         for old, new in swap.items():
             if old in base:
@@ -88,7 +88,7 @@ class TestNormalityCheck:
 class TestSplitHalf:
     def _two_identical_years(self, rng):
         dc = random_class(rng, n=24, year=1998, teams=6)
-        return Draft([dc, DraftClass(2001, dc.columns)]), rng.normal(0, 100, 24)
+        return Draft([dc, one_class(2001, dc.columns)]), rng.normal(0, 100, 24)
 
     def test_identical_halves_correlate_perfectly(self, rng):
         classes, row = self._two_identical_years(rng)

@@ -14,7 +14,7 @@ import sys
 from pathlib import Path
 
 import draftvalue.cli  # the tracer wraps only modules loaded when it is installed
-from draftvalue.io import write_draft_csv
+from draftvalue.io import load_draft_csv, write_draft_csv
 from draftvalue.synth import SynthConfig, generate_synthetic_draft
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -49,3 +49,14 @@ def test_paper_scale_run_work_counts(tmp_path, capsys):
         "numerics.loess_point_evals": 679_350,
         "cli.subcommand_calls": 1,
     }
+
+
+def test_the_tracer_counts_rows_and_pool_scans_of_a_draft(tmp_path):
+    # what the tracer reads of its wrapped calls' arguments and results:
+    # the rows of a loaded draft, and the scans of a one-class replay
+    data = tmp_path / "input.csv"
+    write_draft_csv(generate_synthetic_draft(SynthConfig(seed=0, years=5)), data)
+    draft = load_draft_csv(data)
+    assert tracing._rows_read((), draft) == 1050
+    n = draft.bounds[1]
+    assert tracing._pool_scans((draft[0],), None) == n * (n + 1) // 2
