@@ -27,7 +27,7 @@ rc = RunConfig()
 _, orderings = build_orderings(classes, rc)
 curves = css_curves(classes, orderings, rc)
 # each pick's outcome minus the expectation at its scouting rank
-surplus = dict(zip(curves, differential_points(classes, orderings, curves)[1]))
+_, surplus = differential_points(classes, orderings, curves)
 
 gains = team_gains(classes, surplus)
 toi = sorted(gains, key=lambda g: g.mean_gain[Metric.TOI], reverse=True)

@@ -104,10 +104,12 @@ def loess_fit(x, y, grid, span: float = 0.5) -> SmoothCurve:
     """Local-linear smoother with tricube neighborhood weights.
 
     ``y`` is one response of shape (n,) for the n values of ``x``, or k
-    responses of shape (k, n) that share ``x``; the curve's values then
-    have shape (k, len(grid)), each row the fit of one response.
+    responses that share ``x``: a (k, n) array or any iterable of k (n,)
+    rows, read one at a time. The curve's values then have shape
+    (k, len(grid)), each row the fit of one response.
 
-    Tied x collapse first to one point with its row count and mean y. At
+    Tied x collapse first to one point with its row count and mean y, so
+    only one row of the responses is held at a time. At
     each grid point, dmax is the distance to the q-th nearest row,
     q = ceil(span*n); each distinct x gets weight tricube(d/dmax) times its
     count, and a weighted degree-1 polynomial is fit and evaluated there.
@@ -126,11 +128,11 @@ def loess_fit(x, y, grid, span: float = 0.5) -> SmoothCurve:
     if not (0.0 < span <= 1.0):
         raise ValueError("span must be in (0, 1]")
     x = np.asarray(x)  # integer x (ranks) collapse their ties before any float copy
-    y = np.asarray(y, dtype=float)
-    if x.ndim != 1 or y.ndim not in (1, 2) or y.shape[-1] != len(x):
-        raise ValueError(f"y of shape {y.shape} is not (n,) or (k, n) for the {x.size} values of x")
-    shape = y.shape[:-1]
-    x, y, count = _aggregate_ties(x, np.atleast_2d(y))
+    if x.ndim != 1:
+        raise ValueError(f"x of shape {x.shape} does not hold one value per row")
+    # a scalar y is one response too, which then fails the row check
+    one = not np.iterable(y) or np.ndim(y) == 1
+    x, y, count = _aggregate_ties(x, [y] if one else y)
     n = int(count.sum())
     if len(x) < 3:
         raise ValueError("need at least 3 distinct x values")
@@ -151,7 +153,7 @@ def loess_fit(x, y, grid, span: float = 0.5) -> SmoothCurve:
             fitted[:, rows] = _fit_rows(x, y, count, grid[rows], dmax[rows], equal[rows], tol[rows])
     if not np.all(np.isfinite(fitted)):
         raise ValueError("non-finite fitted value")
-    return SmoothCurve(grid=grid, values=fitted.reshape(shape + grid.shape))
+    return SmoothCurve(grid=grid, values=fitted[0] if one else fitted)
 
 
 def _radii(x, count, q, x0):
@@ -221,8 +223,9 @@ def _fit_rows(x, ys, count, x0, dmax, equal, tol):
 
 def _aggregate_ties(x, ys, w=None):
     """Collapse duplicate x to a single point with summed weight (its row
-    count when ``w`` is None) and, for each row of ``ys``, the weighted-mean
-    y; returns arrays sorted by x, the distinct x as floats.
+    count when ``w`` is None) and, for each (n,) row of the iterable ``ys``,
+    the weighted-mean y; returns arrays sorted by x, the distinct x as
+    floats. Each row is dropped before the next is read.
 
     Unweighted integer x whose range is at most twice their number (ranks,
     rank differentials) are binned at ``x - min``, with no sort; other x go
@@ -237,9 +240,15 @@ def _aggregate_ties(x, ys, w=None):
         ux, inverse = np.unique(x, return_inverse=True)
         present = slice(None)
     sw = np.bincount(inverse, weights=w)[present]
-    wy = ys if w is None else ys * w
-    sums = np.array([np.bincount(inverse, weights=row)[present] for row in wy])
-    return ux.astype(float), sums / sw, sw
+
+    def mean(row):
+        row = np.asarray(row, dtype=float)
+        if row.shape != x.shape:
+            raise ValueError(f"y row of shape {row.shape} is not ({x.size},) for the {x.size} values of x")
+        return np.bincount(inverse, weights=row if w is None else row * w)[present] / sw
+
+    # map keeps no row alive while the next is built, as a comprehension's loop variable does
+    return ux.astype(float), np.array(list(map(mean, ys))), sw
 
 
 def pava_nondecreasing(y: np.ndarray, w: np.ndarray) -> np.ndarray:
@@ -266,7 +275,7 @@ def antitonic_fit(x, y, w=None) -> SmoothCurve:
     Duplicate x are pre-aggregated; the fit is PAVA on the negated values.
     """
     x, y, w = _as_weighted(x, y, w)
-    x, (y,), w = _aggregate_ties(x, y[None], w)
+    x, (y,), w = _aggregate_ties(x, [y], w)
     if len(x) < 2:
         raise ValueError("need at least 2 distinct x values")
     fitted = -pava_nondecreasing(-y, w)

@@ -77,10 +77,10 @@ def surplus_for_metric(
     When the team and scouting orderings coincide (all rank differentials
     zero) no curve can be fitted and every gain is exactly zero.
     """
-    delta_rank, deltas = differential_points(draft, css_order, curves, group_rows(draft, group))
+    delta_rank, surplus = differential_points(draft, css_order, curves, group_rows(draft, group))
     if not delta_rank.any():
         return {m: (None, GainEstimate(metric=m, per_pick=0.0, per_draft=0.0, dollars=0.0)) for m in curves}
-    fit = fit_differential_curve(delta_rank, deltas, config.loess_span)
+    fit = fit_differential_curve(delta_rank, surplus.values(), config.loess_span)
     return {
         m: (curve, gain_estimate(curve, delta_rank, m, config.dollars))
         for m, curve in zip(curves, fit.split())
@@ -172,8 +172,8 @@ class Analysis:
         """Per-team mean gains and the tests over them."""
         cfg = self.config
         expected = self.expected(Ordering.CSS, cfg.metrics)
-        # one per-pick surplus table, read by the gains and both split halves
-        surplus = dict(zip(expected, differential_points(self.draft, self.ranks(Ordering.CSS), expected)[1]))
+        # per-pick surpluses, each row built anew where the gains and both split halves read it
+        surplus = differential_points(self.draft, self.ranks(Ordering.CSS), expected)[1]
         gains = team_gains(self.draft, surplus)
         tests: dict = {"normality": {}, "split_half": {}, "outliers": {}}
         for metric in cfg.metrics:

@@ -36,8 +36,9 @@ def team_gains(
     labels = draft.aligned(draft.columns.team, keep)
     teams, picks = np.unique(labels, return_counts=True)  # a bare np.unique imports numpy.ma
     team_of = teams.searchsorted(labels)
-    # bincount adds each team's surpluses in row order, year by year
-    means = {m: np.bincount(team_of, draft.aligned(row, keep)) / picks for m, row in surplus.items()}
+    # bincount adds each team's surpluses in row order, year by year; a
+    # metric's row is read inside it, so no earlier row is held meanwhile
+    means = {m: np.bincount(team_of, draft.aligned(surplus[m], keep)) / picks for m in surplus}
     return [
         TeamGain(team.decode(), int(picks[k]), {m: float(v[k]) for m, v in means.items()})
         for k, team in enumerate(teams.tolist())

@@ -70,16 +70,6 @@ def group_rows(draft: Draft, group: Optional[PositionGroup]) -> Optional[np.ndar
     return None if group is None else GROUP_OF_POSITION[draft.columns.position] == GROUPS.index(group)
 
 
-def _pairs(draft: Draft, ranks: np.ndarray, metrics: Sequence[Metric], keep: Optional[np.ndarray]):
-    """The pooled (rank, outcome) pairs in the rows of the mask ``keep``:
-    the ranks, and the outcomes of ``metrics`` as one float row each."""
-    x = draft.aligned(ranks, keep)
-    values = np.empty((len(metrics), len(x)))
-    for row, metric in zip(values, metrics):
-        row[:] = draft.aligned(draft.columns.metrics[metric], keep)
-    return x, values
-
-
 def expected_curve(
     draft: Draft,
     ranks: np.ndarray,
@@ -90,10 +80,31 @@ def expected_curve(
     """Smoothed expected outcome of each of ``metrics`` at each of the 210
     draft ranks, pooling (rank, outcome) pairs across years under one
     ordering: ``ranks`` holds its pooled rank array. The metrics share
-    their ranks, so one stacked fit gives every curve."""
-    x, values = _pairs(draft, ranks, metrics, group_rows(draft, group))
-    fit = loess_fit(x, values, grid=SELECTION_GRID, span=span)
+    their ranks, so one stacked fit, reading one metric column at a time,
+    gives every curve."""
+    keep = group_rows(draft, group)
+    outcomes = (draft.aligned(draft.columns.metrics[m], keep) for m in metrics)
+    fit = loess_fit(draft.aligned(ranks, keep), outcomes, grid=SELECTION_GRID, span=span)
     return dict(zip(metrics, fit.split()))
+
+
+class _Surplus(Mapping):
+    """Per-pick metric differentials over the rows of the mask ``keep``,
+    each built from the columns of ``draft`` when it is read and not kept."""
+
+    def __init__(self, draft: Draft, ranks: np.ndarray, curves: Mapping[Metric, SmoothCurve], keep):
+        self._draft, self._ranks, self._curves, self._keep = draft, ranks, curves, keep
+
+    def __getitem__(self, metric: Metric) -> np.ndarray:
+        expected = self._curves[metric](self._ranks)
+        outcome = self._draft.aligned(self._draft.columns.metrics[metric], self._keep)
+        return np.subtract(outcome, expected, out=expected)
+
+    def __iter__(self):
+        return iter(self._curves)
+
+    def __len__(self) -> int:
+        return len(self._curves)
 
 
 def differential_points(
@@ -101,19 +112,20 @@ def differential_points(
     css_order: np.ndarray,
     css_curves: Mapping[Metric, SmoothCurve],
     keep: Optional[np.ndarray] = None,
-) -> tuple[np.ndarray, np.ndarray]:
+) -> tuple[np.ndarray, Mapping[Metric, np.ndarray]]:
     """Per-player rank differential (actual slot minus integrated scouting
     rank; negative means the team reached ahead of the scouting consensus)
-    and, one row per metric of ``css_curves`` in its order, the metric
-    differential (realized outcome minus the expectation at the player's
-    scouting rank), pooled across the rows of the mask ``keep`` (None:
-    every row)."""
+    and, for each metric of ``css_curves``, the metric differential
+    (realized outcome minus the expectation at the player's scouting rank),
+    pooled across the rows of the mask ``keep`` (None: every row).
+
+    The metric differentials are a read-only mapping that builds a metric's
+    row each time it is read, so no (metrics, players) table is held."""
     # integer ranks read the curves at their nodes, and integer
     # differentials collapse their ties by bincount in the differential fit
-    ranks, deltas = _pairs(draft, css_order, list(css_curves), keep)
-    for row, curve in zip(deltas, css_curves.values()):
-        row -= curve(ranks)
-    return draft.aligned(draft.columns.selection, keep) - ranks, deltas
+    ranks = draft.aligned(css_order, keep)
+    surplus = _Surplus(draft, ranks, css_curves, keep)
+    return draft.aligned(draft.columns.selection, keep) - ranks, surplus
 
 
 def fit_differential_curve(
@@ -121,7 +133,8 @@ def fit_differential_curve(
 ) -> SmoothCurve:
     """Smooth the outcome surplus as a function of rank differential over the
     observed differential range; ``delta_metric`` is one row of surpluses
-    or a (metrics, players) array of them, fitted in one stacked call."""
+    or an iterable of such rows, one per metric, fitted in one stacked call
+    that reads them one at a time."""
     if len(delta_rank) < 10:
         raise ValueError("need at least 10 differential points")
     dr = np.asarray(delta_rank)

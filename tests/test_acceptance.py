@@ -208,7 +208,7 @@ def test_10_historical_reproduction():
     assert abs(pos - 56) <= 1 and abs(neg - 43) <= 1 and abs(zero - 1) <= 1
 
     curves = css_curves(classes, orderings, rc)
-    surplus = dict(zip(curves, differential_points(classes, orderings, curves)[1]))
+    _, surplus = differential_points(classes, orderings, curves)
     gains = team_gains(classes, surplus)
     for metric in Metric:
         assert normality_check(gains, metric).p_value > 0.1

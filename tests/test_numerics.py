@@ -249,6 +249,30 @@ class TestLoess:
 
         assert peak(y) <= peak(y[0]) + 2 * y[0].nbytes
 
+    def test_streamed_rows_match_the_stacked_fit(self):
+        # rows built on read, as the surplus rows are: each is dropped before
+        # the next is built, so at most one row adds to the one-response peak
+        x = np.tile(np.arange(1.0, 211.0), 5)
+        y = np.random.default_rng(0).normal(size=(3, len(x))) * 50 + x
+        stacked = loess_fit(x, y, grid=SELECTION_GRID).values
+        assert np.array_equal(loess_fit(x, iter(list(y)), grid=SELECTION_GRID).values, stacked)
+
+        def peak(responses):
+            tracemalloc.start()
+            try:
+                loess_fit(x, responses(), grid=SELECTION_GRID)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        peak(lambda: y[0])
+        assert peak(lambda: map(np.copy, y)) <= peak(lambda: y[0]) + y[0].nbytes
+
+    def test_a_streamed_row_must_have_one_value_per_x(self):
+        rows = iter([np.zeros(10), np.zeros(9)])
+        with pytest.raises(ValueError, match="values of x"):
+            loess_fit(np.arange(10.0), rows, grid=[1.0])
+
     @given(
         st.one_of(
             st.lists(st.integers(-20, 20), min_size=1, max_size=60),

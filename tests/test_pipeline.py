@@ -376,11 +376,12 @@ def test_the_load_peak_above_its_columns_at_40_years(tmp_path):
 
 
 def test_peak_memory_of_a_paper_scale_run(tmp_path):
-    # bound: the tracemalloc peak, 211,639-213,391 bytes, plus about 10%;
-    # artifacts written through csv.writer, which allocates a 128 KB record
-    # buffer on its first row, read 251,062
+    # bound: the tracemalloc peak, 187,439-188,471 bytes, plus about 10%;
+    # (metrics, picks) tables of outcomes and surpluses read 211,639-213,391,
+    # and artifacts written through csv.writer, which allocates a 128 KB
+    # record buffer on its first row, read 251,062
     draft = generate_synthetic_draft(SynthConfig(seed=0, years=5))
-    assert _peak(lambda: pipeline.run_pipeline(draft, RunConfig(), tmp_path)) <= 235_000
+    assert _peak(lambda: pipeline.run_pipeline(draft, RunConfig(), tmp_path)) <= 207_000
 
 
 def test_a_loaded_draft_holds_no_per_year_objects(tmp_path):
@@ -406,8 +407,9 @@ def test_a_loaded_draft_holds_no_per_year_objects(tmp_path):
 
 
 def test_peak_memory_of_the_team_stage_with_split_halves():
-    # bound: the tracemalloc peak, 197,678-197,838 bytes, plus about 10%; the
-    # halves mask the one surplus table of the stage, and computing each
+    # bound: the tracemalloc peak, 132,766 bytes, plus about 10%; the gains
+    # and halves build each metric's differentials as they read them, where
+    # one surplus table per stage read 197,470-197,838, and computing each
     # half's differentials after its mask read 207,917
     draft = generate_synthetic_draft(SynthConfig(seed=0, years=20))
     config = RunConfig(split_early=range(1998, 2008), split_late=range(2008, 2018))
@@ -426,7 +428,32 @@ def test_peak_memory_of_the_team_stage_with_split_halves():
     teams()
     peak, split_half = teams()
     assert set(split_half) == {m.value for m in Metric}
-    assert peak <= 218_000
+    assert peak <= 146_000
+
+
+def test_the_surplus_stage_holds_one_row_of_differentials():
+    # each metric's differentials are built when the fit reads them and
+    # dropped before the next: three metrics exceed TOI alone by 7,856 bytes,
+    # where a (metrics, picks) table exceeded it by 75,056
+    draft = generate_synthetic_draft(SynthConfig(seed=0, years=20))
+
+    def surplus(config):
+        def compute():
+            analysis = pipeline.Analysis(draft, config)
+            analysis.expected(Ordering.CSS, config.metrics)  # the curves and orderings it reads
+            gc.collect()
+            tracemalloc.start()
+            try:
+                analysis.surplus
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        compute()
+        return compute()
+
+    row = draft.columns.selection.size * np.dtype(float).itemsize
+    assert surplus(RunConfig()) - surplus(RunConfig(metrics=(Metric.TOI,))) < row
 
 
 def test_peak_memory_of_the_audit():
@@ -451,7 +478,7 @@ def test_peak_memory_of_the_audit():
 
 
 def test_the_team_stage_computes_the_differentials_once(paper5_csv, tmp_path, monkeypatch):
-    # the gains and both split halves read one per-pick surplus table
+    # the gains and both split halves read one per-pick surplus mapping
     calls = []
     compute = valuation.differential_points
 
@@ -509,10 +536,11 @@ def test_no_run_imports_numpy_ma(one_year_csv, tmp_path):
 
 
 def test_peak_memory_of_a_stratified_run(tmp_path):
-    # bound: the tracemalloc peak of this run, 345,945-346,364 bytes, plus
-    # about 10%; a draft that kept a DraftClass per year and joined per-class
-    # CSS ranks by np.concatenate read 359,709-361,003, and text columns as
-    # str and integer ties by np.unique read 433,982
+    # bound: the tracemalloc peak of this run, 274,832-275,690 bytes, plus
+    # about 10%; (metrics, picks) tables of outcomes and surpluses read
+    # 345,881-346,364, a draft that kept a DraftClass per year and joined
+    # per-class CSS ranks by np.concatenate read 359,709-361,003, and text
+    # columns as str and integer ties by np.unique read 433,982
     classes = generate_synthetic_draft(SynthConfig(seed=0, years=20))
     config = RunConfig(by_position=True)
     pipeline.run_pipeline(classes, config, tmp_path)
@@ -523,7 +551,7 @@ def test_peak_memory_of_a_stratified_run(tmp_path):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 381_000
+    assert peak <= 303_000
 
 
 def test_both_orderings_are_read_only_pooled_rank_arrays():

@@ -4,8 +4,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from draftvalue.cescin import CategoryFactors, css_ordering
-from draftvalue.core_model import Draft, Metric, RecordError
+from draftvalue.core_model import Draft, Metric, PositionGroup, RecordError
 from draftvalue.numerics import SmoothCurve
+from draftvalue.synth import SynthConfig, generate_synthetic_draft
 from draftvalue.valuation import (
     DollarConstants,
     ValueChart,
@@ -15,6 +16,7 @@ from draftvalue.valuation import (
     expected_curve,
     fit_differential_curve,
     gain_estimate,
+    group_rows,
     to_dollars,
 )
 
@@ -33,7 +35,7 @@ def differentials(records, curve=None, metric=Metric.GP):
     dc = make_class(records)
     curves = {metric: curve or linear_curve(0.0)}
     delta_rank, deltas = differential_points(Draft([dc]), css_ordering(dc, UNIT), curves)
-    return delta_rank, deltas[0]
+    return delta_rank, deltas[metric]
 
 
 def moved(n, selection, rank):
@@ -86,6 +88,22 @@ class TestMetricDifferential:
             for s in range(1, 13)
         ]
         assert differentials(records, curve, Metric.GP)[1][11] == pytest.approx(8.0)
+
+    def test_each_read_builds_outcome_minus_expectation(self):
+        draft = generate_synthetic_draft(SynthConfig(seed=0, years=2))
+        ranks = css_ordering(draft, UNIT)
+        curves = expected_curve(draft, ranks, list(Metric))
+        for keep in (None, group_rows(draft, PositionGroup.D)):
+            _, surplus = differential_points(draft, ranks, curves, keep)
+            assert list(surplus) == list(Metric)
+            at = ranks if keep is None else ranks[keep]
+            for metric in Metric:
+                outcome = draft.columns.metrics[metric]
+                want = (outcome if keep is None else outcome[keep]) - curves[metric](at)
+                assert surplus[metric].tobytes() == want.tobytes()
+                assert surplus[metric].tobytes() == surplus[metric].tobytes()
+            with pytest.raises(TypeError):
+                surplus[Metric.GP] = want
 
 
 class TestDifferentialCurve:
