@@ -76,7 +76,7 @@ def estimate_category_factors(
 
 def css_ordering(draft: Draft, factors: CategoryFactors) -> np.ndarray:
     """Integrated scouting rank of every row of ``draft``, filled class by
-    class into one read-only array: in each class a permutation of 1..N.
+    class into one read-only int16 array: in each class a permutation of 1..N.
 
     Listed players come first, ranked by value: a listed player's value is
     his category rank times the category factor. Unlisted players follow in
@@ -85,7 +85,7 @@ def css_ordering(draft: Draft, factors: CategoryFactors) -> np.ndarray:
     """
     c, bounds = draft.columns, draft.bounds
     factor = np.array([factors.for_category(k) if k in FACTOR_CATEGORIES else 0.0 for k in CATEGORIES])
-    ranks = np.empty(len(c.selection), dtype=np.int64)
+    ranks = np.empty(len(c.selection), dtype=np.int16)  # a class has at most MAX_SELECTION rows
     for lo, hi in zip(bounds, bounds[1:]):
         category = c.category[lo:hi]
         values = c.category_rank[lo:hi] * factor[category]  # 0 for the unlisted

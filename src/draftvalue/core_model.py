@@ -174,15 +174,17 @@ def first_invalid_row(rows: RawRows) -> Optional[tuple[int, RecordError]]:
 
 
 def impute(rows: RawRows, config: ImputationConfig) -> tuple[np.ndarray, np.ndarray]:
-    """The ``toi7`` and ``gvt7`` columns of valid rows after imputation.
+    """The ``toi7`` and ``gvt7`` columns of valid rows after imputation,
+    imputed in place: ``rows.toi7`` and ``rows.gvt7`` themselves.
 
     Players with no NHL games get the floor GVT value and zero TOI; goalies
     get a fixed number of minutes per game appeared.
     """
-    never_played = rows.gp7 == 0
-    toi7 = np.where(never_played, 0.0, rows.toi7)
-    toi7 = np.where(rows.position == _GOALIE, config.goalie_minutes_per_game * rows.gp7, toi7)
-    return toi7, np.where(never_played, config.never_played_gvt, rows.gvt7)
+    never_played, toi7, gvt7 = rows.gp7 == 0, rows.toi7, rows.gvt7
+    np.copyto(toi7, 0.0, where=never_played)
+    np.multiply(config.goalie_minutes_per_game, rows.gp7, out=toi7, where=rows.position == _GOALIE)
+    np.copyto(gvt7, config.never_played_gvt, where=never_played)
+    return toi7, gvt7
 
 
 @dataclass(frozen=True, eq=False)
@@ -297,16 +299,24 @@ class Draft(Sequence):
 def draft_classes(rows: RawRows, imputation: ImputationConfig) -> Draft:
     """Valid rows sorted by year and selection, imputed, as one ``Draft``
     over the columns of ``rows``, one class per year, whose rules are checked
-    once over the table. Missing selections within a year are logged."""
+    once over the table. It owns ``rows``: it imputes them in place and keeps
+    their columns, ``selection`` cast to int16 once each lies in
+    1..``MAX_SELECTION`` (else ``ValueError`` naming the year). Missing
+    selections within a year are logged."""
     if not rows.year.size:
         raise ValueError("a draft needs at least one row")
+    bounds = np.concatenate(([0], np.flatnonzero(np.diff(rows.year)) + 1, [rows.year.size]))
+    lo, hi, years = bounds[:-1], bounds[1:], rows.year[bounds[:-1]]
+    outside = np.flatnonzero((rows.selection < 1) | (rows.selection > MAX_SELECTION))
+    sels = rows.selection if outside.size else rows.selection.astype(np.int16)
     toi7, gvt7 = impute(rows, imputation)
-    table = dict(selection=rows.selection, position=rows.position, team=rows.team, name=rows.name,
+    table = dict(selection=sels, position=rows.position, team=rows.team, name=rows.name,
                  category=rows.css_category, category_rank=rows.css_category_rank)
     metrics = {Metric.GP: rows.gp7, Metric.TOI: toi7, Metric.GVT: gvt7}
-    bounds = np.concatenate(([0], np.flatnonzero(np.diff(rows.year)) + 1, [rows.year.size]))
-    lo, hi, years, sels = bounds[:-1], bounds[1:], rows.year[bounds[:-1]], rows.selection
     draft = Draft.over(DraftColumns(**table, metrics=metrics), years.tolist(), bounds.tolist())
+    if outside.size:  # after the class rules, which the uncast column still checks
+        i = outside[0]
+        raise ValueError(f"year {rows.year[i]}: selection {rows.selection[i]} outside 1..{MAX_SELECTION}")
     for i in np.flatnonzero(sels[hi - 1] - sels[lo] >= hi - lo):
         missing = np.setdiff1d(np.arange(sels[lo[i]], sels[hi[i] - 1] + 1), sels[lo[i] : hi[i]])
         logger.info("year %d: missing selection(s) %s", years[i], missing.tolist())

@@ -155,10 +155,21 @@ def _join(parts: list[dict]) -> dict:
     return {field: np.concatenate([part.pop(field) for part in parts]) for field in list(parts[0])}
 
 
+def _block(parts: list[dict]) -> dict:
+    """``parts`` joined, with ``year`` and ``line`` as int16 where their values fit."""
+    block = _join(parts)
+    for field in ("year", "line"):
+        column = block[field]
+        if not column.size or (column.min() >= -(2**15) and column.max() < 2**15):
+            block[field] = column.astype(np.int16)
+    return block
+
+
 def _read(path: Path):
     """Parsed columns of the rows of a draft CSV up to its first row that
     does not parse, in file order, and that row's error as (line, message)
-    or None. A ``csv.Error`` is the error of the row being read."""
+    or None. A ``csv.Error`` is the error of the row being read. ``year`` and
+    ``line`` are int16 when every block's values fit, else int64."""
     blocks, parts, error = [], [], None
     with path.open(newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
@@ -185,11 +196,11 @@ def _read(path: Path):
             error = row_error or error  # a row that does not parse comes before the csv error
             parts.append(cols)
             if len(parts) == BLOCK_CHUNKS:
-                blocks.append(_join(parts))
+                blocks.append(_block(parts))
                 parts = []
             if error is not None or not lines.size:
                 break
-    return _join([*blocks, _join(parts)] if parts else blocks), error
+    return _join([*blocks, _block(parts)] if parts else blocks), error
 
 
 def load_draft_csv(
@@ -228,18 +239,20 @@ def load_draft_csv(
     invalid = first_invalid_row(RawRows(**cols))
     if invalid is not None:
         invalid = (int(line[invalid[0]]), str(invalid[1]))
-    order = np.lexsort((cols["selection"], cols["year"]))
-    line = line[order]
-    for field in cols:
-        cols[field] = cols[field][order]
     year, selection = cols["year"], cols["selection"]
+    if (year[1:] < year[:-1]).any() or ((year[1:] == year[:-1]) & (selection[1:] < selection[:-1])).any():
+        order = np.lexsort((selection, year))  # files come sorted: only one out of order is permuted
+        for field in cols:
+            cols[field] = cols[field][order]
+        line, year, selection = line[order], cols["year"], cols["selection"]
+        del order
     # a stable sort keeps file order within a slot: each later row is a duplicate
     later = np.flatnonzero((year[1:] == year[:-1]) & (selection[1:] == selection[:-1])) + 1
     duplicate = None
     if later.size:
         i = later[np.argmin(line[later])]
         duplicate = (int(line[i]), f"duplicate selection {selection[i]} in year {year[i]}")
-    del past, order, line, later  # not held while the draft is built
+    del past, line, later  # not held while the draft is built
     errors = [e for e in (invalid, duplicate, error) if e is not None]
     if errors:  # the least line; on a tie the row's own error came first
         raise DataError("line %d: %s" % min(errors, key=lambda e: e[0]))

@@ -54,7 +54,8 @@ class SmoothCurve:
         x = np.asarray(x)
         first = self._first_node
         if first is not None and x.dtype.kind == "i":
-            node = x.astype(np.int64, copy=False).clip(first, first + len(self.grid) - 1)
+            node = x.astype(np.intp)  # one copy, clipped and shifted in place, for any integer dtype
+            np.clip(node, first, first + len(self.grid) - 1, out=node)
             node -= first
             out = self.values[..., node]
         else:
@@ -77,17 +78,9 @@ def _as_weighted(x, y, w):
     return x, y, w
 
 
-def tricube(u: np.ndarray) -> np.ndarray:
-    """Tricube kernel (1 - u^3)^3 on [0, 1], zero outside, of an array u.
-
-    Works in two arrays the size of u, without changing u.
-    """
-    return _tricube(np.abs(u))
-
-
 def _tricube(u: np.ndarray) -> np.ndarray:
-    """``tricube`` of a non-negative array u, written over u, with one more
-    array the size of u."""
+    """Tricube kernel (1 - u^3)^3 on [0, 1], zero beyond, of a non-negative
+    array u, written over u, with one more array the size of u."""
     np.minimum(u, 1.0, out=u)
     c = u * u
     c *= u

@@ -195,7 +195,7 @@ class Analysis:
 
 
 def _write_json(path: Path, obj) -> Path:
-    path.write_text(json.dumps(obj, indent=2))
+    path.write_text(json.dumps(obj, indent=2, allow_nan=False))  # strict JSON: NaN or inf raise
     return path
 
 

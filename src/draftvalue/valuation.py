@@ -183,14 +183,13 @@ def gain_estimate(
     metric: Metric,
     constants: DollarConstants = DollarConstants(),
 ) -> GainEstimate:
+    """The gain per pick, per draft and in dollars; ``ValueError`` if one is not finite."""
     per_pick = average_gain(curve, delta_ranks)
     per_draft = per_pick * constants.picks_per_season
-    return GainEstimate(
-        metric=metric,
-        per_pick=per_pick,
-        per_draft=per_draft,
-        dollars=to_dollars(per_draft, metric, constants),
-    )
+    dollars = to_dollars(per_draft, metric, constants)
+    if not all(map(math.isfinite, (per_pick, per_draft, dollars))):
+        raise ValueError(f"{metric.value} gain not finite: {per_pick} a pick, {per_draft} a draft, {dollars} dollars")
+    return GainEstimate(metric, per_pick, per_draft, dollars)
 
 
 def draft_value_chart(toi_curve: SmoothCurve) -> ValueChart:

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from draftvalue.core_model import (
+    POSITIONS,
     CssCategory,
     Draft,
     DraftColumns,
@@ -71,6 +72,30 @@ class TestNormalize:
                 assert once == (0.0, -30.0)
             if pos is Position.G:
                 assert toi7 - 20 * gp == 0.0
+
+    def test_in_place_imputation_matches_the_where_formula_bit_for_bit(self, rng):
+        # goalies and skaters, some never played; given, blank and negative-zero outcomes
+        records = [
+            make_record(
+                selection=i + 1,
+                position=Position.G if i % 3 == 0 else Position.D,
+                css_category=CssCategory.NA_GOALIE if i % 3 == 0 else CssCategory.NA_SKATER,
+                gp7=0 if i % 4 == 0 else int(rng.integers(1, 500)),
+                toi7=None if i % 5 == 0 else (-0.0 if i % 7 == 0 else float(rng.uniform(0, 9000))),
+                gvt7=None if i % 6 == 0 else float(rng.normal(0, 20)),
+            )
+            for i in range(60)
+        ]
+        rows = raw_rows(records)
+        config = ImputationConfig(never_played_gvt=-31.7, goalie_minutes_per_game=19.3)
+        never_played, goalie = rows.gp7 == 0, rows.position == POSITIONS.index(Position.G)
+        want_toi = np.where(goalie, config.goalie_minutes_per_game * rows.gp7, np.where(never_played, 0.0, rows.toi7))
+        want_gvt = np.where(never_played, config.never_played_gvt, rows.gvt7)
+        toi7, gvt7 = impute(rows, config)
+        assert toi7 is rows.toi7 and gvt7 is rows.gvt7  # written in place
+        assert toi7.tobytes() == want_toi.tobytes() and gvt7.tobytes() == want_gvt.tobytes()
+        toi7, gvt7 = impute(rows, config)
+        assert toi7.tobytes() == want_toi.tobytes() and gvt7.tobytes() == want_gvt.tobytes()
 
     def test_custom_imputation_constants(self):
         cfg = ImputationConfig(never_played_gvt=-25.0, goalie_minutes_per_game=18.0)
@@ -314,6 +339,13 @@ class TestDraft:
         with pytest.raises(ValueError) as one:
             one_class(1999, resized(make_class([make_record()]).columns, selections))
         assert str(one.value) == str(table.value)
+
+    @pytest.mark.parametrize("selection", [211, 0])
+    def test_draft_classes_reject_a_selection_outside_the_top_210(self, selection):
+        years = {1998: [1, 2, 3], 1999: sorted([2, selection]), 2000: [4, 5]}
+        records = [make_record(year=y, selection=s, css_category_rank=1) for y, sels in years.items() for s in sels]
+        with pytest.raises(ValueError, match=f"^year 1999: selection {selection} outside 1..210$"):
+            draft_classes(raw_rows(records), ImputationConfig())
 
     @pytest.mark.parametrize("source", ["loader", "synth"])
     def test_built_classes_are_views_of_the_draft_columns(self, source, tmp_path):

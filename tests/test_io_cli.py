@@ -326,6 +326,36 @@ def test_row_order_and_blank_lines_do_not_change_the_classes(order, blanks):
             assert got.columns.metrics[metric].dtype == want.columns.metrics[metric].dtype
 
 
+def test_reversed_rows_load_to_the_same_columns_and_duplicate_line(tmp_path):
+    # 1,050 rows span two blocks; the sorted file skips the permutation, the reversed one takes it
+    path = tmp_path / "sorted.csv"
+    write_draft_csv(generate_synthetic_draft(SynthConfig(seed=0, years=5)), path)
+    header, *rows = path.read_text(encoding="utf-8").splitlines()
+    flipped = write_csv(tmp_path, rows[::-1], "reversed.csv")
+    want, got = load_draft_csv(path), load_draft_csv(flipped)
+    assert got.years == want.years and got.bounds == want.bounds
+    got_columns = arrays(got.columns)
+    for name, column in arrays(want.columns).items():
+        assert got_columns[name].dtype == column.dtype and np.array_equal(got_columns[name], column), name
+    assert want.columns.selection.dtype == np.int16
+    # a copy of a row planted on the last line is the duplicate in both orders
+    for name, body in (("sorted", rows), ("reversed", rows[::-1])):
+        planted = write_csv(tmp_path, [*body, rows[300]], f"{name}_planted.csv")
+        with pytest.raises(DataError, match=f"^line {len(rows) + 2}: duplicate selection 91 in year 1999$"):
+            load_draft_csv(planted)
+
+
+def test_years_past_int16_load_in_a_later_block(tmp_path):
+    # 8 years of 128 picks fill the first block, whose years fit int16, and
+    # the last year, past int16, is the next block: the join widens the years
+    assert 8 * 128 == BLOCK_CHUNKS * CHUNK_ROWS
+    path = tmp_path / "draft.csv"
+    write_draft_csv(generate_synthetic_draft(SynthConfig(seed=0, years=9, picks_per_year=128)), path)
+    text = path.read_text(encoding="utf-8").replace("\n2006,", "\n40006,")
+    draft = load_draft_csv(write_csv(tmp_path, text.splitlines()[1:], "wide.csv"))
+    assert draft.years == (*range(1998, 2006), 40006)
+
+
 class TestConfigFile:
     def test_defaults(self):
         cfg = parse_config_text("")

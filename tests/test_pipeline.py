@@ -9,6 +9,7 @@ import importlib.util
 import inspect
 import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -197,6 +198,29 @@ def test_too_few_differentials_leave_no_artifacts(tmp_path, capsys):
     assert _tree(out) == {}
 
 
+def test_a_non_finite_gain_fails_the_surplus_stage(paper5_csv, tmp_path, capsys):
+    # accepted constants whose dollars overflow to inf
+    config = tmp_path / "huge.cfg"
+    config.write_text("dollars.salary_per_game = 1e308\n", encoding="utf-8")
+    out = tmp_path / "out"
+    assert main(["run", str(paper5_csv), "--config", str(config), "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert "stage surplus" in err and "not finite" in err and "Traceback" not in err
+    assert _tree(out) == {}
+
+
+def _strict_constant(name):
+    raise ValueError(f"{name} in strict JSON")
+
+
+def test_every_json_artifact_of_a_default_run_parses_strictly(paper5_csv, tmp_path):
+    assert main(["run", str(paper5_csv), "--out", str(tmp_path)]) == 0
+    artifacts = sorted(tmp_path.rglob("*.json"))
+    assert len(artifacts) == 4
+    for path in artifacts:
+        json.loads(path.read_text(encoding="utf-8"), parse_constant=_strict_constant)
+
+
 def test_failure_in_a_dependency_names_the_dependency(tmp_path, monkeypatch):
     monkeypatch.setattr(pipeline, "build_orderings", _boom)
     classes = generate_synthetic_draft(SynthConfig(seed=2, years=1))
@@ -264,13 +288,18 @@ def test_csv_artifacts_are_the_bytes_csv_writer_gives(tmp_path_factory, teams, m
         chart=ValueChart(chart),
     )
     pipeline._write_teams(analysis, out)
-    pipeline._write_audit(analysis, out)
     pipeline._write_chart(analysis, out)
     header = ["team", "picks"] + [f"mean_gain_{m.value}" for m in metrics]
     rows = [[g.team, g.picks] + [f"{g.mean_gain[m]:.4f}" for m in metrics] for g in gains]
     assert (out / "teams.csv").read_bytes() == _csv_writer_bytes(header, rows)
     rows = analysis.audit.rows()
-    assert (out / "audit.csv").read_bytes() == _csv_writer_bytes(list(rows[0]), (r.values() for r in rows))
+    if all(math.isfinite(v) for c in cells.values() for v in (c.optimal_pct, c.nearly_optimal_pct)):
+        pipeline._write_audit(analysis, out)
+        assert (out / "audit.csv").read_bytes() == _csv_writer_bytes(list(rows[0]), (r.values() for r in rows))
+    else:  # audit.json is strict JSON: a non-finite cell fails before either file is written
+        with pytest.raises(ValueError, match="not JSON compliant"):
+            pipeline._write_audit(analysis, out)
+        assert not (out / "audit.json").exists() and not (out / "audit.csv").exists()
     assert (out / "chart.csv").read_bytes() == _csv_writer_bytes(["selection", "value"], analysis.chart.rows())
 
 
@@ -364,24 +393,27 @@ def test_peak_memory_of_the_record_rules(tmp_path, monkeypatch):
 
 
 def test_the_load_peak_above_its_columns_at_40_years(tmp_path):
-    # bound: the peak beyond the loaded columns' nbytes (453,600),
-    # 343,627-343,899 bytes, plus about 10%; 256-row batches joined once at
-    # the end, the rule masks stacked into one array and the sort order held
-    # while the draft was built read 502,073
+    # bound: the peak beyond the loaded columns' nbytes (403,200), 293,691
+    # bytes, plus about 10%; int64 selections, years and lines, imputation
+    # into new arrays and a sorted copy of every column of a sorted file
+    # read 329,307 beyond 453,600; 256-row batches joined once at the end,
+    # the rule masks stacked into one array and the sort order held while
+    # the draft was built read 502,073
     path = tmp_path / "input.csv"
     write_draft_csv(generate_synthetic_draft(SynthConfig(seed=0, years=40)), path)
     drafts = []
     peak = _peak(lambda: drafts.append(load_draft_csv(path)))
-    assert peak - _table_bytes(drafts[-1]) <= 378_000
+    assert peak - _table_bytes(drafts[-1]) <= 323_000
 
 
 def test_peak_memory_of_a_paper_scale_run(tmp_path):
-    # bound: the tracemalloc peak, 187,439-188,471 bytes, plus about 10%;
-    # (metrics, picks) tables of outcomes and surpluses read 211,639-213,391,
-    # and artifacts written through csv.writer, which allocates a 128 KB
-    # record buffer on its first row, read 251,062
+    # bound: the tracemalloc peak, 175,209 bytes, plus about 10%; int64
+    # rank arrays read 187,439-188,471, (metrics, picks) tables of outcomes
+    # and surpluses read 211,639-213,391, and artifacts written through
+    # csv.writer, which allocates a 128 KB record buffer on its first row,
+    # read 251,062
     draft = generate_synthetic_draft(SynthConfig(seed=0, years=5))
-    assert _peak(lambda: pipeline.run_pipeline(draft, RunConfig(), tmp_path)) <= 207_000
+    assert _peak(lambda: pipeline.run_pipeline(draft, RunConfig(), tmp_path)) <= 193_000
 
 
 def test_a_loaded_draft_holds_no_per_year_objects(tmp_path):
@@ -536,9 +568,9 @@ def test_no_run_imports_numpy_ma(one_year_csv, tmp_path):
 
 
 def test_peak_memory_of_a_stratified_run(tmp_path):
-    # bound: the tracemalloc peak of this run, 274,832-275,690 bytes, plus
-    # about 10%; (metrics, picks) tables of outcomes and surpluses read
-    # 345,881-346,364, a draft that kept a DraftClass per year and joined
+    # bound: the tracemalloc peak of this run, 245,707 bytes, plus about
+    # 10%; int64 rank arrays read 274,832-276,176, (metrics, picks) tables
+    # of outcomes and surpluses read 345,881-346,364, a draft that kept a DraftClass per year and joined
     # per-class CSS ranks by np.concatenate read 359,709-361,003, and text
     # columns as str and integer ties by np.unique read 433,982
     classes = generate_synthetic_draft(SynthConfig(seed=0, years=20))
@@ -551,7 +583,7 @@ def test_peak_memory_of_a_stratified_run(tmp_path):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 303_000
+    assert peak <= 270_000
 
 
 def test_both_orderings_are_read_only_pooled_rank_arrays():
@@ -569,6 +601,27 @@ def test_both_orderings_are_read_only_pooled_rank_arrays():
         with pytest.raises(ValueError, match="read-only"):
             got[0] = 0
     assert analysis.ranks(Ordering.TEAM) is classes.columns.selection
+
+
+@pytest.mark.parametrize("source", ["loader", "synth"])
+def test_ranks_are_read_only_int16_under_both_orderings(source, paper5_csv):
+    draft = load_draft_csv(paper5_csv) if source == "loader" else generate_synthetic_draft(SynthConfig(seed=0, years=5))
+    assert draft.columns.selection.dtype == np.int16
+    analysis = pipeline.Analysis(draft, RunConfig())
+    for ordering in Ordering:
+        ranks = analysis.ranks(ordering)
+        assert ranks.dtype == np.int16 and not ranks.flags.writeable
+
+
+def test_int64_selections_write_the_same_artifacts(tmp_path):
+    draft = generate_synthetic_draft(SynthConfig(seed=0, years=5))
+    wide = Draft.over(
+        dataclasses.replace(draft.columns, selection=draft.columns.selection.astype(np.int64)), draft.years, draft.bounds
+    )
+    config = RunConfig(by_position=True)
+    pipeline.run_pipeline(draft, config, tmp_path / "int16")
+    pipeline.run_pipeline(wide, config, tmp_path / "int64")
+    assert _tree(tmp_path / "int64") == _tree(tmp_path / "int16") != {}
 
 
 FLAT = {m: SmoothCurve(SELECTION_GRID, np.zeros(210)) for m in Metric}
