@@ -69,7 +69,7 @@ def estimate_category_factors(
             continue
         if n < 2:
             raise ValueError(f"category {cat.value}: need >= 2 ranked drafted players, got {n}")
-        r, s = c.category_rank[listed], c.selection[listed]
+        r, s = c.category_rank[listed].astype(np.int64), c.selection[listed]  # int16 @ int16 wraps
         factors[key] = int(r @ s) / int(r @ r)
     return CategoryFactors(**factors)
 

@@ -104,6 +104,13 @@ _UNRANKED = CATEGORIES.index(CssCategory.UNRANKED)
 GROUP_OF_POSITION = np.array([GROUPS.index(position_group(p)) for p in POSITIONS], np.int8)
 
 
+def narrowed(column: np.ndarray) -> np.ndarray:
+    """``column`` as int16 when every value fits, else ``column`` unchanged."""
+    if column.size and (column.min() < -(2**15) or column.max() >= 2**15):
+        return column
+    return column.astype(np.int16, copy=False)
+
+
 @dataclass(frozen=True, eq=False)
 class RawRows:
     """Parsed fields of player rows, before validation and imputation.
@@ -178,11 +185,15 @@ def impute(rows: RawRows, config: ImputationConfig) -> tuple[np.ndarray, np.ndar
     imputed in place: ``rows.toi7`` and ``rows.gvt7`` themselves.
 
     Players with no NHL games get the floor GVT value and zero TOI; goalies
-    get a fixed number of minutes per game appeared.
+    get a fixed number of minutes per game appeared. ``ValueError`` when an
+    imputed TOI is not finite.
     """
     never_played, toi7, gvt7 = rows.gp7 == 0, rows.toi7, rows.gvt7
     np.copyto(toi7, 0.0, where=never_played)
-    np.multiply(config.goalie_minutes_per_game, rows.gp7, out=toi7, where=rows.position == _GOALIE)
+    with np.errstate(over="ignore"):  # an overflow is reported below, not warned
+        np.multiply(config.goalie_minutes_per_game, rows.gp7, out=toi7, where=rows.position == _GOALIE)
+    if np.isinf(toi7).any():
+        raise ValueError(f"impute.goalie_minutes_per_game = {config.goalie_minutes_per_game!r}: imputed TOI not finite")
     np.copyto(gvt7, config.never_played_gvt, where=never_played)
     return toi7, gvt7
 
@@ -301,8 +312,8 @@ def draft_classes(rows: RawRows, imputation: ImputationConfig) -> Draft:
     over the columns of ``rows``, one class per year, whose rules are checked
     once over the table. It owns ``rows``: it imputes them in place and keeps
     their columns, ``selection`` cast to int16 once each lies in
-    1..``MAX_SELECTION`` (else ``ValueError`` naming the year). Missing
-    selections within a year are logged."""
+    1..``MAX_SELECTION`` (else ``ValueError`` naming the year), games and
+    category ranks ``narrowed``. Missing selections within a year are logged."""
     if not rows.year.size:
         raise ValueError("a draft needs at least one row")
     bounds = np.concatenate(([0], np.flatnonzero(np.diff(rows.year)) + 1, [rows.year.size]))
@@ -311,8 +322,8 @@ def draft_classes(rows: RawRows, imputation: ImputationConfig) -> Draft:
     sels = rows.selection if outside.size else rows.selection.astype(np.int16)
     toi7, gvt7 = impute(rows, imputation)
     table = dict(selection=sels, position=rows.position, team=rows.team, name=rows.name,
-                 category=rows.css_category, category_rank=rows.css_category_rank)
-    metrics = {Metric.GP: rows.gp7, Metric.TOI: toi7, Metric.GVT: gvt7}
+                 category=rows.css_category, category_rank=narrowed(rows.css_category_rank))
+    metrics = {Metric.GP: narrowed(rows.gp7), Metric.TOI: toi7, Metric.GVT: gvt7}
     draft = Draft.over(DraftColumns(**table, metrics=metrics), years.tolist(), bounds.tolist())
     if outside.size:  # after the class rules, which the uncast column still checks
         i = outside[0]

@@ -5,6 +5,7 @@ at the same position."""
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
@@ -138,13 +139,16 @@ def replay_flags(
 
 
 def half_sd_thresholds(draft: Draft, metrics: Iterable[Metric]) -> dict[Metric, float]:
-    """Half of the pooled standard deviation (n-1 denominator) per metric."""
+    """Half of the pooled standard deviation (n-1 denominator) per metric;
+    ``ValueError`` when one is not finite."""
     out = {}
     for metric in metrics:
         values = draft.columns.metrics[metric]
         if values.size < 2:
             raise ValueError("need at least 2 records")
         out[metric] = float(np.std(values, ddof=1)) / 2.0
+        if not math.isfinite(out[metric]):
+            raise ValueError(f"half the standard deviation of {metric.value} is not finite")
     return out
 
 

@@ -27,6 +27,7 @@ from .core_model import (
     RawRows,
     draft_classes,
     first_invalid_row,
+    narrowed,
 )
 
 logger = logging.getLogger("draftvalue")
@@ -156,20 +157,19 @@ def _join(parts: list[dict]) -> dict:
 
 
 def _block(parts: list[dict]) -> dict:
-    """``parts`` joined, with ``year`` and ``line`` as int16 where their values fit."""
+    """``parts`` joined, with ``year``, ``line``, ``gp7`` and ``css_category_rank`` ``narrowed``."""
     block = _join(parts)
-    for field in ("year", "line"):
-        column = block[field]
-        if not column.size or (column.min() >= -(2**15) and column.max() < 2**15):
-            block[field] = column.astype(np.int16)
+    for field in ("year", "line", "gp7", "css_category_rank"):
+        block[field] = narrowed(block[field])
     return block
 
 
 def _read(path: Path):
     """Parsed columns of the rows of a draft CSV up to its first row that
     does not parse, in file order, and that row's error as (line, message)
-    or None. A ``csv.Error`` is the error of the row being read. ``year`` and
-    ``line`` are int16 when every block's values fit, else int64."""
+    or None. A ``csv.Error`` is the error of the row being read. ``year``,
+    ``line``, ``gp7`` and ``css_category_rank`` are int16 when every block's
+    values fit, else int64."""
     blocks, parts, error = [], [], None
     with path.open(newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)

@@ -90,12 +90,14 @@ def surplus_for_metric(
 def _fails_as(stage: str, compute):
     """``compute`` with any failure reported as a ``PipelineError`` of
     ``stage``; a ``PipelineError`` from a stage it reads passes through, so
-    the error names the stage that failed, not the one that asked."""
+    the error names the stage that failed, not the one that asked. A float
+    overflow or invalid operation raises, not warns."""
 
     @wraps(compute)
     def wrapper(*args, **kwargs):
         try:
-            return compute(*args, **kwargs)
+            with np.errstate(over="raise", invalid="raise"):
+                return compute(*args, **kwargs)
         except PipelineError:
             raise
         except Exception as exc:

@@ -35,7 +35,7 @@ def team_gains(
     """
     labels = draft.aligned(draft.columns.team, keep)
     teams, picks = np.unique(labels, return_counts=True)  # a bare np.unique imports numpy.ma
-    team_of = teams.searchsorted(labels)
+    team_of = teams.searchsorted(labels).astype(np.min_scalar_type(-len(teams)))
     # bincount adds each team's surpluses in row order, year by year; a
     # metric's row is read inside it, so no earlier row is held meanwhile
     means = {m: np.bincount(team_of, draft.aligned(surplus[m], keep)) / picks for m in surplus}

@@ -54,6 +54,21 @@ class TestEstimateFactors:
         with pytest.raises(ValueError, match="NA_GOALIE"):
             estimate_category_factors(Draft([make_class(records)]))
 
+    def test_int16_ranks_whose_products_pass_int16(self):
+        # 250 listed ranks over two classes: r @ r is 5,239,625, which an
+        # int16 product would wrap
+        pairs = {1998: [(rank, rank) for rank in range(1, 211)], 1999: [(rank, rank - 210) for rank in range(211, 251)]}
+        records = [
+            make_record(year=year, selection=sel, css_category_rank=rank)
+            for year, year_pairs in pairs.items()
+            for rank, sel in year_pairs
+        ]
+        draft = Draft([make_class([r for r in records if r.year == year]) for year in pairs])
+        assert draft.columns.category_rank.dtype == np.int16
+        every = [pair for year_pairs in pairs.values() for pair in year_pairs]
+        want = sum(rank * sel for rank, sel in every) / sum(rank * rank for rank, _ in every)
+        assert estimate_category_factors(draft).na_skater == want
+
     def test_override_skips_estimation(self):
         dc = class_from_pairs([(1, 2), (2, 4)])
         factors = estimate_category_factors(Draft([dc]), overrides={"na_skater": 1.5})

@@ -267,7 +267,7 @@ class TestDraft:
         assert len(draft) == 2 and draft.bounds == (0, 5, 8) and draft.years == (1998, 1999)
         assert draft.columns.selection.tolist() == [1, 2, 3, 4, 5, 1, 2, 3]
         gp = np.concatenate([dc.columns.metrics[Metric.GP] for dc in classes])
-        assert np.array_equal(draft.columns.metrics[Metric.GP], gp) and gp.dtype == np.int64
+        assert np.array_equal(draft.columns.metrics[Metric.GP], gp) and gp.dtype == np.int16
         # each class is built when read, with the year and columns of the class it joined
         for i, want in enumerate(classes):
             for got in (draft[i], draft[i - len(classes)], list(draft)[i]):

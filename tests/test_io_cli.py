@@ -356,6 +356,32 @@ def test_years_past_int16_load_in_a_later_block(tmp_path):
     assert draft.years == (*range(1998, 2006), 40006)
 
 
+@pytest.mark.parametrize("field", ["gp7", "css_category_rank"])
+def test_games_and_category_ranks_past_int16_load_in_a_later_block(field, tmp_path):
+    # the last row given a value lies in the second block: a value past
+    # int16 there keeps that block's column int64, and the join widens the
+    # first block to it
+    path = tmp_path / "draft.csv"
+    write_draft_csv(generate_synthetic_draft(SynthConfig(seed=0, years=9, picks_per_year=128)), path)
+    with path.open(newline="", encoding="utf-8") as fh:
+        header, *rows = csv.reader(fh)
+    want = load_draft_csv(path)
+    column = header.index(field)
+    i = max(i for i, row in enumerate(rows) if row[column])
+    assert i >= BLOCK_CHUNKS * CHUNK_ROWS
+    rows[i][column] = "40000"
+    wide = tmp_path / "wide.csv"
+    with wide.open("w", newline="", encoding="utf-8") as fh:
+        csv.writer(fh).writerows([header, *rows])
+    got = load_draft_csv(wide)
+    got_column, want_column = (
+        d.columns.metrics[Metric.GP] if field == "gp7" else d.columns.category_rank for d in (got, want)
+    )
+    assert want_column.dtype == np.int16 and got_column.dtype == np.int64
+    assert got_column[i] == 40000
+    assert np.array_equal(np.delete(got_column, i), np.delete(want_column, i))
+
+
 class TestConfigFile:
     def test_defaults(self):
         cfg = parse_config_text("")

@@ -14,6 +14,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
+import warnings
 from collections import Counter
 from pathlib import Path
 from types import SimpleNamespace
@@ -209,6 +210,25 @@ def test_a_non_finite_gain_fails_the_surplus_stage(paper5_csv, tmp_path, capsys)
     assert _tree(out) == {}
 
 
+@pytest.mark.parametrize("line, stage", [
+    ("impute.never_played_gvt = 1e308", "stage audit"),
+    ("impute.never_played_gvt = -1e308", "stage audit"),
+    ("impute.goalie_minutes_per_game = 1e308", "impute.goalie_minutes_per_game"),
+])
+def test_an_imputed_value_that_overflows_fails_without_a_warning(line, stage, paper5_csv, tmp_path, capsys):
+    # accepted constants whose sums of squares, or imputed TOI, overflow
+    config = tmp_path / "huge.cfg"
+    config.write_text(line + "\n", encoding="utf-8")
+    out = tmp_path / "out"
+    with warnings.catch_warnings(record=True) as caught:  # pytest would hide them from stderr
+        warnings.simplefilter("always")
+        assert main(["run", str(paper5_csv), "--config", str(config), "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert stage in err and "Warning" not in err and "Traceback" not in err
+    assert not caught
+    assert not out.exists() or _tree(out) == {}
+
+
 def _strict_constant(name):
     raise ValueError(f"{name} in strict JSON")
 
@@ -392,6 +412,14 @@ def test_peak_memory_of_the_record_rules(tmp_path, monkeypatch):
     assert _peak(lambda: first_invalid_row(rows)) <= 47_500
 
 
+def test_the_load_peak_at_40_years(tmp_path):
+    # bound: the tracemalloc peak, 610,875 bytes, plus about 10%; games and
+    # category ranks held as int64 from the first parsed block read 696,891
+    path = tmp_path / "input.csv"
+    write_draft_csv(generate_synthetic_draft(SynthConfig(seed=0, years=40)), path)
+    assert _peak(lambda: load_draft_csv(path)) <= 672_000
+
+
 def test_the_load_peak_above_its_columns_at_40_years(tmp_path):
     # bound: the peak beyond the loaded columns' nbytes (403,200), 293,691
     # bytes, plus about 10%; int64 selections, years and lines, imputation
@@ -439,10 +467,11 @@ def test_a_loaded_draft_holds_no_per_year_objects(tmp_path):
 
 
 def test_peak_memory_of_the_team_stage_with_split_halves():
-    # bound: the tracemalloc peak, 132,766 bytes, plus about 10%; the gains
-    # and halves build each metric's differentials as they read them, where
-    # one surplus table per stage read 197,470-197,838, and computing each
-    # half's differentials after its mask read 207,917
+    # bound: the tracemalloc peak, 119,858 bytes, plus about 10%; int64
+    # games, category ranks and team codes read 134,134 (bound 146,000); the
+    # gains and halves build each metric's differentials as they read them,
+    # where one surplus table per stage read 197,470-197,838, and computing
+    # each half's differentials after its mask read 207,917
     draft = generate_synthetic_draft(SynthConfig(seed=0, years=20))
     config = RunConfig(split_early=range(1998, 2008), split_late=range(2008, 2018))
 
@@ -460,7 +489,7 @@ def test_peak_memory_of_the_team_stage_with_split_halves():
     teams()
     peak, split_half = teams()
     assert set(split_half) == {m.value for m in Metric}
-    assert peak <= 146_000
+    assert peak <= 131_000
 
 
 def test_the_surplus_stage_holds_one_row_of_differentials():
@@ -489,9 +518,9 @@ def test_the_surplus_stage_holds_one_row_of_differentials():
 
 
 def test_peak_memory_of_the_audit():
-    # bound: the tracemalloc peak, 188,224-192,512 bytes, plus about 10%; one
-    # run of whole classes replays at a time, and replaying all 20 years as
-    # one run read 403,926
+    # bound: the tracemalloc peak, 172,912 bytes, plus about 10%; int64
+    # games read 187,408 (bound 210,000); one run of whole classes replays
+    # at a time, and replaying all 20 years as one run read 403,926
     draft = generate_synthetic_draft(SynthConfig(seed=0, years=20))
 
     def audit():
@@ -506,7 +535,7 @@ def test_peak_memory_of_the_audit():
             tracemalloc.stop()
 
     audit()
-    assert audit() <= 210_000
+    assert audit() <= 190_000
 
 
 def test_the_team_stage_computes_the_differentials_once(paper5_csv, tmp_path, monkeypatch):
@@ -611,6 +640,31 @@ def test_ranks_are_read_only_int16_under_both_orderings(source, paper5_csv):
     for ordering in Ordering:
         ranks = analysis.ranks(ordering)
         assert ranks.dtype == np.int16 and not ranks.flags.writeable
+
+
+@pytest.mark.parametrize("source", ["loader", "synth"])
+def test_games_and_category_ranks_are_read_only_int16(source, paper5_csv):
+    draft = load_draft_csv(paper5_csv) if source == "loader" else generate_synthetic_draft(SynthConfig(seed=0, years=5))
+    for column in (draft.columns.metrics[Metric.GP], draft.columns.category_rank):
+        assert column.dtype == np.int16 and not column.flags.writeable
+
+
+def test_int64_games_and_category_ranks_write_the_same_artifacts(tmp_path):
+    draft = generate_synthetic_draft(SynthConfig(seed=0, years=5))
+    columns = draft.columns
+    wide = Draft.over(
+        dataclasses.replace(
+            columns,
+            category_rank=columns.category_rank.astype(np.int64),
+            metrics={**columns.metrics, Metric.GP: columns.metrics[Metric.GP].astype(np.int64)},
+        ),
+        draft.years,
+        draft.bounds,
+    )
+    config = RunConfig(by_position=True)
+    pipeline.run_pipeline(draft, config, tmp_path / "int16")
+    pipeline.run_pipeline(wide, config, tmp_path / "int64")
+    assert _tree(tmp_path / "int64") == _tree(tmp_path / "int16") != {}
 
 
 def test_int64_selections_write_the_same_artifacts(tmp_path):
