@@ -19,14 +19,7 @@ from .core_model import (
 )
 from .draft_audit import AuditReport, Ordering, audit, replay_flags
 from .io import DataError, load_draft_csv, write_draft_csv
-from .numerics import (
-    SmoothCurve,
-    TestResult,
-    antitonic_fit,
-    loess_fit,
-    pearson,
-    shapiro_wilk,
-)
+from .numerics import SmoothCurve, TestResult, antitonic_fit, loess_fit, pearson, shapiro_wilk
 from .pipeline import PipelineError, run_pipeline
 from .reference_chart import reference_chart
 from .synth import SynthConfig, generate_synthetic_draft

@@ -87,9 +87,7 @@ def parse_config_text(text: str) -> RunConfig:
         elif key == "split.late":
             updates["split_late"] = _year_range(value)
         elif key == "metrics":
-            updates["metrics"] = tuple(
-                Metric(v.strip().lower()) for v in value.split(",") if v.strip()
-            )
+            updates["metrics"] = tuple(Metric(v.strip().lower()) for v in value.split(",") if v.strip())
         elif key == "by_position":
             if value.lower() not in _BOOLEANS:
                 raise ValueError(f"config line {lineno}: by_position must be true or false")

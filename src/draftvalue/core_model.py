@@ -319,7 +319,7 @@ def draft_classes(rows: RawRows, imputation: ImputationConfig) -> Draft:
     bounds = np.concatenate(([0], np.flatnonzero(np.diff(rows.year)) + 1, [rows.year.size]))
     lo, hi, years = bounds[:-1], bounds[1:], rows.year[bounds[:-1]]
     outside = np.flatnonzero((rows.selection < 1) | (rows.selection > MAX_SELECTION))
-    sels = rows.selection if outside.size else rows.selection.astype(np.int16)
+    sels = rows.selection if outside.size else rows.selection.astype(np.int16, copy=False)
     toi7, gvt7 = impute(rows, imputation)
     table = dict(selection=sels, position=rows.position, team=rows.team, name=rows.name,
                  category=rows.css_category, category_rank=narrowed(rows.css_category_rank))

@@ -40,19 +40,11 @@ class AuditReport:
         return self.cells[(metric, ordering, band)]
 
     def rows(self) -> list[dict]:
-        out = []
-        for (metric, ordering, band), cell in self.cells.items():
-            out.append(
-                {
-                    "metric": metric.value,
-                    "ordering": ordering.value,
-                    "rounds": band,
-                    "picks": cell.picks,
-                    "optimal_pct": cell.optimal_pct,
-                    "nearly_optimal_pct": cell.nearly_optimal_pct,
-                }
-            )
-        return out
+        return [
+            {"metric": metric.value, "ordering": ordering.value, "rounds": band, "picks": cell.picks,
+             "optimal_pct": cell.optimal_pct, "nearly_optimal_pct": cell.nearly_optimal_pct}
+            for (metric, ordering, band), cell in self.cells.items()
+        ]
 
 
 class _Replay(NamedTuple):

@@ -10,6 +10,7 @@ from __future__ import annotations
 import csv
 import logging
 from functools import partial
+from io import BytesIO, TextIOWrapper
 from itertools import accumulate, islice, repeat
 from operator import length_hint
 from pathlib import Path
@@ -51,7 +52,6 @@ class DataError(ValueError):
 
 
 CHUNK_ROWS = 128  # rows parsed per batch: a file is never held as Python rows at once
-BLOCK_CHUNKS = 8  # batches joined into one block: a batch's small arrays are not kept to the end
 
 
 class _Codes(dict):
@@ -109,23 +109,23 @@ def _convert(texts: Sequence[str], convert, dtype):
 
 def _parse_chunk(rows: list[list[str]], lines: np.ndarray):
     """Columns of the rows of one chunk before its first unparseable row, and
-    that row's error as (line, message), or None.
+    that row's error as (line, message), or None. Empties ``rows`` once
+    their fields are transposed.
 
     A row's fields are checked in ``_PARSERS`` order, so the error is the
     first failing field of the first failing row."""
     if [] in rows:  # blank lines
         keep = [i for i, row in enumerate(rows) if row]
-        rows, lines = [rows[i] for i in keep], lines[keep]
-    counts = np.fromiter(map(len, rows), np.int64, len(rows))
+        rows[:], lines = [rows[i] for i in keep], lines[keep]
     stop, error = len(rows), None
-    wrong = np.flatnonzero(counts != len(CSV_COLUMNS))
-    if wrong.size:
-        stop = int(wrong[0])
+    if {*map(len, rows)} - {len(CSV_COLUMNS)}:  # a row with too few or too many fields
+        stop = next(i for i, row in enumerate(rows) if len(row) != len(CSV_COLUMNS))
         error = (int(lines[stop]), f"expected {len(CSV_COLUMNS)} fields")
     texts = dict(zip(CSV_COLUMNS, zip(*rows[:stop]))) if stop else dict.fromkeys(CSV_COLUMNS, ())
+    rows.clear()  # the row lists go: each field's texts are held by its tuple alone
     cols = {}
     for field, convert, dtype, blank, message in _PARSERS:
-        column = texts[field][:stop]
+        column = texts.pop(field)[:stop]
         if blank is not None:
             column = list(map(str.strip, column))
             cols[f"has_{field}"] = np.fromiter(map(bool, column), bool, len(column))
@@ -134,9 +134,10 @@ def _parse_chunk(rows: list[list[str]], lines: np.ndarray):
         if bad is not None:
             stop = bad
             error = (int(lines[bad]), message(field, column[bad], exc))
-    cols = {field: col[:stop] for field, col in cols.items()}
+    if stop < len(lines):
+        cols = {field: col[:stop] for field, col in cols.items()}
     for field in ("team", "name"):  # UTF-8 bytes: a row costs its encoding, not 4 B per character
-        cols[field] = np.array([text.strip().encode() for text in texts[field][:stop]], dtype="S")
+        cols[field] = np.array([text.strip().encode() for text in texts.pop(field)[:stop]], dtype="S")
     cols["line"] = lines[:stop]
     return cols, error
 
@@ -151,28 +152,51 @@ def _start_lines(rows: list[list[str]], first: int) -> tuple[np.ndarray, int]:
     return lines[:-1], int(lines[-1])
 
 
-def _join(parts: list[dict]) -> dict:
-    """The columns of ``parts`` joined field by field, each field's parts freed as it is joined."""
-    return {field: np.concatenate([part.pop(field) for part in parts]) for field in list(parts[0])}
+def _rows_at_most(fh) -> int:
+    """An upper bound on the data rows of the seekable binary CSV ``fh``: its
+    lines after the header, split at ``\\r\\n``, ``\\n`` or ``\\r``, counted in
+    blocks. ``fh`` is rewound."""
+    ends, block = 0, b""
+    for block in iter(partial(fh.read, 1 << 15), b""):
+        if block.endswith(b"\r"):
+            block += fh.read(1)  # a line end split across two blocks counts once
+        lf, cr = (np.frombuffer(block, np.uint8) == end for end in b"\n\r")
+        ends += np.count_nonzero(lf) + np.count_nonzero(cr) - np.count_nonzero(cr[:-1] & lf[1:])
+    fh.seek(0)
+    return max(0, ends - 1 + (block[-1:] not in b"\r\n"))  # a last line may have no end
 
 
-def _block(parts: list[dict]) -> dict:
-    """``parts`` joined, with ``year``, ``line``, ``gp7`` and ``css_category_rank`` ``narrowed``."""
-    block = _join(parts)
-    for field in ("year", "line", "gp7", "css_category_rank"):
-        block[field] = narrowed(block[field])
-    return block
+def _fill(table: dict, cols: dict, at: int, size: int) -> None:
+    """Write the columns ``cols`` of a chunk at row ``at`` of ``table``, whose
+    arrays of ``size`` rows are made on the first write. Integers are int16
+    while every value fits; a chunk that does not fit, or longer ``S`` texts,
+    widen a column (one copy)."""
+    ints = np.concatenate([values for values in cols.values() if values.dtype == np.int64])
+    fits = not ints.size or (ints.min() >= -(2**15) and ints.max() < 2**15)  # one check for the chunk
+    for field, values in cols.items():
+        dtype = values.dtype
+        if dtype == np.int64:  # a column that does not fit is checked alone
+            dtype = np.dtype(np.int16) if fits else narrowed(values).dtype
+        column = table.get(field)
+        if column is None:
+            column = table[field] = np.empty(size, dtype)
+        elif dtype != column.dtype and (wide := np.promote_types(column.dtype, dtype)) != column.dtype:
+            column = table[field] = column.astype(wide)
+        column[at : at + len(values)] = values
 
 
 def _read(path: Path):
     """Parsed columns of the rows of a draft CSV up to its first row that
     does not parse, in file order, and that row's error as (line, message)
-    or None. A ``csv.Error`` is the error of the row being read. ``year``,
-    ``line``, ``gp7`` and ``css_category_rank`` are int16 when every block's
-    values fit, else int64."""
-    blocks, parts, error = [], [], None
-    with path.open(newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
+    or None. A ``csv.Error`` is the error of the row being read. Each chunk
+    is written into one table sized by ``_rows_at_most``; ``year``,
+    ``selection``, ``line``, ``gp7`` and ``css_category_rank`` are int16
+    when every value fits, else int64."""
+    table, n, error = {}, 0, None
+    with path.open("rb") as raw:
+        binary = raw if raw.seekable() else BytesIO(raw.read())  # a pipe reads once: counted from a copy
+        size = _rows_at_most(binary)
+        reader = csv.reader(TextIOWrapper(binary, encoding="utf-8", newline=""))
         header = next(reader, None)
         if header is None:
             raise DataError(f"{path}: empty file, missing header")
@@ -192,15 +216,14 @@ def _read(path: Path):
                 if csv_error is not None:
                     error = (next_line, str(csv_error))
             cols, row_error = _parse_chunk(rows, lines)
-            del rows  # not held through a join
             error = row_error or error  # a row that does not parse comes before the csv error
-            parts.append(cols)
-            if len(parts) == BLOCK_CHUNKS:
-                blocks.append(_block(parts))
-                parts = []
+            _fill(table, cols, n, size)
+            n += len(cols["line"])
+            del cols  # a chunk's arrays are not held while the next is read
             if error is not None or not lines.size:
                 break
-    return _join([*blocks, _block(parts)] if parts else blocks), error
+    # blank lines, quoted line ends and an error leave unused rows, which are not kept
+    return {field: column[:n].copy() if len(column) > n else column for field, column in table.items()}, error
 
 
 def load_draft_csv(
@@ -228,11 +251,8 @@ def load_draft_csv(
     past = cols["selection"] > MAX_SELECTION
     if past.any():
         first = int(np.argmax(past))
-        logger.warning(
-            "dropped %d row(s) with a selection past the top %d, the first at line %d "
-            "(selection %d)",
-            past.sum(), MAX_SELECTION, cols["line"][first], cols["selection"][first],
-        )
+        logger.warning("dropped %d row(s) with a selection past the top %d, the first at line %d (selection %d)",
+                       past.sum(), MAX_SELECTION, cols["line"][first], cols["selection"][first])
         for field in cols:
             cols[field] = cols[field][~past]
     line = cols.pop("line")

@@ -54,10 +54,13 @@ class SmoothCurve:
         x = np.asarray(x)
         first = self._first_node
         if first is not None and x.dtype.kind == "i":
-            node = x.astype(np.intp)  # one copy, clipped and shifted in place, for any integer dtype
-            np.clip(node, first, first + len(self.grid) - 1, out=node)
-            node -= first
-            out = self.values[..., node]
+            out = np.empty(self.values.shape[:-1] + x.shape, self.values.dtype)
+            flat, into = x.reshape(-1), out.reshape(*self.values.shape[:-1], -1)
+            for at in range(0, flat.size, 4096):  # an intp copy of 4,096 x at a time, never of all x
+                node = flat[at : at + 4096].astype(np.intp)  # clipped and shifted in place
+                np.minimum(np.maximum(node, first, out=node), first + len(self.grid) - 1, out=node)
+                node -= first
+                np.take(self.values, node, axis=-1, out=into[..., at : at + 4096], mode="clip")
         else:
             out = np.interp(x.astype(float, copy=False), self.grid, self.values)
         return float(out) if out.ndim == 0 else out
@@ -126,7 +129,7 @@ def loess_fit(x, y, grid, span: float = 0.5) -> SmoothCurve:
     # a scalar y is one response too, which then fails the row check
     one = not np.iterable(y) or np.ndim(y) == 1
     x, y, count = _aggregate_ties(x, [y] if one else y)
-    n = int(count.sum())
+    n, count = int(count.sum()), count.astype(float, copy=False)  # cast once, not per chunk
     if len(x) < 3:
         raise ValueError("need at least 3 distinct x values")
     q = int(math.ceil(span * n))
@@ -139,11 +142,16 @@ def loess_fit(x, y, grid, span: float = 0.5) -> SmoothCurve:
     fitted = np.empty((len(y), len(grid)))
     per_chunk = max(1, CHUNK_ELEMENTS // len(x))
     # a division by zero is replaced: at a zero radius by the equal weights,
-    # in a flat design by the local mean
-    with np.errstate(divide="ignore", invalid="ignore"):
-        for start in range(0, len(grid), per_chunk):
-            rows = slice(start, start + per_chunk)
-            fitted[:, rows] = _fit_rows(x, y, count, grid[rows], dmax[rows], equal[rows], tol[rows])
+    # in a flat design by the local mean. numpy gives a broadcasting operand
+    # a buffer of up to bufsize elements: 8192 would outweigh a chunk matrix
+    bufsize = np.setbufsize(256)  # errstate restores it on numpy >= 2 only
+    try:
+        with np.errstate(divide="ignore", invalid="ignore"):
+            for start in range(0, len(grid), per_chunk):
+                rows = slice(start, start + per_chunk)
+                fitted[:, rows] = _fit_rows(x, y, count, grid[rows], dmax[rows], equal[rows], tol[rows])
+    finally:
+        np.setbufsize(bufsize)
     if not np.all(np.isfinite(fitted)):
         raise ValueError("non-finite fitted value")
     return SmoothCurve(grid=grid, values=fitted[0] if one else fitted)
@@ -178,9 +186,7 @@ def _radii(x, count, q, x0):
 
     dmax = np.minimum(window(cross - 1), window(cross))
     near = np.searchsorted(x, x0)
-    dmin = np.minimum(
-        np.abs(x[np.maximum(near - 1, 0)] - x0), np.abs(x[np.minimum(near, len(x) - 1)] - x0)
-    )
+    dmin = np.minimum(np.abs(x[np.maximum(near - 1, 0)] - x0), np.abs(x[np.minimum(near, len(x) - 1)] - x0))
     dfar = np.maximum(np.abs(x[0] - x0), np.abs(x[-1] - x0))
     return dmax, dmin, dfar
 
@@ -195,21 +201,23 @@ def _fit_rows(x, ys, count, x0, dmax, equal, tol):
     says that the q nearest rows all lie at it, and a weighted spread of x
     at most ``tol`` takes the local mean.
     """
-    dmax = dmax[:, None]
-    xc = x - x0[:, None]
-    lw = np.abs(xc)  # distances, then weights, then weights times xc
+    dmax, x0 = dmax[:, None], x0[:, None]
+    lw = np.abs(x - x0)  # distances, then weights, then weights times x - x0
     at_radius = lw == dmax
     lw /= dmax
     _tricube(lw)
     np.copyto(lw, at_radius, where=equal[:, None])
+    del at_radius  # so the fit's peak stays in the tricube, the same for any number of responses
     lw *= count
     sw = lw.sum(axis=1)
     # einsum, not BLAS gemv: its rounding would depend on the rows in the chunk
     t0 = np.array([np.einsum("ij,j->i", lw, y) for y in ys])
+    xc = x - x0  # built again here, so the tricube's scratch matrix is never a third
     lw *= xc
     s1 = lw.sum(axis=1)
     s2 = np.einsum("ij,ij->i", lw, xc)
     t1 = np.array([np.einsum("ij,j->i", lw, y) for y in ys])
+    del lw, xc
     spread = s2 / sw - (s1 / sw) ** 2
     return np.where(spread <= tol, t0 / sw, (s2 * t0 - s1 * t1) / (sw * s2 - s1 * s1))
 
@@ -321,9 +329,7 @@ def _incomplete_beta(a: float, b: float, x: float, y: float) -> float:
         return 0.0
     if y <= 0.0:
         return 1.0
-    log_front = (
-        math.lgamma(a + b) - math.lgamma(a) - math.lgamma(b) + a * math.log(x) + b * math.log(y)
-    )
+    log_front = math.lgamma(a + b) - math.lgamma(a) - math.lgamma(b) + a * math.log(x) + b * math.log(y)
     if x > (a + 1.0) / (a + b + 2.0):
         return 1.0 - math.exp(log_front) * _beta_fraction(b, a, y) / b
     return math.exp(log_front) * _beta_fraction(a, b, x) / a
@@ -408,9 +414,7 @@ def shapiro_wilk(sample) -> TestResult:
             p = normal_tail(z)
     else:
         u = math.log(n)
-        z = (math.log(1.0 - w_stat) - np.polyval(_LARGE_N_MU, u)) / math.exp(
-            np.polyval(_LARGE_N_LOGSIG, u)
-        )
+        z = (math.log(1.0 - w_stat) - np.polyval(_LARGE_N_MU, u)) / math.exp(np.polyval(_LARGE_N_LOGSIG, u))
         p = normal_tail(z)
     return TestResult(statistic=float(w_stat), p_value=p)
 

@@ -266,10 +266,7 @@ def _write_teams(a: Analysis, out: Path) -> list[Path]:
     header = ["team", "picks"] + [f"mean_gain_{m.value}" for m in metrics]
     line = "%s,%d" + ",%.4f" * len(metrics) + "\r\n"
     rows = ((_csv_text(g.team), g.picks, *(g.mean_gain[m] for m in metrics)) for g in gains)
-    return [
-        _write_csv(out / "teams.csv", header, line, rows),
-        _write_json(out / "team_tests.json", tests),
-    ]
+    return [_write_csv(out / "teams.csv", header, line, rows), _write_json(out / "team_tests.json", tests)]
 
 
 _WRITERS = {

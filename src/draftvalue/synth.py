@@ -25,9 +25,7 @@ from .core_model import (
     draft_classes,
 )
 
-_FORWARD_CODES = np.array(
-    [POSITIONS.index(p) for p in (Position.C, Position.L, Position.R, Position.F)]
-)
+_FORWARD_CODES = np.array([POSITIONS.index(p) for p in (Position.C, Position.L, Position.R, Position.F)])
 _CODE = {c: CATEGORIES.index(c) for c in CssCategory}
 FIRST_YEAR = 1998
 QUALITY_DECAY = 3.0  # base quality exp(-QUALITY_DECAY * talent/n) falls down the draft
@@ -63,9 +61,7 @@ class SynthConfig:
             if getattr(self, name) < low:
                 raise ValueError(f"{name} must be >= {low}, got {getattr(self, name)}")
         if not 2 <= self.picks_per_year <= MAX_SELECTION:
-            raise ValueError(
-                f"picks_per_year must be in [2, {MAX_SELECTION}], got {self.picks_per_year}"
-            )
+            raise ValueError(f"picks_per_year must be in [2, {MAX_SELECTION}], got {self.picks_per_year}")
 
 
 def _played_probabilities(n: int, rate: float) -> np.ndarray:

@@ -21,7 +21,7 @@ from draftvalue.cescin import FACTOR_CATEGORIES
 from draftvalue.cli import main
 from draftvalue.config import RunConfig, parse_config_text
 from draftvalue.core_model import Draft, ImputationConfig, Metric
-from draftvalue.io import BLOCK_CHUNKS, CHUNK_ROWS, CSV_COLUMNS, DataError, load_draft_csv, write_draft_csv
+from draftvalue.io import CHUNK_ROWS, CSV_COLUMNS, DataError, _read, _rows_at_most, load_draft_csv, write_draft_csv
 from draftvalue.synth import SynthConfig, generate_synthetic_draft
 from draftvalue.valuation import DollarConstants
 
@@ -194,19 +194,19 @@ class TestIngest:
         with pytest.raises(DataError, match=f"^line {2 * CHUNK_ROWS + 3}: duplicate selection 1"):
             load_draft_csv(write_csv(tmp_path, rows))
 
-    @pytest.mark.parametrize("at", [BLOCK_CHUNKS * CHUNK_ROWS - 1, BLOCK_CHUNKS * CHUNK_ROWS + 1])
+    @pytest.mark.parametrize("at", [8 * CHUNK_ROWS - 1, 8 * CHUNK_ROWS + 1])
     def test_first_bad_row_across_a_block_boundary(self, tmp_path, at):
-        # row ``at`` ends the first block of BLOCK_CHUNKS batches or is the
-        # second row of the next; row i sits on line i + 2
-        rows = [f"{1900 + i},1,T01,P,C,NA_SKATER,1,10,1.0,1.0" for i in range(2 * BLOCK_CHUNKS * CHUNK_ROWS)]
+        # row ``at`` ends the eighth chunk or is the second row of the ninth,
+        # after eight chunks filled the table; row i sits on line i + 2
+        rows = [f"{1900 + i},1,T01,P,C,NA_SKATER,1,10,1.0,1.0" for i in range(16 * CHUNK_ROWS)]
         rows[at] = "2999,1,T01,P,C,NA_SKATER,1,-1,1.0,1.0"
         with pytest.raises(DataError, match=f"^line {at + 2}: gp7"):
             load_draft_csv(write_csv(tmp_path, rows))
         rows[at] = rows[0]
         with pytest.raises(DataError, match=f"^line {at + 2}: duplicate selection 1 in year 1900$"):
             load_draft_csv(write_csv(tmp_path, rows))
-        # a quoted line end in the last batch of the first block moves every later row down a line
-        quoted = BLOCK_CHUNKS * CHUNK_ROWS - 2
+        # a quoted line end in the eighth chunk moves every later row down a line
+        quoted = 8 * CHUNK_ROWS - 2
         rows[quoted] = f'{1900 + quoted},1,T01,"P\nQ",C,NA_SKATER,1,10,1.0,1.0'
         line = at + 2 + (at > quoted)
         with pytest.raises(DataError, match=f"^line {line}: duplicate selection 1 in year 1900$"):
@@ -237,7 +237,7 @@ class TestIngest:
 
 
     def test_round_trip_over_several_blocks(self, tmp_path):
-        # 4,200 rows: 33 batches, joined into 5 blocks
+        # 4,200 rows: 33 chunks written into one table
         draft = generate_synthetic_draft(SynthConfig(seed=0, years=20))
         path = tmp_path / "out.csv"
         write_draft_csv(draft, path)
@@ -327,7 +327,7 @@ def test_row_order_and_blank_lines_do_not_change_the_classes(order, blanks):
 
 
 def test_reversed_rows_load_to_the_same_columns_and_duplicate_line(tmp_path):
-    # 1,050 rows span two blocks; the sorted file skips the permutation, the reversed one takes it
+    # 1,050 rows span nine chunks; the sorted file skips the permutation, the reversed one takes it
     path = tmp_path / "sorted.csv"
     write_draft_csv(generate_synthetic_draft(SynthConfig(seed=0, years=5)), path)
     header, *rows = path.read_text(encoding="utf-8").splitlines()
@@ -346,21 +346,102 @@ def test_reversed_rows_load_to_the_same_columns_and_duplicate_line(tmp_path):
 
 
 def test_years_past_int16_load_in_a_later_block(tmp_path):
-    # 8 years of 128 picks fill the first block, whose years fit int16, and
-    # the last year, past int16, is the next block: the join widens the years
-    assert 8 * 128 == BLOCK_CHUNKS * CHUNK_ROWS
+    # each year of 128 picks is one chunk: the first 8 fill the table with
+    # int16 years, and the last year, past int16, widens the column
+    assert CHUNK_ROWS == 128
     path = tmp_path / "draft.csv"
     write_draft_csv(generate_synthetic_draft(SynthConfig(seed=0, years=9, picks_per_year=128)), path)
     text = path.read_text(encoding="utf-8").replace("\n2006,", "\n40006,")
-    draft = load_draft_csv(write_csv(tmp_path, text.splitlines()[1:], "wide.csv"))
+    wide = write_csv(tmp_path, text.splitlines()[1:], "wide.csv")
+    cols, error = _read(wide)
+    assert error is None and cols["year"].dtype == np.int64
+    assert cols["year"].tolist() == [y for y in (*range(1998, 2006), 40006) for _ in range(128)]
+    draft = load_draft_csv(wide)
     assert draft.years == (*range(1998, 2006), 40006)
+
+
+def test_blank_lines_and_a_quoted_line_end_load_like_their_clean_twin(tmp_path):
+    # blank lines and a team quoted over two lines (stripped on load) make the
+    # line count overestimate the rows: the table keeps no unused row, and
+    # its columns, their dtypes and a planted duplicate match the clean twin's
+    clean = tmp_path / "clean.csv"
+    write_draft_csv(generate_synthetic_draft(SynthConfig(seed=0, years=2)), clean)
+    with clean.open(newline="", encoding="utf-8") as fh:
+        header, *rows = csv.reader(fh)
+    messy, lines = tmp_path / "messy.csv", []
+    with messy.open("w", newline="", encoding="utf-8") as fh:
+        writer, line = csv.writer(fh), 2
+        writer.writerow(header)
+        for i, row in enumerate(rows):
+            if i % 50 == 7:
+                fh.write("\r\n\r\n")
+                line += 2
+            lines.append(line)
+            writer.writerow([*row[:2], row[2] + "\n", *row[3:]] if i == 300 else row)
+            line += 2 if i == 300 else 1
+
+    def rows_at_most(path):
+        with path.open("rb") as fh:
+            return _rows_at_most(fh)
+
+    assert rows_at_most(clean) == len(rows) < rows_at_most(messy)
+    (want, no_error), (got, error) = _read(clean), _read(messy)
+    assert no_error is None and error is None and got.keys() == want.keys()
+    for field, column in want.items():
+        assert got[field].dtype == column.dtype, field
+        assert got[field].base is None and len(got[field]) == len(rows), field
+        if field != "line":
+            assert np.array_equal(got[field], column), field
+    assert got["line"].tolist() == lines
+    for path, last in ((clean, len(rows) + 1), (messy, line - 1)):
+        with path.open("a", newline="", encoding="utf-8") as fh:
+            csv.writer(fh).writerow(rows[5])
+        with pytest.raises(DataError, match=f"^line {last + 1}: duplicate selection 6 in year 1998$"):
+            load_draft_csv(path)
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/stdin"), reason="needs /dev/stdin")
+def test_a_piped_csv_loads_as_its_file_does(tmp_path):
+    # a pipe can be read only once, so its rows are counted from a copy
+    path = tmp_path / "draft.csv"
+    write_draft_csv(generate_synthetic_draft(SynthConfig(seed=0, years=2)), path)
+    env = {**os.environ, "PYTHONPATH": str(Path(draftvalue.__file__).resolve().parents[1])}
+
+    def ingest_check(data, stdin=None):
+        command = [sys.executable, "-m", "draftvalue.cli", "ingest-check", data]
+        return subprocess.run(command, input=stdin, env=env, capture_output=True, timeout=120)
+
+    piped, read = ingest_check("/dev/stdin", path.read_bytes()), ingest_check(str(path))
+    assert piped.returncode == read.returncode == 0, piped.stderr
+    assert piped.stdout == read.stdout == b"year 1998: 210 records\nyear 1999: 210 records\n"
+
+
+@pytest.mark.parametrize("field", ["team", "name"])
+def test_longer_texts_in_a_later_chunk_widen_the_column(field, tmp_path):
+    # the last chunk's longer text widens the S column the earlier chunks
+    # filled, and every text reads back as written
+    path = tmp_path / "draft.csv"
+    write_draft_csv(generate_synthetic_draft(SynthConfig(seed=0, years=3, picks_per_year=128)), path)
+    with path.open(newline="", encoding="utf-8") as fh:
+        header, *rows = csv.reader(fh)
+    column = header.index(field)
+    longest = max(len(row[column].encode()) for row in rows)
+    rows[-1][column] = "Ø" * longest  # two bytes a character
+    wide = tmp_path / "wide.csv"
+    with wide.open("w", newline="", encoding="utf-8") as fh:
+        csv.writer(fh).writerows([header, *rows])
+    got = load_draft_csv(wide)
+    texts = getattr(got.columns, field)
+    assert texts.dtype == np.dtype(f"S{2 * longest}")
+    assert [t.decode() for t in texts.tolist()] == [row[column] for row in rows]
+    write_draft_csv(got, tmp_path / "again.csv")
+    assert (tmp_path / "again.csv").read_bytes() == wide.read_bytes()
 
 
 @pytest.mark.parametrize("field", ["gp7", "css_category_rank"])
 def test_games_and_category_ranks_past_int16_load_in_a_later_block(field, tmp_path):
-    # the last row given a value lies in the second block: a value past
-    # int16 there keeps that block's column int64, and the join widens the
-    # first block to it
+    # the last row given a value lies in a later chunk than the first: a
+    # value past int16 there widens the int16 column the earlier chunks filled
     path = tmp_path / "draft.csv"
     write_draft_csv(generate_synthetic_draft(SynthConfig(seed=0, years=9, picks_per_year=128)), path)
     with path.open(newline="", encoding="utf-8") as fh:
@@ -368,7 +449,7 @@ def test_games_and_category_ranks_past_int16_load_in_a_later_block(field, tmp_pa
     want = load_draft_csv(path)
     column = header.index(field)
     i = max(i for i, row in enumerate(rows) if row[column])
-    assert i >= BLOCK_CHUNKS * CHUNK_ROWS
+    assert i >= CHUNK_ROWS
     rows[i][column] = "40000"
     wide = tmp_path / "wide.csv"
     with wide.open("w", newline="", encoding="utf-8") as fh:

@@ -313,19 +313,21 @@ class TestLoess:
         "x, grid, bound",
         [
             # 210 pooled ranks of five drafts, on the pick grid of the expected curves
-            (np.tile(np.arange(1.0, 211.0), 5), SELECTION_GRID, 149_000),
+            (np.tile(np.arange(1.0, 211.0), 5), SELECTION_GRID, 105_000),
             # 419 rank differentials, on the grid of a surplus curve
-            (np.resize(np.arange(-209.0, 210.0), 1050), np.arange(-209.0, 210.0), 165_000),
+            (np.resize(np.arange(-209.0, 210.0), 1050), np.arange(-209.0, 210.0), 120_000),
             # the same x as integers, whose ties collapse by bincount
-            (np.tile(np.arange(1, 211), 5), SELECTION_GRID, 148_000),
-            (np.resize(np.arange(-209, 210), 1050), np.arange(-209.0, 210.0), 165_000),
+            (np.tile(np.arange(1, 211), 5), SELECTION_GRID, 105_000),
+            (np.resize(np.arange(-209, 210), 1050), np.arange(-209.0, 210.0), 120_000),
         ],
         ids=["ranks210", "differentials419", "integer ranks210", "integer differentials419"],
     )
     def test_peak_memory_of_one_fit(self, x, grid, bound):
-        # bound: the kernel's peak, 135,492 and 149,938 bytes for float x and
-        # 134,849 and 149,879 for integer x, plus about 10%; the chunk size
-        # trades this peak against numpy calls per fit
+        # bound: the kernel's peak, 95,784 and 109,203 bytes for float x and
+        # 95,125 and 108,587 for integer x, plus about 10%; the chunk size
+        # trades this peak against numpy calls per fit. Three chunk matrices
+        # under numpy's default 8,192-element operand buffers read 135,492
+        # and 149,938 (bounds 149,000 and 165,000)
         y = np.random.default_rng(0).normal(size=len(x)) * 50 + x
         loess_fit(x, y, grid=grid)
         tracemalloc.start()

@@ -392,10 +392,11 @@ def _table_bytes(draft: Draft) -> int:
 
 
 def test_peak_memory_of_a_paper_scale_load(paper5_csv):
-    # bound: the tracemalloc peak, 239,107-239,498 bytes, plus about 10%;
-    # 256-row batches of csv.reader lists, each batch's arrays kept to one
-    # join at the end, read 325,516
-    assert _peak(lambda: load_draft_csv(paper5_csv)) <= 263_000
+    # bound: the tracemalloc peak, 184,267 bytes, plus about 10%; each
+    # chunk's arrays joined in blocks of eight chunks read 239,107-239,498
+    # (bound 263,000), and 256-row batches of csv.reader lists, each batch's
+    # arrays kept to one join at the end, read 325,516
+    assert _peak(lambda: load_draft_csv(paper5_csv)) <= 203_000
 
 
 def test_peak_memory_of_the_record_rules(tmp_path, monkeypatch):
@@ -413,16 +414,19 @@ def test_peak_memory_of_the_record_rules(tmp_path, monkeypatch):
 
 
 def test_the_load_peak_at_40_years(tmp_path):
-    # bound: the tracemalloc peak, 610,875 bytes, plus about 10%; games and
-    # category ranks held as int64 from the first parsed block read 696,891
+    # bound: the tracemalloc peak, 504,052 bytes, plus about 10%; chunks
+    # joined in blocks of eight with int64 selections read 610,875 (bound
+    # 672,000), and games and category ranks held as int64 from the first
+    # parsed block read 696,891
     path = tmp_path / "input.csv"
     write_draft_csv(generate_synthetic_draft(SynthConfig(seed=0, years=40)), path)
-    assert _peak(lambda: load_draft_csv(path)) <= 672_000
+    assert _peak(lambda: load_draft_csv(path)) <= 555_000
 
 
 def test_the_load_peak_above_its_columns_at_40_years(tmp_path):
-    # bound: the peak beyond the loaded columns' nbytes (403,200), 293,691
-    # bytes, plus about 10%; int64 selections, years and lines, imputation
+    # bound: the peak beyond the loaded columns' nbytes (302,400), 201,652
+    # bytes, plus about 10%; chunks joined in blocks of eight read 308,276
+    # beyond them (bound 323,000); int64 selections, years and lines, imputation
     # into new arrays and a sorted copy of every column of a sorted file
     # read 329,307 beyond 453,600; 256-row batches joined once at the end,
     # the rule masks stacked into one array and the sort order held while
@@ -431,17 +435,43 @@ def test_the_load_peak_above_its_columns_at_40_years(tmp_path):
     write_draft_csv(generate_synthetic_draft(SynthConfig(seed=0, years=40)), path)
     drafts = []
     peak = _peak(lambda: drafts.append(load_draft_csv(path)))
-    assert peak - _table_bytes(drafts[-1]) <= 323_000
+    assert peak - _table_bytes(drafts[-1]) <= 222_000
 
 
 def test_peak_memory_of_a_paper_scale_run(tmp_path):
-    # bound: the tracemalloc peak, 175,209 bytes, plus about 10%; int64
+    # bound: the tracemalloc peak, 136,474-136,531 bytes, plus about 10%; a
+    # LOESS chunk of three (grid points x distinct x) matrices under numpy's
+    # 8,192-element operand buffers read 175,209-176,258 (bound 193,000), int64
     # rank arrays read 187,439-188,471, (metrics, picks) tables of outcomes
     # and surpluses read 211,639-213,391, and artifacts written through
     # csv.writer, which allocates a 128 KB record buffer on its first row,
     # read 251,062
     draft = generate_synthetic_draft(SynthConfig(seed=0, years=5))
-    assert _peak(lambda: pipeline.run_pipeline(draft, RunConfig(), tmp_path)) <= 193_000
+    assert _peak(lambda: pipeline.run_pipeline(draft, RunConfig(), tmp_path)) <= 150_000
+
+
+def test_peak_memory_of_the_seven_subcommands(paper5_csv, tmp_path):
+    # bound: the tracemalloc peak of one fresh process that calls each data
+    # subcommand once, as the benchmark's subcommands5 workload does,
+    # 217,610-217,709 bytes, plus about 10%; each call peaks in its load,
+    # and chunks joined in blocks of eight read 273,082-273,941 (about
+    # 288,000 in the benchmark)
+    commands = ("ingest-check", "cescin", "audit", "curves", "surplus", "teams", "chart")
+    script = "\n".join([
+        "import contextlib, io, tracemalloc",
+        "from draftvalue.cli import main",
+        "tracemalloc.start()",
+        "with contextlib.redirect_stdout(io.StringIO()):",
+        f"    codes = [main([c, {str(paper5_csv)!r}, '--out', {str(tmp_path)!r}]) for c in {commands!r}]",
+        "print(codes, tracemalloc.get_traced_memory()[1])",
+    ])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    codes, peak = proc.stdout.splitlines()[-1].rsplit(" ", 1)
+    assert codes == str([0] * len(commands))
+    assert int(peak) <= 240_000
 
 
 def test_a_loaded_draft_holds_no_per_year_objects(tmp_path):
@@ -597,8 +627,10 @@ def test_no_run_imports_numpy_ma(one_year_csv, tmp_path):
 
 
 def test_peak_memory_of_a_stratified_run(tmp_path):
-    # bound: the tracemalloc peak of this run, 245,707 bytes, plus about
-    # 10%; int64 rank arrays read 274,832-276,176, (metrics, picks) tables
+    # bound: the tracemalloc peak of this run, 213,750-213,808 bytes, plus
+    # about 10%; a LOESS chunk of three matrices and a whole-column intp copy
+    # of the ranks read 245,707-245,936 (bound 270,000), int64 rank arrays
+    # read 274,832-276,176, (metrics, picks) tables
     # of outcomes and surpluses read 345,881-346,364, a draft that kept a DraftClass per year and joined
     # per-class CSS ranks by np.concatenate read 359,709-361,003, and text
     # columns as str and integer ties by np.unique read 433,982
@@ -612,7 +644,7 @@ def test_peak_memory_of_a_stratified_run(tmp_path):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 270_000
+    assert peak <= 235_000
 
 
 def test_both_orderings_are_read_only_pooled_rank_arrays():
