@@ -29,13 +29,15 @@ curves = css_curves(classes, orderings, rc)
 # each pick's outcome minus the expectation at its scouting rank
 _, surplus = differential_points(classes, orderings, curves)
 
-gains = team_gains(classes, surplus)
-toi = sorted(gains, key=lambda g: g.mean_gain[Metric.TOI], reverse=True)
+# one table: row 0 covers every pick, rows 1 and 2 the early and late year halves
+gains = team_gains(classes, surplus, rc.split_early, rc.split_late)
+toi = gains.means[Metric.TOI][0]
+ranked = np.argsort(-toi, kind="stable")
 print("top and bottom five teams by mean minutes gained per pick:")
-for g in toi[:5] + toi[-5:]:
-    print(f"  {g.team}: {g.mean_gain[Metric.TOI]:+8.1f} minutes over {g.picks} picks")
+for k in [*ranked[:5], *ranked[-5:]]:
+    print(f"  {gains.teams[k].decode()}: {toi[k]:+8.1f} minutes over {gains.picks[0, k]} picks")
 
-spread = np.std([g.mean_gain[Metric.TOI] for g in gains], ddof=1)
+spread = np.std(toi, ddof=1)
 print(f"\ncross-team spread (SD of team means): {spread:.1f} minutes")
 
 print("\nare the team means consistent with chance?")
@@ -44,7 +46,7 @@ for metric in Metric:
     print(f"  {metric.value:>4}: normality W = {sw.statistic:.3f}, p = {sw.p_value:.3f}"
           f"  ({'looks like noise' if sw.p_value > 0.05 else 'non-normal'})")
 
-split = split_half_correlation(classes, surplus, rc.split_early, rc.split_late)
+split = split_half_correlation(gains)
 print("\ndoes a team's edge persist from 1998-2000 to 2001-2002?")
 for metric, res in split.items():
     print(f"  {metric.value:>4}: r = {res.statistic:+.3f}, p = {res.p_value:.3f}")

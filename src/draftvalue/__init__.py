@@ -14,7 +14,6 @@ from .core_model import (
     PositionGroup,
     RecordError,
     SummaryStats,
-    position_group,
     summarize_metric,
 )
 from .draft_audit import AuditReport, Ordering, audit, replay_flags
@@ -23,7 +22,7 @@ from .numerics import SmoothCurve, TestResult, antitonic_fit, loess_fit, pearson
 from .pipeline import PipelineError, run_pipeline
 from .reference_chart import reference_chart
 from .synth import SynthConfig, generate_synthetic_draft
-from .team_analysis import TeamGain, normality_check, split_half_correlation, team_gains
+from .team_analysis import TeamGains, normality_check, split_half_correlation, team_gains
 from .valuation import (
     DollarConstants,
     GainEstimate,

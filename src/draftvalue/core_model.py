@@ -86,22 +86,16 @@ class ImputationConfig:
             raise ValueError("goalie_minutes_per_game must be finite and >= 0")
 
 
-def position_group(p: Position) -> PositionGroup:
-    """Map a fine position to its group; C/L/R/F are all forwards."""
-    if p is Position.D:
-        return PositionGroup.D
-    if p is Position.G:
-        return PositionGroup.G
-    return PositionGroup.F
-
-
 POSITIONS = tuple(Position)
 GROUPS = tuple(PositionGroup)
 CATEGORIES = tuple(CssCategory)
 
 _GOALIE = POSITIONS.index(Position.G)
 _UNRANKED = CATEGORIES.index(CssCategory.UNRANKED)
-GROUP_OF_POSITION = np.array([GROUPS.index(position_group(p)) for p in POSITIONS], np.int8)
+# the group index of each position: D and G are groups of their own, C, L, R and F are forwards
+GROUP_OF_POSITION = np.array(
+    [GROUPS.index(PositionGroup.__members__.get(p.name, PositionGroup.F)) for p in POSITIONS], np.int8
+)
 
 
 def narrowed(column: np.ndarray) -> np.ndarray:

@@ -23,13 +23,7 @@ from .config import RunConfig
 from .core_model import Draft, Metric, PositionGroup
 from .draft_audit import AuditReport, Ordering, audit
 from .numerics import SmoothCurve
-from .team_analysis import (
-    TeamGain,
-    normality_check,
-    outlier_teams,
-    split_half_correlation,
-    team_gains,
-)
+from .team_analysis import TeamGains, normality_check, outlier_teams, split_half_correlation, team_gains
 from .valuation import (
     GainEstimate,
     ValueChart,
@@ -170,13 +164,13 @@ class Analysis:
         return draft_value_chart(self.expected(Ordering.TEAM, [Metric.TOI])[Metric.TOI])
 
     @_stage
-    def teams(self) -> tuple[list[TeamGain], dict]:
+    def teams(self) -> tuple[TeamGains, dict]:
         """Per-team mean gains and the tests over them."""
         cfg = self.config
         expected = self.expected(Ordering.CSS, cfg.metrics)
-        # per-pick surpluses, each row built anew where the gains and both split halves read it
+        # per-pick surpluses, each row built when the one grouped pass of the gains reads it
         surplus = differential_points(self.draft, self.ranks(Ordering.CSS), expected)[1]
-        gains = team_gains(self.draft, surplus)
+        gains = team_gains(self.draft, surplus, cfg.split_early, cfg.split_late)
         tests: dict = {"normality": {}, "split_half": {}, "outliers": {}}
         for metric in cfg.metrics:
             try:
@@ -187,7 +181,7 @@ class Analysis:
             tests["outliers"][metric.value] = outlier_teams(gains, metric)
         if all(set(self.draft.years).intersection(half) for half in (cfg.split_early, cfg.split_late)):
             try:
-                split = split_half_correlation(self.draft, surplus, cfg.split_early, cfg.split_late)
+                split = split_half_correlation(gains)
                 tests["split_half"] = {m.value: {"r": r.statistic, "p": r.p_value} for m, r in split.items()}
             except ValueError as exc:
                 tests["split_half"] = {"error": str(exc)}
@@ -265,7 +259,8 @@ def _write_teams(a: Analysis, out: Path) -> list[Path]:
     metrics = a.config.metrics
     header = ["team", "picks"] + [f"mean_gain_{m.value}" for m in metrics]
     line = "%s,%d" + ",%.4f" * len(metrics) + "\r\n"
-    rows = ((_csv_text(g.team), g.picks, *(g.mean_gain[m] for m in metrics)) for g in gains)
+    teams = (_csv_text(team.decode()) for team in gains.teams.tolist())
+    rows = zip(teams, gains.picks[0].tolist(), *(gains.means[m][0].tolist() for m in metrics))
     return [_write_csv(out / "teams.csv", header, line, rows), _write_json(out / "team_tests.json", tests)]
 
 

@@ -209,10 +209,10 @@ def test_10_historical_reproduction():
 
     curves = css_curves(classes, orderings, rc)
     _, surplus = differential_points(classes, orderings, curves)
-    gains = team_gains(classes, surplus)
+    gains = team_gains(classes, surplus, rc.split_early, rc.split_late)
     for metric in Metric:
         assert normality_check(gains, metric).p_value > 0.1
-    split = split_half_correlation(classes, surplus, rc.split_early, rc.split_late)
+    split = split_half_correlation(gains)
     for res in split.values():
         assert 0.0 <= res.statistic <= 0.4
     report(10, "historical reproduction", True)

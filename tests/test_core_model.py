@@ -6,6 +6,8 @@ import numpy as np
 import pytest
 
 from draftvalue.core_model import (
+    GROUP_OF_POSITION,
+    GROUPS,
     POSITIONS,
     CssCategory,
     Draft,
@@ -18,7 +20,6 @@ from draftvalue.core_model import (
     draft_classes,
     first_invalid_row,
     impute,
-    position_group,
     summarize_metric,
 )
 
@@ -129,7 +130,8 @@ class TestNormalize:
     ],
 )
 def test_position_group(pos, group):
-    assert position_group(pos) is group
+    # the group index of each position, which valuation.group_rows reads
+    assert GROUP_OF_POSITION[POSITIONS.index(pos)] == GROUPS.index(group)
 
 
 class TestDraftClass:

@@ -33,7 +33,7 @@ from draftvalue.draft_audit import AuditCell, AuditReport, Ordering, audit
 from draftvalue.io import load_draft_csv, write_draft_csv
 from draftvalue.numerics import SmoothCurve
 from draftvalue.synth import SynthConfig, generate_synthetic_draft
-from draftvalue.team_analysis import TeamGain, split_half_correlation, team_gains
+from draftvalue.team_analysis import TeamGains, split_half_correlation, team_gains
 from draftvalue.valuation import SELECTION_GRID, ValueChart, differential_points, expected_curve, group_rows
 
 from conftest import one_class
@@ -300,7 +300,12 @@ def test_csv_artifacts_are_the_bytes_csv_writer_gives(tmp_path_factory, teams, m
     # teams.csv, audit.csv and chart.csv are formatted by hand; csv.writer
     # quotes a field that holds a comma, a quote or a line end, doubling quotes
     out = tmp_path_factory.mktemp("artifacts")
-    gains = [TeamGain(team, picks, dict(zip(Metric, means))) for team, picks, means in teams]
+    # each row of the table holds the same values; an object array of codes
+    # keeps a trailing NUL, which an S array would drop
+    codes = np.array([team.encode() for team, _, _ in teams], dtype=object)
+    picks = np.array([[count for _, count, _ in teams]] * 3)
+    means = {m: np.array([[v[i] for *_, v in teams]] * 3) for i, m in enumerate(Metric)}
+    gains = TeamGains(codes, picks, means)
     analysis = SimpleNamespace(
         config=RunConfig(metrics=metrics),
         teams=(gains, {}),
@@ -310,7 +315,7 @@ def test_csv_artifacts_are_the_bytes_csv_writer_gives(tmp_path_factory, teams, m
     pipeline._write_teams(analysis, out)
     pipeline._write_chart(analysis, out)
     header = ["team", "picks"] + [f"mean_gain_{m.value}" for m in metrics]
-    rows = [[g.team, g.picks] + [f"{g.mean_gain[m]:.4f}" for m in metrics] for g in gains]
+    rows = [[team, picks] + [f"{dict(zip(Metric, v))[m]:.4f}" for m in metrics] for team, picks, v in teams]
     assert (out / "teams.csv").read_bytes() == _csv_writer_bytes(header, rows)
     rows = analysis.audit.rows()
     if all(math.isfinite(v) for c in cells.values() for v in (c.optimal_pct, c.nearly_optimal_pct)):
@@ -354,7 +359,12 @@ def test_a_shared_year_label_gives_the_results_of_distinct_labels():
     for key, (curve, estimate) in distinct.surplus.items():
         assert shared.surplus[key][1] == estimate
         assert np.array_equal(shared.surplus[key][0].values, curve.values)
-    assert shared.teams == distinct.teams
+    (gains, tests), (want, want_tests) = shared.teams, distinct.teams
+    assert tests == want_tests
+    assert np.array_equal(gains.teams, want.teams) and np.array_equal(gains.picks, want.picks)
+    assert gains.means.keys() == want.means.keys()
+    for metric, means in want.means.items():  # the late half has no years: its means are NaN
+        assert np.array_equal(gains.means[metric], means, equal_nan=True)
 
 
 def test_cescin_lists_one_year_per_class(tmp_path):
@@ -497,11 +507,12 @@ def test_a_loaded_draft_holds_no_per_year_objects(tmp_path):
 
 
 def test_peak_memory_of_the_team_stage_with_split_halves():
-    # bound: the tracemalloc peak, 119,858 bytes, plus about 10%; int64
-    # games, category ranks and team codes read 134,134 (bound 146,000); the
-    # gains and halves build each metric's differentials as they read them,
-    # where one surplus table per stage read 197,470-197,838, and computing
-    # each half's differentials after its mask read 207,917
+    # bound: the tracemalloc peak, 84,978-84,994 bytes, plus about 10%; one
+    # grouped pass reads each metric's differentials once for the gains and
+    # both halves, where a pass per half read 119,858 (bound 131,000); int64
+    # games, category ranks and team codes read 134,134 (bound 146,000); one
+    # surplus table per stage read 197,470-197,838, and computing each half's
+    # differentials after its mask read 207,917
     draft = generate_synthetic_draft(SynthConfig(seed=0, years=20))
     config = RunConfig(split_early=range(1998, 2008), split_late=range(2008, 2018))
 
@@ -519,7 +530,7 @@ def test_peak_memory_of_the_team_stage_with_split_halves():
     teams()
     peak, split_half = teams()
     assert set(split_half) == {m.value for m in Metric}
-    assert peak <= 131_000
+    assert peak <= 93_000
 
 
 def test_the_surplus_stage_holds_one_row_of_differentials():
@@ -586,6 +597,24 @@ def test_the_team_stage_computes_the_differentials_once(paper5_csv, tmp_path, mo
     assert len(calls) == 1
 
 
+@pytest.mark.parametrize("args, reads", [([], 3), (["--metric", "gvt"], 1)])
+def test_the_team_stage_reads_each_metric_row_once(args, reads, paper5_csv, tmp_path, monkeypatch):
+    # the gains and both split halves come from one grouped pass over each
+    # metric's surplus row; a pass per half read each row three times
+    calls = []
+    read = valuation._Surplus.__getitem__
+
+    def record(self, metric):
+        calls.append(metric)
+        return read(self, metric)
+
+    monkeypatch.setattr(valuation._Surplus, "__getitem__", record)
+    assert main(["teams", str(paper5_csv), "--out", str(tmp_path), *args]) == 0
+    split_half = json.loads((tmp_path / "team_tests.json").read_text())["split_half"]
+    assert len(split_half) == reads
+    assert len(calls) == reads and len(set(calls)) == reads
+
+
 @pytest.mark.parametrize("years", [5, 20])
 def test_the_audit_makes_one_pass_per_metric_ordering_and_run(years, tmp_path, monkeypatch):
     # runs of whole classes of at most BLOCK_ROWS rows replay together, one
@@ -627,8 +656,9 @@ def test_no_run_imports_numpy_ma(one_year_csv, tmp_path):
 
 
 def test_peak_memory_of_a_stratified_run(tmp_path):
-    # bound: the tracemalloc peak of this run, 213,750-213,808 bytes, plus
-    # about 10%; a LOESS chunk of three matrices and a whole-column intp copy
+    # bound: the tracemalloc peak of this run, 205,042-205,879 bytes, plus
+    # about 10%; a team pass per split half read 212,553-213,867 (bound
+    # 235,000), a LOESS chunk of three matrices and a whole-column intp copy
     # of the ranks read 245,707-245,936 (bound 270,000), int64 rank arrays
     # read 274,832-276,176, (metrics, picks) tables
     # of outcomes and surpluses read 345,881-346,364, a draft that kept a DraftClass per year and joined
@@ -644,7 +674,7 @@ def test_peak_memory_of_a_stratified_run(tmp_path):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 235_000
+    assert peak <= 226_000
 
 
 def test_both_orderings_are_read_only_pooled_rank_arrays():
@@ -722,7 +752,7 @@ POOLED_RANK_CALLS = {
     "audit": lambda c, r: audit(c, {Ordering.CSS: r}),
     # the team statistics take a per-pick surplus row, here the ranks as floats
     "team_gains": lambda c, r: team_gains(c, {Metric.TOI: r.astype(float)}),
-    "split_half_correlation": lambda c, r: split_half_correlation(c, {Metric.TOI: r.astype(float)}, [1998], [1999]),
+    "split_half_correlation": lambda c, r: split_half_correlation(team_gains(c, {Metric.TOI: r.astype(float)}, [1998], [1999])),
 }
 
 
