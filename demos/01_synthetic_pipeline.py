@@ -13,7 +13,7 @@ import dataclasses
 import numpy as np
 
 from draftvalue.config import RunConfig
-from draftvalue.core_model import Metric, summarize_metric
+from draftvalue.core_model import Metric
 from draftvalue.draft_audit import Ordering
 from draftvalue.pipeline import Analysis, css_curves, surplus_for_metric
 from draftvalue.synth import SynthConfig, generate_synthetic_draft
@@ -27,9 +27,9 @@ never_played = np.mean(classes.columns.metrics[Metric.GP] == 0)
 print(f"fraction who never played an NHL game: {never_played:.2f}")
 
 for metric in Metric:
-    stats = summarize_metric(classes, metric)
-    print(f"{metric.value:>4}: median {stats.median:8.1f}  mean {stats.mean:8.1f}  "
-          f"max {stats.max:8.1f}")
+    values = classes.columns.metrics[metric]
+    print(f"{metric.value:>4}: median {np.median(values):8.1f}  mean {np.mean(values):8.1f}  "
+          f"max {np.max(values):8.1f}")
 
 rc = RunConfig()
 analysis = Analysis(classes, rc)

@@ -13,8 +13,6 @@ from .core_model import (
     Position,
     PositionGroup,
     RecordError,
-    SummaryStats,
-    summarize_metric,
 )
 from .draft_audit import AuditReport, Ordering, audit, replay_flags
 from .io import DataError, load_draft_csv, write_draft_csv

@@ -69,8 +69,9 @@ def estimate_category_factors(
             continue
         if n < 2:
             raise ValueError(f"category {cat.value}: need >= 2 ranked drafted players, got {n}")
-        r, s = c.category_rank[listed].astype(np.int64), c.selection[listed]  # int16 @ int16 wraps
-        factors[key] = int(r @ s) / int(r @ r)
+        # in float64, exact below 2**53: an int16 or int64 dot product wraps silently past its range
+        r, s = c.category_rank[listed].astype(float), c.selection[listed]
+        factors[key] = float(r @ s / (r @ r))
     return CategoryFactors(**factors)
 
 

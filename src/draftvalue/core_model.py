@@ -1,6 +1,6 @@
 """Domain types for drafted players: positions, scouting categories, seven-year
-outcome metrics, row validation and imputation, the per-year columns the
-analysis stages read, and descriptive summaries."""
+outcome metrics, row validation and imputation, and the per-year columns the
+analysis stages read."""
 
 from __future__ import annotations
 
@@ -326,29 +326,3 @@ def draft_classes(rows: RawRows, imputation: ImputationConfig) -> Draft:
         missing = np.setdiff1d(np.arange(sels[lo[i]], sels[hi[i] - 1] + 1), sels[lo[i] : hi[i]])
         logger.info("year %d: missing selection(s) %s", years[i], missing.tolist())
     return draft
-
-
-@dataclass(frozen=True)
-class SummaryStats:
-    """Five-number descriptive summary of a pooled metric."""
-
-    median: float
-    mean: float
-    p75: float
-    max: float
-    sd: float
-
-
-def summarize_metric(draft: Draft, metric: Metric) -> SummaryStats:
-    """Descriptive summary of a pooled metric; sd uses the n-1 denominator and
-    the 75th percentile interpolates linearly between order statistics."""
-    values = draft.columns.metrics[metric]
-    if values.size < 2:
-        raise ValueError("need at least 2 records to summarize")
-    return SummaryStats(
-        median=float(np.median(values)),
-        mean=float(np.mean(values)),
-        p75=float(np.percentile(values, 75)),
-        max=float(np.max(values)),
-        sd=float(np.std(values, ddof=1)),
-    )

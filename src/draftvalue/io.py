@@ -1,4 +1,6 @@
-"""CSV ingest and emit for draft classes.
+"""CSV ingest and emit for draft classes, and ``write_csv``, the one CSV
+writer of the package, in the dialect the loader reads: CRLF line ends and
+minimal quoting, as csv.writer writes.
 
 Schema (header required, UTF-8, comma separator, '.' decimal point):
 ``year,selection,team,name,position,css_category,css_category_rank,gp7,toi7,gvt7``
@@ -11,10 +13,10 @@ import csv
 import logging
 from functools import partial
 from io import BytesIO, TextIOWrapper
-from itertools import accumulate, islice, repeat
+from itertools import accumulate, chain, islice, repeat, starmap
 from operator import length_hint
 from pathlib import Path
-from typing import Sequence, Union
+from typing import Iterable, Sequence, Union
 
 import numpy as np
 
@@ -281,24 +283,39 @@ def load_draft_csv(
     return draft_classes(RawRows(**cols), imputation)
 
 
+def write_csv(path: Path, header: Sequence[str], line: str, rows: Iterable[tuple]) -> Path:
+    """Write ``header`` and each of ``rows`` formatted by ``line`` to ``path`` as the bytes
+    csv.writer gives (CRLF ends, minimal quoting), streamed through one text file; a text
+    field is formatted with ``csv_text``. Every CSV the package writes goes through here."""
+    with path.open("w", encoding="utf-8", newline="") as fh:
+        fh.write(",".join(header) + "\r\n")
+        fh.writelines(line % row for row in rows)
+    return path
+
+
+def csv_text(text: str) -> str:
+    """``text`` as a CSV field, quoted as csv.writer's QUOTE_MINIMAL quotes it."""
+    if any(c in text for c in ',"\r\n'):
+        return '"%s"' % text.replace('"', '""')
+    return text
+
+
 def write_draft_csv(draft: Draft, path: Union[str, Path]) -> None:
-    """Emit a draft in the ingest schema, class by class; re-ingesting round-trips."""
-    with Path(path).open("w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(CSV_COLUMNS)
-        for dc in draft:
-            c = dc.columns
-            writer.writerows(
-                zip(
-                    repeat(dc.years[0]),
-                    c.selection.tolist(),
-                    map(bytes.decode, c.team.tolist()),
-                    map(bytes.decode, c.name.tolist()),
-                    [POSITIONS[p].value for p in c.position.tolist()],
-                    [CATEGORIES[k].value for k in c.category.tolist()],
-                    [rank or "" for rank in c.category_rank.tolist()],
-                    c.metrics[Metric.GP].tolist(),
-                    map(repr, c.metrics[Metric.TOI].tolist()),
-                    map(repr, c.metrics[Metric.GVT].tolist()),
-                )
-            )
+    """Emit a draft in the ingest schema; re-ingesting round-trips. The rows
+    are built class by class, so one class at a time is held as Python objects."""
+    positions, categories = [p.value for p in POSITIONS], [k.value for k in CATEGORIES]
+
+    def rows(year: int, lo: int, hi: int):
+        c = draft.columns.rows(lo, hi)
+        return zip(
+            repeat(year),
+            c.selection.tolist(),
+            *([csv_text(text.decode()) for text in column.tolist()] for column in (c.team, c.name)),
+            map(positions.__getitem__, c.position.tolist()),
+            map(categories.__getitem__, c.category.tolist()),
+            [rank or "" for rank in c.category_rank.tolist()],
+            *(c.metrics[m].tolist() for m in (Metric.GP, Metric.TOI, Metric.GVT)),
+        )
+
+    classes = starmap(rows, zip(draft.years, draft.bounds, draft.bounds[1:]))
+    write_csv(Path(path), CSV_COLUMNS, "%d,%d,%s,%s,%s,%s,%s,%d,%r,%r\r\n", chain.from_iterable(classes))

@@ -14,7 +14,7 @@ import json
 import logging
 from functools import cached_property, partial, wraps
 from pathlib import Path
-from typing import Iterable, Mapping, Optional, Sequence, Union
+from typing import Mapping, Optional, Sequence, Union
 
 import numpy as np
 
@@ -22,6 +22,7 @@ from .cescin import CategoryFactors, css_ordering, estimate_category_factors
 from .config import RunConfig
 from .core_model import Draft, Metric, PositionGroup
 from .draft_audit import AuditReport, Ordering, audit
+from .io import csv_text, write_csv
 from .numerics import SmoothCurve
 from .team_analysis import TeamGains, normality_check, outlier_teams, split_half_correlation, team_gains
 from .valuation import (
@@ -195,24 +196,9 @@ def _write_json(path: Path, obj) -> Path:
     return path
 
 
-def _write_csv(path: Path, header: Sequence[str], line: str, rows: Iterable[tuple]) -> Path:
-    """Write ``header`` and each of ``rows`` formatted by ``line`` in one call, as the bytes
-    csv.writer gives (CRLF ends, minimal quoting); a csv.writer takes a 128 KB buffer."""
-    text = "".join([",".join(header) + "\r\n", *(line % row for row in rows)])
-    path.write_text(text, encoding="utf-8", newline="")
-    return path
-
-
-def _csv_text(text: str) -> str:
-    """``text`` as a CSV field, quoted as csv.writer's QUOTE_MINIMAL quotes it."""
-    if any(c in text for c in ',"\r\n'):
-        return '"%s"' % text.replace('"', '""')
-    return text
-
-
 def _write_curve(path: Path, curve: SmoothCurve) -> Path:
     path.parent.mkdir(exist_ok=True)
-    return _write_csv(path, ("x", "fitted"), "%g,%.6f\r\n", zip(curve.grid.tolist(), curve.values.tolist()))
+    return write_csv(path, ("x", "fitted"), "%g,%.6f\r\n", zip(curve.grid.tolist(), curve.values.tolist()))
 
 
 def _write_cescin(a: Analysis, out: Path) -> list[Path]:
@@ -225,7 +211,7 @@ def _write_audit(a: Analysis, out: Path) -> list[Path]:
     half_sd = {m.value: v for m, v in a.audit.half_sd.items()}
     return [
         _write_json(out / "audit.json", {"half_sd": half_sd, "cells": rows}),
-        _write_csv(out / "audit.csv", rows[0], "%s,%s,%s,%d,%r,%r\r\n", (tuple(r.values()) for r in rows)),
+        write_csv(out / "audit.csv", rows[0], "%s,%s,%s,%d,%r,%r\r\n", (tuple(r.values()) for r in rows)),
     ]
 
 
@@ -251,7 +237,7 @@ def _write_surplus(a: Analysis, out: Path) -> list[Path]:
 
 
 def _write_chart(a: Analysis, out: Path) -> list[Path]:
-    return [_write_csv(out / "chart.csv", ("selection", "value"), "%d,%d\r\n", a.chart.rows())]
+    return [write_csv(out / "chart.csv", ("selection", "value"), "%d,%d\r\n", a.chart.rows())]
 
 
 def _write_teams(a: Analysis, out: Path) -> list[Path]:
@@ -259,9 +245,9 @@ def _write_teams(a: Analysis, out: Path) -> list[Path]:
     metrics = a.config.metrics
     header = ["team", "picks"] + [f"mean_gain_{m.value}" for m in metrics]
     line = "%s,%d" + ",%.4f" * len(metrics) + "\r\n"
-    teams = (_csv_text(team.decode()) for team in gains.teams.tolist())
+    teams = (csv_text(team.decode()) for team in gains.teams.tolist())
     rows = zip(teams, gains.picks[0].tolist(), *(gains.means[m][0].tolist() for m in metrics))
-    return [_write_csv(out / "teams.csv", header, line, rows), _write_json(out / "team_tests.json", tests)]
+    return [write_csv(out / "teams.csv", header, line, rows), _write_json(out / "team_tests.json", tests)]
 
 
 _WRITERS = {

@@ -10,7 +10,7 @@ import pytest
 
 from draftvalue.cescin import CategoryFactors, css_ordering
 from draftvalue.config import RunConfig
-from draftvalue.core_model import Draft, Metric, summarize_metric
+from draftvalue.core_model import Draft, Metric
 from draftvalue.draft_audit import Ordering, audit, replay_flags
 from draftvalue.io import load_draft_csv
 from draftvalue.numerics import SmoothCurve, antitonic_fit, loess_fit, shapiro_wilk
@@ -180,10 +180,10 @@ HISTORICAL = os.environ.get("DRAFTVAL_HISTORICAL_CSV")
 def test_10_historical_reproduction():
     classes = load_draft_csv(HISTORICAL)
     rc = RunConfig()
-    gp = summarize_metric(classes, Metric.GP)
-    assert gp.median == 0
-    assert abs(gp.mean - 69) <= 1
-    assert gp.max == 553
+    gp = classes.columns.metrics[Metric.GP]
+    assert np.median(gp) == 0
+    assert abs(np.mean(gp) - 69) <= 1
+    assert np.max(gp) == 553
 
     analysis = Analysis(classes, rc)
     orderings = analysis.ranks(Ordering.CSS)

@@ -1,4 +1,6 @@
 from dataclasses import replace
+from fractions import Fraction
+from operator import mul
 
 import numpy as np
 import pytest
@@ -11,6 +13,7 @@ from draftvalue.cescin import (
     estimate_category_factors,
 )
 from draftvalue.core_model import CATEGORIES, CssCategory, Draft, Position, RecordError
+from draftvalue.synth import SynthConfig, generate_synthetic_draft
 
 from conftest import make_class, make_record, one_class
 
@@ -68,6 +71,20 @@ class TestEstimateFactors:
         every = [pair for year_pairs in pairs.values() for pair in year_pairs]
         want = sum(rank * sel for rank, sel in every) / sum(rank * rank for rank, _ in every)
         assert estimate_category_factors(draft).na_skater == want
+
+    @pytest.mark.parametrize("rank", [2**32, 3_100_000_000])
+    def test_a_rank_whose_products_pass_int64(self, rank):
+        # the first NA skater of the seed-0 five-year draft ranked ``rank``:
+        # r @ r passes 2**63, past which an int64 dot product wraps
+        draft = generate_synthetic_draft(SynthConfig(seed=0, years=5))
+        c = draft.columns
+        listed = c.category == CATEGORIES.index(CssCategory.NA_SKATER)
+        ranks = c.category_rank.astype(np.int64)
+        ranks[np.argmax(listed)] = rank
+        big = Draft.over(replace(c, category_rank=ranks), draft.years, draft.bounds)
+        r, s = ranks[listed].tolist(), c.selection[listed].tolist()
+        want = Fraction(sum(map(mul, r, s)), sum(map(mul, r, r)))
+        assert estimate_category_factors(big).na_skater == pytest.approx(float(want), rel=1e-12, abs=0)
 
     def test_override_skips_estimation(self):
         dc = class_from_pairs([(1, 2), (2, 4)])

@@ -20,7 +20,6 @@ from draftvalue.core_model import (
     draft_classes,
     first_invalid_row,
     impute,
-    summarize_metric,
 )
 
 from draftvalue.io import load_draft_csv, write_draft_csv
@@ -192,64 +191,6 @@ class TestDraftClass:
         # the table itself, with an empty class between its two
         with pytest.raises(ValueError, match="^year 2005: empty draft class$"):
             Draft.over(draft.columns, (1998, 2005, 1999), (0, 210, 210, 420))
-
-
-class TestSummarize:
-    def test_constant_values(self):
-        records = [
-            make_record(selection=s, css_category_rank=s, gp7=80, toi7=900.0, gvt7=3.0)
-            for s in range(1, 6)
-        ]
-        stats = summarize_metric(Draft([make_class(records)]), Metric.GP)
-        assert stats.median == stats.mean == stats.p75 == stats.max == 80
-        assert stats.sd == 0.0
-
-    def test_two_values_hand_computed(self):
-        records = [
-            make_record(selection=1, css_category_rank=1, gp7=0, toi7=None, gvt7=None),
-            make_record(selection=2, css_category_rank=2, gp7=10, toi7=150.0, gvt7=1.0),
-        ]
-        stats = summarize_metric(Draft([make_class(records)]), Metric.GP)
-        assert stats.mean == 5.0
-        assert stats.sd == pytest.approx(np.sqrt(50), abs=1e-9)  # n-1 denominator
-
-    def test_permutation_invariant(self, rng):
-        gps = [int(rng.integers(0, 300)) for _ in range(20)]
-        records = [
-            make_record(
-                selection=s,
-                css_category_rank=s,
-                gp7=gp,
-                toi7=float(gp * 14) if gp else None,
-                gvt7=float(gp) / 10 if gp else None,
-            )
-            for s, gp in enumerate(gps, start=1)
-        ]
-        a = make_class(records)
-        shuffled = list(records)
-        rng.shuffle(shuffled)
-        b = make_class(shuffled)
-        for metric in Metric:
-            assert summarize_metric(Draft([a]), metric) == summarize_metric(Draft([b]), metric)
-
-    def test_ordering_invariant(self, rng):
-        values = rng.normal(size=30)
-        records = [
-            make_record(selection=s, css_category_rank=s, gp7=s, toi7=float(s), gvt7=float(v))
-            for s, v in enumerate(values, start=1)
-        ]
-        stats = summarize_metric(Draft([make_class(records)]), Metric.GVT)
-        assert stats.median <= stats.p75 <= stats.max
-        assert stats.sd >= 0
-
-    def test_empty_rejected(self):
-        with pytest.raises(ValueError):
-            summarize_metric(Draft([]), Metric.GP)
-
-    def test_one_value_rejected(self):
-        dc = make_class([make_record(selection=1, css_category_rank=1, gp7=80, toi7=900.0, gvt7=3.0)])
-        with pytest.raises(ValueError, match="at least 2"):
-            summarize_metric(Draft([dc]), Metric.GP)
 
 
 def resized(columns: DraftColumns, selection) -> DraftColumns:

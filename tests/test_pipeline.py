@@ -16,6 +16,7 @@ import sys
 import tracemalloc
 import warnings
 from collections import Counter
+from itertools import accumulate
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -28,7 +29,17 @@ from draftvalue import draft_audit, io as draft_io, pipeline, team_analysis, val
 from draftvalue.cli import main
 from draftvalue.config import RunConfig
 from draftvalue.cescin import css_ordering
-from draftvalue.core_model import Draft, Metric, PositionGroup, first_invalid_row
+from draftvalue.core_model import (
+    CATEGORIES,
+    POSITIONS,
+    CssCategory,
+    Draft,
+    DraftColumns,
+    Metric,
+    Position,
+    PositionGroup,
+    first_invalid_row,
+)
 from draftvalue.draft_audit import AuditCell, AuditReport, Ordering, audit
 from draftvalue.io import load_draft_csv, write_draft_csv
 from draftvalue.numerics import SmoothCurve
@@ -36,7 +47,7 @@ from draftvalue.synth import SynthConfig, generate_synthetic_draft
 from draftvalue.team_analysis import TeamGains, split_half_correlation, team_gains
 from draftvalue.valuation import SELECTION_GRID, ValueChart, differential_points, expected_curve, group_rows
 
-from conftest import one_class
+from conftest import arrays, one_class
 
 ROOT = Path(__file__).resolve().parent.parent
 REFERENCE = ROOT / "bench" / "reference" / "paper5"
@@ -326,6 +337,61 @@ def test_csv_artifacts_are_the_bytes_csv_writer_gives(tmp_path_factory, teams, m
             pipeline._write_audit(analysis, out)
         assert not (out / "audit.json").exists() and not (out / "audit.csv").exists()
     assert (out / "chart.csv").read_bytes() == _csv_writer_bytes(["selection", "value"], analysis.chart.rows())
+
+
+# a team or name as a draft column holds it: an S column drops a trailing
+# NUL, and the csv.reader of Python 3.10 rejects any NUL
+_DRAFT_TEXTS = st.lists(
+    st.sampled_from([",", '"', "\r", "\n", "\r\n", " ", "é", "李", "𝔸"])
+    | st.characters(blacklist_categories=("Cs",), blacklist_characters="\x00"),
+    max_size=6,
+).map("".join)
+_EDGE_FLOATS = st.sampled_from([-0.0, 1e-300, 1e300])
+# (selection, team, name, position, category, rank, gp7, toi7, gvt7) of a
+# skater with NHL games, so the loader imputes nothing; UNRANKED has a blank rank
+_DRAFT_ROWS = st.tuples(
+    st.integers(1, 210),
+    _DRAFT_TEXTS,
+    _DRAFT_TEXTS,
+    st.sampled_from([p for p in POSITIONS if p is not Position.G]),
+    st.sampled_from([CssCategory.NA_SKATER, CssCategory.EU_SKATER, CssCategory.UNRANKED]),
+    st.integers(1, 40_000),
+    st.integers(1, 40_000),
+    _EDGE_FLOATS | st.floats(min_value=0.0, allow_infinity=False),
+    _EDGE_FLOATS | st.floats(allow_nan=False, allow_infinity=False),
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    classes=st.lists(st.lists(_DRAFT_ROWS, min_size=1, max_size=5, unique_by=lambda row: row[0]), min_size=1, max_size=3)
+)
+def test_draft_csv_is_the_bytes_csv_writer_gives(tmp_path_factory, classes):
+    # write_draft_csv formats its rows by hand, as the artifacts are; a quoted
+    # line end also makes the loader count lines through io._start_lines
+    picks = [(year, *row) for year, rows in enumerate(classes, start=1998) for row in sorted(rows, key=lambda row: row[0])]
+    year, sel, team, name, pos, cat, rank, gp, toi, gvt = zip(*picks)
+    rank = [0 if k is CssCategory.UNRANKED else r for k, r in zip(cat, rank)]
+    columns = DraftColumns(
+        selection=np.array(sel, np.int16),
+        position=np.array(list(map(POSITIONS.index, pos)), np.int8),
+        team=np.array([t.encode() for t in team], "S"),
+        name=np.array([n.encode() for n in name], "S"),
+        category=np.array(list(map(CATEGORIES.index, cat)), np.int8),
+        category_rank=np.array(rank),
+        metrics={Metric.GP: np.array(gp), Metric.TOI: np.array(toi), Metric.GVT: np.array(gvt)},
+    )
+    draft = Draft.over(columns, range(1998, 1998 + len(classes)), (0, *accumulate(map(len, classes))))
+    path = tmp_path_factory.mktemp("draft") / "draft.csv"
+    write_draft_csv(draft, path)
+    values = (p.value for p in pos), (k.value for k in cat), (r or "" for r in rank)
+    rows = zip(year, sel, team, name, *values, gp, map(repr, toi), map(repr, gvt))
+    assert path.read_bytes() == _csv_writer_bytes(draft_io.CSV_COLUMNS, rows)
+    if all(text == text.strip() for text in team + name):  # the loader strips a text
+        loaded = load_draft_csv(path)
+        assert loaded.years == draft.years and loaded.bounds == draft.bounds
+        for field, column in arrays(draft.columns).items():  # repr tells -0.0 from 0.0
+            assert list(map(repr, arrays(loaded.columns)[field].tolist())) == list(map(repr, column.tolist())), field
 
 
 @pytest.mark.parametrize("command", sorted(gate.SUBCOMMAND_OUTPUTS))
