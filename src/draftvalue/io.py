@@ -11,6 +11,8 @@ from __future__ import annotations
 
 import csv
 import logging
+import warnings
+from contextlib import suppress
 from functools import partial
 from io import BytesIO, TextIOWrapper
 from itertools import accumulate, chain, islice, repeat, starmap
@@ -97,6 +99,30 @@ _PARSERS = (
 )
 
 
+# a team, a name, or a rank, toi7 or gvt7 read as text, in C: a text as wide as this may be cut, so takes the csv path
+_TEXT = np.dtype("S64")
+# (texts -> values, dtype, stand-in text) of each field that may be blank
+_BLANKABLE = {field: (convert, dtype, blank.encode()) for field, convert, dtype, blank, _ in _PARSERS if blank}
+_KEYS = {  # each code field's codes, sorted, and the member index of each
+    field: (
+        np.array(sorted(m.value for m in members), "S"),
+        np.array(sorted(range(len(members)), key=lambda i: members[i].value), np.int8),
+    )
+    for field, members in (("position", POSITIONS), ("css_category", CATEGORIES))
+}
+_C_FIELDS = {
+    **dict.fromkeys(CSV_COLUMNS, "i8"),
+    **dict.fromkeys(("team", "name"), _TEXT),
+    **{field: f"S{keys.itemsize + 1}" for field, (keys, _) in _KEYS.items()},  # a longer code matches no key
+    **dict.fromkeys(("toi7", "gvt7"), "f8"),
+}
+# the C row of a plain chunk, and that of a chunk with a blank rank, toi7 or gvt7, which reads those three as text
+_C_ROWS = tuple(
+    np.dtype([(field, _TEXT if blanks and field in _BLANKABLE else kind) for field, kind in _C_FIELDS.items()])
+    for blanks in (False, True)
+)
+
+
 def _convert(texts: Sequence[str], convert, dtype):
     """``convert(texts)`` as an array, cut short at the first text that does
     not convert into ``dtype``; returns the array and that text's index and
@@ -144,28 +170,69 @@ def _parse_chunk(rows: list[list[str]], lines: np.ndarray):
     return cols, error
 
 
-def _start_lines(rows: list[list[str]], first: int) -> tuple[np.ndarray, int]:
-    """The line each of ``rows`` starts on, the first on line ``first``,
-    and the line after the last. A row spans one line more than its quoted
-    fields hold line ends (``\\r\\n``, ``\\n`` or ``\\r``, which split the
-    lines of a file opened with ``newline=""``)."""
-    spans = [1 + sum(f.count("\n") + f.count("\r") - f.count("\r\n") for f in row) for row in rows]
-    lines = np.fromiter(accumulate(spans, initial=first), np.int64, len(rows) + 1)
-    return lines[:-1], int(lines[-1])
+def _c_chunk(lines: list[str], first_line: int):
+    """The columns of the lines of a plain chunk, the first on line
+    ``first_line``, as ``_csv_chunk`` gives them, parsed by one typed
+    ``np.loadtxt``; or None when a line does not parse there, holds an
+    unknown code or a text that may be cut, or numpy warns: that chunk takes
+    the csv path. Every number ``loadtxt`` reads, it reads as Python's
+    ``int``/``float`` do; a blank rank, ``toi7`` or ``gvt7`` makes the three
+    fields text, whose given values ``int``/``float`` convert."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # numpy 1.23-1.26 reads "1.0" as an int, with a DeprecationWarning
+        for row in _C_ROWS:  # a blank number fails the typed row; the second reads the blankable fields as text
+            with suppress(ValueError, Warning):
+                table = np.loadtxt(lines, row, delimiter=",", comments=None, quotechar=None, ndmin=1)
+                break
+        else:
+            return None
+    cols, octets = {field: table[field] for field in _C_FIELDS}, table.view(np.uint8).reshape(len(table), -1)
+    for field, (dtype, at) in table.dtype.fields.items():
+        if dtype == _TEXT:  # cut to the widest text
+            width = np.count_nonzero(octets[:, at : at + _TEXT.itemsize].any(axis=0))
+            if width == _TEXT.itemsize:
+                return None
+            cols[field] = cols[field].astype(f"S{max(width, 1)}")
+    for field, (keys, members) in _KEYS.items():
+        at = np.searchsorted(keys, cols[field])
+        if (keys.take(at, mode="clip") != cols[field]).any():
+            return None
+        cols[field] = members[at]
+    for field, (convert, dtype, blank) in _BLANKABLE.items():
+        texts = cols[field]
+        cols[f"has_{field}"] = texts != b"" if texts.dtype.kind == "S" else np.ones(len(texts), bool)
+        if texts.dtype.kind == "S":
+            cols[field], bad, _ = _convert([text or blank for text in texts.tolist()], convert, dtype)
+            if bad is not None:
+                return None
+    return {**cols, "line": np.arange(first_line, first_line + len(lines))}, None, first_line + len(lines)
 
 
-def _rows_at_most(fh) -> int:
-    """An upper bound on the data rows of the seekable binary CSV ``fh``: its
-    lines after the header, split at ``\\r\\n``, ``\\n`` or ``\\r``, counted in
-    blocks. ``fh`` is rewound."""
-    ends, block = 0, b""
-    for block in iter(partial(fh.read, 1 << 15), b""):
+def _scan(fh) -> tuple[int, bool]:
+    """An upper bound on the data rows of the seekable binary CSV ``fh`` from
+    its position on, its lines after the header split at ``\\r\\n``, ``\\n`` or
+    ``\\r``, and whether they are plain: printable ASCII and line ends only,
+    with no ``"``, no blank line and no space next to a comma, a line end or
+    their start. Counted in blocks; ``fh`` is sought back."""
+    start, ends, last, plain = fh.tell(), 0, b"\n", True  # the start reads as a line end
+    for block in iter(partial(fh.read, 1 << 14), b""):
         if block.endswith(b"\r"):
             block += fh.read(1)  # a line end split across two blocks counts once
-        lf, cr = (np.frombuffer(block, np.uint8) == end for end in b"\n\r")
-        ends += np.count_nonzero(lf) + np.count_nonzero(cr) - np.count_nonzero(cr[:-1] & lf[1:])
-    fh.seek(0)
-    return max(0, ends - 1 + (block[-1:] not in b"\r\n"))  # a last line may have no end
+        pairs = np.frombuffer(last + block, np.uint8)  # each two adjacent bytes of the file are in one window
+        end = pairs == 10
+        end |= pairs == 13
+        crlf = np.count_nonzero(pairs[1:][pairs[:-1] == 13] == 10)
+        ends += np.count_nonzero(end[1:]) - crlf
+        plain = plain and (  # no control byte but line ends, no non-ASCII byte, no quote and no blank line
+            pairs.max() < 127 and np.count_nonzero(pairs < 32) == np.count_nonzero(end)
+            and b'"' not in block and np.count_nonzero(end[:-1] & end[1:]) == crlf
+        )
+        if plain and b" " in block:  # a space next to a comma or a line end
+            end |= pairs == 44
+            plain = not (((pairs[1:] == 32) & end[:-1]).any() or ((pairs[:-1] == 32) & end[1:]).any())
+        last = block[-1:]
+    fh.seek(start)
+    return max(0, ends - 1 + (last not in b"\r\n")), bool(plain)  # a last line may have no end
 
 
 def _fill(table: dict, cols: dict, at: int, size: int) -> None:
@@ -187,43 +254,65 @@ def _fill(table: dict, cols: dict, at: int, size: int) -> None:
         column[at : at + len(values)] = values
 
 
+def _csv_chunk(reader, first_line: int):
+    """The columns of the next ``CHUNK_ROWS`` rows of the ``csv.reader``
+    ``reader`` before the first that does not parse, the first on line
+    ``first_line``, that row's error as (line, message) or None, and the line
+    after the rows read. A ``csv.Error`` is the error of the row being read."""
+    start, rows, csv_error = reader.line_num, [], None
+    try:
+        rows.extend(islice(reader, CHUNK_ROWS))  # keeps the rows read before an error
+    except csv.Error as exc:
+        csv_error = str(exc)
+    if csv_error is None and reader.line_num - start == len(rows):  # a line each
+        lines = np.arange(first_line, first_line + len(rows) + 1)  # the line each row starts on, then the next
+    else:  # a row spans one line more than its quoted fields hold line ends (which split lines, as newline="")
+        spans = (1 + sum(f.count("\n") + f.count("\r") - f.count("\r\n") for f in row) for row in rows)
+        lines = np.fromiter(accumulate(spans, initial=first_line), np.int64, len(rows) + 1)
+    cols, error = _parse_chunk(rows, lines[:-1])  # a row that does not parse comes before the csv error
+    return cols, error or (None if csv_error is None else (int(lines[-1]), csv_error)), int(lines[-1])
+
+
 def _read(path: Path):
     """Parsed columns of the rows of a draft CSV up to its first row that
     does not parse, in file order, and that row's error as (line, message)
-    or None. A ``csv.Error`` is the error of the row being read. Each chunk
-    is written into one table sized by ``_rows_at_most``; ``year``,
-    ``selection``, ``line``, ``gp7`` and ``css_category_rank`` are int16
-    when every value fits, else int64."""
+    or None. A plain file (``_scan``) is parsed in C (``_c_chunk``) chunk by
+    chunk, and a chunk that does not parse there takes the ``csv.reader``
+    path of every other file, which gives every error. Each chunk is written
+    into one table sized by ``_scan``; ``year``, ``selection``, ``line``,
+    ``gp7`` and ``css_category_rank`` are int16 when every value fits, else
+    int64. A leading UTF-8 byte-order mark is skipped."""
     table, n, error = {}, 0, None
     with path.open("rb") as raw:
         binary = raw if raw.seekable() else BytesIO(raw.read())  # a pipe reads once: counted from a copy
-        size = _rows_at_most(binary)
-        reader = csv.reader(TextIOWrapper(binary, encoding="utf-8", newline=""))
-        header = next(reader, None)
-        if header is None:
-            raise DataError(f"{path}: empty file, missing header")
-        if tuple(header) != CSV_COLUMNS:
-            raise DataError(f"{path}: bad header {header}, expected {list(CSV_COLUMNS)}")
-        while True:
-            first_line = reader.line_num + 1  # a blank line counts
-            rows, csv_error = [], None
-            try:
-                rows.extend(islice(reader, CHUNK_ROWS))  # keeps the rows read before an error
-            except csv.Error as exc:
-                csv_error = exc
-            if csv_error is None and reader.line_num - first_line + 1 == len(rows):  # a line each
-                lines = np.arange(first_line, first_line + len(rows))
-            else:
-                lines, next_line = _start_lines(rows, first_line)
-                if csv_error is not None:
-                    error = (next_line, str(csv_error))
-            cols, row_error = _parse_chunk(rows, lines)
-            error = row_error or error  # a row that does not parse comes before the csv error
-            _fill(table, cols, n, size)
-            n += len(cols["line"])
-            del cols  # a chunk's arrays are not held while the next is read
-            if error is not None or not lines.size:
-                break
+        binary.seek(3 if binary.read(3) == b"\xef\xbb\xbf" else 0)  # a UTF-8 byte-order mark is skipped
+        size, plain = _scan(binary)
+        text = TextIOWrapper(binary, encoding="utf-8", newline="")
+        try:
+            reader = csv.reader(text)
+            header = next(reader, None)
+            if header is None:
+                raise DataError(f"{path}: empty file, missing header")
+            if tuple(header) != CSV_COLUMNS:
+                raise DataError(f"{path}: bad header {header}, expected {list(CSV_COLUMNS)}")
+            next_line = reader.line_num + 1  # a blank line counts
+            while error is None:
+                # a plain file's rows are its lines
+                line, chunk = next_line, list(islice(text, CHUNK_ROWS)) if plain else None
+                if chunk == [] and table:  # the end of a plain file
+                    break
+                cols, error, next_line = (chunk and _c_chunk(chunk, line)) or _csv_chunk(
+                    reader if chunk is None else csv.reader(chunk), line
+                )
+                _fill(table, cols, n, size)
+                n += len(cols["line"])
+                del cols  # a chunk's arrays are not held while the next is read
+                if next_line == line:
+                    break
+        except UnicodeDecodeError:
+            binary.seek(0)
+            binary.read().decode()  # raises again, at the offset of the bad byte from the file start
+            raise
     # blank lines, quoted line ends and an error leave unused rows, which are not kept
     return {field: column[:n].copy() if len(column) > n else column for field, column in table.items()}, error
 

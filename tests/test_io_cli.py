@@ -8,6 +8,7 @@ import subprocess
 import sys
 import tempfile
 import tracemalloc
+import warnings
 from dataclasses import fields, replace
 from pathlib import Path
 
@@ -17,11 +18,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import draftvalue
+import draftvalue.io as draft_io
 from draftvalue.cescin import FACTOR_CATEGORIES
 from draftvalue.cli import main
 from draftvalue.config import RunConfig, parse_config_text
 from draftvalue.core_model import Draft, ImputationConfig, Metric
-from draftvalue.io import CHUNK_ROWS, CSV_COLUMNS, DataError, _read, _rows_at_most, load_draft_csv, write_draft_csv
+from draftvalue.io import _TEXT, CHUNK_ROWS, CSV_COLUMNS, DataError, _read, _scan, load_draft_csv, write_draft_csv
 from draftvalue.synth import SynthConfig, generate_synthetic_draft
 from draftvalue.valuation import DollarConstants
 
@@ -380,11 +382,13 @@ def test_blank_lines_and_a_quoted_line_end_load_like_their_clean_twin(tmp_path):
             writer.writerow([*row[:2], row[2] + "\n", *row[3:]] if i == 300 else row)
             line += 2 if i == 300 else 1
 
-    def rows_at_most(path):
+    def scan(path):
         with path.open("rb") as fh:
-            return _rows_at_most(fh)
+            return _scan(fh)
 
-    assert rows_at_most(clean) == len(rows) < rows_at_most(messy)
+    # the clean file is plain, and parsed in C; the messy one takes the csv path
+    assert scan(clean) == (len(rows), True)
+    assert scan(messy)[0] > len(rows) and scan(messy)[1] is False
     (want, no_error), (got, error) = _read(clean), _read(messy)
     assert no_error is None and error is None and got.keys() == want.keys()
     for field, column in want.items():
@@ -461,6 +465,158 @@ def test_games_and_category_ranks_past_int16_load_in_a_later_block(field, tmp_pa
     assert want_column.dtype == np.int16 and got_column.dtype == np.int64
     assert got_column[i] == 40000
     assert np.array_equal(np.delete(got_column, i), np.delete(want_column, i))
+
+
+def _loaded(path):
+    """The years, bounds and columns (dtype and bytes) of the draft at ``path``,
+    or the text of its ``DataError`` with the path left out."""
+    try:
+        draft = load_draft_csv(path)
+    except DataError as exc:
+        return str(exc).replace(str(path), "<path>")
+    return draft.years, draft.bounds, {name: (c.dtype, c.tobytes()) for name, c in arrays(draft.columns).items()}
+
+
+def _parsed(path):
+    """The columns (dtype and bytes) ``_read`` parses from ``path`` and its
+    error, or the text of the exception it raises with the path left out."""
+    try:
+        cols, error = _read(path)
+    except DataError as exc:
+        return str(exc).replace(str(path), "<path>")
+    return {field: (column.dtype, column.tobytes()) for field, column in cols.items()}, error
+
+
+with tempfile.TemporaryDirectory() as _tmp:
+    write_draft_csv(generate_synthetic_draft(SynthConfig(seed=3, years=2)), Path(_tmp) / "draft.csv")
+    _PLAIN_ROWS = [line.split(",") for line in (Path(_tmp) / "draft.csv").read_text(encoding="utf-8").splitlines()[1:]]
+assert len(_PLAIN_ROWS) == 420  # four chunks
+_CELL_EDITS = [
+    {"css_category": "UNRANKED", "css_category_rank": ""},  # an unranked pick
+    {"gp7": "0", "toi7": "", "gvt7": ""},  # a pick who never played
+    {"css_category_rank": ""}, {"toi7": ""}, {"gvt7": ""},
+    {"team": " T01"}, {"name": "P "}, {"gp7": " 5"}, {"toi7": "1.5 "},  # a space next to a comma
+    *(
+        {field: text}
+        for field in ("year", "selection", "css_category_rank", "gp7")
+        for text in ("1_000", "١٩٩٨", "1.0", "9" * 25)
+    ),
+    *({field: text} for field in ("toi7", "gvt7") for text in ("nan", "-nan", "1e400", "-0.0", "1_0.5", "Infinity")),
+    {"gp7": "+5"}, {"gp7": "0005"}, {"css_category_rank": "2" * 19},
+    {"position": " c"}, {"position": "c"}, {"position": "LW"}, {"css_category": "na_skater"}, {"css_category": "X"},
+    *({field: "x" * width} for field in ("team", "name") for width in range(_TEXT.itemsize - 1, _TEXT.itemsize + 2)),
+    {"name": "Jiří"}, {"name": "Sébastien"}, {"team": "\tT01"}, {"name": "P\x00"}, {"team": ""},
+]
+
+
+def _assert_loads_as_its_quoted_twin(edits, blank_lines=(), end="\r\n"):
+    """The plain draft with ``edits`` made parses to the same columns, or
+    fails with the same error, as its twin with one quoted field, which
+    sends the whole file through csv.reader."""
+    rows = [list(row) for row in _PLAIN_ROWS]
+    for i, edit in edits:
+        for field, text in edit.items():
+            rows[i][CSV_COLUMNS.index(field)] = text
+    lines = [HEADER, *map(",".join, rows)]
+    for at in blank_lines:
+        lines.insert(at + 1, "")
+    quoted = ['"year"' + HEADER[len("year") :], *lines[1:]]
+    with tempfile.TemporaryDirectory() as tmp:
+        plain, twin = Path(tmp) / "plain.csv", Path(tmp) / "twin.csv"
+        for path, text in ((plain, lines), (twin, quoted)):
+            path.write_bytes((end.join(text) + end).encode("utf-8"))
+        assert _parsed(plain) == _parsed(twin)
+        assert _loaded(plain) == _loaded(twin)
+
+
+@pytest.mark.parametrize("edit", _CELL_EDITS, ids=repr)
+def test_a_cell_edit_loads_as_csv_reader_does(edit):
+    _assert_loads_as_its_quoted_twin([(CHUNK_ROWS + 2, edit)])  # a row of the second chunk
+
+
+@given(
+    edits=st.lists(st.tuples(st.integers(0, len(_PLAIN_ROWS) - 1), st.sampled_from(_CELL_EDITS)), max_size=6),
+    blank_lines=st.lists(st.integers(0, len(_PLAIN_ROWS)), max_size=1),
+    end=st.sampled_from(["\r\n", "\n", "\r"]),
+)
+@settings(max_examples=100, deadline=None)
+def test_cell_edits_load_as_csv_reader_does(edits, blank_lines, end):
+    _assert_loads_as_its_quoted_twin(edits, blank_lines, end)
+
+
+def test_plain_drafts_load_in_c_and_others_through_csv_reader(tmp_path, monkeypatch):
+    # a later change could drop the C path unseen: plain drafts never reach
+    # _parse_chunk, while a quote, a blank line or a non-ASCII name send rows
+    # through it, and the draft loads as the plain one does
+    paths = {years: tmp_path / f"draft{years}.csv" for years in (5, 50)}
+    for years, path in paths.items():
+        write_draft_csv(generate_synthetic_draft(SynthConfig(seed=0, years=years)), path)
+    parse_chunk, rows_parsed = draft_io._parse_chunk, []
+
+    def refuse(rows, lines):
+        raise AssertionError("a plain draft took the csv path")
+
+    monkeypatch.setattr(draft_io, "_parse_chunk", refuse)
+    want = arrays(load_draft_csv(paths[5]).columns)
+    assert len(load_draft_csv(paths[50]).columns.selection) == 10_500
+    def count(rows, lines):
+        rows_parsed.append(len(rows))
+        return parse_chunk(rows, lines)
+
+    monkeypatch.setattr(draft_io, "_parse_chunk", count)
+    _, first, *rest = paths[5].read_text(encoding="utf-8").splitlines()
+    team, name = first.split(",")[2:4]
+    for edit, line, first_name in (
+        ("quote", first.replace(f",{team},", f',"{team}",'), name),
+        ("blank line", first + "\n", name),
+        ("non-ascii", first.replace(f",{name},", ",Jiří,"), "Jiří"),
+    ):
+        rows_parsed.clear()
+        got = arrays(load_draft_csv(write_csv(tmp_path, [line, *rest], f"{edit}.csv")).columns)
+        assert sum(rows_parsed) >= 1 + len(rest), edit
+        assert got.pop("name").tolist() == [first_name.encode(), *want["name"].tolist()[1:]], edit
+        for field, column in got.items():
+            assert column.dtype == want[field].dtype and column.tobytes() == want[field].tobytes(), (edit, field)
+
+
+def test_a_numpy_warning_sends_a_chunk_to_the_csv_path(tmp_path, monkeypatch):
+    # numpy 1.23-1.26 loadtxt reads "1.0" as an int with a DeprecationWarning;
+    # a warning is never shown, and the chunk takes the csv path
+    fractional = write_csv(tmp_path, ["1.0,1,T01,Alpha,C,NA_SKATER,1,100,1500.0,5.0"], "fractional.csv")
+    valid = write_csv(tmp_path, ["1998,1,T01,Alpha,C,NA_SKATER,1,100,1500.0,5.0"], "valid.csv")
+    want, loadtxt = _loaded(valid), np.loadtxt
+    message = r"^line 2: unparseable integer field \(invalid literal for int\(\) with base 10: '1\.0'\)$"
+
+    def warning_loadtxt(*args, **kwargs):
+        warnings.warn("loadtxt(): Parsing an integer via a float is deprecated", DeprecationWarning)
+        return loadtxt(*args, **kwargs)
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for patched in (False, True):
+            if patched:
+                monkeypatch.setattr(np, "loadtxt", warning_loadtxt)
+            with pytest.raises(DataError, match=message):
+                load_draft_csv(fractional)
+            assert _loaded(valid) == want
+
+
+def test_a_byte_order_mark_is_skipped(tmp_path, capsys):
+    # Excel's "CSV UTF-8" starts with one; the offset of a byte that is not
+    # UTF-8 counts from the file start, mark included, past 8 KB as well
+    path = tmp_path / "draft.csv"
+    write_draft_csv(generate_synthetic_draft(SynthConfig(seed=0, years=2)), path)
+    data, marked = path.read_bytes(), tmp_path / "marked.csv"
+    marked.write_bytes(b"\xef\xbb\xbf" + data)
+    assert _loaded(marked) == _loaded(path)
+    assert main(["ingest-check", str(marked)]) == 0
+    assert capsys.readouterr().out == "year 1998: 210 records\nyear 1999: 210 records\n"
+    bad = tmp_path / "bad.csv"
+    for mark in (b"", b"\xef\xbb\xbf"):
+        for at in (100, 20_000):
+            bad.write_bytes(mark + data[:at] + b"\xff" + data[at + 1 :])
+            with pytest.raises(DataError, match=rf"not UTF-8 text \(byte {len(mark) + at}\)$"):
+                load_draft_csv(bad)
 
 
 class TestConfigFile:
