@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import csv
 import logging
+import re
 import warnings
 from contextlib import suppress
 from functools import partial
@@ -116,11 +117,15 @@ _C_FIELDS = {
     **{field: f"S{keys.itemsize + 1}" for field, (keys, _) in _KEYS.items()},  # a longer code matches no key
     **dict.fromkeys(("toi7", "gvt7"), "f8"),
 }
-# the C row of a plain chunk, and that of a chunk with a blank rank, toi7 or gvt7, which reads those three as text
+# the C row of a chunk, and that of a chunk with a blank rank, toi7 or gvt7, which reads those three as text
 _C_ROWS = tuple(
     np.dtype([(field, _TEXT if blanks and field in _BLANKABLE else kind) for field, kind in _C_FIELDS.items()])
     for blanks in (False, True)
 )
+# the bytes of a plain chunk's UTF-8 text: no control character but line ends, and no quote
+_PLAIN = bytes([*range(32, 127), *range(128, 256)]).replace(b'"', b"") + b"\r\n"
+# a space after the chunk start, a comma or a line end, or before one: csv.reader's fields are stripped, loadtxt's not
+_EDGE_SPACE = re.compile(r" (?:(?<![^,\r\n] )|(?=[,\r\n]|\Z))")
 
 
 def _convert(texts: Sequence[str], convert, dtype):
@@ -171,26 +176,39 @@ def _parse_chunk(rows: list[list[str]], lines: np.ndarray):
 
 
 def _c_chunk(lines: list[str], first_line: int):
-    """The columns of the lines of a plain chunk, the first on line
-    ``first_line``, as ``_csv_chunk`` gives them, parsed by one typed
-    ``np.loadtxt``; or None when a line does not parse there, holds an
-    unknown code or a text that may be cut, or numpy warns: that chunk takes
-    the csv path. Every number ``loadtxt`` reads, it reads as Python's
-    ``int``/``float`` do; a blank rank, ``toi7`` or ``gvt7`` makes the three
-    fields text, whose given values ``int``/``float`` convert."""
+    """The columns of the lines of a chunk, the first on line ``first_line``,
+    as ``_csv_chunk`` gives them, parsed by one typed ``np.loadtxt``; or None
+    when the chunk is not plain (no control character but line ends, no
+    ``"``, no blank line and no space at a field's edge), a line does not
+    parse there, holds an unknown code, a text that may be cut or a text
+    that ``str.strip`` would cut, or numpy warns: that chunk takes the csv
+    path. Every number ``loadtxt`` reads, it reads as Python's
+    ``int``/``float`` do, and a number with a non-ASCII character it does not
+    read; a blank rank, ``toi7`` or ``gvt7`` makes the three fields text,
+    whose given values ``int``/``float`` convert."""
+    text = "".join(lines)
+    if text.encode().translate(None, _PLAIN) or _EDGE_SPACE.search(text):
+        return None
+    if utf8 := not text.isascii():  # loadtxt reads each byte as one latin-1 character: a text keeps its UTF-8 bytes
+        lines = [line.encode() for line in lines]
+    del text  # not held while loadtxt reads the lines
     with warnings.catch_warnings():
         warnings.simplefilter("error")  # numpy 1.23-1.26 reads "1.0" as an int, with a DeprecationWarning
         for row in _C_ROWS:  # a blank number fails the typed row; the second reads the blankable fields as text
             with suppress(ValueError, Warning):
-                table = np.loadtxt(lines, row, delimiter=",", comments=None, quotechar=None, ndmin=1)
+                table = np.loadtxt(lines, row, delimiter=",", comments=None, quotechar=None, ndmin=1, encoding="latin1")
                 break
         else:
             return None
+    if len(table) < len(lines):  # loadtxt skips a blank line
+        return None
     cols, octets = {field: table[field] for field in _C_FIELDS}, table.view(np.uint8).reshape(len(table), -1)
     for field, (dtype, at) in table.dtype.fields.items():
         if dtype == _TEXT:  # cut to the widest text
             width = np.count_nonzero(octets[:, at : at + _TEXT.itemsize].any(axis=0))
-            if width == _TEXT.itemsize:
+            if width == _TEXT.itemsize or (  # the csv path strips a non-ASCII space too
+                utf8 and any(not t.isascii() and t.decode() != t.decode().strip() for t in cols[field].tolist())
+            ):
                 return None
             cols[field] = cols[field].astype(f"S{max(width, 1)}")
     for field, (keys, members) in _KEYS.items():
@@ -208,31 +226,18 @@ def _c_chunk(lines: list[str], first_line: int):
     return {**cols, "line": np.arange(first_line, first_line + len(lines))}, None, first_line + len(lines)
 
 
-def _scan(fh) -> tuple[int, bool]:
-    """An upper bound on the data rows of the seekable binary CSV ``fh`` from
-    its position on, its lines after the header split at ``\\r\\n``, ``\\n`` or
-    ``\\r``, and whether they are plain: printable ASCII and line ends only,
-    with no ``"``, no blank line and no space next to a comma, a line end or
-    their start. Counted in blocks; ``fh`` is sought back."""
-    start, ends, last, plain = fh.tell(), 0, b"\n", True  # the start reads as a line end
+def _rows_at_most(fh) -> int:
+    """An upper bound on the data rows of the seekable binary CSV ``fh``: its
+    lines after the header, split at ``\\r\\n``, ``\\n`` or ``\\r``, counted in
+    blocks. ``fh`` is rewound."""
+    ends, block = 0, b""
     for block in iter(partial(fh.read, 1 << 14), b""):
         if block.endswith(b"\r"):
             block += fh.read(1)  # a line end split across two blocks counts once
-        pairs = np.frombuffer(last + block, np.uint8)  # each two adjacent bytes of the file are in one window
-        end = pairs == 10
-        end |= pairs == 13
-        crlf = np.count_nonzero(pairs[1:][pairs[:-1] == 13] == 10)
-        ends += np.count_nonzero(end[1:]) - crlf
-        plain = plain and (  # no control byte but line ends, no non-ASCII byte, no quote and no blank line
-            pairs.max() < 127 and np.count_nonzero(pairs < 32) == np.count_nonzero(end)
-            and b'"' not in block and np.count_nonzero(end[:-1] & end[1:]) == crlf
-        )
-        if plain and b" " in block:  # a space next to a comma or a line end
-            end |= pairs == 44
-            plain = not (((pairs[1:] == 32) & end[:-1]).any() or ((pairs[:-1] == 32) & end[1:]).any())
-        last = block[-1:]
-    fh.seek(start)
-    return max(0, ends - 1 + (last not in b"\r\n")), bool(plain)  # a last line may have no end
+        lf, cr = (np.frombuffer(block, np.uint8) == end for end in b"\n\r")
+        ends += np.count_nonzero(lf) + np.count_nonzero(cr) - np.count_nonzero(cr[:-1] & lf[1:])
+    fh.seek(0)
+    return max(0, ends - 1 + (block[-1:] not in b"\r\n"))  # a last line may have no end
 
 
 def _fill(table: dict, cols: dict, at: int, size: int) -> None:
@@ -276,39 +281,36 @@ def _csv_chunk(reader, first_line: int):
 def _read(path: Path):
     """Parsed columns of the rows of a draft CSV up to its first row that
     does not parse, in file order, and that row's error as (line, message)
-    or None. A plain file (``_scan``) is parsed in C (``_c_chunk``) chunk by
-    chunk, and a chunk that does not parse there takes the ``csv.reader``
-    path of every other file, which gives every error. Each chunk is written
-    into one table sized by ``_scan``; ``year``, ``selection``, ``line``,
-    ``gp7`` and ``css_category_rank`` are int16 when every value fits, else
-    int64. A leading UTF-8 byte-order mark is skipped."""
-    table, n, error = {}, 0, None
+    or None. Each chunk of ``CHUNK_ROWS`` lines is parsed in C
+    (``_c_chunk``), and a chunk that is not plain or does not parse there
+    takes the ``csv.reader`` path, which gives every error. Each chunk is
+    written into one table sized by ``_rows_at_most``; ``year``,
+    ``selection``, ``line``, ``gp7`` and ``css_category_rank`` are int16
+    when every value fits, else int64. A leading UTF-8 byte-order mark is
+    skipped."""
+    table, n, error, line, next_line = {}, 0, None, None, 2  # line 1 is the header
     with path.open("rb") as raw:
         binary = raw if raw.seekable() else BytesIO(raw.read())  # a pipe reads once: counted from a copy
+        size = _rows_at_most(binary)
         binary.seek(3 if binary.read(3) == b"\xef\xbb\xbf" else 0)  # a UTF-8 byte-order mark is skipped
-        size, plain = _scan(binary)
         text = TextIOWrapper(binary, encoding="utf-8", newline="")
         try:
-            reader = csv.reader(text)
-            header = next(reader, None)
+            header = next(csv.reader(text), None)
             if header is None:
                 raise DataError(f"{path}: empty file, missing header")
             if tuple(header) != CSV_COLUMNS:
                 raise DataError(f"{path}: bad header {header}, expected {list(CSV_COLUMNS)}")
-            next_line = reader.line_num + 1  # a blank line counts
-            while error is None:
-                # a plain file's rows are its lines
-                line, chunk = next_line, list(islice(text, CHUNK_ROWS)) if plain else None
-                if chunk == [] and table:  # the end of a plain file
+            while error is None and next_line != line:
+                line, chunk = next_line, list(islice(text, CHUNK_ROWS))
+                if not chunk and table:
                     break
+                # csv.reader reads the chunk's rows, and the lines of the file after it that a quoted line end joins
                 cols, error, next_line = (chunk and _c_chunk(chunk, line)) or _csv_chunk(
-                    reader if chunk is None else csv.reader(chunk), line
+                    csv.reader(chain(chunk, text)), line
                 )
                 _fill(table, cols, n, size)
                 n += len(cols["line"])
                 del cols  # a chunk's arrays are not held while the next is read
-                if next_line == line:
-                    break
         except UnicodeDecodeError:
             binary.seek(0)
             binary.read().decode()  # raises again, at the offset of the bad byte from the file start

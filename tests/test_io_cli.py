@@ -23,7 +23,7 @@ from draftvalue.cescin import FACTOR_CATEGORIES
 from draftvalue.cli import main
 from draftvalue.config import RunConfig, parse_config_text
 from draftvalue.core_model import Draft, ImputationConfig, Metric
-from draftvalue.io import _TEXT, CHUNK_ROWS, CSV_COLUMNS, DataError, _read, _scan, load_draft_csv, write_draft_csv
+from draftvalue.io import _TEXT, CHUNK_ROWS, CSV_COLUMNS, DataError, _read, _rows_at_most, load_draft_csv, write_draft_csv
 from draftvalue.synth import SynthConfig, generate_synthetic_draft
 from draftvalue.valuation import DollarConstants
 
@@ -382,13 +382,11 @@ def test_blank_lines_and_a_quoted_line_end_load_like_their_clean_twin(tmp_path):
             writer.writerow([*row[:2], row[2] + "\n", *row[3:]] if i == 300 else row)
             line += 2 if i == 300 else 1
 
-    def scan(path):
+    def rows_at_most(path):
         with path.open("rb") as fh:
-            return _scan(fh)
+            return _rows_at_most(fh)
 
-    # the clean file is plain, and parsed in C; the messy one takes the csv path
-    assert scan(clean) == (len(rows), True)
-    assert scan(messy)[0] > len(rows) and scan(messy)[1] is False
+    assert rows_at_most(clean) == len(rows) < rows_at_most(messy)
     (want, no_error), (got, error) = _read(clean), _read(messy)
     assert no_error is None and error is None and got.keys() == want.keys()
     for field, column in want.items():
@@ -506,25 +504,27 @@ _CELL_EDITS = [
     {"position": " c"}, {"position": "c"}, {"position": "LW"}, {"css_category": "na_skater"}, {"css_category": "X"},
     *({field: "x" * width} for field in ("team", "name") for width in range(_TEXT.itemsize - 1, _TEXT.itemsize + 2)),
     {"name": "Jiří"}, {"name": "Sébastien"}, {"team": "\tT01"}, {"name": "P\x00"}, {"team": ""},
+    {"name": "Jiří Hudler"}, {"name": "P\u00a0Q"}, {"name": "P\u00a0"}, {"team": "\u3000T01"}, {"name": "Eliáš\x85"},
+    {"name": "\x85"}, {"gp7": "\u00a05"}, {"gvt7": "\u00a0"}, {"toi7": "1.5\u2003"}, {"year": "１９９８"},
+    {"position": "Ç"}, {"team": "T\u00e9" * 32}, {"name": "é" * 31 + "e"},
 ]
 
 
-def _assert_loads_as_its_quoted_twin(edits, blank_lines=(), end="\r\n"):
+def _assert_loads_as_its_quoted_twin(edits, blank_lines=(), end="\r\n", last_end=True):
     """The plain draft with ``edits`` made parses to the same columns, or
-    fails with the same error, as its twin with one quoted field, which
-    sends the whole file through csv.reader."""
+    fails with the same error, as its twin whose every row has a quoted
+    year, which sends each chunk through csv.reader."""
     rows = [list(row) for row in _PLAIN_ROWS]
     for i, edit in edits:
         for field, text in edit.items():
             rows[i][CSV_COLUMNS.index(field)] = text
-    lines = [HEADER, *map(",".join, rows)]
-    for at in blank_lines:
-        lines.insert(at + 1, "")
-    quoted = ['"year"' + HEADER[len("year") :], *lines[1:]]
     with tempfile.TemporaryDirectory() as tmp:
         plain, twin = Path(tmp) / "plain.csv", Path(tmp) / "twin.csv"
-        for path, text in ((plain, lines), (twin, quoted)):
-            path.write_bytes((end.join(text) + end).encode("utf-8"))
+        for path, quote in ((plain, ""), (twin, '"')):
+            lines = [HEADER, *(f"{quote}{year}{quote},{','.join(rest)}" for year, *rest in rows)]
+            for at in blank_lines:
+                lines.insert(at + 1, "")
+            path.write_bytes((end.join(lines) + end * last_end).encode("utf-8"))
         assert _parsed(plain) == _parsed(twin)
         assert _loaded(plain) == _loaded(twin)
 
@@ -532,6 +532,16 @@ def _assert_loads_as_its_quoted_twin(edits, blank_lines=(), end="\r\n"):
 @pytest.mark.parametrize("edit", _CELL_EDITS, ids=repr)
 def test_a_cell_edit_loads_as_csv_reader_does(edit):
     _assert_loads_as_its_quoted_twin([(CHUNK_ROWS + 2, edit)])  # a row of the second chunk
+
+
+@pytest.mark.parametrize("edit", [{"team": "T01 "}, {"team": " T01"}, {"name": "P "}, {"gvt7": "5.0 "}], ids=repr)
+@pytest.mark.parametrize("row", [0, CHUNK_ROWS - 1, CHUNK_ROWS, len(_PLAIN_ROWS) - 1])
+@pytest.mark.parametrize("last_end", [True, False])
+def test_a_space_at_a_field_edge_by_a_chunk_edge_loads_as_csv_reader_does(edit, row, last_end):
+    # csv.reader's fields are stripped and loadtxt's text fields are not: a
+    # space at the first or last field of a chunk, or of a file with no last
+    # line end, sends its chunk to the csv path
+    _assert_loads_as_its_quoted_twin([(row, edit)], last_end=last_end)
 
 
 @given(
@@ -545,9 +555,10 @@ def test_cell_edits_load_as_csv_reader_does(edits, blank_lines, end):
 
 
 def test_plain_drafts_load_in_c_and_others_through_csv_reader(tmp_path, monkeypatch):
-    # a later change could drop the C path unseen: plain drafts never reach
-    # _parse_chunk, while a quote, a blank line or a non-ASCII name send rows
-    # through it, and the draft loads as the plain one does
+    # a later change could drop the C path unseen: plain drafts, with or
+    # without non-ASCII names, never reach _parse_chunk, while a quote, a
+    # blank line or a name that ends in a non-ASCII space send the rows of
+    # their chunk alone through it, and the draft loads as the plain one does
     paths = {years: tmp_path / f"draft{years}.csv" for years in (5, 50)}
     for years, path in paths.items():
         write_draft_csv(generate_synthetic_draft(SynthConfig(seed=0, years=years)), path)
@@ -559,23 +570,30 @@ def test_plain_drafts_load_in_c_and_others_through_csv_reader(tmp_path, monkeypa
     monkeypatch.setattr(draft_io, "_parse_chunk", refuse)
     want = arrays(load_draft_csv(paths[5]).columns)
     assert len(load_draft_csv(paths[50]).columns.selection) == 10_500
+
     def count(rows, lines):
         rows_parsed.append(len(rows))
         return parse_chunk(rows, lines)
 
     monkeypatch.setattr(draft_io, "_parse_chunk", count)
-    _, first, *rest = paths[5].read_text(encoding="utf-8").splitlines()
-    team, name = first.split(",")[2:4]
-    for edit, line, first_name in (
-        ("quote", first.replace(f",{team},", f',"{team}",'), name),
-        ("blank line", first + "\n", name),
-        ("non-ascii", first.replace(f",{name},", ",Jiří,"), "Jiří"),
+    _, *lines = paths[5].read_text(encoding="utf-8").splitlines()
+    at = CHUNK_ROWS + 5  # a row of the second chunk
+    team, name = lines[at].split(",")[2:4]
+    for edit, line, at_name in (
+        ("quote", lines[at].replace(f",{team},", f',"{team}",'), name),
+        ("quoted line end", lines[at].replace(f",{team},", f',"{team}\n",'), name),
+        ("blank line", lines[at] + "\n", name),
+        ("non-ascii space", lines[at].replace(f",{name},", ",Jiří\u00a0,"), "Jiří"),
+        ("non-ascii", lines[at].replace(f",{name},", ",Jiří,"), "Jiří"),
     ):
         rows_parsed.clear()
-        got = arrays(load_draft_csv(write_csv(tmp_path, [line, *rest], f"{edit}.csv")).columns)
-        assert sum(rows_parsed) >= 1 + len(rest), edit
-        assert got.pop("name").tolist() == [first_name.encode(), *want["name"].tolist()[1:]], edit
+        got = arrays(load_draft_csv(write_csv(tmp_path, [*lines[:at], line, *lines[at + 1 :]], f"{edit}.csv")).columns)
+        assert rows_parsed == ([] if edit == "non-ascii" else [CHUNK_ROWS]), edit
+        names = want["name"].tolist()
+        assert got.pop("name").tolist() == [*names[:at], at_name.encode(), *names[at + 1 :]], edit
+        shift = edit in ("quoted line end", "blank line")  # the rows after it start a line later
         for field, column in got.items():
+            column = np.concatenate([column[: at + 1], column[at + 1 :] - 1]) if field == "line" and shift else column
             assert column.dtype == want[field].dtype and column.tobytes() == want[field].tobytes(), (edit, field)
 
 

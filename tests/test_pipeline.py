@@ -468,12 +468,12 @@ def _table_bytes(draft: Draft) -> int:
 
 
 def test_peak_memory_of_a_paper_scale_load(paper5_csv):
-    # bound: the tracemalloc peak, 133,691 bytes, plus about 10%; every
+    # bound: the tracemalloc peak, 117,088 bytes, plus about 10%; every
     # chunk read through csv.reader read 184,267 (bound 203,000), each
     # chunk's arrays joined in blocks of eight chunks read 239,107-239,498
     # (bound 263,000), and 256-row batches of csv.reader lists, each batch's
     # arrays kept to one join at the end, read 325,516
-    assert _peak(lambda: load_draft_csv(paper5_csv)) <= 147_000
+    assert _peak(lambda: load_draft_csv(paper5_csv)) <= 129_000
 
 
 def test_peak_memory_of_the_record_rules(tmp_path, monkeypatch):
@@ -491,18 +491,18 @@ def test_peak_memory_of_the_record_rules(tmp_path, monkeypatch):
 
 
 def test_the_load_peak_at_40_years(tmp_path):
-    # bound: the tracemalloc peak, 461,118 bytes, plus about 10%; every
+    # bound: the tracemalloc peak, 447,379 bytes, plus about 10%; every
     # chunk read through csv.reader read 504,052 (bound 555,000), chunks
     # joined in blocks of eight with int64 selections read 610,875 (bound
     # 672,000), and games and category ranks held as int64 from the first
     # parsed block read 696,891
     path = tmp_path / "input.csv"
     write_draft_csv(generate_synthetic_draft(SynthConfig(seed=0, years=40)), path)
-    assert _peak(lambda: load_draft_csv(path)) <= 507_000
+    assert _peak(lambda: load_draft_csv(path)) <= 492_000
 
 
 def test_the_load_peak_above_its_columns_at_40_years(tmp_path):
-    # bound: the peak beyond the loaded columns' nbytes (302,400), 158,694
+    # bound: the peak beyond the loaded columns' nbytes (302,400), 144,947
     # bytes, plus about 10%; every chunk read through csv.reader read 201,652
     # beyond them (bound 222,000), chunks joined in blocks of eight read 308,276
     # beyond them (bound 323,000); int64 selections, years and lines, imputation
@@ -514,7 +514,7 @@ def test_the_load_peak_above_its_columns_at_40_years(tmp_path):
     write_draft_csv(generate_synthetic_draft(SynthConfig(seed=0, years=40)), path)
     drafts = []
     peak = _peak(lambda: drafts.append(load_draft_csv(path)))
-    assert peak - _table_bytes(drafts[-1]) <= 175_000
+    assert peak - _table_bytes(drafts[-1]) <= 160_000
 
 
 def test_peak_memory_of_a_paper_scale_run(tmp_path):
