@@ -105,11 +105,7 @@ def _replay(
     key += r.offset
     best = ordered[np.maximum.accumulate(key[::-1])[::-1] - r.offset]
     value = values[r.rows]
-    optimal = value >= best
-    nearly_optimal = value >= best - half_sd
-    if np.any(optimal & ~nearly_optimal):
-        raise ValueError("optimal pick must also be nearly optimal")
-    return optimal, nearly_optimal
+    return value >= best, value >= best - half_sd
 
 
 def replay_flags(

@@ -16,7 +16,7 @@ import warnings
 from contextlib import suppress
 from functools import partial
 from io import BytesIO, TextIOWrapper
-from itertools import accumulate, chain, islice, repeat, starmap
+from itertools import chain, islice, repeat, starmap
 from operator import length_hint
 from pathlib import Path
 from typing import Iterable, Sequence, Union
@@ -73,30 +73,26 @@ def _codes(members):
     return partial(map, _Codes((m.value, i) for i, m in enumerate(members)).__getitem__)
 
 
-def _unparseable(kind):
-    def message(field, text, exc):
-        if isinstance(exc, OverflowError):
-            return f"{field}: integer out of the 64-bit range"
-        return f"unparseable {kind} field ({exc})"
-
-    return message
-
-
-def _unknown(kind):
-    return lambda field, text, exc: f"{field}: unknown {kind} {text!r}"
+def _message(field: str, kind: str, text: str, exc: Exception) -> str:
+    """The error of the ``kind`` field ``field`` whose text ``text`` raised ``exc``."""
+    if isinstance(exc, KeyError):
+        return f"{field}: unknown {kind} {text!r}"
+    if isinstance(exc, OverflowError):
+        return f"{field}: integer out of the 64-bit range"
+    return f"unparseable {kind} field ({exc})"
 
 
 # (field, texts -> values, dtype, stand-in text when blank (None: required),
-# error message) in the order a row's fields are checked
+# kind of field, for its error message) in the order a row's fields are checked
 _PARSERS = (
-    ("year", partial(map, int), np.int64, None, _unparseable("integer")),
-    ("selection", partial(map, int), np.int64, None, _unparseable("integer")),
-    ("gp7", partial(map, int), np.int64, None, _unparseable("integer")),
-    ("css_category_rank", partial(map, int), np.int64, "0", _unparseable("integer")),
-    ("position", _codes(POSITIONS), np.int8, None, _unknown("code")),
-    ("css_category", _codes(CATEGORIES), np.int8, None, _unknown("category")),
-    ("toi7", partial(map, float), float, "nan", _unparseable("numeric")),
-    ("gvt7", partial(map, float), float, "nan", _unparseable("numeric")),
+    ("year", partial(map, int), np.int64, None, "integer"),
+    ("selection", partial(map, int), np.int64, None, "integer"),
+    ("gp7", partial(map, int), np.int64, None, "integer"),
+    ("css_category_rank", partial(map, int), np.int64, "0", "integer"),
+    ("position", _codes(POSITIONS), np.int8, None, "code"),
+    ("css_category", _codes(CATEGORIES), np.int8, None, "category"),
+    ("toi7", partial(map, float), float, "nan", "numeric"),
+    ("gvt7", partial(map, float), float, "nan", "numeric"),
 )
 
 
@@ -147,9 +143,6 @@ def _parse_chunk(rows: list[list[str]], lines: np.ndarray):
 
     A row's fields are checked in ``_PARSERS`` order, so the error is the
     first failing field of the first failing row."""
-    if [] in rows:  # blank lines
-        keep = [i for i, row in enumerate(rows) if row]
-        rows[:], lines = [rows[i] for i in keep], lines[keep]
     stop, error = len(rows), None
     if {*map(len, rows)} - {len(CSV_COLUMNS)}:  # a row with too few or too many fields
         stop = next(i for i, row in enumerate(rows) if len(row) != len(CSV_COLUMNS))
@@ -157,7 +150,7 @@ def _parse_chunk(rows: list[list[str]], lines: np.ndarray):
     texts = dict(zip(CSV_COLUMNS, zip(*rows[:stop]))) if stop else dict.fromkeys(CSV_COLUMNS, ())
     rows.clear()  # the row lists go: each field's texts are held by its tuple alone
     cols = {}
-    for field, convert, dtype, blank, message in _PARSERS:
+    for field, convert, dtype, blank, kind in _PARSERS:
         column = texts.pop(field)[:stop]
         if blank is not None:
             column = list(map(str.strip, column))
@@ -166,7 +159,7 @@ def _parse_chunk(rows: list[list[str]], lines: np.ndarray):
         cols[field], bad, exc = _convert(column, convert, dtype)
         if bad is not None:
             stop = bad
-            error = (int(lines[bad]), message(field, column[bad], exc))
+            error = (int(lines[bad]), _message(field, kind, column[bad], exc))
     if stop < len(lines):
         cols = {field: col[:stop] for field, col in cols.items()}
     for field in ("team", "name"):  # UTF-8 bytes: a row costs its encoding, not 4 B per character
@@ -260,22 +253,23 @@ def _fill(table: dict, cols: dict, at: int, size: int) -> None:
 
 
 def _csv_chunk(reader, first_line: int):
-    """The columns of the next ``CHUNK_ROWS`` rows of the ``csv.reader``
-    ``reader`` before the first that does not parse, the first on line
-    ``first_line``, that row's error as (line, message) or None, and the line
-    after the rows read. A ``csv.Error`` is the error of the row being read."""
-    start, rows, csv_error = reader.line_num, [], None
+    """The columns of the next ``CHUNK_ROWS`` rows of the new ``csv.reader``
+    ``reader``, whose first line is line ``first_line``, before the first row
+    that does not parse; that row's error as (line, message) or None; and the
+    line after the rows read. A row starts on the line after those ``reader``
+    read before it, and a blank row is skipped where it is read. A
+    ``csv.Error`` is the error of the row being read."""
+    rows, lines, csv_error, read = [], [], None, 0
     try:
-        rows.extend(islice(reader, CHUNK_ROWS))  # keeps the rows read before an error
+        for row in islice(reader, CHUNK_ROWS):
+            if row:
+                rows.append(row)
+                lines.append(first_line + read)
+            read = reader.line_num
     except csv.Error as exc:
-        csv_error = str(exc)
-    if csv_error is None and reader.line_num - start == len(rows):  # a line each
-        lines = np.arange(first_line, first_line + len(rows) + 1)  # the line each row starts on, then the next
-    else:  # a row spans one line more than its quoted fields hold line ends (which split lines, as newline="")
-        spans = (1 + sum(f.count("\n") + f.count("\r") - f.count("\r\n") for f in row) for row in rows)
-        lines = np.fromiter(accumulate(spans, initial=first_line), np.int64, len(rows) + 1)
-    cols, error = _parse_chunk(rows, lines[:-1])  # a row that does not parse comes before the csv error
-    return cols, error or (None if csv_error is None else (int(lines[-1]), csv_error)), int(lines[-1])
+        csv_error = (first_line + read, str(exc))
+    cols, error = _parse_chunk(rows, np.array(lines, np.int64))  # a row that does not parse comes before the csv error
+    return cols, error or csv_error, first_line + read
 
 
 def _read(path: Path):

@@ -3,7 +3,7 @@
 Players carry a latent, strictly decreasing quality; the team and scouting
 orderings are noisy observations of that quality with separately tunable
 noise. Outcomes are monotone links of quality with noise, calibrated so the
-never-played fraction matches the configured rate. The generator exists to
+never-played fraction matches ``NEVER_PLAYED_RATE``. The generator exists to
 make pipeline properties testable, not to model hockey.
 """
 
@@ -30,6 +30,8 @@ _CODE = {c: CATEGORIES.index(c) for c in CssCategory}
 FIRST_YEAR = 1998
 QUALITY_DECAY = 3.0  # base quality exp(-QUALITY_DECAY * talent/n) falls down the draft
 OUTCOME_NOISE = 0.35  # scale of the noise on each outcome
+NEVER_PLAYED_RATE = 0.54  # expected share of picks who never play
+DEFENSE_RATE = 0.317  # expected share of defensemen
 
 
 @dataclass(frozen=True)
@@ -38,25 +40,21 @@ class SynthConfig:
     years: int = 5
     picks_per_year: int = 210
     teams: int = 30
-    never_played_rate: float = 0.54
     css_noise: float = 30.0
     team_noise: float = 12.0
     # category mix; set goalie_rate and eu_rate to 0 for a single-list draft
     goalie_rate: float = 0.116
-    defense_rate: float = 0.317
     eu_rate: float = 0.30
 
     def __post_init__(self):
-        if not (0.0 <= self.never_played_rate < 1.0):
-            raise ValueError("never_played_rate must be in [0, 1)")
         for name in ("css_noise", "team_noise"):
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be >= 0")
-        for name in ("goalie_rate", "defense_rate", "eu_rate"):
+        for name in ("goalie_rate", "eu_rate"):
             if not (0.0 <= getattr(self, name) <= 1.0):
                 raise ValueError(f"{name} must be in [0, 1]")
-        if self.goalie_rate + self.defense_rate > 1.0:
-            raise ValueError("goalie_rate + defense_rate must not exceed 1")
+        if self.goalie_rate + DEFENSE_RATE > 1.0:
+            raise ValueError(f"goalie_rate + DEFENSE_RATE ({DEFENSE_RATE}) must not exceed 1")
         for name, low in (("seed", 0), ("years", 1), ("teams", 1)):
             if getattr(self, name) < low:
                 raise ValueError(f"{name} must be >= {low}, got {getattr(self, name)}")
@@ -64,19 +62,17 @@ class SynthConfig:
             raise ValueError(f"picks_per_year must be in [2, {MAX_SELECTION}], got {self.picks_per_year}")
 
 
-def _played_probabilities(n: int, rate: float) -> np.ndarray:
+def _played_probabilities(n: int) -> np.ndarray:
     """Logistic played-probability in talent order, with the midpoint chosen
-    by bisection so the mean matches 1 - rate."""
+    by bisection so the mean matches 1 - ``NEVER_PLAYED_RATE``."""
     t = np.arange(1, n + 1, dtype=float)
-    if rate == 0.0:
-        return np.ones(n)
     s = n / 8.0
 
     def mean_p(t0):
         return float(np.mean(1.0 / (1.0 + np.exp((t - t0) / s))))
 
     lo, hi = -4.0 * n, 5.0 * n
-    target = 1.0 - rate
+    target = 1.0 - NEVER_PLAYED_RATE
     for _ in range(100):
         mid = (lo + hi) / 2.0
         if mean_p(mid) < target:
@@ -95,19 +91,18 @@ def generate_synthetic_draft(
     parts = []  # the rows of each year in pick order, as RawRows fields
     n = config.picks_per_year
     quality = np.exp(-QUALITY_DECAY * np.arange(n) / n)
-    played_p = _played_probabilities(n, config.never_played_rate)
+    played_p = _played_probabilities(n)
+    talent = np.arange(1, n + 1, dtype=float)
+    selection = np.arange(1, n + 1)
+    team = np.array([b"T%02d" % (i % config.teams + 1) for i in range(n)])  # the same every year
     for y in range(config.years):
         year = FIRST_YEAR + y
-        talent = np.arange(1, n + 1, dtype=float)
-
         team_score = talent + rng.normal(0.0, config.team_noise, n) if config.team_noise else talent
         css_score = talent + rng.normal(0.0, config.css_noise, n) if config.css_noise else talent
-        # selection 1 goes to the player teams score best (lowest)
-        selection_of = np.empty(n, dtype=int)
-        selection_of[np.argsort(team_score, kind="stable")] = np.arange(1, n + 1)
+        by_pick = np.argsort(team_score, kind="stable")  # selection 1 goes to the player teams score best (lowest)
 
         goalie = rng.random(n) < config.goalie_rate
-        defense = ~goalie & (rng.random(n) < config.defense_rate / max(1e-12, 1.0 - config.goalie_rate))
+        defense = ~goalie & (rng.random(n) < DEFENSE_RATE / (1.0 - config.goalie_rate))
         european = rng.random(n) < config.eu_rate
         position = np.empty(n, dtype=np.int8)
         position[goalie] = POSITIONS.index(Position.G)
@@ -133,12 +128,10 @@ def generate_synthetic_draft(
         toi = gp * minutes
         gvt = -20.0 + 134.0 * quality + rng.normal(0.0, 20.0 * OUTCOME_NOISE, n)
 
-        by_pick = np.argsort(selection_of)
-        selection = selection_of[by_pick]
         parts.append(dict(
             year=np.full(n, year),
             selection=selection,
-            team=np.array([b"T%02d" % ((s - 1) % config.teams + 1) for s in selection.tolist()]),
+            team=team,
             name=np.array([b"P%d_%03d" % (year, i + 1) for i in by_pick.tolist()]),
             position=position[by_pick],
             css_category=category[by_pick],

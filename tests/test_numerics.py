@@ -510,6 +510,18 @@ class TestShapiroWilk:
         assert res.p_value > 0.0
         assert res.p_value == pytest.approx(stats.shapiro(x).pvalue, rel=1e-6)
 
+    def test_matches_scipy_at_every_small_n(self):
+        # n <= 5 takes its own coefficient branch, which the teams stage
+        # reaches for a draft of 4 or 5 teams
+        from scipy import stats
+
+        rng = np.random.default_rng(7)
+        for n in [*range(3, 61), 100, 1_000, 5_000]:
+            for x in (rng.normal(size=n), rng.exponential(size=n) ** 2):
+                res, ref = shapiro_wilk(x), stats.shapiro(x)
+                assert res.statistic == pytest.approx(ref.statistic, rel=0, abs=1e-8), n
+                assert res.p_value == pytest.approx(ref.pvalue, rel=1e-5, abs=0), n
+
     def test_scale_invariance_of_a_tiny_spread(self):
         x = np.array([1e-5] + [0.0] * 48)
         assert shapiro_wilk(0.25 * x).statistic == pytest.approx(

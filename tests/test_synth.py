@@ -73,12 +73,6 @@ class TestCalibration:
             fractions.append(np.mean(classes.columns.metrics[Metric.GP] == 0))
         assert all(abs(f - 0.54) < 0.05 for f in fractions)
 
-    def test_zero_never_played_rate(self):
-        classes = generate_synthetic_draft(
-            SynthConfig(seed=0, years=1, never_played_rate=0.0)
-        )
-        assert (classes[0].columns.metrics[Metric.GP] > 0).all()
-
 
 class TestOrderingContract:
     def test_zero_noise_single_category_identical_orderings(self):
@@ -107,11 +101,9 @@ class TestConfigValidation:
     @pytest.mark.parametrize(
         "kwargs",
         [
-            {"never_played_rate": 1.0},
-            {"never_played_rate": -0.1},
             {"css_noise": -1.0},
             {"goalie_rate": 1.5},
-            {"goalie_rate": 0.6, "defense_rate": 0.6},
+            {"goalie_rate": 0.7},
             {"years": 0},
             {"picks_per_year": 1},
         ],
