@@ -4,6 +4,7 @@ import pytest
 from draftvalue.config import RunConfig
 from draftvalue.core_model import (
     CATEGORIES,
+    MAX_SELECTION,
     GROUP_OF_POSITION,
     GROUPS,
     POSITIONS,
@@ -58,6 +59,12 @@ class TestStructure:
             ranks = c.category_rank[c.category == k].tolist()
             assert sorted(ranks) == list(range(1, len(ranks) + 1))
 
+    def test_team_of_each_pick_is_the_same_every_year(self):
+        classes = generate_synthetic_draft(SynthConfig(seed=2, years=3, picks_per_year=20, teams=7))
+        expected = [b"T%02d" % ((s - 1) % 7 + 1) for s in range(1, 21)]
+        for dc in classes:
+            assert dc.columns.team.tolist() == expected
+
     def test_position_mix_roughly_as_configured(self):
         classes = generate_synthetic_draft(SynthConfig(seed=9, years=5))
         groups = GROUP_OF_POSITION[classes.columns.position]
@@ -102,10 +109,15 @@ class TestConfigValidation:
         "kwargs",
         [
             {"css_noise": -1.0},
+            {"team_noise": -1.0},
             {"goalie_rate": 1.5},
             {"goalie_rate": 0.7},
+            {"eu_rate": -0.1},
+            {"seed": -1},
             {"years": 0},
+            {"teams": 0},
             {"picks_per_year": 1},
+            {"picks_per_year": MAX_SELECTION + 1},
         ],
     )
     def test_bad_config_rejected(self, kwargs):
