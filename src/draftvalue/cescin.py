@@ -14,7 +14,7 @@ from typing import Mapping, Optional
 
 import numpy as np
 
-from .core_model import CATEGORIES, CssCategory, Draft
+from .core_model import CATEGORIES, UNRANKED, CssCategory, Draft
 
 FACTOR_CATEGORIES = (
     CssCategory.NA_SKATER,
@@ -22,7 +22,6 @@ FACTOR_CATEGORIES = (
     CssCategory.EU_SKATER,
     CssCategory.EU_GOALIE,
 )
-UNRANKED = CATEGORIES.index(CssCategory.UNRANKED)
 
 
 @dataclass(frozen=True)

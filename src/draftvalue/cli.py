@@ -79,7 +79,7 @@ def _build_parser() -> _Parser:
         if metric:
             p.add_argument(
                 "--metric",
-                choices=["toi", "gp", "gvt", "all"],
+                choices=[*(m.value for m in Metric), "all"],
                 default="all",
                 help="restrict analysis to one metric",
             )
@@ -88,10 +88,9 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("synth", help="write a synthetic draft CSV")
     p.add_argument("--out", **out)
-    p.add_argument("--seed", type=_synth_flag("seed"), default=0)
-    p.add_argument("--years", type=_synth_flag("years"), default=5)
-    p.add_argument("--picks", type=_synth_flag("picks_per_year"), default=210)
-    p.add_argument("--teams", type=_synth_flag("teams"), default=30)
+    # each flag sets the SynthConfig field it names; one not given keeps the field's default
+    for flag, field in (("--seed", "seed"), ("--years", "years"), ("--picks", "picks_per_year"), ("--teams", "teams")):
+        p.add_argument(flag, dest=field, type=_synth_flag(field), default=argparse.SUPPRESS)
 
     sub.add_parser("reference-chart", help="print the embedded published pick chart")
     return parser
@@ -112,14 +111,6 @@ def _run_config(args) -> RunConfig:
     if getattr(args, "by_position", False):
         cfg = dataclasses.replace(cfg, by_position=True)
     return cfg
-
-
-def _out_dir(path: Path) -> Path:
-    try:
-        path.mkdir(parents=True, exist_ok=True)
-    except OSError as exc:
-        raise _UsageError(f"--out {path}: {exc.strerror}") from exc
-    return path
 
 
 def _write(out: Path, write, *args):
@@ -143,10 +134,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             return EXIT_OK
 
         if args.command == "synth":
-            config = SynthConfig(
-                seed=args.seed, years=args.years, picks_per_year=args.picks, teams=args.teams
-            )
-            path = _out_dir(args.out) / "synthetic.csv"
+            config = SynthConfig(**{k: v for k, v in vars(args).items() if k not in ("command", "out")})
+            path = args.out / "synthetic.csv"
             _write(args.out, write_draft_csv, generate_synthetic_draft(config), path)
             print(path)
             return EXIT_OK
@@ -163,7 +152,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             return EXIT_OK
 
         stages = STAGES if args.command == "run" else (args.command,)
-        paths = _write(args.out, run_pipeline, draft, cfg, _out_dir(args.out), stages)
+        paths = _write(args.out, run_pipeline, draft, cfg, args.out, stages)
         for path in paths:
             print(path)
         return EXIT_OK

@@ -90,8 +90,8 @@ POSITIONS = tuple(Position)
 GROUPS = tuple(PositionGroup)
 CATEGORIES = tuple(CssCategory)
 
-_GOALIE = POSITIONS.index(Position.G)
-_UNRANKED = CATEGORIES.index(CssCategory.UNRANKED)
+GOALIE = POSITIONS.index(Position.G)
+UNRANKED = CATEGORIES.index(CssCategory.UNRANKED)
 # the group index of each position: D and G are groups of their own, C, L, R and F are forwards
 GROUP_OF_POSITION = np.array(
     [GROUPS.index(PositionGroup.__members__.get(p.name, PositionGroup.F)) for p in POSITIONS], np.int8
@@ -139,7 +139,7 @@ def _within(codes: np.ndarray, pair: frozenset, rows: np.ndarray) -> np.ndarray:
 def _record_rules(rows: RawRows):
     """Each record rule in order as (field, rows breaking the rule, message,
     column whose value it quotes); a mask is built only when it is read."""
-    goalie = rows.position == _GOALIE
+    goalie = rows.position == GOALIE
     ranked, category = rows.has_css_category_rank, rows.css_category
     toi7, gvt7 = rows.toi7, rows.gvt7
     yield "selection", rows.selection < 1, "must be >= 1, got {}", rows.selection
@@ -149,7 +149,7 @@ def _record_rules(rows: RawRows):
     yield "toi7", rows.has_toi7 & (toi7 < 0), "must be >= 0, got {}", toi7
     yield (
         "css_category_rank",
-        ranked == (category == _UNRANKED),
+        ranked == (category == UNRANKED),
         "rank must be present exactly when the player is category-ranked",
         None,
     )
@@ -185,7 +185,7 @@ def impute(rows: RawRows, config: ImputationConfig) -> tuple[np.ndarray, np.ndar
     never_played, toi7, gvt7 = rows.gp7 == 0, rows.toi7, rows.gvt7
     np.copyto(toi7, 0.0, where=never_played)
     with np.errstate(over="ignore"):  # an overflow is reported below, not warned
-        np.multiply(config.goalie_minutes_per_game, rows.gp7, out=toi7, where=rows.position == _GOALIE)
+        np.multiply(config.goalie_minutes_per_game, rows.gp7, out=toi7, where=rows.position == GOALIE)
     if np.isinf(toi7).any():
         raise ValueError(f"impute.goalie_minutes_per_game = {config.goalie_minutes_per_game!r}: imputed TOI not finite")
     np.copyto(gvt7, config.never_played_gvt, where=never_played)

@@ -371,7 +371,9 @@ def load_draft_csv(
 def write_csv(path: Path, header: Sequence[str], line: str, rows: Iterable[tuple]) -> Path:
     """Write ``header`` and each of ``rows`` formatted by ``line`` to ``path`` as the bytes
     csv.writer gives (CRLF ends, minimal quoting), streamed through one text file; a text
-    field is formatted with ``csv_text``. Every CSV the package writes goes through here."""
+    field is formatted with ``csv_text``. Every CSV the package writes goes through here;
+    it makes ``path``'s directory first."""
+    path.parent.mkdir(parents=True, exist_ok=True)
     with path.open("w", encoding="utf-8", newline="") as fh:
         fh.write(",".join(header) + "\r\n")
         fh.writelines(line % row for row in rows)

@@ -144,14 +144,11 @@ def loess_fit(x, y, grid, span: float = 0.5) -> SmoothCurve:
     # a division by zero is replaced: at a zero radius by the equal weights,
     # in a flat design by the local mean. numpy gives a broadcasting operand
     # a buffer of up to bufsize elements: 8192 would outweigh a chunk matrix
-    bufsize = np.setbufsize(256)  # errstate restores it on numpy >= 2 only
-    try:
-        with np.errstate(divide="ignore", invalid="ignore"):
-            for start in range(0, len(grid), per_chunk):
-                rows = slice(start, start + per_chunk)
-                fitted[:, rows] = _fit_rows(x, y, count, grid[rows], dmax[rows], equal[rows], tol[rows])
-    finally:
-        np.setbufsize(bufsize)
+    with np.errstate(divide="ignore", invalid="ignore"):  # restores the buffer size too
+        np.setbufsize(256)
+        for start in range(0, len(grid), per_chunk):
+            rows = slice(start, start + per_chunk)
+            fitted[:, rows] = _fit_rows(x, y, count, grid[rows], dmax[rows], equal[rows], tol[rows])
     if not np.all(np.isfinite(fitted)):
         raise ValueError("non-finite fitted value")
     return SmoothCurve(grid=grid, values=fitted[0] if one else fitted)

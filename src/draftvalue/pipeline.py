@@ -180,7 +180,7 @@ class Analysis:
             except ValueError as exc:
                 tests["normality"][metric.value] = {"error": str(exc)}
             tests["outliers"][metric.value] = outlier_teams(gains, metric)
-        if all(set(self.draft.years).intersection(half) for half in (cfg.split_early, cfg.split_late)):
+        if gains.picks[1].any() and gains.picks[2].any():  # the data years cover both halves
             try:
                 split = split_half_correlation(gains)
                 tests["split_half"] = {m.value: {"r": r.statistic, "p": r.p_value} for m, r in split.items()}
@@ -192,12 +192,12 @@ class Analysis:
 
 
 def _write_json(path: Path, obj) -> Path:
+    path.parent.mkdir(parents=True, exist_ok=True)
     path.write_text(json.dumps(obj, indent=2, allow_nan=False))  # strict JSON: NaN or inf raise
     return path
 
 
 def _write_curve(path: Path, curve: SmoothCurve) -> Path:
-    path.parent.mkdir(exist_ok=True)
     return write_csv(path, ("x", "fitted"), "%g,%.6f\r\n", zip(curve.grid.tolist(), curve.values.tolist()))
 
 
@@ -268,10 +268,9 @@ def run_pipeline(
     stages: Sequence[str] = STAGES,
 ) -> list[Path]:
     """Compute ``stages`` and the stages they read, then write their
-    artifacts; a failed stage writes nothing. Returns the paths written."""
+    artifacts, each file's directory made as the file is written; a failed
+    stage writes nothing and makes no directory. Returns the paths written."""
     analysis = Analysis(draft, config)
     for stage in stages:
         getattr(analysis, stage)
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    return [path for stage in stages for path in _WRITERS[stage](analysis, out)]
+    return [path for stage in stages for path in _WRITERS[stage](analysis, Path(out_dir))]

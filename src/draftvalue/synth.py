@@ -15,6 +15,7 @@ import numpy as np
 
 from .core_model import (
     CATEGORIES,
+    GOALIE,
     MAX_SELECTION,
     POSITIONS,
     CssCategory,
@@ -38,7 +39,7 @@ DEFENSE_RATE = 0.317  # expected share of defensemen
 class SynthConfig:
     seed: int = 0
     years: int = 5
-    picks_per_year: int = 210
+    picks_per_year: int = MAX_SELECTION
     teams: int = 30
     css_noise: float = 30.0
     team_noise: float = 12.0
@@ -105,7 +106,7 @@ def generate_synthetic_draft(
         defense = ~goalie & (rng.random(n) < DEFENSE_RATE / (1.0 - config.goalie_rate))
         european = rng.random(n) < config.eu_rate
         position = np.empty(n, dtype=np.int8)
-        position[goalie] = POSITIONS.index(Position.G)
+        position[goalie] = GOALIE
         position[defense] = POSITIONS.index(Position.D)
         forward = ~goalie & ~defense
         position[forward] = _FORWARD_CODES[rng.integers(0, len(_FORWARD_CODES), forward.sum())]

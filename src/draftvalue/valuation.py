@@ -10,10 +10,10 @@ from typing import Mapping, Optional, Sequence
 
 import numpy as np
 
-from .core_model import GROUP_OF_POSITION, GROUPS, Draft, Metric, PositionGroup
+from .core_model import GROUP_OF_POSITION, GROUPS, MAX_SELECTION, Draft, Metric, PositionGroup
 from .numerics import SmoothCurve, antitonic_fit, loess_fit
 
-SELECTION_GRID = np.arange(1, 211, dtype=float)
+SELECTION_GRID = np.arange(1, MAX_SELECTION + 1, dtype=float)
 
 
 @dataclass(frozen=True)
@@ -49,8 +49,8 @@ class ValueChart:
     values: tuple[int, ...]
 
     def __post_init__(self):
-        if len(self.values) != 210:
-            raise ValueError(f"chart must have 210 entries, got {len(self.values)}")
+        if len(self.values) != MAX_SELECTION:
+            raise ValueError(f"chart must have {MAX_SELECTION} entries, got {len(self.values)}")
         if self.values[0] != 1000:
             raise ValueError(f"value at pick 1 must be 1000, got {self.values[0]}")
         if any(b > a for a, b in zip(self.values, self.values[1:])):

@@ -7,6 +7,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import time
 import tracemalloc
 import warnings
 from dataclasses import fields, replace
@@ -825,6 +826,31 @@ class TestCli:
             ],
         )
         assert main(["run", str(path), "--out", str(tmp_path / "o")]) == 3
+
+    @pytest.mark.parametrize("command", ["run", "surplus"])
+    def test_failed_stage_makes_no_out_dir(self, tmp_path, capsys, command):
+        # one class of 10 picks has a single ranked NA goalie: stage cescin
+        # fails, so no artifact is written and --out is not made
+        main(["synth", "--years", "1", "--picks", "10", "--seed", "0", "--out", str(tmp_path)])
+        capsys.readouterr()
+        out = tmp_path / "o" / "sub"
+        assert main([command, str(tmp_path / "synthetic.csv"), "--out", str(out)]) == 3
+        assert capsys.readouterr().err.startswith("pipeline error: stage cescin:")
+        assert not (tmp_path / "o").exists()
+
+    def test_wide_split_range_costs_teams_no_more(self, tmp_path, capsys):
+        # a split range is tested per data year, not per year it names
+        main(["synth", "--out", str(tmp_path)])
+        tests = []
+        for name, late in (("narrow", "2001,2002"), ("wide", "2001-200000000")):
+            config, out = tmp_path / f"{name}.cfg", tmp_path / name
+            config.write_text(f"split.late = {late}\n", encoding="utf-8")
+            start = time.process_time()
+            assert main(["teams", str(tmp_path / "synthetic.csv"), "--config", str(config), "--out", str(out)]) == 0
+            seconds = time.process_time() - start
+            tests.append((out / "team_tests.json").read_bytes())
+        assert tests[0] == tests[1]
+        assert seconds < 1.0
 
     def test_never_played_draft(self, tmp_path, capsys):
         # every TOI and GP is 0 and every GVT the imputed -30

@@ -338,6 +338,25 @@ class TestLoess:
             tracemalloc.stop()
         assert peak <= bound
 
+    @pytest.mark.parametrize("scale", [1.0, 1e308], ids=["fit", "overflow"])
+    def test_buffer_size_is_left_as_found(self, scale):
+        # the fit runs under a 256-element buffer; after it returns, or raises
+        # in its chunk loop (responses near 1e308 overflow their weighted
+        # sums), the caller's buffer size holds again
+        x = np.arange(1.0, 61.0)
+        y = scale * (1.0 + 0.5 * np.sin(x))
+        before = np.setbufsize(4096)
+        try:
+            with np.errstate(over="raise"):
+                if scale == 1.0:
+                    loess_fit(x, y, grid=SELECTION_GRID)
+                else:
+                    with pytest.raises(FloatingPointError, match="overflow"):
+                        loess_fit(x, y, grid=SELECTION_GRID)
+                assert np.getbufsize() == 4096
+        finally:
+            np.setbufsize(before)
+
     def test_ties_match_raw_row_wls_oracle(self, rng):
         checked = 0
         for _ in range(20):
