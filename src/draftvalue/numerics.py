@@ -199,21 +199,24 @@ def _fit_rows(x, ys, count, x0, dmax, equal, tol):
     at most ``tol`` takes the local mean.
     """
     dmax, x0 = dmax[:, None], x0[:, None]
-    lw = np.abs(x - x0)  # distances, then weights, then weights times x - x0
-    at_radius = lw == dmax
+    lw = np.subtract(x, x0)  # distances, then weights, then weights times x - x0
+    np.abs(lw, out=lw)
+    at_radius = lw == dmax if equal.any() else None  # only a chunk with an equal-weights point reads it
     lw /= dmax
     _tricube(lw)
-    np.copyto(lw, at_radius, where=equal[:, None])
+    if at_radius is not None:
+        np.copyto(lw, at_radius, where=equal[:, None])
     del at_radius  # so the fit's peak stays in the tricube, the same for any number of responses
     lw *= count
     sw = lw.sum(axis=1)
-    # einsum, not BLAS gemv: its rounding would depend on the rows in the chunk
-    t0 = np.array([np.einsum("ij,j->i", lw, y) for y in ys])
+    # einsum, not BLAS gemm: its rounding would depend on the rows in the chunk. Each
+    # response's row of "ij,kj->ki" is the same sum, in the same order, as "ij,j->i"
+    t0 = np.einsum("ij,kj->ki", lw, ys)
     xc = x - x0  # built again here, so the tricube's scratch matrix is never a third
     lw *= xc
     s1 = lw.sum(axis=1)
     s2 = np.einsum("ij,ij->i", lw, xc)
-    t1 = np.array([np.einsum("ij,j->i", lw, y) for y in ys])
+    t1 = np.einsum("ij,kj->ki", lw, ys)
     del lw, xc
     spread = s2 / sw - (s1 / sw) ** 2
     return np.where(spread <= tol, t0 / sw, (s2 * t0 - s1 * t1) / (sw * s2 - s1 * s1))

@@ -126,16 +126,20 @@ class Analysis:
 
     @partial(_fails_as, "curves")
     def expected(
-        self, ordering: Ordering, metrics: Sequence[Metric], group=None
-    ) -> dict[Metric, SmoothCurve]:
+        self, ordering: Union[Ordering, tuple[Ordering, ...]], metrics: Sequence[Metric], group=None
+    ) -> Union[dict[Metric, SmoothCurve], list[dict[Metric, SmoothCurve]]]:
         """Expected-performance curves of ``metrics`` for ``group`` (None:
-        all). Each is fitted once; the missing ones in one stacked call."""
-        missing = [m for m in metrics if (ordering, m, group) not in self._curves]
-        if missing:
-            span = self.config.loess_span
-            fitted = expected_curve(self.draft, self.ranks(ordering), missing, span, group)
-            self._curves.update(((ordering, m, group), c) for m, c in fitted.items())
-        return {m: self._curves[ordering, m, group] for m in metrics}
+        all) under ``ordering``, or one dict per ordering of a tuple. Each
+        curve is fitted once: the orderings that miss the same metrics in one
+        ``expected_curve`` call, which shares one fit between them when it can."""
+        orderings = ordering if isinstance(ordering, tuple) else (ordering,)
+        missing = {o: tuple(m for m in metrics if (o, m, group) not in self._curves) for o in orderings}
+        for need in dict.fromkeys(ms for ms in missing.values() if ms):
+            share = [o for o in orderings if missing[o] == need]
+            fits = expected_curve(self.draft, tuple(map(self.ranks, share)), need, self.config.loess_span, group)
+            self._curves.update(((o, m, group), c) for o, fit in zip(share, fits) for m, c in fit.items())
+        curves = [{m: self._curves[o, m, group] for m in metrics} for o in orderings]
+        return curves if isinstance(ordering, tuple) else curves[0]
 
     @_stage
     def audit(self) -> AuditReport:
@@ -144,7 +148,7 @@ class Analysis:
     @_stage
     def curves(self) -> dict[Ordering, dict[Metric, SmoothCurve]]:
         """Expected-performance curve per ordering and metric."""
-        return {o: self.expected(o, self.config.metrics) for o in Ordering}
+        return dict(zip(Ordering, self.expected(tuple(Ordering), self.config.metrics)))
 
     @_stage
     def surplus(self) -> dict[str, tuple[Optional[SmoothCurve], GainEstimate]]:

@@ -6,7 +6,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Mapping, Optional, Sequence
+from typing import Mapping, Optional, Sequence, Union
 
 import numpy as np
 
@@ -72,20 +72,73 @@ def group_rows(draft: Draft, group: Optional[PositionGroup]) -> Optional[np.ndar
 
 def expected_curve(
     draft: Draft,
-    ranks: np.ndarray,
+    ranks: Union[np.ndarray, tuple[np.ndarray, ...]],
     metrics: Sequence[Metric],
     span: float = 0.5,
     group: Optional[PositionGroup] = None,
-) -> dict[Metric, SmoothCurve]:
+) -> Union[dict[Metric, SmoothCurve], list[dict[Metric, SmoothCurve]]]:
     """Smoothed expected outcome of each of ``metrics`` at each of the 210
     draft ranks, pooling (rank, outcome) pairs across years under one
     ordering: ``ranks`` holds its pooled rank array. The metrics share
     their ranks, so one stacked fit, reading one metric column at a time,
-    gives every curve."""
-    keep = group_rows(draft, group)
-    outcomes = (draft.aligned(draft.columns.metrics[m], keep) for m in metrics)
-    fit = loess_fit(draft.aligned(ranks, keep), outcomes, grid=SELECTION_GRID, span=span)
-    return dict(zip(metrics, fit.split()))
+    gives every curve.
+
+    A tuple of rank arrays, one per ordering, gives one such dict per array.
+    The orderings share one fit over the selections when ``_shares_slots``
+    holds: each ordering's outcomes are read into slot order, so each
+    distinct x adds the same rows in the same class order as in that
+    ordering's own fit, and every curve is bit-identical to it. Any other
+    input, and any ``group``, fits each ordering on its own."""
+    one = not isinstance(ranks, tuple)
+    ranks, keep, columns = (ranks,) if one else ranks, group_rows(draft, group), draft.columns.metrics
+    if len(ranks) > 1 and keep is None and _shares_slots(draft, ranks):
+        selection = draft.columns.selection  # the team ranks: each row is its own slot
+        outcomes = (columns[m] if r is selection else _in_slots(draft, r, columns[m]) for r in ranks for m in metrics)
+        fits = [loess_fit(selection, outcomes, grid=SELECTION_GRID, span=span)]
+    else:
+        fits = [
+            loess_fit(draft.aligned(r, keep), (draft.aligned(columns[m], keep) for m in metrics), SELECTION_GRID, span)
+            for r in ranks
+        ]
+    curves = [curve for fit in fits for curve in fit.split()]
+    by_ordering = [dict(zip(metrics, curves[i * len(metrics) :])) for i in range(len(ranks))]
+    return by_ordering[0] if one else by_ordering
+
+
+SLOT_ROWS = 1024  # rows whose slots one intp index holds: never a whole column
+
+
+def _in_slots(draft: Draft, ranks: np.ndarray, column: np.ndarray) -> np.ndarray:
+    """``column`` with the value of each row moved to its slot under
+    ``ranks``, the row of its class whose selection is its rank, on a draft
+    whose classes hold selections 1..N; a slot outside the column is clipped
+    into it, and a slot no row moves to holds 0."""
+    slotted, selection = np.zeros_like(column), draft.columns.selection
+    for at in range(0, len(column), SLOT_ROWS):
+        rows = slice(at, min(at + SLOT_ROWS, len(column)))
+        np.put(slotted, np.arange(rows.start, rows.stop) - selection[rows] + ranks[rows], column[rows], mode="clip")
+    return slotted
+
+
+def _shares_slots(draft: Draft, ranks: Sequence[np.ndarray]) -> bool:
+    """Whether every class of ``draft`` holds selections 1..N, which its
+    first and last selections show, and each of ``ranks`` is an integer
+    array that puts each class's rows on distinct slots 1..N of that class.
+
+    Read into slot order, such ranks are the selections. Conversely, if they
+    are, every slot is filled, so no two rows share one, and a rank that
+    equals the selection of its slot puts the row in its own class: a rank
+    r_i of row i in another class's slot would differ from that slot's
+    selection by the distance between the two classes' starts."""
+    selection, bounds = draft.columns.selection, np.asarray(draft.bounds)
+    return bool(
+        np.all(selection[bounds[:-1]] == 1)
+        and np.all(selection[bounds[1:] - 1] == np.diff(bounds))
+        and all(
+            r is selection or draft.aligned(r).dtype.kind == "i" and np.array_equal(_in_slots(draft, r, r), selection)
+            for r in ranks
+        )
+    )
 
 
 class _Surplus(Mapping):

@@ -234,17 +234,51 @@ class TestLoess:
         for row, response in zip(stacked.values, y):
             assert np.array_equal(row, loess_fit(x, response, grid=grid, span=span).values)
 
+    @given(st.integers(1, 40), st.integers(3, 500), st.integers(1, 6), st.floats(0.0, 0.9), st.integers(0, 2**31))
+    @settings(max_examples=100, deadline=None)
+    def test_each_row_of_the_stacked_weighted_sums_is_its_own_sum(self, rows, m, k, zeros, seed):
+        # a chunk sums the weights times every response in one einsum: the
+        # golden artifacts rest on each response's row adding the same
+        # products in the same order as the one-response einsum did. Checked
+        # here on the installed numpy; the CI leg on the declared numpy floor
+        # checks it there
+        rng = np.random.default_rng(seed)
+        lw = rng.uniform(size=(rows, m)) * (rng.uniform(size=(rows, m)) >= zeros)  # zero weights past a radius
+        ys = rng.normal(size=(k, m)) * 50
+        stacked = np.einsum("ij,kj->ki", lw, ys)
+        for row, y in zip(stacked, ys):
+            assert np.array_equal(row, np.einsum("ij,j->i", lw, y))
+
+    def test_a_chunk_of_equal_and_tricube_weights_fits_each_point_as_alone(self):
+        # 20 rows tied at x = 40 hold the q = 10 nearest rows of each grid
+        # point near them at one distance, so those points take equal
+        # weights; the points over x = 0..19 take tricube weights. Only a
+        # chunk with an equal-weights point builds the mask of rows at the
+        # radius, and all 91 points share one chunk
+        x = np.concatenate([np.arange(20.0), np.full(20, 40.0)])
+        y = np.random.default_rng(0).normal(size=(2, len(x))) * 50 + x
+        grid, span = np.linspace(0.0, 45.0, 91), 0.25
+        dmax, dmin, _ = _radii(np.append(np.arange(20.0), 40.0), np.append(np.ones(20), 20.0), 10, grid)
+        assert (dmax <= dmin).any() and not (dmax <= dmin).all()
+        assert len(grid) <= CHUNK_ELEMENTS // 21
+        values = loess_fit(x, y, grid=grid, span=span).values
+        for j, point in enumerate(grid):
+            for row, response in zip(values, y):
+                assert np.array_equal(row[j], loess_fit(x, response, grid=[point], span=span).values[0])
+
     @pytest.mark.parametrize("shape", [(2, 9), (10, 2), (1, 2, 10), ()])
     def test_y_must_have_one_value_per_x(self, shape):
         with pytest.raises(ValueError, match="values of x"):
             loess_fit(np.arange(10.0), np.zeros(shape), grid=[1.0])
 
-    def test_stacked_fit_peak_memory(self):
-        # three responses over 1,050 pooled ranks of five drafts: each chunk
+    @pytest.mark.parametrize("k", [3, 6])
+    def test_stacked_fit_peak_memory(self, k):
+        # k responses over 1,050 pooled ranks of five drafts: each chunk
         # builds one weight matrix for all of them, so only rows of y and of
-        # the fitted values grow with the number of responses
+        # the fitted values grow with the number of responses. Six is the
+        # fit that the team and scouting families of three metrics share
         x = np.tile(np.arange(1.0, 211.0), 5)
-        y = np.random.default_rng(0).normal(size=(3, len(x))) * 50 + x
+        y = np.random.default_rng(0).normal(size=(k, len(x))) * 50 + x
 
         def peak(responses):
             loess_fit(x, responses, grid=SELECTION_GRID)
@@ -255,7 +289,7 @@ class TestLoess:
             finally:
                 tracemalloc.stop()
 
-        assert peak(y) <= peak(y[0]) + 2 * y[0].nbytes
+        assert peak(y) <= peak(y[0]) + (k - 1) * y[0].nbytes
 
     def test_streamed_rows_match_the_stacked_fit(self):
         # rows built on read, as the surplus rows are: each is dropped before

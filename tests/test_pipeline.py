@@ -136,18 +136,21 @@ def test_failure_names_the_failing_stage(command, stage, one_year_csv, tmp_path,
 
 GROUPS = (None, *PositionGroup)
 ALL = frozenset(Metric)
-# (ordering, group, metrics) of each call that fits expected curves, per
-# subcommand: the metrics of one family are fitted together
+BOTH = (Ordering.TEAM, Ordering.CSS)
+# (orderings, group, metrics) of each call that fits expected curves, per
+# subcommand: the metrics of one family are fitted together, and `curves`
+# and `run` fit the team and scouting families in one call, which shares
+# one LOESS fit between them on a draft with every selection
 FAMILIES_FITTED = {
     "cescin": set(),
     "audit": set(),
-    "curves": {(o, None, ALL) for o in Ordering},
-    "surplus": {(Ordering.CSS, None, ALL)},
-    "surplus --by-position": {(Ordering.CSS, g, ALL) for g in GROUPS},
-    "chart": {(Ordering.TEAM, None, frozenset({Metric.TOI}))},
-    "teams": {(Ordering.CSS, None, ALL)},
-    "run": {(o, None, ALL) for o in Ordering},
-    "run --by-position": {(o, None, ALL) for o in Ordering} | {(Ordering.CSS, g, ALL) for g in GROUPS},
+    "curves": {(BOTH, None, ALL)},
+    "surplus": {((Ordering.CSS,), None, ALL)},
+    "surplus --by-position": {((Ordering.CSS,), g, ALL) for g in GROUPS},
+    "chart": {((Ordering.TEAM,), None, frozenset({Metric.TOI}))},
+    "teams": {((Ordering.CSS,), None, ALL)},
+    "run": {(BOTH, None, ALL)},
+    "run --by-position": {(BOTH, None, ALL)} | {((Ordering.CSS,), g, ALL) for g in PositionGroup},
 }
 
 
@@ -160,17 +163,19 @@ def test_each_expected_curve_is_fitted_once(command, one_year_csv, tmp_path, mon
     def record(*args, **kwargs):
         call = signature.bind(*args, **kwargs)
         call.apply_defaults()
+        ranks = call.arguments["ranks"]
+        ranks = ranks if isinstance(ranks, tuple) else (ranks,)
         # the team ranks are the draft's own selection column
-        team = call.arguments["ranks"] is call.arguments["draft"].columns.selection
-        ordering = Ordering.TEAM if team else Ordering.CSS
-        calls.append((ordering, call.arguments["group"], frozenset(call.arguments["metrics"])))
+        team = call.arguments["draft"].columns.selection
+        orderings = tuple(Ordering.TEAM if r is team else Ordering.CSS for r in ranks)
+        calls.append((orderings, call.arguments["group"], frozenset(call.arguments["metrics"])))
         return fit(*args, **kwargs)
 
     monkeypatch.setattr(pipeline, "expected_curve", record)
     name, *flags = command.split()
     assert main([name, str(one_year_csv), *flags, "--out", str(tmp_path)]) == 0
     assert Counter(calls) == Counter(FAMILIES_FITTED[command])
-    fitted = Counter((o, m, g) for o, g, metrics in calls for m in metrics)
+    fitted = Counter((o, m, g) for orderings, g, metrics in calls for o in orderings for m in metrics)
     assert set(fitted.values()) <= {1}
 
 

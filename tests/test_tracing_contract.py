@@ -2,7 +2,12 @@
 exists under its name, and one paper-scale run does the work pinned here
 (rows read, audit replays, LOESS fits and their point evaluations). The
 three metrics of one rank family share one stacked LOESS fit, and the
-tracer counts len(x) x len(grid) evaluations per call. The tracer counts
+tracer counts len(x) x len(grid) evaluations per call. On a draft whose
+classes hold every selection and whose scouting ranks are a permutation of
+each class, the team and scouting families share one fit too, over the
+1,050 selections: a run makes 2 fits, that one and the differential fit,
+with 1,050 x 210 + 1,050 x 227 = 458,850 evaluations, where fitting the
+two families apart made 3 fits and 679,350. The tracer counts
 replays and pool scans per ``replay_flags`` call, which ``audit`` no
 longer makes: it replays runs of whole classes in one pass per (metric,
 ordering) each, so a run reads 0 of both (``test_pipeline`` pins the
@@ -45,8 +50,8 @@ def test_paper_scale_run_work_counts(tmp_path, capsys):
         "io.rows_read": 1050,
         "draft_audit.replays": 0,
         "draft_audit.pool_scans": 0,
-        "numerics.loess_fits": 3,
-        "numerics.loess_point_evals": 679_350,
+        "numerics.loess_fits": 2,
+        "numerics.loess_point_evals": 458_850,
         "cli.subcommand_calls": 1,
     }
 

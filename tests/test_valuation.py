@@ -1,10 +1,14 @@
+from dataclasses import fields
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from draftvalue.cescin import CategoryFactors, css_ordering
-from draftvalue.core_model import Draft, Metric, PositionGroup, RecordError
+from draftvalue import valuation
+from draftvalue.core_model import Draft, DraftColumns, Metric, PositionGroup, RecordError
 from draftvalue.numerics import SmoothCurve
 from draftvalue.synth import SynthConfig, generate_synthetic_draft
 from draftvalue.valuation import (
@@ -270,3 +274,73 @@ class TestExpectedCurve:
         curves = {Metric.TOI: linear_curve(0.0)}
         delta_rank, _ = differential_points(Draft([dc]), css_ordering(dc, UNIT), curves)
         assert delta_rank.sum() == 0
+
+
+def _without_row(draft: Draft, i: int) -> Draft:
+    """``draft`` with its row ``i`` deleted."""
+    c = draft.columns
+    table = {f.name: np.delete(getattr(c, f.name), i) for f in fields(c) if f.name != "metrics"}
+    metrics = {m: np.delete(column, i) for m, column in c.metrics.items()}
+    return Draft.over(DraftColumns(**table, metrics=metrics), draft.years, [b - (b > i) for b in draft.bounds])
+
+
+class TestSharedExpectedFit:
+    """The team and scouting orderings in one ``expected_curve`` call: one
+    LOESS fit over the selections when each class holds selections 1..N and
+    the scouting ranks put its rows on distinct slots 1..N, else one fit per
+    ordering. Either way each curve has the bits of its ordering's own fit."""
+
+    @given(
+        st.integers(0, 2**16),
+        st.integers(1, 6),
+        st.integers(10, 210),
+        st.sampled_from([0.0, 30.0]),
+        st.floats(0.05, 1.0, exclude_min=True),
+        st.lists(st.sampled_from(list(Metric)), min_size=1, max_size=3, unique=True),
+        st.integers(0, 10**6),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_each_curve_is_its_ordering_s_own_fit(self, seed, years, picks, noise, span, metrics, row):
+        config = SynthConfig(seed=seed, years=years, picks_per_year=picks, css_noise=noise)
+        draft = generate_synthetic_draft(config)
+        year = row % years
+        lo, hi = draft.bounds[year], draft.bounds[year + 1]
+        gap = _without_row(draft, lo + row % (hi - lo - 1))  # not a class's last row: a selection goes missing
+        tied = css_ordering(draft, UNIT).copy()
+        tied[lo + 1] = tied[lo]  # two rows of one class on one rank
+        # (draft, scouting ranks, group, LOESS fits): a copy of the selections
+        # is read into slots like any ranks, a draft with a missing selection
+        # is fitted apart whatever its ranks, and so are float ranks
+        cases = [
+            (draft, css_ordering(draft, UNIT), None, 1),
+            (draft, draft.columns.selection.copy(), None, 1),
+            (gap, css_ordering(gap, UNIT), None, 2),
+            (gap, gap.columns.selection.copy(), None, 2),
+            (draft, tied, None, 2),
+            (draft, css_ordering(draft, UNIT).astype(float), None, 2),
+            (draft, css_ordering(draft, UNIT), PositionGroup.F, 2),
+        ]
+        for d, css, group, calls in cases:
+            orderings = (d.columns.selection, css)
+            try:
+                alone = [expected_curve(d, ranks, metrics, span, group) for ranks in orderings]
+            except ValueError:  # too few rows in reach of the span
+                with pytest.raises(ValueError):
+                    expected_curve(d, orderings, metrics, span, group)
+                continue
+            with mock.patch.object(valuation, "loess_fit", wraps=valuation.loess_fit) as fit:
+                both = expected_curve(d, orderings, metrics, span, group)
+            assert fit.call_count == calls
+            assert [list(curves) for curves in both] == [metrics, metrics]
+            for curves, own in zip(both, alone):
+                for m in metrics:
+                    assert np.array_equal(curves[m].grid, own[m].grid)
+                    assert np.array_equal(curves[m].values, own[m].values)
+                    assert np.array_equal(np.signbit(curves[m].values), np.signbit(own[m].values))
+
+    @pytest.mark.parametrize("rows", [419, 421])
+    def test_a_rank_array_of_another_length_is_refused(self, rows):
+        draft = generate_synthetic_draft(SynthConfig(seed=0, years=2))
+        ranks = np.resize(draft.columns.selection, rows)
+        with pytest.raises(ValueError, match=f"{rows} ranks for 420 rows"):
+            expected_curve(draft, (draft.columns.selection, ranks), [Metric.GP])
